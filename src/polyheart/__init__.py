@@ -30,7 +30,6 @@ from .geometry import (
     clip,
     contains,
     halfplane_intersection,
-    metrics,
     reflect,
     support,
     width,

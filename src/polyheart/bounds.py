@@ -20,14 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureUnstable, UnsupportedDimension
-from .geometry import ConvexPolygon, chebyshev_center
+from .geometry import ConvexPolygon, chebyshev_center, edge_gaps, newton_minimize
 
 # volume of the unit ball in R^k
 BALL_VOLUME = {0: 1.0, 1: 2.0, 2: float(np.pi), 3: float(4.0 * np.pi / 3.0)}
-
-_SEARCH_ITERATIONS = 60
-_SEARCH_SHRINK = 0.5
-_SEARCH_TOL = 1e-8
 
 
 def bessel_j0(x: float) -> float:
@@ -178,78 +174,43 @@ def distance_bounds_convex(stats: BodyStats) -> ConvexDistanceBounds:
     return ConvexDistanceBounds(precise, coarse, improved)
 
 
-def _gauss_legendre_edge_sum(poly: ConvexPolygon, center: np.ndarray, order: int) -> float:
-    """Sum over edges of the reciprocal support-plane distance integral.
+def reciprocal_support_integral(poly: ConvexPolygon, center) -> float:
+    """Boundary integral of 1/((x - center) . nu(x)) for a fixed center.
 
-    The integrand at a boundary point x is 1/((x - center) . nu(x)); on a
-    straight edge the dot product is constant, so the quadrature is exact
-    at any order, but evaluating it at the nodes keeps the code shaped
-    like the curved-boundary generalization and feeds the Riemann oracle
-    in the tests.
+    On a straight edge the support distance d_i = c_i - n_i . center is
+    constant, so the integral is exactly sum |e_i| / d_i.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    total = 0.0
-    for p, q, nu in zip(v, nxt, poly.edge_normals):
-        half = 0.5 * np.linalg.norm(q - p)
-        pts = 0.5 * (p + q)[None, :] + 0.5 * np.outer(nodes, q - p)
-        gaps = (pts - center) @ nu
-        if np.any(gaps <= poly.eps):
-            raise QuadratureUnstable(
-                "support-plane distance vanished along an edge; move the center inward"
-            )
-        total += half * float(weights @ (1.0 / gaps))
-    return total
+    gaps = edge_gaps(poly, center, poly.eps, QuadratureUnstable)
+    return float(poly.edge_lengths @ (1.0 / gaps))
 
 
-def reciprocal_support_integral(poly: ConvexPolygon, center, quad_order: int = 8) -> float:
-    """Boundary integral of 1/((x - center) . nu(x)) for a fixed center."""
-    if quad_order < 1:
-        raise ValueError("quad_order must be >= 1")
-    return _gauss_legendre_edge_sum(poly, np.asarray(center, dtype=float), quad_order)
-
-
-def minimal_reciprocal_support_integral(
-    poly: ConvexPolygon, quad_order: int = 8, return_center: bool = False
-):
+def minimal_reciprocal_support_integral(poly: ConvexPolygon, return_center: bool = False):
     """Infimum over interior centers of the reciprocal support integral.
 
-    The objective is a sum of reciprocals of positive affine functions of
-    the center, hence convex with an interior minimum; a derivative-free
-    axis search with multiplicative step shrinking locates it.  Steps that
-    push the center onto a support line are rejected.
+    The objective sum |e_i| / d_i is a sum of reciprocals of positive
+    affine functions of the center, hence strictly convex with an interior
+    minimum; its gradient is sum |e_i| n_i / d_i^2 and its Hessian
+    sum 2 |e_i| n_i n_i^T / d_i^3, and damped Newton locates it.
     """
-    center = poly.centroid.copy()
-    best = reciprocal_support_integral(poly, center, quad_order)
-    step = poly.diameter / 8.0
-    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    for _ in range(_SEARCH_ITERATIONS):
-        moved = False
-        for ax in axes:
-            cand = center + step * ax
-            try:
-                val = reciprocal_support_integral(poly, cand, quad_order)
-            except QuadratureUnstable:
-                continue
-            if val < best - 1e-15 * abs(best):
-                center, best, moved = cand, val, True
-        if not moved:
-            step *= _SEARCH_SHRINK
-            if step < _SEARCH_TOL:
-                break
+    n, lengths = poly.edge_normals, poly.edge_lengths
+
+    def support_integral(gaps):
+        w = lengths / gaps**2
+        return float(lengths @ (1.0 / gaps)), w @ n, (n.T * (2.0 * w / gaps)) @ n
+
+    best, center = newton_minimize(poly, support_integral)
     if return_center:
         return best, center
     return best
 
 
-def eigenvalue_upper_starshaped(poly: ConvexPolygon, quad_order: int = 8) -> float:
+def eigenvalue_upper_starshaped(poly: ConvexPolygon) -> float:
     """Eigenvalue upper bound lam1(B1)/N * W/|body| from the support integral."""
-    w_val = minimal_reciprocal_support_integral(poly, quad_order)
+    w_val = minimal_reciprocal_support_integral(poly)
     return disc_dirichlet_eigenvalue(2) / 2.0 * w_val / poly.area
 
 
-def distance_bound_starshaped(poly: ConvexPolygon, quad_order: int = 8) -> float:
+def distance_bound_starshaped(poly: ConvexPolygon) -> float:
     """Distance lower bound driven by the reciprocal support integral.
 
     Substituting the support-integral eigenvalue bound into the precise
@@ -262,7 +223,7 @@ def distance_bound_starshaped(poly: ConvexPolygon, quad_order: int = 8) -> float
     every edge.
     """
     n = 2
-    w_val = minimal_reciprocal_support_integral(poly, quad_order)
+    w_val = minimal_reciprocal_support_integral(poly)
     lam_ball = disc_dirichlet_eigenvalue(n)
     frac = poly.area / (poly.diameter * w_val)
     return n ** (2 * n - 1) * BALL_VOLUME[n - 1] / lam_ball**n * frac ** (n - 1) / w_val

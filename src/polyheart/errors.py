@@ -28,7 +28,7 @@ class UnsupportedDimension(PolyheartError):
 
 
 class QuadratureUnstable(PolyheartError):
-    """Boundary integrand degenerates (support distance below tolerance)."""
+    """Reciprocal support integral blows up: a center's edge gap is below tolerance."""
 
 
 class CenterTooCloseToBoundary(PolyheartError):

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InvalidPolygon
+from .errors import CenterTooCloseToBoundary, InvalidPolygon, NoConvergence
 
 EPS_REL = 1e-9
 
@@ -30,6 +30,12 @@ EPS_REL = 1e-9
 # slack so fattened degenerate sets classify correctly.
 _POINT_FACTOR = 50.0
 _WIDTH_FACTOR = 50.0
+
+# newton_minimize stops at a Newton decrement this small relative to the
+# objective (rounding level, where an Armijo test alone stalls), and makes
+# at most this many steps and halvings per line search.
+_NEWTON_DECREMENT_REL = 1e-12
+_NEWTON_ITERATIONS = 60
 
 
 def unit(theta: float) -> np.ndarray:
@@ -225,19 +231,6 @@ class ConvexPolygon:
         v = self.vertices
         return (float(v[:, 0].min()), float(v[:, 0].max()),
                 float(v[:, 1].min()), float(v[:, 1].max()))
-
-
-@dataclass(frozen=True)
-class PolygonMetrics:
-    area: float
-    perimeter: float
-    centroid: np.ndarray
-    diameter: float
-
-
-def metrics(poly: ConvexPolygon) -> PolygonMetrics:
-    """Shoelace area, perimeter, area centroid, max vertex-pair diameter."""
-    return PolygonMetrics(poly.area, poly.perimeter, poly.centroid.copy(), poly.diameter)
 
 
 def support(poly: ConvexPolygon, omega) -> float:
@@ -505,3 +498,45 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
         return ChebyshevResult(np.array(res.x[:2]), radius, True)
     unique = opt.extent() <= 1e3 * poly.eps
     return ChebyshevResult(opt.representative(), radius, unique)
+
+
+def edge_gaps(poly: ConvexPolygon, center, tol: float, error: type[Exception]) -> np.ndarray:
+    """Gaps c_i - n_i . center to the edge lines; raises ``error`` unless all exceed tol."""
+    gaps = poly.edge_offsets - poly.edge_normals @ np.asarray(center, dtype=float)
+    if gaps.min() <= tol:
+        raise error(f"smallest edge gap {gaps.min():.3e} <= tolerance {tol:.3e}")
+    return gaps
+
+
+def newton_minimize(poly: ConvexPolygon, objective, xtol: float = 0.0) -> tuple[float, np.ndarray]:
+    """Minimize a smooth, strictly convex function of the edge gaps.
+
+    ``objective(gaps)`` returns the value, gradient and Hessian in the
+    center p, where gaps = edge_offsets - edge_normals @ p.  Damped Newton
+    from the centroid halves each step until every gap stays above eps and
+    the Armijo test holds.  It stops once the Newton decrement g . H^-1 g
+    is at most 1e-12 * |f|, or a step was shorter than ``xtol``, taking
+    that last step.  Returns the minimum and the minimizer.
+    """
+    def at(p):
+        gaps = poly.edge_offsets - poly.edge_normals @ p
+        return objective(gaps) if gaps.min() > poly.eps else None
+
+    p = poly.centroid
+    state = objective(edge_gaps(poly, p, poly.eps, CenterTooCloseToBoundary))
+    for _ in range(_NEWTON_ITERATIONS):
+        f, g, hess = state
+        step = np.linalg.solve(hess, g)
+        decrement = float(g @ step)
+        if decrement <= _NEWTON_DECREMENT_REL * abs(f) and (last := at(p - step)) is not None:
+            return last[0], p - step
+        for t in 0.5 ** np.arange(_NEWTON_ITERATIONS):
+            if (state := at(p - t * step)) is not None and state[0] <= f - 0.25 * t * decrement:
+                break
+        else:
+            break
+        p = p - t * step
+        if t * np.hypot(*step) <= xtol:
+            return state[0], p
+    tol = _NEWTON_DECREMENT_REL * abs(f)
+    raise NoConvergence(f"Newton decrement {decrement:.3e} above tolerance {tol:.3e}")

@@ -1,12 +1,14 @@
 """Polar bodies about an interior center, and the Santalo point.
 
 The polar of a polygon about an interior point p collects every y with
-(x - p) . (y - p) <= 1 over x in the body.  Only the vertices matter, so
-the polar of an n-gon is again an n-gon (edges and vertices swap roles)
-and the construction is exact.  Its area blows up like 1/dist(p, boundary)
-as p approaches the boundary, which is what makes the area inequalities
-here informative: a small polar area certifies that the center sits well
-inside the body.
+(x - p) . (y - p) <= 1 over x in the body.  With the edge gaps
+d_i = c_i - n_i . p of the body {n_i . x <= c_i}, the polar is
+conv{p + n_i / d_i}: edges and vertices swap roles, so the polar of an
+n-gon is again an n-gon, explicit and already in counterclockwise order.
+Its area, 1/2 sum (n_i x n_{i+1}) / (d_i d_{i+1}), blows up like
+1/dist(p, boundary) as p approaches the boundary, which is what makes the
+area inequalities here informative: a small polar area certifies that the
+center sits well inside the body.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CenterTooCloseToBoundary
-from .geometry import ConvexPolygon, boundary_distance, halfplane_intersection, point_in
-
-_SANTALO_ITERATIONS = 120
+from .geometry import EPS_REL, ConvexPolygon, _dedupe_ring, boundary_distance, edge_gaps, newton_minimize
 
 
 @dataclass(frozen=True)
@@ -39,63 +39,48 @@ def gauge(poly: ConvexPolygon, center, x) -> float:
     """
     p = np.asarray(center, dtype=float)
     z = np.asarray(x, dtype=float) - p
-    gaps = poly.edge_offsets - poly.edge_normals @ p
-    if np.any(gaps <= poly.eps):
-        raise CenterTooCloseToBoundary("gauge center sits on or outside an edge line")
+    gaps = edge_gaps(poly, p, poly.eps, CenterTooCloseToBoundary)
     return float(max(0.0, (poly.edge_normals @ z / gaps).max()))
 
 
 def polar_polygon(poly: ConvexPolygon, center) -> PolarBody:
     """Polar body about an interior center, positioned around that center.
 
-    Each base vertex v contributes the half-plane (v - center) . (y - center) <= 1;
-    their intersection is the exact polar for a polygon.
+    Edge i of the base gives the polar vertex center + n_i / d_i.  Edges
+    that share a normal (a straight-angle vertex of the base) give the
+    same polar vertex, and the repeats are merged.
     """
     p = np.asarray(center, dtype=float)
-    d = boundary_distance(poly, p)
-    if not point_in(poly, p) or d <= 10.0 * poly.eps:
-        raise CenterTooCloseToBoundary(
-            f"polar center must sit strictly inside (boundary distance {d:.3e})"
-        )
-    diff = poly.vertices - p
-    norms = np.linalg.norm(diff, axis=1)
-    rows = np.column_stack([diff / norms[:, None], 1.0 / norms])
-    reach = 1.0 / d
-    region = halfplane_intersection(
-        rows, (-reach, reach, -reach, reach), 1e-12 * reach, slack=0.0
-    )
-    if region.kind != "polygon":
-        raise CenterTooCloseToBoundary("polar collapsed; center too extreme for this body")
-    return PolarBody(poly, p, ConvexPolygon(region.points + p))
+    gaps = edge_gaps(poly, p, 10.0 * poly.eps, CenterTooCloseToBoundary)
+    # the polar's diameter is at most 2 / min(gaps): merge what ConvexPolygon
+    # would reject as duplicate vertices
+    ring = _dedupe_ring(poly.edge_normals / gaps[:, None], 2.0 * EPS_REL / gaps.min())
+    return PolarBody(poly, p, ConvexPolygon(ring + p))
 
 
 def santalo_point(poly: ConvexPolygon, tol: float = 1e-7) -> np.ndarray:
-    """Interior point minimizing the polar area, by axis pattern search.
+    """Interior point minimizing the polar area, by damped Newton.
 
-    The objective is smooth with an interior minimum; steps that leave the
-    body (or get too close to its boundary) are rejected, the step halves
-    when no axis move improves, and the search stops at step < tol * diam.
+    With u_i = n_i / d_i, the area terms q_i = 1/2 (n_i x n_{i+1}) / (d_i d_{i+1})
+    and a_i = u_i + u_{i+1}, the area has gradient sum q_i a_i and Hessian
+    sum q_i (a_i a_i^T + u_i u_i^T + u_{i+1} u_{i+1}^T); it is strictly
+    convex with an interior minimum.  The search stops at a step below
+    tol * diam.  At the minimizer the polar body's centroid is the
+    center itself (Santalo 1949).
     """
-    p = poly.centroid.copy()
-    best = polar_polygon(poly, p).area
-    step = poly.diameter / 8.0
-    floor = tol * poly.diameter
-    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    for _ in range(_SANTALO_ITERATIONS):
-        moved = False
-        for ax in axes:
-            cand = p + step * ax
-            try:
-                val = polar_polygon(poly, cand).area
-            except CenterTooCloseToBoundary:
-                continue
-            if val < best * (1.0 - 1e-14):
-                p, best, moved = cand, val, True
-        if not moved:
-            step *= 0.5
-            if step < floor:
-                break
-    return p
+    n = poly.edge_normals
+    n_next = np.roll(n, -1, axis=0)
+    cross = n[:, 0] * n_next[:, 1] - n[:, 1] * n_next[:, 0]
+
+    def polar_area(gaps):
+        u = n / gaps[:, None]
+        u_next = np.roll(u, -1, axis=0)
+        q = 0.5 * cross / (gaps * np.roll(gaps, -1))
+        a = u + u_next
+        hess = (a.T * q) @ a + (u.T * q) @ u + (u_next.T * q) @ u_next
+        return float(q.sum()), q @ a, hess
+
+    return newton_minimize(poly, polar_area, tol * poly.diameter)[1]
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def test_reciprocal_support_random_oracle():
 
 
 def test_reciprocal_support_unstable_on_boundary(square):
-    with pytest.raises(QuadratureUnstable):
+    with pytest.raises(QuadratureUnstable, match=r"smallest edge gap .* <= tolerance"):
         reciprocal_support_integral(square, [0.0, 0.5])
 
 
@@ -98,6 +98,16 @@ def test_minimal_reciprocal_support_square(square):
 def test_minimal_reciprocal_support_disc(disc256):
     val = minimal_reciprocal_support_integral(disc256)
     assert val == pytest.approx(2.0 * np.pi, abs=2e-3)
+
+
+def test_minimal_reciprocal_support_is_stationary(halfdisc64):
+    # the gradient sum |e_i| n_i / d_i^2 vanishes at the returned minimizer
+    for poly in [halfdisc64, *random_bodies(seed=29, count=12, lo=3)]:
+        val, center = minimal_reciprocal_support_integral(poly, return_center=True)
+        gaps = poly.edge_offsets - poly.edge_normals @ center
+        grad = (poly.edge_lengths / gaps**2) @ poly.edge_normals
+        assert np.linalg.norm(grad) <= 1e-9 * val / poly.diameter
+        assert val == pytest.approx(reciprocal_support_integral(poly, center), rel=1e-15)
 
 
 def test_distance_goldens_square(square):

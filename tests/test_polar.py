@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyheart import bodies
+from polyheart.bounds import minimal_reciprocal_support_integral
 from polyheart.errors import CenterTooCloseToBoundary
 from polyheart.geometry import ConvexPolygon, boundary_distance, chebyshev_center, point_in
 from polyheart.polar import (
@@ -59,7 +60,7 @@ def test_polar_blows_up_near_boundary():
     sq = bodies.square()
     areas = [polar_polygon(sq, [x, 0.5]).body.area for x in (0.5, 0.8, 0.95, 0.99)]
     assert all(a2 > a1 for a1, a2 in zip(areas, areas[1:]))
-    with pytest.raises(CenterTooCloseToBoundary):
+    with pytest.raises(CenterTooCloseToBoundary, match=r"smallest edge gap .* <= tolerance"):
         polar_polygon(sq, [1.0 - 1e-12, 0.5])
 
 
@@ -103,6 +104,31 @@ def test_santalo_minimizes(square):
     for _ in range(10):
         p = s + 0.2 * gen.uniform(-1.0, 1.0, size=2)
         assert polar_polygon(square, p).body.area >= base - 1e-9
+
+
+def test_santalo_point_is_polar_centroid(halfdisc64):
+    # Santalo (1949): the polar body about the minimizer has its centroid there
+    for poly in [halfdisc64, *random_bodies(seed=31, count=12, lo=3)]:
+        s = santalo_point(poly)
+        centroid = polar_polygon(poly, s).body.centroid
+        assert np.linalg.norm(centroid - s) <= 1e-9 * poly.diameter
+
+
+def test_straight_angle_vertex():
+    # edges 0 and 1 share a normal, so they give the same polar vertex
+    poly = ConvexPolygon([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]])
+    pb = polar_polygon(poly, [1.0, 0.5])
+    assert len(pb.body) == 4
+    assert pb.area == pytest.approx(4.0, abs=1e-12)
+    assert np.allclose(santalo_point(poly), [1.0, 0.5], atol=1e-9)
+    assert minimal_reciprocal_support_integral(poly) == pytest.approx(10.0, abs=1e-9)
+
+
+def test_minimizers_reject_body_thinner_than_eps():
+    sliver = ConvexPolygon([[0, 0], [1, 0], [0.5, 1e-10]])
+    for minimize in (santalo_point, minimal_reciprocal_support_integral):
+        with pytest.raises(CenterTooCloseToBoundary, match=r"smallest edge gap .* <= tolerance"):
+            minimize(sliver)
 
 
 def test_eigen_area_check(square, disc256):
