@@ -3,10 +3,16 @@
 For a direction omega, the folding offset is the smallest level lambda such
 that reflecting the part of the body above the line {x . omega = lambda}
 across that line lands inside the body.  For polygons it equals the largest
-chord midpoint over the projections of the vertices, which is what
-:func:`folding_offset` computes; :func:`folding_offset_bisection` instead
-bisects directly on the reflection-containment definition and serves as the
-independent reference implementation.
+chord midpoint over the projections of the vertices.  The chord over a
+projection runs between the two boundary chains, the edges facing along
+omega and those facing against it, and each chain is monotone in the
+shadow coordinate, so a sorted search finds the one edge of each chain
+that bounds the chord: O(n log n) per direction.  :func:`folding_profile`
+does this for many directions at once, in blocks of array operations, and
+:func:`folding_offset` is its one-direction case.
+:func:`folding_offset_bisection` instead bisects directly on the
+reflection-containment definition and serves as the independent reference
+implementation; it shares no code with the fast path.
 
 Intersecting the half-planes {x . omega <= offset} over many directions
 (plus the body's own edges) yields an outer approximation of the heart: the
@@ -26,7 +32,6 @@ from .geometry import (
     boundary_distance,
     chord,
     check_direction,
-    contains,
     halfplane_intersection,
     perp,
     region_point_distance,
@@ -34,6 +39,19 @@ from .geometry import (
 )
 
 _PARALLEL_TOL = 1e-13
+
+# Directions are folded in blocks of about this many direction x vertex
+# cells, so that a block's temporaries stay at a few hundred kilobytes
+# each whatever the number of directions.
+_BLOCK_CELLS = 1 << 15
+
+# heart_region's tolerances, in units of poly.eps.  The intersection gives
+# every cut one eps of slack, so a heart vertex may sit that far beyond a
+# folding plane or a body edge; the checks allow a few times more.
+_CUT_SLACK = 1.0
+_SUPPORT_TOL = 5.0       # folding offset above the body's support value
+_CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge, a folding plane or its ball
+_CENTROID_TOL = 100.0    # centroid's distance from the heart
 
 
 @dataclass(frozen=True)
@@ -46,20 +64,24 @@ class FoldEntry:
     witness_vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldingProfile:
-    entries: tuple[FoldEntry, ...]
+    """Folding offsets over a direction set, one row per direction."""
+
+    directions: np.ndarray      # (k, 2) unit directions
+    values: np.ndarray          # (k,) folding offsets
+    witness_s: np.ndarray       # (k,) shadow coordinate of the maximal chord midpoint
+    witness_vertex: np.ndarray  # (k,) index of the vertex that projects there
 
     @property
-    def directions(self) -> np.ndarray:
-        return np.array([e.omega for e in self.entries])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries])
+    def entries(self) -> tuple[FoldEntry, ...]:
+        return tuple(
+            FoldEntry(w, float(v), float(s), int(j))
+            for w, v, s, j in zip(self.directions, self.values, self.witness_s, self.witness_vertex)
+        )
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -86,6 +108,67 @@ def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
     return 0.5 * (iv[0] + iv[1])
 
 
+def _complex_keys(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Keys rows + i*vals: numpy orders complex numbers by real part, then
+    imaginary part, so one searchsorted serves many rows and keeps vals exact."""
+    keys = np.empty(vals.shape, dtype=complex)
+    keys.real = rows
+    keys.imag = vals
+    return keys
+
+
+def _top_chain_bound(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Upper chord end over every vertex projection, for a block of directions.
+
+    Entry (b, k) is the minimum over the edges i with n_i . w_b above
+    _PARALLEL_TOL of (c_i - (n_i . u_b) s[b, k]) / (n_i . w_b), the upper
+    end of the chord along w_b over the shadow coordinate s[b, k].  Those
+    edges form one run of the counterclockwise boundary, the top chain,
+    along which s increases; edges parallel to w_b are not in it.  The
+    minimum sits on the chain edge whose s-range brackets s[b, k], so the
+    expression is evaluated there and on the chain edge before it: at a
+    vertex of the chain both edges meet, and the smaller value of the two
+    is the better conditioned one when either edge is nearly parallel to
+    w_b.  A direction without a top chain gets +inf.
+    """
+    m = len(poly.edge_normals)
+    a = w @ poly.edge_normals.T   # (B, m)
+    du = u @ poly.edge_normals.T  # (B, m)
+    top = a > _PARALLEL_TOL
+    length = top.sum(axis=1)
+    start = np.argmax(top & ~np.roll(top, 1, axis=1), axis=1)[:, None]
+    rows = np.arange(len(w))[:, None]
+    # chain position j holds edge (start + j) % m, which starts at the
+    # vertex of the same index: the chain's breakpoints in increasing s
+    on_chain = np.arange(m) < length[:, None]
+    breaks = _complex_keys(rows, s[rows, (start + np.arange(m)) % m])[on_chain]
+    j = np.searchsorted(breaks, _complex_keys(rows, s).ravel(), side="right").reshape(s.shape)
+    j -= (np.cumsum(length) - length)[:, None] + 1
+    last = np.maximum(length - 1, 0)[:, None]
+    hi = np.full(s.shape, np.inf)
+    for shift in (-1, 0):
+        e = (start + np.clip(j + shift, 0, last)) % m
+        at = rows * m + e
+        val = (poly.edge_offsets[e] - du.ravel()[at] * s) / a.ravel()[at]
+        np.minimum(hi, val, out=hi)
+    hi[length == 0] = np.inf
+    return hi
+
+
+def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, f) of :func:`vertex_chord_midpoints` for a block of directions, one row each."""
+    u = np.column_stack([-w[:, 1], w[:, 0]])  # perp of every row
+    s = u @ poly.vertices.T
+    own = w @ poly.vertices.T
+    # the bottom chain along w is the top chain along -w, with s negated
+    hi = _top_chain_bound(poly, w, u, s)
+    lo = -_top_chain_bound(poly, -w, -u, -s)
+    f = 0.5 * (lo + hi)
+    bad = ~np.isfinite(f) | (lo > hi)
+    f[bad] = own[bad]
+    return s, f
+
+
 def vertex_chord_midpoints(poly: ConvexPolygon, omega) -> tuple[np.ndarray, np.ndarray]:
     """Chord midpoints over every vertex projection.
 
@@ -93,31 +176,8 @@ def vertex_chord_midpoints(poly: ConvexPolygon, omega) -> tuple[np.ndarray, np.n
     perp(omega) and the chord-midpoint value above each.  Degenerate chords
     at shadow-extreme vertices contribute the vertex's own omega-coordinate.
     """
-    w = check_direction(omega)
-    u = perp(w)
-    v = poly.vertices
-    s = v @ u
-    own = v @ w
-    a = poly.edge_normals @ w                      # (m,)
-    du = poly.edge_normals @ u
-    pos = a > _PARALLEL_TOL
-    neg = a < -_PARALLEL_TOL
-    n = len(v)
-    hi = np.full(n, np.inf)
-    lo = np.full(n, -np.inf)
-    # chunk the (edges x vertices) tableau so large polygons stay cheap
-    block = max(1, 4_000_000 // max(len(a), 1))
-    for k in range(0, n, block):
-        sk = s[k:k + block]
-        b = poly.edge_offsets[:, None] - np.outer(du, sk)  # (m, len(sk))
-        if np.any(pos):
-            hi[k:k + block] = (b[pos] / a[pos, None]).min(axis=0)
-        if np.any(neg):
-            lo[k:k + block] = (b[neg] / a[neg, None]).max(axis=0)
-    f = 0.5 * (lo + hi)
-    bad = ~np.isfinite(f) | (lo > hi)
-    f[bad] = own[bad]
-    return s, f
+    s, f = _vertex_chord_midpoints(poly, check_direction(omega)[None, :])
+    return s[0], f[0]
 
 
 def folding_offset(poly: ConvexPolygon, omega) -> FoldEntry:
@@ -126,15 +186,30 @@ def folding_offset(poly: ConvexPolygon, omega) -> FoldEntry:
     The chord-midpoint function is piecewise linear in the shadow coordinate
     with breakpoints exactly at vertex projections, so its maximum over the
     shadow is attained at one of them.  First maximal vertex index wins ties.
+    This is the one-direction case of :func:`folding_profile`.
     """
-    w = check_direction(omega)
-    s, f = vertex_chord_midpoints(poly, w)
-    j = int(np.argmax(f))
-    return FoldEntry(w, float(f[j]), float(s[j]), j)
+    return folding_profile(poly, [omega]).entries[0]
 
 
 def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
-    return FoldingProfile(tuple(folding_offset(poly, w) for w in directions))
+    """Folding offsets over many directions, each as in :func:`folding_offset`.
+
+    The directions are evaluated in blocks, each in one set of array
+    operations whose cost grows as n log n in the vertex count.
+    """
+    w = np.array([check_direction(d) for d in directions], dtype=float).reshape(-1, 2)
+    values = np.empty(len(w))
+    witness_s = np.empty(len(w))
+    witness_vertex = np.empty(len(w), dtype=np.intp)
+    block = max(1, _BLOCK_CELLS // len(poly.vertices))
+    for k in range(0, len(w), block):
+        s, f = _vertex_chord_midpoints(poly, w[k:k + block])
+        j = np.argmax(f, axis=1)
+        rows = np.arange(len(j))
+        values[k:k + block] = f[rows, j]
+        witness_s[k:k + block] = s[rows, j]
+        witness_vertex[k:k + block] = j
+    return FoldingProfile(w, values, witness_s, witness_vertex)
 
 
 def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
@@ -158,17 +233,24 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
     # the oracle undershoot; this one keeps that error below tol.
     feas = 1e-13 * poly.diameter
 
-    def feasible(lam: float) -> bool:
+    def excess(lam: float) -> float:
+        """How far the reflected cap reaches beyond the body (-inf: no cap)."""
         ring = _upper_cap_ring(v, w, lam)
         if len(ring) == 0:
-            return True
+            return -np.inf
         refl = ring - 2.0 * ((ring @ w - lam))[:, None] * w[None, :]
-        return bool((refl @ nrm.T - off[None, :]).max() <= feas)
+        return float((refl @ nrm.T - off[None, :]).max())
+
+    def feasible(lam: float) -> bool:
+        return excess(lam) <= feas
 
     hi = support(poly, w)
     lo = -support(poly, -w)
     if not feasible(hi):
-        raise InconsistentHeart("folding infeasible at the support level; tolerance inconsistency")
+        raise InconsistentHeart(
+            f"folding infeasible at the support level: the reflected cap reaches "
+            f"{excess(hi):.3e} beyond the body (tolerance {feas:.3e})"
+        )
     if feasible(lo):
         return lo
     while hi - lo > tol:
@@ -217,7 +299,9 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720, extra_dirs=()) -> tuple
 
     Raises InconsistentHeart when the construction contradicts itself
     (empty intersection, centroid excluded, or an offset exceeding the
-    support value): those are hard failures, never warnings.
+    support value): those are hard failures, never warnings.  Each
+    message gives the measured excess and the tolerance it broke, or for
+    an empty intersection the slack each cut had.
     """
     if n_dirs < 4:
         raise ValueError("need at least 4 directions")
@@ -226,23 +310,41 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720, extra_dirs=()) -> tuple
     eps = poly.eps
     sup = (poly.vertices @ dirs.T).max(axis=0)
     vals = profile.values
-    if np.any(vals > sup + 5.0 * eps):
-        raise InconsistentHeart("folding offset exceeds support value")
+    over = vals - sup
+    if over.max() > _SUPPORT_TOL * eps:
+        i = int(np.argmax(over))
+        raise InconsistentHeart(
+            f"folding offset exceeds the support value by {over[i]:.3e} at direction "
+            f"{dirs[i].tolist()} (tolerance {_SUPPORT_TOL * eps:.3e})"
+        )
     planes = np.vstack([
         np.column_stack([dirs, vals]),
         np.column_stack([poly.edge_normals, poly.edge_offsets]),
     ])
-    region = halfplane_intersection(planes, poly.bbox, eps)
+    region = halfplane_intersection(planes, poly.bbox, eps, slack=_CUT_SLACK * eps)
     if region.is_empty:
-        raise InconsistentHeart("heart intersection came out empty")
-    if region_point_distance(region, poly.centroid) > 100.0 * eps:
-        raise InconsistentHeart("centroid escaped the heart; folding values inconsistent")
-    if not contains(region, poly, 10.0 * eps):
-        raise InconsistentHeart("heart left the body")
+        raise InconsistentHeart(
+            f"heart intersection of {len(planes)} half-planes came out empty "
+            f"(slack {_CUT_SLACK * eps:.3e} per cut)"
+        )
+    gap = region_point_distance(region, poly.centroid)
+    if gap > _CENTROID_TOL * eps:
+        raise InconsistentHeart(
+            f"centroid lies {gap:.3e} outside the heart (tolerance {_CENTROID_TOL * eps:.3e}); "
+            f"folding values inconsistent"
+        )
+    out = (region.points @ poly.edge_normals.T - poly.edge_offsets).max()
+    if out > _CONTAINMENT_TOL * eps:
+        raise InconsistentHeart(
+            f"heart left the body by {out:.3e} (tolerance {_CONTAINMENT_TOL * eps:.3e})"
+        )
     if region.kind == "polygon":
-        hsup = (region.points @ dirs.T).max(axis=0)
-        if np.any(hsup > vals + 10.0 * eps):
-            raise InconsistentHeart("heart support exceeds folding offsets")
+        above = ((region.points @ dirs.T).max(axis=0) - vals).max()
+        if above > _CONTAINMENT_TOL * eps:
+            raise InconsistentHeart(
+                f"heart support exceeds a folding offset by {above:.3e} "
+                f"(tolerance {_CONTAINMENT_TOL * eps:.3e})"
+            )
     return Heart(region, planes), profile
 
 
@@ -270,17 +372,21 @@ def heart_ball_radius(poly: ConvexPolygon, profile: FoldingProfile,
     Discretizes max over unit theta of min over sampled omega with
     omega . theta > 0 of (offset(omega) - centroid . omega) / (omega . theta).
     Directions of the computed heart's vertices are added to the theta
-    sample so the containment assertion holds by construction.
+    sample so the containment assertion holds by construction.  The
+    offsets carry the slack that heart_region's intersection gave each
+    cut, since the heart's vertices may sit that far beyond a folding
+    plane and 1/(omega . theta) amplifies any gap left between the two.
     """
     xbar = poly.centroid
     omegas = profile.directions
     vals = profile.values
-    num = np.maximum(vals - omegas @ xbar, 0.0)
+    num = np.maximum(vals + _CUT_SLACK * poly.eps - omegas @ xbar, 0.0)
     thetas = [omegas]
     if heart is not None and not heart.region.is_empty:
         d = heart.vertices - xbar[None, :]
         norms = np.hypot(d[:, 0], d[:, 1])
-        good = norms > 10.0 * poly.eps
+        # closer vertices pass the ball check below whatever the radius
+        good = norms > _CONTAINMENT_TOL * poly.eps
         if np.any(good):
             thetas.append(d[good] / norms[good, None])
     thetas = np.vstack(thetas)
@@ -290,9 +396,12 @@ def heart_ball_radius(poly: ConvexPolygon, profile: FoldingProfile,
     per_theta = ratio.min(axis=0)
     radius = float(max(per_theta.max(), 0.0))
     if heart is not None and not heart.region.is_empty:
-        dist = np.hypot(*(heart.vertices - xbar[None, :]).T)
-        if dist.max() > radius + 10.0 * poly.eps:
-            raise InconsistentHeart("heart vertex escaped its bounding ball")
+        out = np.hypot(*(heart.vertices - xbar[None, :]).T).max() - radius
+        if out > _CONTAINMENT_TOL * poly.eps:
+            raise InconsistentHeart(
+                f"heart vertex lies {out:.3e} outside its bounding ball of radius "
+                f"{radius:.9g} (tolerance {_CONTAINMENT_TOL * poly.eps:.3e})"
+            )
     return xbar.copy(), radius
 
 

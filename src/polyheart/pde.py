@@ -166,6 +166,22 @@ class TrackSample:
     peak: float
 
 
+def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
+    """Heat-march step counts at which to sample, spanning two decades.
+
+    The first count is the step nearest t_end/100 (at least one), the last
+    is the step nearest t_end, raised until its time is at least 100 times
+    the first sample's in floating point, which varadhan_check requires;
+    the counts between are geometric.  Rounding each requested time to a
+    step on its own could leave the span just short of two decades.
+    """
+    first = max(1, round(t_end / 100.0 / dt))
+    last = max(round(t_end / dt), 100 * first)
+    while last * dt < 100.0 * (first * dt):
+        last += 1
+    return np.round(np.geomspace(first, last, n_samples)).astype(np.int64)
+
+
 def heat_solve(grid: GridField, sample_times) -> tuple[TrackSample, ...]:
     """March the heat flow from unit initial data, sampling the hot spot.
 
@@ -302,8 +318,13 @@ def varadhan_check(
     """
     from .geometry import boundary_distance
 
-    if len(samples) < 2 or samples[-1].time < 100.0 * samples[0].time:
-        raise ValueError("need samples spanning at least two decades of time")
+    if len(samples) < 2:
+        raise ValueError(f"need samples spanning at least two decades of time, got {len(samples)} sample(s)")
+    if samples[-1].time < 100.0 * samples[0].time:
+        raise ValueError(
+            f"need samples spanning at least two decades of time: last/first time "
+            f"ratio {samples[-1].time / samples[0].time!r} < 100"
+        )
     if late_slack is None:
         late_slack = 0.02 * poly.diameter
     inradius = chebyshev_center(poly).radius
@@ -373,8 +394,9 @@ def full_verify(
 
     The horizon defaults to max(10/lam1, 2500 h^2): long enough for the
     eigenmode to dominate, and never shorter than the time scale the grid
-    itself can resolve.  Sampling is geometric from t_end/100, giving the
-    two decades the short-time check needs.
+    itself can resolve.  Sampling is geometric in whole steps from about
+    t_end/100 (see sample_steps), giving the two decades the short-time
+    check needs.
     """
     from .folding import heart_region
 
@@ -384,8 +406,8 @@ def full_verify(
     eigen = eigen_solve(grid, eigen_tol)
     if t_end is None:
         t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
-    times = np.geomspace(t_end / 100.0, t_end, n_samples)
-    samples = heat_solve(grid, times)
+    dt = h * h / _DT_FACTOR
+    samples = heat_solve(grid, sample_steps(t_end, dt, n_samples) * dt)
     if heart is None:
         heart, _ = heart_region(poly, n_dirs)
     if slack is None:

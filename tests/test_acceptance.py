@@ -9,8 +9,9 @@ chords along such a direction have their midpoints on that diameter, just
 as the ellipse's do; the two offsets then agree to rounding.  At other
 directions they differ at first order in the vertex spacing; the convergence
 study for those is in test_folding.py.
-Every folding call made anywhere in this module is recorded and fed to
-the optimality diagnostic in the final test.
+Every folding offset computed anywhere in this module, by folding_offset
+or by heart_region's folding profile, is recorded and fed to the
+optimality diagnostic in the final test.
 """
 
 import numpy as np
@@ -61,16 +62,18 @@ RECT_LAM = 12.337005501361697  # pi^2 (1/4 + 1)
 
 @pytest.fixture(scope="module", autouse=True)
 def record_all_folding_calls():
-    orig = folding.folding_offset
+    # folding_offset is the one-direction case of folding_profile, so
+    # recording the profiles records every offset
+    orig = folding.folding_profile
 
-    def recording(poly, omega):
-        entry = orig(poly, omega)
-        RECORDED_FOLDS.append((poly, entry))
-        return entry
+    def recording(poly, directions):
+        profile = orig(poly, directions)
+        RECORDED_FOLDS.extend((poly, entry) for entry in profile.entries)
+        return profile
 
-    folding.folding_offset = recording
+    folding.folding_profile = recording
     yield
-    folding.folding_offset = orig
+    folding.folding_profile = orig
 
 
 @pytest.fixture(scope="module")

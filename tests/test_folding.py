@@ -10,10 +10,13 @@ resolves the offset to about sqrt(eps), hence the looser bound there.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyheart import bodies
 from polyheart.errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
+    FoldingProfile,
     chord_midpoint,
     folding_offset,
     folding_offset_bisection,
@@ -23,13 +26,37 @@ from polyheart.folding import (
     heart_region,
     heart_width_bound,
     normal_cone_check,
+    vertex_chord_midpoints,
 )
-from polyheart.geometry import point_in, region_point_distance, support, unit
+from polyheart.geometry import ConvexPolygon, perp, point_in, region_point_distance, support, unit
 
-from conftest import random_bodies
+from conftest import random_bodies, spacings_polygon
 
 ORACLE_TOL = 1e-8
 TANGENTIAL_TOL = 5e-5  # sqrt(eps * curvature scale), see module docstring
+
+
+def tableau_chord_midpoints(poly, w):
+    """Reference (s, f) from the full edges x vertices tableau, O(n^2).
+
+    Every edge with n_i . w above 1e-13 bounds the chord over each vertex
+    projection from above, every edge with n_i . w below -1e-13 from
+    below; a non-finite or inverted pair falls back to the vertex's own
+    coordinate.
+    """
+    u = perp(w)
+    v = poly.vertices
+    s = v @ u
+    own = v @ w
+    a = poly.edge_normals @ w
+    b = poly.edge_offsets[:, None] - np.outer(poly.edge_normals @ u, s)
+    pos, neg = a > 1e-13, a < -1e-13
+    hi = (b[pos] / a[pos, None]).min(axis=0) if pos.any() else np.full(len(v), np.inf)
+    lo = (b[neg] / a[neg, None]).max(axis=0) if neg.any() else np.full(len(v), -np.inf)
+    f = 0.5 * (lo + hi)
+    bad = ~np.isfinite(f) | (lo > hi)
+    f[bad] = own[bad]
+    return s, f
 
 
 def ellipse_folding(a: float, b: float, theta: float) -> float:
@@ -194,3 +221,72 @@ def test_normal_cone_negative_control(right_tri):
 def test_too_few_directions(square):
     with pytest.raises(ValueError):
         heart_region(square, 3)
+
+
+def test_profile_matches_tableau():
+    # edge-normal directions put whole edges at a shadow extreme, parallel
+    # to the direction; the chain search must skip them as the tableau does
+    gen = np.random.default_rng(606)
+    suite = [
+        bodies.rectangle(2.0, 1.0),
+        ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
+        bodies.right_triangle(),
+        bodies.regular_ngon(512),
+    ] + [ConvexPolygon(spacings_polygon(gen, n)) for n in (3, 7, 40, 200)]
+    for poly in suite:
+        tol = 1e-11 * poly.diameter
+        dirs = heart_directions(poly, 720)
+        profile = folding_profile(poly, dirs)
+        assert len(profile) == len(dirs)
+        assert np.array_equal(profile.directions, dirs)
+        for k, w in enumerate(dirs):
+            s, f = tableau_chord_midpoints(poly, w)
+            assert abs(profile.values[k] - f.max()) <= tol, (len(poly), w)
+            j = profile.witness_vertex[k]
+            assert abs(f[j] - f.max()) <= tol and abs(profile.witness_s[k] - s[j]) <= tol
+        for w in dirs[::37]:
+            s, f = vertex_chord_midpoints(poly, w)
+            assert np.abs(f - tableau_chord_midpoints(poly, w)[1]).max() <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    rotation=st.floats(0.0, 2.0 * np.pi),
+    scale=st.floats(0.05, 20.0),
+    shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    theta=st.floats(0.0, 2.0 * np.pi),
+)
+def test_folding_offset_similarity_equivariant(seed, n, rotation, scale, shift, theta):
+    # offset(sRP + t, Rw) = s offset(P, w) + t . Rw
+    poly = ConvexPolygon(spacings_polygon(np.random.default_rng(seed), n))
+    c, s = np.cos(rotation), np.sin(rotation)
+    rot = np.array([[c, -s], [s, c]])
+    t = np.array(shift)
+    moved = ConvexPolygon(scale * poly.vertices @ rot.T + t)
+    w = unit(theta)
+    rw = rot @ w
+    rw /= np.hypot(*rw)
+    want = scale * folding_offset(poly, w).value + t @ rw
+    got = folding_offset(moved, rw).value
+    assert abs(got - want) <= 1e-9 * moved.diameter + 1e-12 * np.abs(t).max()
+
+
+@pytest.mark.parametrize("key, n", [([2, 21, 4, 0], 128), ([2, 10, 3, 2], 256), ([2, 15, 15, 3], 320)])
+def test_ball_radius_covers_intersection_slack(key, n):
+    # heart vertices sit up to one eps beyond a folding plane (the cut
+    # slack); on these bodies 1/(omega . theta) amplified that gap past the
+    # ball check when the radius was built from the bare offsets
+    poly = ConvexPolygon(spacings_polygon(np.random.default_rng(key), n))
+    heart, profile = heart_region(poly, 720)
+    center, radius = heart_ball_radius(poly, profile, heart)
+    assert np.hypot(*(heart.vertices - center).T).max() <= radius + 1e-12 * poly.diameter
+
+
+def test_heart_failures_state_excess_and_tolerance(right_tri):
+    heart, profile = heart_region(right_tri, 90)
+    lowered = FoldingProfile(profile.directions, profile.values - 0.1 * right_tri.diameter,
+                             profile.witness_s, profile.witness_vertex)
+    with pytest.raises(InconsistentHeart, match=r"lies \S+ outside .* \(tolerance \S+\)"):
+        heart_ball_radius(right_tri, lowered, heart)

@@ -11,6 +11,7 @@ from polyheart.pde import (
     full_verify,
     heat_solve,
     rasterize,
+    sample_steps,
     varadhan_check,
     verify_heart,
     write_csv,
@@ -95,8 +96,28 @@ def test_decay_matches_eigenvalue(square):
 def test_varadhan_needs_two_decades(square):
     g = rasterize(square, 0.05)
     samples = heat_solve(g, [0.01, 0.02])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ratio 2\.0 < 100"):
         varadhan_check(samples, square, [0.5, 0.5])
+
+
+def test_sample_steps_span_two_decades():
+    # Rounding t_end/100 and t_end to whole steps on their own gave step
+    # spans of 339/33857 and 320/31992, just short of two decades.
+    gen = np.random.default_rng(8)
+    cases = [(33857.0, 1.0), (31992.0, 1.0), (34312.0, 1.0), (34145.0, 1.0)]
+    cases += [(float(t), float(h)) for t, h in zip(gen.uniform(1e-4, 5.0, 3000),
+                                                      gen.uniform(1e-3, 0.2, 3000))]
+    for t_end, h in cases:
+        dt = h * h / 5.0
+        steps = sample_steps(t_end, dt, 25)
+        assert len(steps) == 25
+        assert steps[0] == max(1, round(t_end / 100.0 / dt))
+        assert steps[-1] >= round(t_end / dt)
+        assert np.all(np.diff(steps) >= 0)
+        times = steps * dt
+        # heat_solve rounds each time back to the same step count
+        assert np.array_equal(np.round(times / dt).astype(np.int64), steps)
+        assert times[-1] >= 100.0 * times[0], (t_end, h, steps[0], steps[-1])
 
 
 def test_verify_heart_slack(square):
