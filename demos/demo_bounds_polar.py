@@ -17,6 +17,7 @@ from polyheart.bounds import (
     distance_bounds_convex,
     distance_bounds_general,
     eigenvalue_upper_bounds,
+    minimal_reciprocal_support_integral,
 )
 from polyheart.geometry import boundary_distance, chebyshev_center
 from polyheart.pde import eigen_solve, rasterize
@@ -43,7 +44,7 @@ def main():
 
     gen = distance_bounds_general(stats, eig.eigenvalue)
     conv = distance_bounds_convex(stats)
-    star = distance_bound_starshaped(poly)
+    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly))
     print("\nboundary-distance lower bounds vs measured depth"
           f" {depth:.5f}")
     for label, b in (

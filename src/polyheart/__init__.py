@@ -18,7 +18,6 @@ from .errors import (
     PolyheartError,
     QuadratureUnstable,
     ToleranceTooSmall,
-    UnsupportedDimension,
     WitnessInvalid,
 )
 from .geometry import (

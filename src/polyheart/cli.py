@@ -93,7 +93,7 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
     general = distance_bounds_general(stats, lam1)
     convex = distance_bounds_convex(stats)
     w_val, w_center = minimal_reciprocal_support_integral(poly, return_center=True)
-    star = distance_bound_starshaped(poly)
+    star = distance_bound_starshaped(stats, w_val)
     return {
         "stats": {
             "area": stats.area,
@@ -110,11 +110,7 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
         },
         "lam1_used": lam1,
         "distance_general": {"precise": general.precise, "coarse": general.coarse},
-        "distance_convex": {
-            "precise": convex.precise,
-            "coarse": convex.coarse,
-            "improved": convex.improved,
-        },
+        "distance_convex": {"precise": convex.precise, "coarse": convex.coarse},
         "distance_star": star,
         "reciprocal_support": {"min_value": w_val, "minimizer": w_center.tolist()},
     }
@@ -225,8 +221,7 @@ def _cmd_bounds(poly, spec, args):
         f"distance bounds: general precise {sec['distance_general']['precise']:.9g}, "
         f"coarse {sec['distance_general']['coarse']:.9g}",
         f"convex precise {sec['distance_convex']['precise']:.9g}, "
-        f"coarse {sec['distance_convex']['coarse']:.9g}, "
-        f"improved {sec['distance_convex']['improved']:.9g}",
+        f"coarse {sec['distance_convex']['coarse']:.9g}",
         f"star-shaped {sec['distance_star']:.9g}",
     ]
     return report, lines, True

@@ -23,10 +23,6 @@ class ToleranceTooSmall(PolyheartError):
     """Requested tolerance is below the geometric noise floor."""
 
 
-class UnsupportedDimension(PolyheartError):
-    """Constant or formula is only tabulated for the supported dimensions."""
-
-
 class QuadratureUnstable(PolyheartError):
     """Reciprocal support integral blows up: a center's edge gap is below tolerance."""
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall, WitnessInvalid
 from .geometry import (
+    PARALLEL_TOL,
     ConvexPolygon,
     Region,
     boundary_distance,
@@ -37,8 +38,6 @@ from .geometry import (
     region_point_distance,
     support,
 )
-
-_PARALLEL_TOL = 1e-13
 
 # Directions are folded in blocks of about this many direction x vertex
 # cells, so that a block's temporaries stay at a few hundred kilobytes
@@ -121,7 +120,7 @@ def _top_chain_bound(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.nd
     """Upper chord end over every vertex projection, for a block of directions.
 
     Entry (b, k) is the minimum over the edges i with n_i . w_b above
-    _PARALLEL_TOL of (c_i - (n_i . u_b) s[b, k]) / (n_i . w_b), the upper
+    PARALLEL_TOL of (c_i - (n_i . u_b) s[b, k]) / (n_i . w_b), the upper
     end of the chord along w_b over the shadow coordinate s[b, k].  Those
     edges form one run of the counterclockwise boundary, the top chain,
     along which s increases; edges parallel to w_b are not in it.  The
@@ -134,7 +133,7 @@ def _top_chain_bound(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.nd
     m = len(poly.edge_normals)
     a = w @ poly.edge_normals.T   # (B, m)
     du = u @ poly.edge_normals.T  # (B, m)
-    top = a > _PARALLEL_TOL
+    top = a > PARALLEL_TOL
     length = top.sum(axis=1)
     start = np.argmax(top & ~np.roll(top, 1, axis=1), axis=1)[:, None]
     rows = np.arange(len(w))[:, None]

@@ -31,6 +31,15 @@ EPS_REL = 1e-9
 _POINT_FACTOR = 50.0
 _WIDTH_FACTOR = 50.0
 
+# Edges with |n . d| at most this are parallel to direction d: they bound
+# no chord along d, only exclude the line when it runs outside them.
+PARALLEL_TOL = 1e-13
+
+# line_interval collapses an empty interval (lo > hi) to its midpoint when
+# the overlap is short by at most this times max(diameter, 1): a line that
+# grazes a vertex, lost to rounding.
+_GRAZE_REL = 1e-7
+
 # newton_minimize stops at a Newton decrement this small relative to the
 # objective (rounding level, where an Armijo test alone stalls), and makes
 # at most this many steps and halvings per line search.
@@ -90,23 +99,21 @@ def _polygon_centroid(points: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def _max_pairwise_distance(points: np.ndarray) -> float:
+def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
+    """First farthest pair (i, j) in row-major order, and their distance.
+
+    Squared distances are scanned in row blocks of about 2M entries; the
+    distance is the square root of the largest one.
+    """
     n = len(points)
-    if n < 2:
-        return 0.0
-    best = 0.0
+    best = (0, 0, 0.0)
     block = max(1, 2_000_000 // n)
     for k in range(0, n, block):
-        chunk = points[k:k + block]
-        d2 = np.sum((chunk[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-        best = max(best, float(d2.max()))
-    return float(np.sqrt(best))
-
-
-def _farthest_pair(points: np.ndarray) -> tuple[int, int]:
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-    return int(i), int(j)
+        d2 = np.sum((points[k:k + block, None, :] - points[None, :, :]) ** 2, axis=-1)
+        i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+        if d2[i, j] > best[2]:
+            best = (k + int(i), int(j), float(d2[i, j]))
+    return best[0], best[1], float(np.sqrt(best[2]))
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ class Region:
     def extent(self) -> float:
         if self.kind == "empty":
             return 0.0
-        return _max_pairwise_distance(self.points)
+        return _farthest_pair(self.points)[2]
 
     def support(self, omega) -> float:
         if self.kind == "empty":
@@ -161,7 +168,8 @@ class ConvexPolygon:
             raise InvalidPolygon(f"need at least 3 planar vertices, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidPolygon("vertices must be finite")
-        scale = max(_max_pairwise_distance(v), 1e-300)
+        diameter = _farthest_pair(v)[2]
+        scale = max(diameter, 1e-300)
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths <= eps_rel * scale):
@@ -173,6 +181,7 @@ class ConvexPolygon:
             raise InvalidPolygon("polygon is not convex")
         v.setflags(write=False)
         self.vertices = v
+        self.diameter = diameter
         self.eps_rel = eps_rel
 
     def __repr__(self):
@@ -195,10 +204,6 @@ class ConvexPolygon:
         c = _polygon_centroid(self.vertices)
         c.setflags(write=False)
         return c
-
-    @cached_property
-    def diameter(self) -> float:
-        return _max_pairwise_distance(self.vertices)
 
     @cached_property
     def eps(self) -> float:
@@ -323,7 +328,7 @@ def _classify(points: np.ndarray, eps: float) -> Region:
         return EMPTY_REGION
     if len(pts) == 1:
         return Region("point", pts.copy())
-    i, j = _farthest_pair(pts)
+    i, j, _ = _farthest_pair(pts)
     extent = float(np.hypot(*(pts[j] - pts[i])))
     if extent <= _POINT_FACTOR * eps:
         # bbox midpoint: insensitive to vertex multiplicity along the ring
@@ -433,11 +438,11 @@ def line_interval(poly: ConvexPolygon, point, direction, eps: float | None = Non
     a = poly.edge_normals @ d
     b = poly.edge_offsets - poly.edge_normals @ p
     lo, hi = -np.inf, np.inf
-    par = np.abs(a) <= 1e-13
+    par = np.abs(a) <= PARALLEL_TOL
     if np.any(b[par] < -eps):
         return None
-    pos = a > 1e-13
-    neg = a < -1e-13
+    pos = a > PARALLEL_TOL
+    neg = a < -PARALLEL_TOL
     if np.any(pos):
         hi = float((b[pos] / a[pos]).min())
     if np.any(neg):
@@ -445,7 +450,7 @@ def line_interval(poly: ConvexPolygon, point, direction, eps: float | None = Non
     if not np.isfinite(lo) or not np.isfinite(hi):
         return None  # unbounded direction cannot happen for a polygon
     if lo > hi:
-        if lo - hi <= 1e-7 * max(poly.diameter, 1.0):
+        if lo - hi <= _GRAZE_REL * max(poly.diameter, 1.0):
             mid = 0.5 * (lo + hi)
             return (mid, mid)
         return None

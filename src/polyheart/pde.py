@@ -250,7 +250,7 @@ def eigen_solve(grid: GridField, tol: float = 1e-8, max_iterations: int = _EIGEN
     mat, ii, jj = _interior_laplacian(grid)
     n = mat.shape[0]
     if n == 0:
-        raise NoConvergence("empty grid")
+        raise NoConvergence(f"empty grid: 0 interior nodes at spacing h = {grid.spacing:.3e}")
     solver = scipy.sparse.linalg.splu(mat.tocsc())
     v = np.ones(n)
     v /= np.linalg.norm(v)

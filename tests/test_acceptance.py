@@ -25,6 +25,7 @@ from polyheart.bounds import (
     distance_bounds_convex,
     distance_bounds_general,
     eigenvalue_upper_bounds,
+    minimal_reciprocal_support_integral,
 )
 from polyheart.folding import (
     chord_midpoint,
@@ -217,7 +218,7 @@ def test_07_distance_bounds_consistency(pde_bodies, pde_runs, disc_eigen):
         stats = BodyStats.from_polygon(poly)
         general = distance_bounds_general(stats, eig.eigenvalue)
         convex = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(poly)
+        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly))
         for label, bound in (
             ("general-precise", general.precise),
             ("general-coarse", general.coarse),
@@ -265,7 +266,7 @@ def test_08_polar_suite(pde_bodies, pde_runs, disc_eigen):
         stats = BodyStats.from_polygon(poly)
         general = distance_bounds_general(stats, eig.eigenvalue)
         convex = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(poly)
+        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly))
         for bound in (general.precise, general.coarse, convex.precise, convex.coarse, star):
             assert depth >= bound
 

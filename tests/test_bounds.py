@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
-from polyheart import bodies
 from polyheart.bounds import (
+    DISC_EIGENVALUE,
     BodyStats,
-    bessel_j0,
-    disc_dirichlet_eigenvalue,
     distance_bound_starshaped,
     distance_bounds_convex,
     distance_bounds_general,
@@ -14,7 +13,7 @@ from polyheart.bounds import (
     minimal_reciprocal_support_integral,
     reciprocal_support_integral,
 )
-from polyheart.errors import QuadratureUnstable, UnsupportedDimension
+from polyheart.errors import QuadratureUnstable
 from polyheart.geometry import ConvexPolygon, chebyshev_center
 
 from conftest import random_bodies
@@ -33,14 +32,9 @@ def edge_sum_oracle(poly: ConvexPolygon, center) -> float:
     return float(np.sum(lengths / gaps))
 
 
-def test_bessel_zero():
-    assert abs(bessel_j0(np.sqrt(DISC_LAM))) < 1e-12
-
-
 def test_disc_eigenvalue_golden():
-    assert disc_dirichlet_eigenvalue(2) == pytest.approx(DISC_LAM, abs=1e-10)
-    with pytest.raises(UnsupportedDimension):
-        disc_dirichlet_eigenvalue(3)
+    assert DISC_EIGENVALUE == pytest.approx(DISC_LAM, abs=1e-10)
+    assert DISC_EIGENVALUE == pytest.approx(jn_zeros(0, 1)[0] ** 2, rel=1e-15)
 
 
 def test_eigen_upper_square(square):
@@ -60,7 +54,9 @@ def test_eigen_upper_prefers_numeric(square):
 
 
 def test_starshaped_upper_disc_tight(disc256):
-    ub = eigenvalue_upper_starshaped(disc256)
+    ub = eigenvalue_upper_starshaped(
+        BodyStats.from_polygon(disc256), minimal_reciprocal_support_integral(disc256)
+    )
     assert ub >= DISC_LAM
     assert ub == pytest.approx(DISC_LAM, rel=1e-3)
 
@@ -114,17 +110,16 @@ def test_distance_goldens_square(square):
     stats = BodyStats.from_polygon(square)
     conv = distance_bounds_convex(stats)
     assert conv.coarse == pytest.approx(0.00336489, abs=1e-7)
-    assert conv.improved == conv.coarse  # the two formulas coincide in 2-D
-    star = distance_bound_starshaped(square)
+    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(square))
     # every square support line touches the incircle, so the star route
     # reproduces the convex one exactly
     assert star == pytest.approx(conv.precise, rel=1e-5)
     assert star == pytest.approx(0.0052855562, abs=1e-8)
 
 
-def test_disc_improved_golden(disc256):
+def test_disc_coarse_golden(disc256):
     conv = distance_bounds_convex(BodyStats.from_polygon(disc256))
-    assert conv.improved == pytest.approx(0.019029, abs=2e-5)
+    assert conv.coarse == pytest.approx(0.019029, abs=2e-5)
 
 
 def test_general_bounds_monotone_in_lambda(square):
@@ -141,7 +136,14 @@ def test_bound_hierarchy_random():
         ub = eigenvalue_upper_bounds(stats)
         gen = distance_bounds_general(stats, ub.best)
         conv = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(poly)
+        w_val = minimal_reciprocal_support_integral(poly)
+        star = distance_bound_starshaped(stats, w_val)
+        # the star bound is the precise general one at lam_W = lam(B1)/2 * W/|body|,
+        # i.e. 16 |body| / (lam(B1)^2 d W^2)
+        lam_w = eigenvalue_upper_starshaped(stats, w_val)
+        assert star == pytest.approx(distance_bounds_general(stats, lam_w).precise, rel=1e-15)
+        expanded = 16.0 * stats.area / (DISC_EIGENVALUE**2 * stats.diameter * w_val**2)
+        assert star == pytest.approx(expanded, rel=1e-14)
         vals = [gen.precise, gen.coarse, conv.precise, conv.coarse, star]
         assert all(v > 0.0 for v in vals)
         assert all(v <= stats.inradius + 1e-12 for v in vals)
@@ -153,8 +155,10 @@ def test_bound_hierarchy_random():
 
 def test_bounds_scale_linearly(right_tri):
     doubled = ConvexPolygon(2.0 * right_tri.vertices)
-    s1 = distance_bound_starshaped(right_tri)
-    s2 = distance_bound_starshaped(doubled)
+    s1, s2 = (
+        distance_bound_starshaped(BodyStats.from_polygon(p), minimal_reciprocal_support_integral(p))
+        for p in (right_tri, doubled)
+    )
     assert s2 == pytest.approx(2.0 * s1, rel=1e-6)
     c1 = distance_bounds_convex(BodyStats.from_polygon(right_tri)).coarse
     c2 = distance_bounds_convex(BodyStats.from_polygon(doubled)).coarse

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import polyheart.bounds as bounds
 import polyheart.cli as cli
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
@@ -60,6 +61,21 @@ def test_body_file_input(tmp_path, capsys):
     code, out, _ = run(["bounds", "--body", str(p)], capsys)
     assert code == 0
     assert "lambda1 upper" in out
+
+
+def test_bounds_minimizes_support_integral_once(monkeypatch, capsys):
+    orig = bounds.minimal_reciprocal_support_integral
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return orig(*a, **k)
+
+    monkeypatch.setattr(bounds, "minimal_reciprocal_support_integral", counting)
+    monkeypatch.setattr(cli, "minimal_reciprocal_support_integral", counting)
+    code, out, _ = run(["bounds", "--body", "triangle:0,0,2,0.3,0.4,1.1"], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_generator_file_input(tmp_path, capsys):

@@ -30,7 +30,7 @@ from polyheart.folding import (
 )
 from polyheart.geometry import ConvexPolygon, perp, point_in, region_point_distance, support, unit
 
-from conftest import random_bodies, spacings_polygon
+from conftest import random_bodies
 
 ORACLE_TOL = 1e-8
 TANGENTIAL_TOL = 5e-5  # sqrt(eps * curvature scale), see module docstring
@@ -232,7 +232,7 @@ def test_profile_matches_tableau():
         ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
         bodies.right_triangle(),
         bodies.regular_ngon(512),
-    ] + [ConvexPolygon(spacings_polygon(gen, n)) for n in (3, 7, 40, 200)]
+    ] + [bodies.random_convex_polygon(gen, n) for n in (3, 7, 40, 200)]
     for poly in suite:
         tol = 1e-11 * poly.diameter
         dirs = heart_directions(poly, 720)
@@ -260,7 +260,7 @@ def test_profile_matches_tableau():
 )
 def test_folding_offset_similarity_equivariant(seed, n, rotation, scale, shift, theta):
     # offset(sRP + t, Rw) = s offset(P, w) + t . Rw
-    poly = ConvexPolygon(spacings_polygon(np.random.default_rng(seed), n))
+    poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
     c, s = np.cos(rotation), np.sin(rotation)
     rot = np.array([[c, -s], [s, c]])
     t = np.array(shift)
@@ -278,7 +278,7 @@ def test_ball_radius_covers_intersection_slack(key, n):
     # heart vertices sit up to one eps beyond a folding plane (the cut
     # slack); on these bodies 1/(omega . theta) amplified that gap past the
     # ball check when the radius was built from the bare offsets
-    poly = ConvexPolygon(spacings_polygon(np.random.default_rng(key), n))
+    poly = bodies.random_convex_polygon(np.random.default_rng(key), n)
     heart, profile = heart_region(poly, 720)
     center, radius = heart_ball_radius(poly, profile, heart)
     assert np.hypot(*(heart.vertices - center).T).max() <= radius + 1e-12 * poly.diameter

@@ -6,6 +6,7 @@ from polyheart.errors import GridTooCoarse, NoConvergence
 from polyheart.folding import heart_region
 from polyheart.geometry import ConvexPolygon, chebyshev_center
 from polyheart.pde import (
+    GridField,
     decay_check,
     eigen_solve,
     full_verify,
@@ -66,6 +67,9 @@ def test_eigen_no_convergence(square):
     g = rasterize(square, 0.02)
     with pytest.raises(NoConvergence):
         eigen_solve(g, tol=1e-13, max_iterations=1)
+    empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask), g.values)
+    with pytest.raises(NoConvergence, match=r"0 interior nodes at spacing h = 2\.000e-02"):
+        eigen_solve(empty)
 
 
 def test_mirror_equivariance(right_tri):
