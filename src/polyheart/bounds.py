@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnstable
-from .geometry import ConvexPolygon, chebyshev_center, edge_gaps, newton_minimize
+from .geometry import ConvexPolygon, edge_gaps, newton_minimize
 
 # First Dirichlet eigenvalue of the unit disc: j_{0,1}^2, the square of the
 # first positive zero of the Bessel function J0.
@@ -41,8 +41,7 @@ class BodyStats:
 
     @classmethod
     def from_polygon(cls, poly: ConvexPolygon) -> "BodyStats":
-        inr = chebyshev_center(poly).radius
-        return cls(poly.area, poly.perimeter, poly.diameter, inr)
+        return cls(poly.area, poly.perimeter, poly.diameter, poly.incircle.radius)
 
 
 @dataclass(frozen=True)

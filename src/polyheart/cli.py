@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .folding import chord_midpoint, heart_ball_radius, heart_region
 from .fourier import indicator_transform, midpoint_via_transform
-from .geometry import chebyshev_center, shadow_interval
+from .geometry import shadow_interval
 from .pde import full_verify
 from .polar import polar_area_eigen_check, polar_area_lower_check, polar_polygon, santalo_point
 from .svgout import render_report_svg
@@ -58,7 +59,7 @@ def _jsonable(x):
 
 
 def _body_section(poly, spec) -> dict:
-    cheb = chebyshev_center(poly)
+    cheb = poly.incircle
     return {
         "spec": spec,
         "vertices": poly.vertices.tolist(),
@@ -95,22 +96,11 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
     w_val, w_center = minimal_reciprocal_support_integral(poly, return_center=True)
     star = distance_bound_starshaped(stats, w_val)
     return {
-        "stats": {
-            "area": stats.area,
-            "perimeter": stats.perimeter,
-            "diameter": stats.diameter,
-            "inradius": stats.inradius,
-        },
-        "eigenvalue_upper": {
-            "perimeter_over_inradius": upper.perimeter_over_inradius,
-            "monotone": upper.monotone,
-            "ball": upper.ball,
-            "numeric": upper.numeric,
-            "best": upper.best,
-        },
+        "stats": asdict(stats),
+        "eigenvalue_upper": {**asdict(upper), "best": upper.best},
         "lam1_used": lam1,
-        "distance_general": {"precise": general.precise, "coarse": general.coarse},
-        "distance_convex": {"precise": convex.precise, "coarse": convex.coarse},
+        "distance_general": asdict(general),
+        "distance_convex": asdict(convex),
         "distance_star": star,
         "reciprocal_support": {"min_value": w_val, "minimizer": w_center.tolist()},
     }
@@ -123,19 +113,19 @@ def _polar_section(poly, tol: float, pde: dict | None = None) -> dict:
     section = {
         "santalo": sant.tolist(),
         "polar_area_at_santalo": body_at_sant.body.area,
-        "polar_area_at_centroid": polar_polygon(poly, poly.centroid).body.area,
-        "lower_check": {"lhs": lower.lhs, "rhs": lower.rhs, "ok": lower.ok},
+        "polar_area_at_centroid": lower.lhs,
+        "lower_check": asdict(lower),
     }
     if pde is not None:
         eig = polar_area_eigen_check(poly, pde["hot_spot_limit"], pde["eigenvalue"])
-        section["eigen_check"] = {"lhs": eig.lhs, "rhs": eig.rhs, "ok": eig.ok}
+        section["eigen_check"] = asdict(eig)
     return section
 
 
 def _pde_section(poly, heart, args) -> dict:
     h = args.h
     if h is None:
-        h = chebyshev_center(poly).radius / 50.0
+        h = poly.incircle.radius / 50.0
     rep = full_verify(poly, h=h, heart=heart, n_dirs=args.dirs, t_end=args.tmax)
     return {
         "h": h,
@@ -147,26 +137,9 @@ def _pde_section(poly, heart, args) -> dict:
             {"time": s.time, "location": s.location.tolist(), "peak": s.peak}
             for s in rep.samples
         ],
-        "membership": {
-            "ok": rep.membership.ok,
-            "worst_gap": rep.membership.worst_gap,
-            "slack": rep.membership.slack,
-            "n_checked": rep.membership.n_checked,
-        },
-        "varadhan": {
-            "ok": rep.varadhan.ok,
-            "early_distance": rep.varadhan.early_distance,
-            "inradius": rep.varadhan.inradius,
-            "early_rel_err": rep.varadhan.early_rel_err,
-            "late_gap": rep.varadhan.late_gap,
-            "late_slack": rep.varadhan.late_slack,
-        },
-        "decay": {
-            "ok": rep.decay.ok,
-            "fitted_rate": rep.decay.fitted_rate,
-            "eigenvalue": rep.decay.eigenvalue,
-            "rel_err": rep.decay.rel_err,
-        },
+        "membership": asdict(rep.membership),
+        "varadhan": asdict(rep.varadhan),
+        "decay": asdict(rep.decay),
         "ok": rep.ok,
     }
 
@@ -202,9 +175,9 @@ def _fourier_section(poly, cutoff: float, seed: int) -> dict:
     }
 
 
-def _cmd_heart(poly, spec, args):
+def _cmd_heart(poly, args):
     heart, hsec = _heart_section(poly, args.dirs)
-    report = {"body": _body_section(poly, spec), "heart": hsec}
+    report = {"heart": hsec}
     lines = [
         f"heart kind: {hsec['kind']}",
         f"heart vertices: {hsec['vertices']}",
@@ -213,9 +186,9 @@ def _cmd_heart(poly, spec, args):
     return report, lines, True
 
 
-def _cmd_bounds(poly, spec, args):
+def _cmd_bounds(poly, args):
     sec = _bounds_section(poly)
-    report = {"body": _body_section(poly, spec), "bounds": sec}
+    report = {"bounds": sec}
     lines = [
         f"lambda1 upper (best): {sec['lam1_used']:.9g}",
         f"distance bounds: general precise {sec['distance_general']['precise']:.9g}, "
@@ -227,17 +200,16 @@ def _cmd_bounds(poly, spec, args):
     return report, lines, True
 
 
-def _cmd_polar(poly, spec, args):
+def _cmd_polar(poly, args):
     center = poly.centroid
     pb = polar_polygon(poly, center)
     lower = polar_area_lower_check(poly, center)
     report = {
-        "body": _body_section(poly, spec),
         "polar": {
             "center": center.tolist(),
             "polar_vertices": pb.body.vertices.tolist(),
             "polar_area": pb.body.area,
-            "lower_check": {"lhs": lower.lhs, "rhs": lower.rhs, "ok": lower.ok},
+            "lower_check": asdict(lower),
         },
     }
     lines = [
@@ -248,9 +220,9 @@ def _cmd_polar(poly, spec, args):
     return report, lines, lower.ok
 
 
-def _cmd_santalo(poly, spec, args):
+def _cmd_santalo(poly, args):
     sec = _polar_section(poly, args.tol)
-    report = {"body": _body_section(poly, spec), "polar": sec}
+    report = {"polar": sec}
     lines = [
         f"santalo point: {sec['santalo']}",
         f"polar area there: {sec['polar_area_at_santalo']:.9g}",
@@ -258,10 +230,10 @@ def _cmd_santalo(poly, spec, args):
     return report, lines, sec["lower_check"]["ok"]
 
 
-def _cmd_pde_verify(poly, spec, args):
+def _cmd_pde_verify(poly, args):
     heart, hsec = _heart_section(poly, args.dirs)
     pde = _pde_section(poly, heart, args)
-    report = {"body": _body_section(poly, spec), "heart": hsec, "pde": pde}
+    report = {"heart": hsec, "pde": pde}
     lines = [
         f"lambda1 numeric: {pde['eigenvalue']:.9g} (residual {pde['residual']:.3g})",
         f"hot spot limit: {pde['hot_spot_limit']}",
@@ -275,9 +247,9 @@ def _cmd_pde_verify(poly, spec, args):
     return report, lines, pde["ok"]
 
 
-def _cmd_fourier_check(poly, spec, args):
+def _cmd_fourier_check(poly, args):
     sec = _fourier_section(poly, args.fourier_cutoff, args.seed)
-    report = {"body": _body_section(poly, spec), "fourier": sec}
+    report = {"fourier": sec}
     ok = sec["area_check"]["abs_err"] <= 1e-9 * max(1.0, poly.area)
     lines = [
         f"transform at zero: {sec['area_check']['transform']:.12g} vs area {poly.area:.12g}",
@@ -286,11 +258,10 @@ def _cmd_fourier_check(poly, spec, args):
     return report, lines, ok
 
 
-def _cmd_report(poly, spec, args):
+def _cmd_report(poly, args):
     heart, hsec = _heart_section(poly, args.dirs)
     pde = _pde_section(poly, heart, args)
     report = {
-        "body": _body_section(poly, spec),
         "heart": hsec,
         "bounds": _bounds_section(poly, lam1_numeric=pde["eigenvalue"]),
         "polar": _polar_section(poly, args.tol, pde=pde),
@@ -357,7 +328,8 @@ def main(argv=None) -> int:
     except (PolyheartError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(1, type(exc).__name__, str(exc))
     try:
-        report, lines, ok = _COMMANDS[args.command](poly, spec, args)
+        report, lines, ok = _COMMANDS[args.command](poly, args)
+        report = {"body": _body_section(poly, spec), **report}
     except _INCONSISTENCY as exc:
         return _fail(2, type(exc).__name__, str(exc))
     except (PolyheartError, ValueError) as exc:

@@ -12,7 +12,9 @@ does this for many directions at once, in blocks of array operations, and
 :func:`folding_offset` is its one-direction case.
 :func:`folding_offset_bisection` instead bisects directly on the
 reflection-containment definition and serves as the independent reference
-implementation; it shares no code with the fast path.
+implementation; it shares no code with the fast path (it cuts its cap with
+the generic ring clip in :mod:`geometry`, which :func:`folding_profile`
+does not call).
 
 Intersecting the half-planes {x . omega <= offset} over many directions
 (plus the body's own edges) yields an outer approximation of the heart: the
@@ -30,6 +32,8 @@ from .geometry import (
     PARALLEL_TOL,
     ConvexPolygon,
     Region,
+    _clip_ring,
+    _edge_distances,
     boundary_distance,
     chord,
     check_direction,
@@ -51,6 +55,23 @@ _CUT_SLACK = 1.0
 _SUPPORT_TOL = 5.0       # folding offset above the body's support value
 _CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge, a folding plane or its ball
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
+
+# heart_ball_radius bounds the ray along theta only by directions with
+# omega . theta above this; closer to orthogonal, 1/(omega . theta) would
+# divide rounding by rounding.
+_BALL_DOT_MIN = 1e-12
+
+# The bisection oracle stops no finer than this many eps (bisection below
+# rounding level only chases noise), and counts a reflected cap as inside
+# the body when it pokes out by at most _ORACLE_FEAS_REL * diameter, just
+# above rounding: 1/sin(contact angle) amplifies any larger slack at
+# grazing contacts into an undershoot beyond tol.
+_ORACLE_TOL_FLOOR = 10.0
+_ORACLE_FEAS_REL = 1e-13
+
+# normal_cone_check's contact points count as on the boundary, and as one
+# point, within this many eps.
+_CONTACT_TOL = 10.0
 
 
 @dataclass(frozen=True)
@@ -223,18 +244,15 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
     w = check_direction(omega)
     if tol < poly.eps:
         raise ToleranceTooSmall(f"tol {tol} below geometric floor {poly.eps}")
-    tol = max(tol, 10.0 * poly.eps)
+    tol = max(tol, _ORACLE_TOL_FLOOR * poly.eps)
     v = poly.vertices
     nrm = poly.edge_normals
     off = poly.edge_offsets
-    # Containment slack sits just above fp noise.  A generous slack would
-    # get amplified by 1/sin(contact angle) at grazing contacts and make
-    # the oracle undershoot; this one keeps that error below tol.
-    feas = 1e-13 * poly.diameter
+    feas = _ORACLE_FEAS_REL * poly.diameter
 
     def excess(lam: float) -> float:
         """How far the reflected cap reaches beyond the body (-inf: no cap)."""
-        ring = _upper_cap_ring(v, w, lam)
+        ring = _clip_ring(v, -w, -lam)  # the cap {x . w >= lam}
         if len(ring) == 0:
             return -np.inf
         refl = ring - 2.0 * ((ring @ w - lam))[:, None] * w[None, :]
@@ -259,23 +277,6 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
         else:
             lo = mid
     return hi
-
-
-def _upper_cap_ring(vertices: np.ndarray, w: np.ndarray, lam: float) -> np.ndarray:
-    """Vertices of {x in poly : x . w >= lam}, degenerate slivers kept."""
-    d = lam - vertices @ w  # <= 0 inside the cap
-    out: list[np.ndarray] = []
-    n = len(vertices)
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = d[i], d[j]
-        if di <= 0.0:
-            out.append(vertices[i])
-            if dj > 0.0 and di < 0.0:
-                out.append(vertices[i] + (di / (di - dj)) * (vertices[j] - vertices[i]))
-        elif dj < 0.0:
-            out.append(vertices[i] + (di / (di - dj)) * (vertices[j] - vertices[i]))
-    return np.array(out) if out else np.zeros((0, 2))
 
 
 def heart_directions(poly: ConvexPolygon, n_dirs: int, extra_dirs=()) -> np.ndarray:
@@ -391,7 +392,7 @@ def heart_ball_radius(poly: ConvexPolygon, profile: FoldingProfile,
     thetas = np.vstack(thetas)
     dots = omegas @ thetas.T  # (k, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dots > 1e-12, num[:, None] / dots, np.inf)
+        ratio = np.where(dots > _BALL_DOT_MIN, num[:, None] / dots, np.inf)
     per_theta = ratio.min(axis=0)
     radius = float(max(per_theta.max(), 0.0))
     if heart is not None and not heart.region.is_empty:
@@ -448,13 +449,7 @@ def _arc_intersect_halfcircle(arc: _Arc, half_lo: float) -> _Arc | None:
 
 def _normal_cone(poly: ConvexPolygon, x: np.ndarray, tol: float) -> _Arc | None:
     """Angular span of outward normals at a boundary point, None off-boundary."""
-    a = poly.vertices
-    b = np.roll(poly.vertices, -1, axis=0)
-    e = b - a
-    ee = np.sum(e * e, axis=1)
-    t = np.clip(np.sum((x - a) * e, axis=1) / ee, 0.0, 1.0)
-    proj = a + t[:, None] * e
-    d = np.hypot(*(x - proj).T)
+    d = _edge_distances(poly.vertices, poly.edges, x)
     on = np.flatnonzero(d <= tol)
     if len(on) == 0:
         return None
@@ -506,7 +501,7 @@ def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry,
     u = perp(w)
     x_top = entry.witness_s * u + b * w
     x_bot = entry.witness_s * u + (2.0 * lam - b) * w
-    tol = 10.0 * poly.eps
+    tol = _CONTACT_TOL * poly.eps
     if float(np.hypot(*(x_top - x_bot))) <= tol:
         cone = _normal_cone(poly, x_top, tol)
         if cone is None:

@@ -53,9 +53,8 @@ def _sinc_prime(x: np.ndarray) -> np.ndarray:
 
 
 def _edge_frame(poly: ConvexPolygon):
-    v = poly.vertices
-    edges = np.roll(v, -1, axis=0) - v
-    mids = v + 0.5 * edges
+    edges = poly.edges
+    mids = poly.vertices + 0.5 * edges
     return edges, mids, poly.edge_lengths, poly.edge_normals
 
 

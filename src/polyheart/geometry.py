@@ -5,8 +5,9 @@ Conventions used throughout the package:
 * polygons are counterclockwise vertex arrays of shape (n, 2), float64;
 * directions are unit vectors, validated to |norm - 1| <= 1e-12;
 * a half-plane (normal n, offset c) denotes the set {x : n . x <= c};
-* every tolerance is a single knob: ``eps = EPS_REL * diameter`` unless a
-  caller passes its own absolute value.
+* tolerances scale with ``eps = EPS_REL * diameter`` unless a caller
+  passes its own absolute value; each multiple of eps a check uses is a
+  named module constant that states its reason.
 
 Degenerate results are first-class: clipping and half-plane intersection
 return a :class:`Region` tagged polygon / segment / point / empty instead of
@@ -45,6 +46,12 @@ _GRAZE_REL = 1e-7
 # at most this many steps and halvings per line search.
 _NEWTON_DECREMENT_REL = 1e-12
 _NEWTON_ITERATIONS = 60
+
+# chebyshev_center re-intersects the edges moved in by the LP radius with
+# this slack (in units of eps), so the optimal set survives as a point or
+# segment, and calls it unique when it spans at most _INCIRCLE_TIE eps.
+_INCIRCLE_SLACK = 2.0
+_INCIRCLE_TIE = 1e3
 
 
 def unit(theta: float) -> np.ndarray:
@@ -97,6 +104,19 @@ def _polygon_centroid(points: np.ndarray) -> np.ndarray:
     cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * a)
     cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * a)
     return np.array([cx, cy])
+
+
+def _edge_distances(starts: np.ndarray, edges: np.ndarray, x) -> np.ndarray:
+    """Distance from x to each segment starts[i] .. starts[i] + edges[i].
+
+    A zero-length edge is its start point.
+    """
+    x = np.asarray(x, dtype=float)
+    ee = np.sum(edges * edges, axis=1)
+    along = np.sum((x - starts) * edges, axis=1)
+    t = np.clip(np.divide(along, ee, out=np.zeros_like(along), where=ee > 0.0), 0.0, 1.0)
+    proj = starts + t[:, None] * edges
+    return np.hypot(*(x - proj).T)
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
@@ -180,7 +200,9 @@ class ConvexPolygon:
         if np.any(cross < -eps_rel * scale * scale):
             raise InvalidPolygon("polygon is not convex")
         v.setflags(write=False)
+        edges.setflags(write=False)
         self.vertices = v
+        self.edges = edges  # row i: v_{i+1} - v_i
         self.diameter = diameter
         self.eps_rel = eps_rel
 
@@ -196,8 +218,7 @@ class ConvexPolygon:
 
     @cached_property
     def perimeter(self) -> float:
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return float(np.hypot(e[:, 0], e[:, 1]).sum())
+        return float(self.edge_lengths.sum())
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -212,9 +233,8 @@ class ConvexPolygon:
     @cached_property
     def edge_normals(self) -> np.ndarray:
         """Outward unit normals, one row per edge i: (v_i, v_{i+1})."""
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        n = np.column_stack([e[:, 1], -e[:, 0]]) / lengths[:, None]
+        e = self.edges
+        n = np.column_stack([e[:, 1], -e[:, 0]]) / self.edge_lengths[:, None]
         n.setflags(write=False)
         return n
 
@@ -226,10 +246,15 @@ class ConvexPolygon:
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
+        e = self.edges
         lengths = np.hypot(e[:, 0], e[:, 1])
         lengths.setflags(write=False)
         return lengths
+
+    @cached_property
+    def incircle(self) -> ChebyshevResult:
+        """Incenter and inradius, from :func:`chebyshev_center`."""
+        return chebyshev_center(self)
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -279,14 +304,7 @@ def contains(inner, outer: ConvexPolygon, eps: float | None = None) -> bool:
 
 def boundary_distance(poly: ConvexPolygon, x) -> float:
     """Distance from a point to the polygon boundary (unsigned)."""
-    x = np.asarray(x, dtype=float)
-    a = poly.vertices
-    b = np.roll(poly.vertices, -1, axis=0)
-    e = b - a
-    ee = np.sum(e * e, axis=1)
-    t = np.clip(np.sum((x - a) * e, axis=1) / ee, 0.0, 1.0)
-    proj = a + t[:, None] * e
-    return float(np.hypot(*(x - proj).T).min())
+    return float(_edge_distances(poly.vertices, poly.edges, x).min())
 
 
 def _dedupe_ring(points: list[np.ndarray] | np.ndarray, tol: float) -> np.ndarray:
@@ -302,8 +320,12 @@ def _dedupe_ring(points: list[np.ndarray] | np.ndarray, tol: float) -> np.ndarra
     return np.array(keep)
 
 
-def _clip_ring(points: np.ndarray, normal: np.ndarray, offset: float, tol: float) -> np.ndarray:
-    """Sutherland-Hodgman cut of a CCW ring by {n . x <= c}."""
+def _clip_ring(points: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
+    """Sutherland-Hodgman cut of a CCW ring by {n . x <= c}.
+
+    Points on the line are kept, so a cut through a vertex or along an
+    edge leaves degenerate slivers in the ring rather than dropping them.
+    """
     if len(points) == 0:
         return points
     d = points @ normal - offset
@@ -313,11 +335,11 @@ def _clip_ring(points: np.ndarray, normal: np.ndarray, offset: float, tol: float
         j = (i + 1) % n
         pi, pj = points[i], points[j]
         di, dj = d[i], d[j]
-        if di <= tol:
+        if di <= 0.0:
             out.append(pi)
-            if dj > tol and di < -tol:
+            if dj > 0.0 and di < 0.0:
                 out.append(pi + (di / (di - dj)) * (pj - pi))
-        elif dj < -tol:
+        elif dj < 0.0:
             out.append(pi + (di / (di - dj)) * (pj - pi))
     return np.array(out) if out else np.zeros((0, 2))
 
@@ -351,7 +373,7 @@ def _classify(points: np.ndarray, eps: float) -> Region:
 
 def clip(poly: ConvexPolygon, plane: HalfPlane) -> Region:
     """Intersect the polygon with the half-plane, degenerate-safe."""
-    ring = _clip_ring(poly.vertices, plane.normal, plane.offset, 0.0)
+    ring = _clip_ring(poly.vertices, plane.normal, plane.offset)
     return _classify(ring, poly.eps)
 
 
@@ -386,7 +408,7 @@ def halfplane_intersection(planes, bbox, eps: float, slack: float | None = None)
     xmin, xmax, ymin, ymax = bbox
     ring = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
     for nx, ny, c in rows:
-        ring = _clip_ring(ring, np.array([nx, ny]), c + slack, 0.0)
+        ring = _clip_ring(ring, np.array([nx, ny]), c + slack)
         if len(ring) == 0:
             return EMPTY_REGION
         if len(ring) > 8:
@@ -399,30 +421,17 @@ def region_point_distance(region: Region, x) -> float:
     x = np.asarray(x, dtype=float)
     if region.is_empty:
         return np.inf
-    if region.kind == "point":
-        return float(np.hypot(*(x - region.points[0])))
-    if region.kind == "segment":
-        a, b = region.points
-        e = b - a
-        ee = float(e @ e)
-        t = 0.0 if ee == 0.0 else float(np.clip((x - a) @ e / ee, 0.0, 1.0))
-        return float(np.hypot(*(x - (a + t * e))))
     pts = region.points
-    normals = np.column_stack([
-        (np.roll(pts, -1, axis=0) - pts)[:, 1],
-        -(np.roll(pts, -1, axis=0) - pts)[:, 0],
-    ])
+    if region.kind != "polygon":
+        # a point is the zero-length segment from it to itself
+        return float(_edge_distances(pts[:1], pts[-1:] - pts[:1], x)[0])
+    e = np.roll(pts, -1, axis=0) - pts
+    normals = np.column_stack([e[:, 1], -e[:, 0]])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     offs = np.sum(normals * pts, axis=1)
     if np.all(normals @ x <= offs):
         return 0.0
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    e = b - a
-    ee = np.sum(e * e, axis=1)
-    t = np.clip(np.sum((x - a) * e, axis=1) / ee, 0.0, 1.0)
-    proj = a + t[:, None] * e
-    return float(np.hypot(*(x - proj).T).min())
+    return float(_edge_distances(pts, e, x).min())
 
 
 def line_interval(poly: ConvexPolygon, point, direction, eps: float | None = None):
@@ -498,10 +507,10 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
         raise InvalidPolygon(f"incenter LP failed: {res.message}")
     radius = float(res.x[2])
     planes = np.column_stack([n, c - radius])
-    opt = halfplane_intersection(planes, poly.bbox, 2.0 * poly.eps)
+    opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
     if opt.is_empty:  # cannot happen unless tolerances are inconsistent
         return ChebyshevResult(np.array(res.x[:2]), radius, True)
-    unique = opt.extent() <= 1e3 * poly.eps
+    unique = opt.extent() <= _INCIRCLE_TIE * poly.eps
     return ChebyshevResult(opt.representative(), radius, unique)
 
 

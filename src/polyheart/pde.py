@@ -26,7 +26,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import GridTooCoarse, NoConvergence
-from .geometry import ConvexPolygon, chebyshev_center
+from .geometry import ConvexPolygon
 
 _DT_FACTOR = 5.0
 _EIGEN_MAX_ITER = 400
@@ -70,7 +70,7 @@ def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     Dirichlet-zero anyway and keeping them out makes the interior count
     reproducible.
     """
-    inradius = chebyshev_center(poly).radius
+    inradius = poly.incircle.radius
     if h > inradius / 8.0:
         raise GridTooCoarse(f"h={h} exceeds inradius/8 = {inradius / 8.0:.6g}")
     xmin, xmax, ymin, ymax = poly.bbox
@@ -327,7 +327,7 @@ def varadhan_check(
         )
     if late_slack is None:
         late_slack = 0.02 * poly.diameter
-    inradius = chebyshev_center(poly).radius
+    inradius = poly.incircle.radius
     early = boundary_distance(poly, samples[0].location)
     rel = abs(early - inradius) / inradius
     late = float(np.linalg.norm(samples[-1].location - np.asarray(hot_spot_limit, dtype=float)))
@@ -401,7 +401,7 @@ def full_verify(
     from .folding import heart_region
 
     if h is None:
-        h = chebyshev_center(poly).radius / 16.0
+        h = poly.incircle.radius / 16.0
     grid = rasterize(poly, h)
     eigen = eigen_solve(grid, eigen_tol)
     if t_end is None:

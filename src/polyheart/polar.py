@@ -20,6 +20,11 @@ import numpy as np
 from .errors import CenterTooCloseToBoundary
 from .geometry import EPS_REL, ConvexPolygon, _dedupe_ring, boundary_distance, edge_gaps, newton_minimize
 
+# polar_polygon rejects a center within this many eps of an edge line:
+# the polar vertex n_i / d_i grows like 1/d_i, so there the polar is
+# unbounded to within rounding.
+_POLAR_GAP_TOL = 10.0
+
 
 @dataclass(frozen=True)
 class PolarBody:
@@ -51,7 +56,7 @@ def polar_polygon(poly: ConvexPolygon, center) -> PolarBody:
     same polar vertex, and the repeats are merged.
     """
     p = np.asarray(center, dtype=float)
-    gaps = edge_gaps(poly, p, 10.0 * poly.eps, CenterTooCloseToBoundary)
+    gaps = edge_gaps(poly, p, _POLAR_GAP_TOL * poly.eps, CenterTooCloseToBoundary)
     # the polar's diameter is at most 2 / min(gaps): merge what ConvexPolygon
     # would reject as duplicate vertices
     ring = _dedupe_ring(poly.edge_normals / gaps[:, None], 2.0 * EPS_REL / gaps.min())

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import polyheart.bounds as bounds
 import polyheart.cli as cli
+import polyheart.geometry as geometry
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
 
@@ -75,6 +77,29 @@ def test_bounds_minimizes_support_integral_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "minimal_reciprocal_support_integral", counting)
     code, out, _ = run(["bounds", "--body", "triangle:0,0,2,0.3,0.4,1.1"], capsys)
     assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--body", "triangle:0,0,2,0.3,0.4,1.1"],
+    ["pde-verify", "--body", "square", "--h", "0.02"],
+])
+def test_incircle_computed_once(monkeypatch, capsys, argv):
+    orig = geometry.chebyshev_center
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return orig(*a, **k)
+
+    # replace it under every name a polyheart module holds it by
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("polyheart"):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
     assert len(calls) == 1
 
 

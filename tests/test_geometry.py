@@ -8,6 +8,7 @@ from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
     ConvexPolygon,
     HalfPlane,
+    Region,
     boundary_distance,
     chebyshev_center,
     chord,
@@ -96,6 +97,9 @@ def test_chebyshev_square(square):
     assert np.allclose(c.center, [0.5, 0.5], atol=1e-9)
     assert c.radius == pytest.approx(0.5, abs=1e-9)
     assert c.unique
+    assert square.incircle is square.incircle
+    assert square.incircle.radius == c.radius
+    assert np.array_equal(square.incircle.center, c.center)
 
 
 def test_chebyshev_right_triangle(right_tri):
@@ -126,6 +130,21 @@ def test_region_point_distance(square):
     r = clip(square, HalfPlane(np.array([1.0, 0.0]), 2.0))
     assert region_point_distance(r, [0.5, 0.5]) == 0.0
     assert region_point_distance(r, [2.0, 0.5]) == pytest.approx(1.0)
+
+
+def test_region_point_distance_segment_point_and_vertex(square):
+    seg = Region("segment", np.array([[0.0, 0.0], [2.0, 0.0]]))
+    assert region_point_distance(seg, [1.0, 3.0]) == pytest.approx(3.0, abs=EPS)
+    assert region_point_distance(seg, [3.0, 4.0]) == pytest.approx(np.sqrt(17.0), abs=EPS)
+    assert region_point_distance(seg, [-3.0, -4.0]) == pytest.approx(5.0, abs=EPS)
+    point = Region("point", np.array([[1.0, 1.0]]))
+    assert region_point_distance(point, [4.0, 5.0]) == pytest.approx(5.0, abs=EPS)
+    stub = Region("segment", np.array([[1.0, 1.0], [1.0, 1.0]]))  # zero length
+    assert region_point_distance(stub, [4.0, 5.0]) == pytest.approx(5.0, abs=EPS)
+    poly = clip(square, HalfPlane(np.array([1.0, 0.0]), 2.0))
+    # nearest boundary points are the vertices (1, 1) and (0, 0)
+    assert region_point_distance(poly, [2.0, 3.0]) == pytest.approx(np.sqrt(5.0), abs=EPS)
+    assert region_point_distance(poly, [-0.5, -0.5]) == pytest.approx(np.sqrt(0.5), abs=EPS)
 
 
 def test_boundary_distance(square):
