@@ -109,7 +109,7 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
 def _polar_section(poly, tol: float, pde: dict | None = None) -> dict:
     sant = santalo_point(poly, tol=max(tol, 1e-12))
     body_at_sant = polar_polygon(poly, sant)
-    lower = polar_area_lower_check(poly, poly.centroid)
+    lower = polar_area_lower_check(polar_polygon(poly, poly.centroid))
     section = {
         "santalo": sant.tolist(),
         "polar_area_at_santalo": body_at_sant.body.area,
@@ -133,8 +133,10 @@ def _pde_section(poly, heart, args) -> dict:
         "eigenvalue": rep.eigen.eigenvalue,
         "residual": rep.eigen.residual,
         "hot_spot_limit": rep.eigen.location.tolist(),
+        "modes": len(rep.modes.values),
+        "switch_step": rep.switch_step,
         "track": [
-            {"time": s.time, "location": s.location.tolist(), "peak": s.peak}
+            {"time": s.time, "location": s.location.tolist(), "peak": s.peak, "bound": s.bound}
             for s in rep.samples
         ],
         "membership": asdict(rep.membership),
@@ -203,7 +205,7 @@ def _cmd_bounds(poly, args):
 def _cmd_polar(poly, args):
     center = poly.centroid
     pb = polar_polygon(poly, center)
-    lower = polar_area_lower_check(poly, center)
+    lower = polar_area_lower_check(pb)
     report = {
         "polar": {
             "center": center.tolist(),

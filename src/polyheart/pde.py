@@ -11,9 +11,15 @@ bit for bit.
 Heat flow uses explicit Euler at dt = h^2/5, comfortably inside the h^2/4
 stability limit; the update is then a convex combination of neighbor
 values, so the maximum principle holds exactly, not just approximately.
-The eigenpair comes from inverse power iteration with a sparse LU solve.
-Hot-spot locations are refined off-lattice by a least-squares quadratic
-fit on the 3x3 neighborhood of the grid argmax.
+The step is u <- (I - dt A) u on the interior nodes, A the five-point
+Dirichlet Laplacian, so once the part of u outside A's lowest K modes
+is negligible the march is the closed form V ((1 - dt mu)^m * V^T u):
+heat_solve marches only until then and evaluates later samples from
+the modes, stating an error bound for each.  The same modes, the lowest
+eigenpairs from one shift-invert Lanczos solve (scipy's eigsh, so one
+sparse LU factorization), give the eigenpair.  Hot-spot locations are
+refined off-lattice by a least-squares quadratic fit on the 3x3
+neighborhood of the grid argmax.
 """
 
 from __future__ import annotations
@@ -30,6 +36,15 @@ from .geometry import ConvexPolygon
 
 _DT_FACTOR = 5.0
 _EIGEN_MAX_ITER = 400
+# Lowest Laplacian modes kept for the heat march's late phase.  More
+# modes let the march hand over earlier but make eigsh slower.  On a
+# half-disc and three seeded 8-12-gons at h = inradius/50 (13k-16k
+# nodes, 2-core machine) eigsh plus march took 5.8-6.2 s for all four
+# at 32 modes, 5.9-6.8 s at 28, 5.9-6.2 s at 40 and 6.7-6.9 s at 24.
+_MODES = 32
+# The march hands over to the modes once the part of u outside them has
+# 2-norm at most this fraction of max|u|.
+_SWITCH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -161,9 +176,20 @@ def _locate_peak(grid: GridField, values: np.ndarray) -> tuple[np.ndarray, float
 
 @dataclass(frozen=True)
 class TrackSample:
+    """Hot spot of the heat flow at one sampled time.
+
+    bound caps the sup-norm difference between the sampled field and the
+    explicit march at this step, rounding aside: 0.0 for marched samples,
+    rho^m * |r|_2 for samples evaluated from the modes m steps after the
+    hand-over, where r is the part of u outside the modes at the
+    hand-over (see heat_solve).
+    """
+
     time: float
     location: np.ndarray
     peak: float
+    bound: float = 0.0
+    spectral: bool = False
 
 
 def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
@@ -182,31 +208,60 @@ def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
     return np.round(np.geomspace(first, last, n_samples)).astype(np.int64)
 
 
-def heat_solve(grid: GridField, sample_times) -> tuple[TrackSample, ...]:
-    """March the heat flow from unit initial data, sampling the hot spot.
+def heat_solve(grid: GridField, sample_times, modes: LaplacianModes | None = None) -> tuple[TrackSample, ...]:
+    """Heat flow from unit initial data, sampling the hot spot.
 
     Requested times land on the nearest step multiple of dt = h^2/5; the
-    recorded times are the actual ones.
+    recorded times are the actual ones.  The explicit march runs up to the
+    first sample step n_s where the part r = u - V V^T u of u outside the
+    modes has |r|_2 <= _SWITCH_TOL * max|u|.  Every later sample is the
+    march's closed form u_n = V ((1 - dt mu)^(n - n_s) * V^T u_{n_s}).  The
+    dropped part evolves by the same step in the span of the other modes,
+    whose eigenvalues lie in [mu_K, 8/h^2), so it shrinks by at least
+    rho = max(1 - dt mu_K, 8 dt/h^2 - 1) per step; rho^(n - n_s) |r|_2 is
+    each spectral sample's stated bound.  modes defaults to
+    laplacian_modes(grid).
     """
     times = sorted(float(t) for t in sample_times)
     if not times or times[0] <= 0.0:
         raise ValueError("sample times must be positive")
+    if modes is None:
+        modes = laplacian_modes(grid)
     h = grid.spacing
     dt = h * h / _DT_FACTOR
     c = 1.0 / _DT_FACTOR
     mask_f = grid.mask.astype(float)
+    ii, jj = np.nonzero(grid.mask)
+    vectors = modes.vectors
+    decay = 1.0 - dt * modes.values
+    rho = max(float(decay[-1]), 8.0 * c - 1.0)
     u = mask_f.copy()
     samples = []
     step = 0
+    handover = None
     for t in times:
         target = max(step + 1, int(round(t / dt)))
-        while step < target:
-            lap = (u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
-            u[1:-1, 1:-1] += c * (lap - 4.0 * u[1:-1, 1:-1])
-            u *= mask_f
-            step += 1
-        loc, peak = _locate_peak(grid, u)
-        samples.append(TrackSample(step * dt, loc, peak))
+        if handover is None:
+            while step < target:
+                lap = (u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
+                u[1:-1, 1:-1] += c * (lap - 4.0 * u[1:-1, 1:-1])
+                u *= mask_f
+                step += 1
+            loc, peak = _locate_peak(grid, u)
+            samples.append(TrackSample(step * dt, loc, peak))
+            x = u[ii, jj]
+            coeffs = vectors.T @ x
+            dropped = float(np.linalg.norm(x - vectors @ coeffs))
+            if dropped <= _SWITCH_TOL * float(np.abs(x).max()):
+                handover = step, coeffs, dropped
+        else:
+            step = target
+            n_s, coeffs, dropped = handover
+            values = np.zeros_like(u)
+            values[ii, jj] = vectors @ (decay ** (step - n_s) * coeffs)
+            loc, peak = _locate_peak(grid, values)
+            bound = rho ** (step - n_s) * dropped
+            samples.append(TrackSample(step * dt, loc, peak, bound=bound, spectral=True))
     return tuple(samples)
 
 
@@ -234,42 +289,76 @@ def _interior_laplacian(grid: GridField):
         rows.append(np.arange(n)[ok])
         cols.append(nbr[ok])
         vals.append(np.full(int(ok.sum()), -1.0 / h2))
-    mat = scipy.sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    return mat, ii, jj
 
 
-def eigen_solve(grid: GridField, tol: float = 1e-8, max_iterations: int = _EIGEN_MAX_ITER) -> EigenResult:
-    """Smallest eigenpair of the Dirichlet Laplacian by inverse power iteration.
+@dataclass(frozen=True)
+class LaplacianModes:
+    """Lowest eigenpairs of the interior Laplacian, eigenvalues ascending.
 
-    The sparse LU factorization is reused across iterations; convergence
-    is declared on the sup-norm eigen residual relative to the sup norm
-    of the eigenvector.
+    vectors has orthonormal columns indexed like np.nonzero(grid.mask);
+    matrix is the Laplacian itself.
     """
-    mat, ii, jj = _interior_laplacian(grid)
+
+    matrix: scipy.sparse.csr_matrix
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def laplacian_modes(grid: GridField, max_iterations: int = _EIGEN_MAX_ITER) -> LaplacianModes:
+    """The _MODES lowest eigenpairs of _interior_laplacian(grid).
+
+    One shift-invert Lanczos solve at 0 (one sparse LU factorization);
+    the fixed start vector makes it deterministic.  A grid with at most
+    2 * _MODES + 1 nodes, where the Lanczos basis would span the whole
+    space anyway, gets all its modes from a dense eigh.
+    """
+    mat = _interior_laplacian(grid)
     n = mat.shape[0]
     if n == 0:
         raise NoConvergence(f"empty grid: 0 interior nodes at spacing h = {grid.spacing:.3e}")
-    solver = scipy.sparse.linalg.splu(mat.tocsc())
-    v = np.ones(n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ mat.dot(v))
-    residual = np.inf
-    for _ in range(max_iterations):
-        v = solver.solve(v)
-        v /= np.linalg.norm(v)
-        av = mat.dot(v)
-        lam = float(v @ av)
-        residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
-        if residual <= tol:
-            break
-    else:
+    if n <= 2 * _MODES + 1:
+        values, vectors = np.linalg.eigh(mat.toarray())
+        return LaplacianModes(mat, values, vectors)
+    try:
+        values, vectors = scipy.sparse.linalg.eigsh(
+            mat, k=_MODES, sigma=0.0, v0=np.ones(n), maxiter=max_iterations
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NoConvergence(
+            f"eigsh converged {len(exc.eigenvalues)} of {_MODES} modes "
+            f"in {max_iterations} iterations"
+        ) from None
+    order = np.argsort(values)
+    return LaplacianModes(mat, values[order], vectors[:, order])
+
+
+def eigen_solve(
+    grid: GridField,
+    tol: float = 1e-8,
+    max_iterations: int = _EIGEN_MAX_ITER,
+    modes: LaplacianModes | None = None,
+) -> EigenResult:
+    """Smallest eigenpair of the Dirichlet Laplacian: the lowest mode.
+
+    Convergence is checked on the sup-norm eigen residual relative to the
+    sup norm of the eigenvector.  modes defaults to
+    laplacian_modes(grid, max_iterations).
+    """
+    if modes is None:
+        modes = laplacian_modes(grid, max_iterations)
+    v = modes.vectors[:, 0]
+    av = modes.matrix.dot(v)
+    lam = float(v @ av)
+    residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
+    if residual > tol:
         raise NoConvergence(f"eigen residual {residual:.3e} above tol {tol:.3e}")
     if v.sum() < 0.0:
         v = -v
     values = np.zeros_like(grid.values)
-    values[ii, jj] = v
+    values[grid.mask] = v
     values /= values.max()
     field = grid.with_values(values)
     loc, peak = _locate_peak(field, values)
@@ -369,6 +458,7 @@ def write_csv(field: GridField, path) -> None:
 @dataclass(frozen=True)
 class VerificationReport:
     grid: GridField
+    modes: LaplacianModes
     eigen: EigenResult
     samples: tuple[TrackSample, ...]
     membership: MembershipReport
@@ -378,6 +468,14 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.membership.ok and self.varadhan.ok and self.decay.ok
+
+    @property
+    def switch_step(self) -> int | None:
+        """Last marched step when later samples came from the modes, else None."""
+        if not self.samples[-1].spectral:
+            return None
+        last_marched = [s for s in self.samples if not s.spectral][-1]
+        return round(last_marched.time / (self.grid.spacing ** 2 / _DT_FACTOR))
 
 
 def full_verify(
@@ -390,7 +488,7 @@ def full_verify(
     eigen_tol: float = 1e-8,
     slack: float | None = None,
 ) -> VerificationReport:
-    """End-to-end run: grid, eigenpair, trajectory, heart membership.
+    """End-to-end run: grid, modes, eigenpair, trajectory, heart membership.
 
     The horizon defaults to max(10/lam1, 2500 h^2): long enough for the
     eigenmode to dominate, and never shorter than the time scale the grid
@@ -403,11 +501,12 @@ def full_verify(
     if h is None:
         h = poly.incircle.radius / 16.0
     grid = rasterize(poly, h)
-    eigen = eigen_solve(grid, eigen_tol)
+    modes = laplacian_modes(grid)
+    eigen = eigen_solve(grid, eigen_tol, modes=modes)
     if t_end is None:
         t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
     dt = h * h / _DT_FACTOR
-    samples = heat_solve(grid, sample_steps(t_end, dt, n_samples) * dt)
+    samples = heat_solve(grid, sample_steps(t_end, dt, n_samples) * dt, modes=modes)
     if heart is None:
         heart, _ = heart_region(poly, n_dirs)
     if slack is None:
@@ -415,4 +514,4 @@ def full_verify(
     membership = verify_heart(samples, eigen.location, heart.region, slack)
     varadhan = varadhan_check(samples, poly, eigen.location)
     decay = decay_check(samples, eigen.eigenvalue)
-    return VerificationReport(grid, eigen, samples, membership, varadhan, decay)
+    return VerificationReport(grid, modes, eigen, samples, membership, varadhan, decay)

@@ -95,15 +95,15 @@ class AreaCheck:
     ok: bool
 
 
-def polar_area_lower_check(poly: ConvexPolygon, center) -> AreaCheck:
+def polar_area_lower_check(polar: PolarBody) -> AreaCheck:
     """Polar area against its reciprocal-distance lower envelope.
 
     In the plane the polar area is at least 1/(R * d) with R the farthest
     boundary distance from the center and d the nearest; the bound blows
     up as the center drifts toward the boundary, exactly like the area.
     """
-    p = np.asarray(center, dtype=float)
-    lhs = polar_polygon(poly, p).area
+    poly, p = polar.base, polar.center
+    lhs = polar.area
     far = float(np.linalg.norm(poly.vertices - p, axis=1).max())
     near = boundary_distance(poly, p)
     rhs = 1.0 / (far * near)

@@ -249,7 +249,7 @@ def test_08_polar_suite(pde_bodies, pde_runs, disc_eigen):
         cheb = chebyshev_center(poly)
         for _ in range(4):
             p = cheb.center + 0.6 * cheb.radius * gen.uniform(-1.0, 1.0, size=2)
-            assert polar_area_lower_check(poly, p).ok
+            assert polar_area_lower_check(polar_polygon(poly, p)).ok
             checked += 1
     assert checked == 100
 

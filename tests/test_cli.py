@@ -7,6 +7,7 @@ import pytest
 import polyheart.bounds as bounds
 import polyheart.cli as cli
 import polyheart.geometry as geometry
+import polyheart.polar as polar
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
 
@@ -15,6 +16,22 @@ def run(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_calls(monkeypatch, orig) -> list:
+    """Count calls of orig under every name a polyheart module holds it by."""
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return orig(*a, **k)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("polyheart"):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 def test_heart_square(tmp_path, capsys):
@@ -85,20 +102,15 @@ def test_bounds_minimizes_support_integral_once(monkeypatch, capsys):
     ["pde-verify", "--body", "square", "--h", "0.02"],
 ])
 def test_incircle_computed_once(monkeypatch, capsys, argv):
-    orig = geometry.chebyshev_center
-    calls = []
-
-    def counting(*a, **k):
-        calls.append(a)
-        return orig(*a, **k)
-
-    # replace it under every name a polyheart module holds it by
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("polyheart"):
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counting)
+    calls = count_calls(monkeypatch, geometry.chebyshev_center)
     code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_polar_builds_polar_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, polar.polar_polygon)
+    code, _, err = run(["polar", "--body", "halfdisc:1,0,64"], capsys)
     assert code == 0, err
     assert len(calls) == 1
 
@@ -143,10 +155,20 @@ def test_inconsistency_exits_2(monkeypatch, capsys):
     assert json.loads(err)["error"]["type"] == "NoConvergence"
 
 
-def test_pde_verify_square(capsys):
-    code, out, err = run(["pde-verify", "--body", "square", "--h", "0.02"], capsys)
+def test_pde_verify_square(tmp_path, capsys):
+    jpath = tmp_path / "r.json"
+    code, out, err = run(["pde-verify", "--body", "square", "--h", "0.02", "--json", str(jpath)], capsys)
     assert code == 0, err
     assert "membership: ok" in out
+    pde = json.loads(jpath.read_text())["pde"]
+    assert pde["modes"] == 32
+    # marched samples state no error; the rest state bounds below 1e-10
+    bounds = [s["bound"] for s in pde["track"]]
+    dt = 0.02 ** 2 / 5.0
+    marched = [round(s["time"] / dt) <= pde["switch_step"] for s in pde["track"]]
+    assert all(b == 0.0 for b, m in zip(bounds, marched) if m)
+    assert 0 < sum(not m for m in marched) < len(marched)
+    assert all(0.0 < b <= 1e-10 for b, m in zip(bounds, marched) if not m)
 
 
 def test_fourier_check(capsys):

@@ -1,12 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from polyheart import bodies
+from polyheart import bodies, pde
 from polyheart.errors import GridTooCoarse, NoConvergence
 from polyheart.folding import heart_region
 from polyheart.geometry import ConvexPolygon, chebyshev_center
 from polyheart.pde import (
     GridField,
+    TrackSample,
+    _locate_peak,
     decay_check,
     eigen_solve,
     full_verify,
@@ -22,6 +27,51 @@ from polyheart.pde import (
 def mirrored_x(poly: ConvexPolygon) -> ConvexPolygon:
     v = poly.vertices
     return ConvexPolygon(np.column_stack([-v[:, 0], v[:, 1]])[::-1])
+
+
+def explicit_march(grid: GridField, sample_times) -> tuple[TrackSample, ...]:
+    """Reference: explicit Euler at dt = h^2/5 through every sample."""
+    dt = grid.spacing ** 2 / 5.0
+    mask_f = grid.mask.astype(float)
+    u = mask_f.copy()
+    samples = []
+    step = 0
+    for t in sorted(float(t) for t in sample_times):
+        target = max(step + 1, int(round(t / dt)))
+        while step < target:
+            lap = (u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
+            u[1:-1, 1:-1] += 0.2 * (lap - 4.0 * u[1:-1, 1:-1])
+            u *= mask_f
+            step += 1
+        loc, peak = _locate_peak(grid, u)
+        samples.append(TrackSample(step * dt, loc, peak))
+    return tuple(samples)
+
+
+def assert_matches_march(grid: GridField, sample_times) -> tuple[TrackSample, ...]:
+    """heat_solve against the reference march; returns heat_solve's samples.
+
+    A sample's bound caps the sup-norm error of its field; the fitted peak
+    combines nine field values with absolute weights summing to at most
+    17/9, so its error is within 2 * bound, plus an allowance of 4 ulps
+    of the peak per step for the march's own rounding.
+    """
+    dt = grid.spacing ** 2 / 5.0
+    got = heat_solve(grid, sample_times)
+    ref = explicit_march(grid, sample_times)
+    assert [s.time for s in got] == [s.time for s in ref]
+    assert any(s.spectral for s in got)
+    for a, b in zip(got, ref):
+        assert np.abs(a.location - b.location).max() <= 1e-9 * grid.spacing, a.time
+        assert abs(a.peak - b.peak) <= 1e-9 * b.peak, a.time
+        rounding = 4.0 * round(a.time / dt) * np.finfo(float).eps * b.peak
+        assert abs(a.peak - b.peak) <= 2.0 * a.bound + rounding, a.time
+        if not a.spectral:
+            assert a.bound == 0.0
+    spectral = [s.bound for s in got if s.spectral]
+    assert spectral[0] <= 1e-10
+    assert all(x >= y for x, y in zip(spectral, spectral[1:]))
+    return got
 
 
 def test_rasterize_square_counts(square):
@@ -65,11 +115,81 @@ def test_eigen_square(square):
 
 def test_eigen_no_convergence(square):
     g = rasterize(square, 0.02)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match=r"converged \d+ of 32 modes in 1 iterations"):
         eigen_solve(g, tol=1e-13, max_iterations=1)
     empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask), g.values)
     with pytest.raises(NoConvergence, match=r"0 interior nodes at spacing h = 2\.000e-02"):
         eigen_solve(empty)
+
+
+@pytest.mark.parametrize("body", ["halfdisc", "hept"])
+def test_heat_solve_matches_explicit_march(body, halfdisc64):
+    if body == "halfdisc":
+        poly = halfdisc64
+    else:
+        poly = bodies.random_convex_polygon(np.random.default_rng(20260815), 7)
+    h = poly.incircle.radius / 25.0
+    grid = rasterize(poly, h)
+    lam = eigen_solve(grid).eigenvalue
+    dt = h * h / 5.0
+    steps = sample_steps(max(10.0 / lam, 2500.0 * h * h), dt, 25)
+    got = assert_matches_march(grid, steps * dt)
+    # the march hands over well before the end
+    assert sum(s.spectral for s in got) >= 5
+
+
+def test_heat_bound_covers_early_handover(square, monkeypatch):
+    # Handing over while the dropped part is still 1e-2 of max|u| leaves
+    # real truncation errors, which the stated bounds must cover.
+    monkeypatch.setattr(pde, "_SWITCH_TOL", 1e-2)
+    h = 0.02
+    grid = rasterize(square, h)
+    dt = h * h / 5.0
+    times = sample_steps(1.0, dt, 25) * dt
+    errors = []
+    for a, b in zip(heat_solve(grid, times), explicit_march(grid, times)):
+        rounding = 4.0 * round(a.time / dt) * np.finfo(float).eps * b.peak
+        assert abs(a.peak - b.peak) <= 2.0 * a.bound + rounding, a.time
+        errors.append(abs(a.peak - b.peak) - rounding)
+    assert max(errors) > 1e-6
+
+
+def test_grid_too_small_for_eigsh(square, monkeypatch):
+    def no_eigsh(*args, **kwargs):
+        raise AssertionError("eigsh called on a tiny grid")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
+    g = rasterize(square, 0.05)
+    mask = np.zeros_like(g.mask)
+    mask[3:8, 4:10] = True  # 5 x 6 nodes, too few for 32 Lanczos modes
+    tiny = GridField(g.spacing, g.k0x, g.k0y, mask, g.values)
+    got = assert_matches_march(tiny, np.geomspace(1e-4, 1e-2, 8))
+    assert not got[0].spectral and all(s.spectral for s in got[1:])
+    res = eigen_solve(tiny)
+    # discrete Dirichlet eigenvalue of a p x q block of nodes
+    exact = 4.0 / g.spacing ** 2 * (np.sin(np.pi / 12.0) ** 2 + np.sin(np.pi / 14.0) ** 2)
+    assert res.eigenvalue == pytest.approx(exact, rel=1e-13)
+    assert res.residual <= 1e-8
+
+
+def test_full_verify_factors_once(square, monkeypatch):
+    calls = {"eigsh": 0, "splu": 0, "eigsh_splu": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    arpack = inspect.getmodule(scipy.sparse.linalg.eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("eigsh", scipy.sparse.linalg.eigsh))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", scipy.sparse.linalg.splu))
+    monkeypatch.setattr(arpack, "splu", counting("eigsh_splu", arpack.splu))
+    rep = full_verify(square, h=0.05)
+    assert calls == {"eigsh": 1, "splu": 0, "eigsh_splu": 1}
+    assert rep.switch_step is not None
+    assert len(rep.modes.values) == 32
 
 
 def test_mirror_equivariance(right_tri):

@@ -73,7 +73,7 @@ def test_area_product_lower_bound_random():
         cheb = chebyshev_center(poly)
         for _ in range(4):
             p = cheb.center + 0.6 * cheb.radius * gen.uniform(-1.0, 1.0, size=2)
-            chk = polar_area_lower_check(poly, p)
+            chk = polar_area_lower_check(polar_polygon(poly, p))
             assert chk.ok, f"lhs {chk.lhs} rhs {chk.rhs}"
             count += 1
     assert count == 100
