@@ -27,11 +27,8 @@ from .geometry import (
     chebyshev_center,
     chord,
     clip,
-    contains,
     halfplane_intersection,
-    reflect,
     support,
-    width,
 )
 
 __version__ = "0.1.0"

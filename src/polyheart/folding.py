@@ -17,8 +17,10 @@ the generic ring clip in :mod:`geometry`, which :func:`folding_profile`
 does not call).
 
 Intersecting the half-planes {x . omega <= offset} over many directions
-(plus the body's own edges) yields an outer approximation of the heart: the
-region that provably confines the hot spot of the heat flow for all times.
+yields an outer approximation of the heart: the region that provably
+confines the hot spot of the heat flow for all times.  The direction set
+holds every edge normal, and no offset exceeds the support value, so the
+body's own edges are implied and are not cut again.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ _BLOCK_CELLS = 1 << 15
 # heart_region's tolerances, in units of poly.eps.  The intersection gives
 # every cut one eps of slack, so a heart vertex may sit that far beyond a
 # folding plane or a body edge; the checks allow a few times more.
-_CUT_SLACK = 1.0
 _SUPPORT_TOL = 5.0       # folding offset above the body's support value
 _CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge, a folding plane or its ball
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
@@ -70,8 +71,10 @@ _ORACLE_TOL_FLOOR = 10.0
 _ORACLE_FEAS_REL = 1e-13
 
 # normal_cone_check's contact points count as on the boundary, and as one
-# point, within this many eps.
+# point, within this many eps; its arcs of normal directions count as
+# nested or empty within _ANGLE_TOL radians.
 _CONTACT_TOL = 10.0
+_ANGLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class Heart:
     """Outer approximation of the heart plus the planes that cut it."""
 
     region: Region
-    planes: np.ndarray  # rows (nx, ny, c), folding planes then body edges
+    planes: np.ndarray  # rows (nx, ny, c), one folding plane per direction
 
     @property
     def kind(self) -> str:
@@ -279,22 +282,21 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
     return hi
 
 
-def heart_directions(poly: ConvexPolygon, n_dirs: int, extra_dirs=()) -> np.ndarray:
-    """Sampled direction set: uniform angles, body edge normals, both
-    coordinate axes, plus any extras; deduplicated."""
+def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
+    """Sampled direction set: uniform angles, body edge normals and both
+    coordinate axes; deduplicated."""
     ang = [2.0 * np.pi * k / n_dirs for k in range(n_dirs)]
     dirs = [np.array([np.cos(a), np.sin(a)]) for a in ang]
     dirs.extend(poly.edge_normals)
     dirs.extend(np.array(d, dtype=float) for d in
                 ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
-    dirs.extend(np.asarray(d, dtype=float) for d in extra_dirs)
     arr = np.array(dirs)
     arr /= np.hypot(arr[:, 0], arr[:, 1])[:, None]
     _, idx = np.unique(np.round(np.arctan2(arr[:, 1], arr[:, 0]), 10), return_index=True)
     return arr[np.sort(idx)]
 
 
-def heart_region(poly: ConvexPolygon, n_dirs: int = 720, extra_dirs=()) -> tuple[Heart, FoldingProfile]:
+def heart_region(poly: ConvexPolygon, n_dirs: int = 720) -> tuple[Heart, FoldingProfile]:
     """Outer approximation of the heart over a sampled direction set.
 
     Raises InconsistentHeart when the construction contradicts itself
@@ -305,7 +307,7 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720, extra_dirs=()) -> tuple
     """
     if n_dirs < 4:
         raise ValueError("need at least 4 directions")
-    dirs = heart_directions(poly, n_dirs, extra_dirs)
+    dirs = heart_directions(poly, n_dirs)
     profile = folding_profile(poly, dirs)
     eps = poly.eps
     sup = (poly.vertices @ dirs.T).max(axis=0)
@@ -317,15 +319,18 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720, extra_dirs=()) -> tuple
             f"folding offset exceeds the support value by {over[i]:.3e} at direction "
             f"{dirs[i].tolist()} (tolerance {_SUPPORT_TOL * eps:.3e})"
         )
-    planes = np.vstack([
-        np.column_stack([dirs, vals]),
-        np.column_stack([poly.edge_normals, poly.edge_offsets]),
-    ])
-    region = halfplane_intersection(planes, poly.bbox, eps, slack=_CUT_SLACK * eps)
+    # The body's edges need no cut of their own.  Every edge normal is among
+    # the directions (the angle dedupe moves one by under 1e-10 rad, at most
+    # 0.1 eps across the body), and the check above keeps each offset within
+    # _SUPPORT_TOL eps of the support value, which at an edge normal is that
+    # edge's offset: the folding plane there is the edge line or lies inside
+    # it.  The containment check below still guards the result.
+    planes = np.column_stack([dirs, vals])
+    region = halfplane_intersection(planes, poly.bbox, eps)
     if region.is_empty:
         raise InconsistentHeart(
             f"heart intersection of {len(planes)} half-planes came out empty "
-            f"(slack {_CUT_SLACK * eps:.3e} per cut)"
+            f"(slack {eps:.3e} per cut)"
         )
     gap = region_point_distance(region, poly.centroid)
     if gap > _CENTROID_TOL * eps:
@@ -380,7 +385,7 @@ def heart_ball_radius(poly: ConvexPolygon, profile: FoldingProfile,
     xbar = poly.centroid
     omegas = profile.directions
     vals = profile.values
-    num = np.maximum(vals + _CUT_SLACK * poly.eps - omegas @ xbar, 0.0)
+    num = np.maximum(vals + poly.eps - omegas @ xbar, 0.0)
     thetas = [omegas]
     if heart is not None and not heart.region.is_empty:
         d = heart.vertices - xbar[None, :]
@@ -482,8 +487,7 @@ def _reflect_arc(arc: _Arc, w: np.ndarray) -> _Arc:
     return _Arc(2.0 * beta - (arc.lo + arc.width), arc.width)
 
 
-def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry,
-                      angle_tol: float = 1e-9) -> bool:
+def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry) -> bool:
     """Necessary optimality condition at a folding witness.
 
     Reflecting the normal cone at the lower chord contact across the
@@ -509,15 +513,15 @@ def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry,
         gamma = float(np.arctan2(w[1], w[0]))
         lower = _arc_intersect_halfcircle(cone, gamma + 0.5 * np.pi)
         upper = _arc_intersect_halfcircle(cone, gamma - 0.5 * np.pi)
-        if lower is None or lower.width < -angle_tol:
+        if lower is None or lower.width < -_ANGLE_TOL:
             return True  # nothing to fold
         if upper is None:
             return False
-        return _arc_contains(upper, _reflect_arc(lower, w), angle_tol)
+        return _arc_contains(upper, _reflect_arc(lower, w), _ANGLE_TOL)
     if boundary_distance(poly, x_bot) > tol:
         return False
     cone_top = _normal_cone(poly, x_top, tol)
     cone_bot = _normal_cone(poly, x_bot, tol)
     if cone_top is None or cone_bot is None:
         return False
-    return _arc_contains(cone_top, _reflect_arc(cone_bot, w), angle_tol)
+    return _arc_contains(cone_top, _reflect_arc(cone_bot, w), _ANGLE_TOL)

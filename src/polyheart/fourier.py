@@ -27,18 +27,14 @@ import numpy as np
 from .errors import DenominatorTooSmall, FrequencyNotOrthogonal
 from .geometry import ConvexPolygon, check_direction, perp, shadow_interval
 
+# _sinc_prime switches to its series below this |x|: cos x - sin x / x
+# cancels there, losing digits that the series keeps.
 _SERIES_CUT = 0.1
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x)/x with the removable singularity filled by its series."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    safe = np.where(small, 1.0, x)
-    out = np.sin(safe) / safe
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
-    return np.where(small, series, out)
+    """sin(x)/x, with the value 1 at x = 0 (numpy's sinc is sin(pi x)/(pi x))."""
+    return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
 def _sinc_prime(x: np.ndarray) -> np.ndarray:

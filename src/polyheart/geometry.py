@@ -170,11 +170,6 @@ class Region:
             return 0.0
         return _farthest_pair(self.points)[2]
 
-    def support(self, omega) -> float:
-        if self.kind == "empty":
-            return -np.inf
-        return float((self.points @ np.asarray(omega, dtype=float)).max())
-
 
 EMPTY_REGION = Region("empty", np.zeros((0, 2)))
 
@@ -182,7 +177,7 @@ EMPTY_REGION = Region("empty", np.zeros((0, 2)))
 class ConvexPolygon:
     """Immutable CCW convex polygon with cached metric quantities."""
 
-    def __init__(self, vertices, eps_rel: float = EPS_REL):
+    def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise InvalidPolygon(f"need at least 3 planar vertices, got shape {v.shape}")
@@ -192,19 +187,18 @@ class ConvexPolygon:
         scale = max(diameter, 1e-300)
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(lengths <= eps_rel * scale):
+        if np.any(lengths <= EPS_REL * scale):
             raise InvalidPolygon("duplicate or near-duplicate consecutive vertices")
         cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
         if _polygon_area(v) <= 0.0:
             raise InvalidPolygon("vertices must be in counterclockwise order with positive area")
-        if np.any(cross < -eps_rel * scale * scale):
+        if np.any(cross < -EPS_REL * scale * scale):
             raise InvalidPolygon("polygon is not convex")
         v.setflags(write=False)
         edges.setflags(write=False)
         self.vertices = v
         self.edges = edges  # row i: v_{i+1} - v_i
         self.diameter = diameter
-        self.eps_rel = eps_rel
 
     def __repr__(self):
         return f"ConvexPolygon(n={len(self.vertices)}, area={self.area:.6g})"
@@ -228,7 +222,7 @@ class ConvexPolygon:
 
     @cached_property
     def eps(self) -> float:
-        return self.eps_rel * self.diameter
+        return EPS_REL * self.diameter
 
     @cached_property
     def edge_normals(self) -> np.ndarray:
@@ -269,37 +263,12 @@ def support(poly: ConvexPolygon, omega) -> float:
     return float((poly.vertices @ w).max())
 
 
-def width(poly: ConvexPolygon, omega) -> float:
-    """Width along omega: h(omega) + h(-omega)."""
-    w = check_direction(omega)
-    vals = poly.vertices @ w
-    return float(vals.max() - vals.min())
-
-
 def point_in(poly: ConvexPolygon, x, eps: float | None = None) -> bool:
     """Membership test with tolerance (boundary points count as inside)."""
     if eps is None:
         eps = poly.eps
     x = np.asarray(x, dtype=float)
     return bool(np.all(poly.edge_normals @ x <= poly.edge_offsets + eps))
-
-
-def contains(inner, outer: ConvexPolygon, eps: float | None = None) -> bool:
-    """True when every vertex of ``inner`` lies in ``outer`` (within eps)."""
-    if eps is None:
-        eps = outer.eps
-    if isinstance(inner, Region):
-        if inner.is_empty:
-            return True
-        pts = inner.points
-    elif isinstance(inner, ConvexPolygon):
-        pts = inner.vertices
-    else:
-        pts = np.atleast_2d(np.asarray(inner, dtype=float))
-    if len(pts) == 0:
-        return True
-    vals = pts @ outer.edge_normals.T - outer.edge_offsets[None, :]
-    return bool(vals.max() <= eps)
 
 
 def boundary_distance(poly: ConvexPolygon, x) -> float:
@@ -377,38 +346,19 @@ def clip(poly: ConvexPolygon, plane: HalfPlane) -> Region:
     return _classify(ring, poly.eps)
 
 
-def reflect_points(points: np.ndarray, plane: HalfPlane) -> np.ndarray:
-    """Mirror points across the line {n . x = c}."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts @ plane.normal - plane.offset
-    return pts - 2.0 * d[:, None] * plane.normal[None, :]
-
-
-def reflect(poly: ConvexPolygon, plane: HalfPlane) -> ConvexPolygon:
-    """Mirror image of the polygon (vertex order reversed to stay CCW)."""
-    return ConvexPolygon(reflect_points(poly.vertices, plane)[::-1], eps_rel=poly.eps_rel)
-
-
-def halfplane_intersection(planes, bbox, eps: float, slack: float | None = None) -> Region:
+def halfplane_intersection(planes: np.ndarray, bbox, eps: float) -> Region:
     """Intersect finitely many half-planes inside a seed bounding box.
 
-    ``planes`` is an iterable of HalfPlane or an (m, 3) array of rows
-    (nx, ny, c).  ``bbox`` = (xmin, xmax, ymin, ymax) must contain the
-    result.  Each cut keeps a slack (default ``eps``) so that segment- and
-    point-shaped intersections survive to be classified rather than
-    vanishing to rounding; pass ``slack=0.0`` when the result is known to
-    be full-dimensional and exact corners matter.
+    ``planes`` is an (m, 3) array of rows (nx, ny, c) with unit normals.
+    ``bbox`` = (xmin, xmax, ymin, ymax) must contain the result.  Each cut
+    is moved out by ``eps`` so that segment- and point-shaped intersections
+    survive to be classified rather than vanishing to rounding, and the
+    result is classified at the same ``eps``.
     """
-    if isinstance(planes, np.ndarray):
-        rows = planes
-    else:
-        rows = np.array([[p.normal[0], p.normal[1], p.offset] for p in planes])
-    if slack is None:
-        slack = eps
     xmin, xmax, ymin, ymax = bbox
     ring = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
-    for nx, ny, c in rows:
-        ring = _clip_ring(ring, np.array([nx, ny]), c + slack)
+    for nx, ny, c in planes:
+        ring = _clip_ring(ring, np.array([nx, ny]), c + eps)
         if len(ring) == 0:
             return EMPTY_REGION
         if len(ring) > 8:
@@ -434,21 +384,19 @@ def region_point_distance(region: Region, x) -> float:
     return float(_edge_distances(pts, e, x).min())
 
 
-def line_interval(poly: ConvexPolygon, point, direction, eps: float | None = None):
+def line_interval(poly: ConvexPolygon, point, direction):
     """Parameter range {t : point + t * direction in poly}, or None.
 
     ``direction`` need not be unit; t is in units of |direction|.  Lines
     grazing a vertex return a collapsed interval (t0, t0).
     """
-    if eps is None:
-        eps = poly.eps
     p = np.asarray(point, dtype=float)
     d = np.asarray(direction, dtype=float)
     a = poly.edge_normals @ d
     b = poly.edge_offsets - poly.edge_normals @ p
     lo, hi = -np.inf, np.inf
     par = np.abs(a) <= PARALLEL_TOL
-    if np.any(b[par] < -eps):
+    if np.any(b[par] < -poly.eps):
         return None
     pos = a > PARALLEL_TOL
     neg = a < -PARALLEL_TOL
@@ -496,7 +444,9 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     Solves max r s.t. n_e . x + r <= c_e as a linear program, then
     reconstructs the full optimal set by re-intersecting the inward-offset
     edges; a tie (e.g. oblong bodies) comes back as that segment's
-    midpoint with unique=False.
+    midpoint with unique=False.  The edges that touch the LP circle cut
+    first: they shrink the seed box to the small optimal set at once, so
+    every later cut clips a short ring.
     """
     n = poly.edge_normals
     c = poly.edge_offsets
@@ -506,7 +456,8 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     if not res.success:
         raise InvalidPolygon(f"incenter LP failed: {res.message}")
     radius = float(res.x[2])
-    planes = np.column_stack([n, c - radius])
+    order = np.argsort(c - radius - n @ res.x[:2], kind="stable")
+    planes = np.column_stack([n, c - radius])[order]
     opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
     if opt.is_empty:  # cannot happen unless tolerances are inconsistent
         return ChebyshevResult(np.array(res.x[:2]), radius, True)

@@ -32,7 +32,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import GridTooCoarse, NoConvergence
-from .geometry import ConvexPolygon
+from .folding import heart_region
+from .geometry import ConvexPolygon, boundary_distance, region_point_distance
 
 _DT_FACTOR = 5.0
 _EIGEN_MAX_ITER = 400
@@ -62,7 +63,6 @@ class GridField:
     k0y: int
     mask: np.ndarray
     values: np.ndarray
-    time: float | None = None
 
     @property
     def interior_count(self) -> int:
@@ -74,8 +74,8 @@ class GridField:
     def node_y(self) -> np.ndarray:
         return (self.k0y + np.arange(self.mask.shape[1])) * self.spacing
 
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "GridField":
-        return GridField(self.spacing, self.k0x, self.k0y, self.mask, values, time)
+    def with_values(self, values: np.ndarray) -> "GridField":
+        return GridField(self.spacing, self.k0x, self.k0y, self.mask, values)
 
 
 def rasterize(poly: ConvexPolygon, h: float) -> GridField:
@@ -375,8 +375,6 @@ class MembershipReport:
 
 def verify_heart(samples, hot_spot_limit, heart_region, slack: float) -> MembershipReport:
     """Check every tracked hot spot against the heart, within slack."""
-    from .geometry import region_point_distance
-
     points = [s.location for s in samples]
     if hot_spot_limit is not None:
         points.append(np.asarray(hot_spot_limit, dtype=float))
@@ -405,8 +403,6 @@ def varadhan_check(
     Late: the last sample should have essentially reached the
     eigenfunction maximizer.
     """
-    from .geometry import boundary_distance
-
     if len(samples) < 2:
         raise ValueError(f"need samples spanning at least two decades of time, got {len(samples)} sample(s)")
     if samples[-1].time < 100.0 * samples[0].time:
@@ -496,8 +492,6 @@ def full_verify(
     t_end/100 (see sample_steps), giving the two decades the short-time
     check needs.
     """
-    from .folding import heart_region
-
     if h is None:
         h = poly.incircle.radius / 16.0
     grid = rasterize(poly, h)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from polyheart import bodies
 from polyheart.errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
+    _CENTROID_TOL,
+    _CONTAINMENT_TOL,
     FoldingProfile,
     chord_midpoint,
     folding_offset,
@@ -28,7 +30,15 @@ from polyheart.folding import (
     normal_cone_check,
     vertex_chord_midpoints,
 )
-from polyheart.geometry import ConvexPolygon, perp, point_in, region_point_distance, support, unit
+from polyheart.geometry import (
+    ConvexPolygon,
+    halfplane_intersection,
+    perp,
+    point_in,
+    region_point_distance,
+    support,
+    unit,
+)
 
 from conftest import random_bodies
 
@@ -168,6 +178,60 @@ def test_heart_inside_body():
         for v in heart.vertices:
             assert point_in(poly, v, eps=1e-7 * poly.diameter)
         assert region_point_distance(heart.region, poly.centroid) <= 1e-7 * poly.diameter
+
+
+def heart_workload_bodies():
+    """The benchmark's heart bodies: three named ones and seeded 128-384-gons."""
+    named = [bodies.ellipse_approx(2.0, 1.0, 256), bodies.regular_ngon(512), bodies.halfdisc(1.0, 0.0, 64)]
+    seeded = [bodies.random_convex_polygon(np.random.default_rng([2, 1, 0, j]), n)
+              for j, n in enumerate((128, 192, 256, 320, 384))]
+    return named + seeded
+
+
+STRAIGHT_ANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+SUPPORT_DIRS = np.array([unit(a) for a in 2.0 * np.pi * np.arange(64) / 64])
+
+
+@pytest.mark.parametrize("n_dirs", [4, 720])
+def test_heart_edges_implied_by_folding_planes(n_dirs):
+    # cutting by the body's edges as well as the folding planes gives the same set
+    for poly in heart_workload_bodies() + [STRAIGHT_ANGLE]:
+        heart, _ = heart_region(poly, n_dirs)
+        edges = np.column_stack([poly.edge_normals, poly.edge_offsets])
+        with_edges = halfplane_intersection(np.vstack([heart.planes, edges]), poly.bbox, poly.eps)
+        assert heart.kind == with_edges.kind
+        gap = (heart.vertices @ SUPPORT_DIRS.T).max(axis=0) - (with_edges.points @ SUPPORT_DIRS.T).max(axis=0)
+        assert np.abs(gap).max() <= 2.0 * poly.eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    n_dirs=st.sampled_from([4, 8, 12, 60, 120, 360]),
+    turns=st.integers(0, 359),
+    scale=st.floats(0.05, 20.0),
+    shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_heart_properties(seed, n, n_dirs, turns, scale, shift):
+    # heart inside the body, centroid in the heart, and equivariance under
+    # similarities whose rotation maps the direction grid onto itself (n_dirs
+    # is a multiple of 4, so the grid also holds the coordinate axes)
+    poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
+    heart, _ = heart_region(poly, n_dirs)
+    out = (heart.vertices @ poly.edge_normals.T - poly.edge_offsets).max()
+    assert out <= _CONTAINMENT_TOL * poly.eps
+    assert region_point_distance(heart.region, poly.centroid) <= _CENTROID_TOL * poly.eps
+    angle = 2.0 * np.pi * (turns % n_dirs) / n_dirs
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    t = np.array(shift)
+    moved = ConvexPolygon(scale * poly.vertices @ rot.T + t)
+    moved_heart, _ = heart_region(moved, n_dirs)
+    assert moved_heart.kind == heart.kind
+    want = scale * (heart.vertices @ rot.T) + t
+    gap = (moved_heart.vertices @ SUPPORT_DIRS.T).max(axis=0) - (want @ SUPPORT_DIRS.T).max(axis=0)
+    assert np.abs(gap).max() <= 10.0 * moved.eps + 1e-12 * np.abs(t).max()
 
 
 def test_heart_direction_monotonicity():

@@ -6,6 +6,8 @@ tensor Gauss-Legendre rule per triangle.  Different discretization,
 different error mechanism, same analytic object.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from polyheart import bodies
 from polyheart.errors import DenominatorTooSmall, FrequencyNotOrthogonal
 from polyheart.folding import chord_midpoint
 from polyheart.fourier import (
+    _sinc,
     chord_via_transform,
     indicator_transform,
     indicator_transform_deriv,
@@ -50,6 +53,12 @@ def test_transform_at_zero_is_area():
         assert indicator_transform(poly, [0.0, 0.0]) == pytest.approx(
             poly.area, abs=1e-12 * max(1.0, poly.area)
         )
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, -1e-8, 0.0999, -0.0999, 0.1, 1.0, 123.4])
+def test_sinc_within_4_ulp(x):
+    want = 1.0 if x == 0.0 else math.sin(x) / x
+    assert abs(float(_sinc(np.array([x]))[0]) - want) <= 4.0 * math.ulp(want)
 
 
 def test_rectangle_closed_form(rect21):
