@@ -38,7 +38,7 @@ def main():
     print("\nheart as the direction grid refines")
     prev = None
     for n in (45, 90, 180, 360, 720):
-        heart, profile = heart_region(tri, n)
+        heart, _ = heart_region(tri, n)
         verts = heart.vertices
         spread = float(np.ptp(verts, axis=0).max()) if len(verts) > 1 else 0.0
         print(f"  {n:4d} dirs: kind={heart.kind:8s} vertex spread {spread:.6e}")
@@ -46,11 +46,11 @@ def main():
             assert spread <= prev + 1e-12  # outer approximation only shrinks
         prev = spread
 
-    heart, profile = heart_region(tri, 720)
+    heart, _ = heart_region(tri, 720)
     d = region_point_distance(heart.region, tri.centroid)
     print(f"\ncentroid sits inside the heart (distance {d:.3e})")
 
-    center, radius = heart_ball_radius(tri, profile, heart)
+    center, radius = heart_ball_radius(tri, heart)
     print(f"bounding ball: center ({center[0]:.6f}, {center[1]:.6f}), radius {radius:.6f}")
 
     wb = heart_width_bound(tri, unit(0.7), heart)

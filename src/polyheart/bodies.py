@@ -10,6 +10,10 @@ import numpy as np
 from .errors import InvalidPolygon
 from .geometry import ConvexPolygon
 
+# random_convex_polygon keeps every angular gap above this fraction of the
+# mean gap 2 pi / n, so no two vertices crowd within rounding of each other.
+_MIN_GAP_FRAC = 0.3
+
 
 def square() -> ConvexPolygon:
     """Unit square [0,1]^2."""
@@ -59,13 +63,12 @@ def halfdisc(radius: float = 1.0, cut: float = 0.0, m: int = 64) -> ConvexPolygo
     return ConvexPolygon(radius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
-def random_convex_polygon(rng: np.random.Generator, n: int,
-                          min_gap_frac: float = 0.3) -> ConvexPolygon:
+def random_convex_polygon(rng: np.random.Generator, n: int) -> ConvexPolygon:
     """Seeded random convex n-gon, built in O(n).
 
     Angles on the unit circle have conditioned uniform spacings: each gap
     is delta + (2 pi - n delta) * Dirichlet(1, ..., 1) with
-    delta = min_gap_frac * 2 pi / n, the distribution of uniform spacings
+    delta = _MIN_GAP_FRAC * 2 pi / n, the distribution of uniform spacings
     conditioned on every gap exceeding delta, which keeps vertex angles
     separated so the shapes stay numerically tame.  The cyclic polygon
     then goes through a rotation, an axis stretch in [0.6, 1.8]
@@ -73,7 +76,7 @@ def random_convex_polygon(rng: np.random.Generator, n: int,
     """
     if n < 3:
         raise InvalidPolygon("need n >= 3")
-    delta = min_gap_frac * 2.0 * np.pi / n
+    delta = _MIN_GAP_FRAC * 2.0 * np.pi / n
     gaps = delta + (2.0 * np.pi - n * delta) * rng.dirichlet(np.ones(n))
     ang = rng.uniform(0.0, 2.0 * np.pi) + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
     pts = np.column_stack([np.cos(ang), np.sin(ang)])

@@ -13,6 +13,7 @@ stderr as one JSON object per failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -74,7 +75,7 @@ def _body_section(poly, spec) -> dict:
 
 def _heart_section(poly, n_dirs: int):
     heart, profile = heart_region(poly, n_dirs)
-    center, radius = heart_ball_radius(poly, profile, heart)
+    center, radius = heart_ball_radius(poly, heart)
     section = {
         "kind": heart.kind,
         "vertices": heart.vertices.tolist(),
@@ -123,12 +124,9 @@ def _polar_section(poly, tol: float, pde: dict | None = None) -> dict:
 
 
 def _pde_section(poly, heart, args) -> dict:
-    h = args.h
-    if h is None:
-        h = poly.incircle.radius / 50.0
-    rep = full_verify(poly, h=h, heart=heart, n_dirs=args.dirs, t_end=args.tmax)
+    rep = full_verify(poly, heart, h=args.h, t_end=args.tmax)
     return {
-        "h": h,
+        "h": rep.grid.spacing,
         "n_nodes": rep.grid.interior_count,
         "eigenvalue": rep.eigen.eigenvalue,
         "residual": rep.eigen.residual,
@@ -294,7 +292,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="polyheart",
         description="Hot-spot confinement toolkit for convex polygons.",

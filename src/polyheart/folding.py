@@ -39,6 +39,7 @@ from .geometry import (
     boundary_distance,
     chord,
     check_direction,
+    check_directions,
     halfplane_intersection,
     perp,
     region_point_distance,
@@ -54,13 +55,8 @@ _BLOCK_CELLS = 1 << 15
 # every cut one eps of slack, so a heart vertex may sit that far beyond a
 # folding plane or a body edge; the checks allow a few times more.
 _SUPPORT_TOL = 5.0       # folding offset above the body's support value
-_CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge, a folding plane or its ball
+_CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge or a folding plane
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
-
-# heart_ball_radius bounds the ray along theta only by directions with
-# omega . theta above this; closer to orthogonal, 1/(omega . theta) would
-# divide rounding by rounding.
-_BALL_DOT_MIN = 1e-12
 
 # The bisection oracle stops no finer than this many eps (bisection below
 # rounding level only chases noise), and counts a reflected cap as inside
@@ -220,7 +216,7 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     The directions are evaluated in blocks, each in one set of array
     operations whose cost grows as n log n in the vertex count.
     """
-    w = np.array([check_direction(d) for d in directions], dtype=float).reshape(-1, 2)
+    w = check_directions(directions)
     values = np.empty(len(w))
     witness_s = np.empty(len(w))
     witness_vertex = np.empty(len(w), dtype=np.intp)
@@ -370,44 +366,15 @@ def heart_width_bound(poly: ConvexPolygon, omega, heart: Heart | None = None) ->
     return WidthBound(float(bound), hw)
 
 
-def heart_ball_radius(poly: ConvexPolygon, profile: FoldingProfile,
-                      heart: Heart | None = None) -> tuple[np.ndarray, float]:
-    """Radius of a centroid-centered ball containing the heart.
+def heart_ball_radius(poly: ConvexPolygon, heart: Heart) -> tuple[np.ndarray, float]:
+    """Smallest centroid-centered ball containing the heart: (center, radius).
 
-    Discretizes max over unit theta of min over sampled omega with
-    omega . theta > 0 of (offset(omega) - centroid . omega) / (omega . theta).
-    Directions of the computed heart's vertices are added to the theta
-    sample so the containment assertion holds by construction.  The
-    offsets carry the slack that heart_region's intersection gave each
-    cut, since the heart's vertices may sit that far beyond a folding
-    plane and 1/(omega . theta) amplifies any gap left between the two.
+    The heart is the intersection of finitely many half-planes, a convex
+    polygon, segment or point, so its farthest point from the centroid is
+    one of its vertices and the radius is that vertex's distance.
     """
     xbar = poly.centroid
-    omegas = profile.directions
-    vals = profile.values
-    num = np.maximum(vals + poly.eps - omegas @ xbar, 0.0)
-    thetas = [omegas]
-    if heart is not None and not heart.region.is_empty:
-        d = heart.vertices - xbar[None, :]
-        norms = np.hypot(d[:, 0], d[:, 1])
-        # closer vertices pass the ball check below whatever the radius
-        good = norms > _CONTAINMENT_TOL * poly.eps
-        if np.any(good):
-            thetas.append(d[good] / norms[good, None])
-    thetas = np.vstack(thetas)
-    dots = omegas @ thetas.T  # (k, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dots > _BALL_DOT_MIN, num[:, None] / dots, np.inf)
-    per_theta = ratio.min(axis=0)
-    radius = float(max(per_theta.max(), 0.0))
-    if heart is not None and not heart.region.is_empty:
-        out = np.hypot(*(heart.vertices - xbar[None, :]).T).max() - radius
-        if out > _CONTAINMENT_TOL * poly.eps:
-            raise InconsistentHeart(
-                f"heart vertex lies {out:.3e} outside its bounding ball of radius "
-                f"{radius:.9g} (tolerance {_CONTAINMENT_TOL * poly.eps:.3e})"
-            )
-    return xbar.copy(), radius
+    return xbar.copy(), float(np.hypot(*(heart.vertices - xbar).T).max())
 
 
 # --- necessary optimality condition at the witness ------------------------

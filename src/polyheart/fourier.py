@@ -31,6 +31,10 @@ from .geometry import ConvexPolygon, check_direction, perp, shadow_interval
 # cancels there, losing digits that the series keeps.
 _SERIES_CUT = 0.1
 
+# The inversions use at least this many Gauss nodes (512 panels of 8),
+# enough for the few-percent accuracy these cross-checks aim at.
+_INVERSION_POINTS = 4096
+
 
 def _sinc(x: np.ndarray) -> np.ndarray:
     """sin(x)/x, with the value 1 at x = 0 (numpy's sinc is sin(pi x)/(pi x))."""
@@ -48,10 +52,38 @@ def _sinc_prime(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-def _edge_frame(poly: ConvexPolygon):
+def _prelude(poly: ConvexPolygon, xi: np.ndarray):
+    """Terms T and T' share at the rows of xi: |xi|^2 (1 at xi = 0), the mask
+    of xi = 0, and (k, m) arrays D_j/2, sinc(D_j/2), exp(-i m_j . xi), |e_j| (nu_j . xi)."""
+    norm2 = np.einsum("ij,ij->i", xi, xi)
+    zero = norm2 == 0.0
+    safe2 = np.where(zero, 1.0, norm2)
+    half_d = 0.5 * (xi @ poly.edges.T)
+    phase = np.exp(-1j * (xi @ (poly.vertices + 0.5 * poly.edges).T))
+    proj = xi @ (poly.edge_normals * poly.edge_lengths[:, None]).T
+    return safe2, zero, half_d, _sinc(half_d), phase, proj
+
+
+def _transform(poly: ConvexPolygon, pre) -> np.ndarray:
+    """T at the frequencies of a _prelude."""
+    safe2, zero, _, sinc_d, phase, proj = pre
+    vals = 1j / safe2 * np.sum(proj * sinc_d * phase, axis=1)
+    return np.where(zero, poly.area + 0.0j, vals)
+
+
+def _transform_deriv(poly: ConvexPolygon, w: np.ndarray, pre) -> np.ndarray:
+    """T' along w at the frequencies of a _prelude, all orthogonal to w."""
+    safe2, zero, half_d, sinc_d, phase, proj = pre
     edges = poly.edges
     mids = poly.vertices + 0.5 * edges
-    return edges, mids, poly.edge_lengths, poly.edge_normals
+    bracket = (
+        ((poly.edge_normals * poly.edge_lengths[:, None]) @ w)[None, :] * sinc_d
+        + proj * _sinc_prime(half_d) * (0.5 * (edges @ w))[None, :]
+        - 1j * proj * sinc_d * (mids @ w)[None, :]
+    )
+    vals = 1j / safe2 * np.sum(bracket * phase, axis=1)
+    moment = -1j * poly.area * float(poly.centroid @ w)
+    return np.where(zero, moment, vals)
 
 
 def indicator_transform(poly: ConvexPolygon, xi) -> complex | np.ndarray:
@@ -61,15 +93,7 @@ def indicator_transform(poly: ConvexPolygon, xi) -> complex | np.ndarray:
     scalar or (k,) array.  The zero frequency returns the area.
     """
     xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
-    edges, mids, lengths, normals = _edge_frame(poly)
-    norm2 = np.einsum("ij,ij->i", xi_arr, xi_arr)
-    zero = norm2 == 0.0
-    safe2 = np.where(zero, 1.0, norm2)
-    half_d = 0.5 * (xi_arr @ edges.T)                      # (k, m)
-    phase = np.exp(-1j * (xi_arr @ mids.T))
-    proj = xi_arr @ (normals * lengths[:, None]).T
-    vals = 1j / safe2 * np.sum(proj * _sinc(half_d) * phase, axis=1)
-    vals = np.where(zero, poly.area + 0.0j, vals)
+    vals = _transform(poly, _prelude(poly, xi_arr))
     if np.ndim(xi) == 1:
         return complex(vals[0])
     return vals
@@ -94,45 +118,27 @@ def indicator_transform_deriv(poly: ConvexPolygon, eta, omega) -> complex | np.n
     scale = np.linalg.norm(eta_arr, axis=1)
     if np.any(np.abs(dots) > 1e-12 * np.maximum(scale, 1.0)):
         raise FrequencyNotOrthogonal("eta must be orthogonal to omega")
-    edges, mids, lengths, normals = _edge_frame(poly)
-    norm2 = np.einsum("ij,ij->i", eta_arr, eta_arr)
-    zero = norm2 == 0.0
-    safe2 = np.where(zero, 1.0, norm2)
-    half_d = 0.5 * (eta_arr @ edges.T)
-    phase = np.exp(-1j * (eta_arr @ mids.T))
-    ln_nu = normals * lengths[:, None]
-    proj = eta_arr @ ln_nu.T
-    sinc_d = _sinc(half_d)
-    bracket = (
-        (ln_nu @ w)[None, :] * sinc_d
-        + proj * _sinc_prime(half_d) * (0.5 * (edges @ w))[None, :]
-        - 1j * proj * sinc_d * (mids @ w)[None, :]
-    )
-    vals = 1j / safe2 * np.sum(bracket * phase, axis=1)
-    moment = -1j * poly.area * float(poly.centroid @ w)
-    vals = np.where(zero, moment, vals)
+    vals = _transform_deriv(poly, w, _prelude(poly, eta_arr))
     if np.ndim(eta) == 1:
         return complex(vals[0])
     return vals
 
 
-def _inversion_nodes(poly: ConvexPolygon, omega, y: float, cutoff: float, n_points: int):
+def _inversion_nodes(poly: ConvexPolygon, omega, y: float, cutoff: float):
     """Gauss panels over the frequency segment [-S, S] on omega-perp.
 
     cutoff is in units of 2*pi/diameter.  Panels carry 8 points each and
-    the node budget grows past n_points if needed to keep at least 8
-    points per oscillation of the integrand at this y.
+    the node budget grows past _INVERSION_POINTS if needed to keep at
+    least 8 points per oscillation of the integrand at this y.
     """
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
-    if n_points < 64:
-        raise ValueError("n_points must be at least 64")
     u = perp(check_direction(omega))
     s_max = cutoff * 2.0 * np.pi / poly.diameter
-    _, mids, _, _ = _edge_frame(poly)
+    mids = poly.vertices + 0.5 * poly.edges
     freq = abs(y) + float(np.abs(mids @ u).max()) + 1e-9
     needed = int(np.ceil(8.0 * s_max * freq / np.pi))
-    total = max(n_points, needed)
+    total = max(_INVERSION_POINTS, needed)
     panels = max(8, int(np.ceil(total / 8.0)))
     nodes, weights = np.polynomial.legendre.leggauss(8)
     bounds = np.linspace(-s_max, s_max, panels + 1)
@@ -143,29 +149,26 @@ def _inversion_nodes(poly: ConvexPolygon, omega, y: float, cutoff: float, n_poin
     return u, s, wts
 
 
-def chord_via_transform(
-    poly: ConvexPolygon, omega, y: float, cutoff: float = 400.0, n_points: int = 4096
-) -> float:
+def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float = 400.0) -> float:
     """Chord length above shadow coordinate y, via the inverse transform.
 
     (1/(2 pi)) Int_{-S}^{S} T(s u) e^{i y s} ds equals the chord length
     inside the shadow and 0 outside, up to truncation error.
     """
-    u, s, wts = _inversion_nodes(poly, omega, y, cutoff, n_points)
+    u, s, wts = _inversion_nodes(poly, omega, y, cutoff)
     vals = indicator_transform(poly, s[:, None] * u[None, :])
     integrand = vals * np.exp(1j * y * s)
     return float(np.real(wts @ integrand) / (2.0 * np.pi))
 
 
-def midpoint_via_transform(
-    poly: ConvexPolygon, omega, y: float, cutoff: float = 400.0, n_points: int = 4096
-) -> float:
+def midpoint_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float = 400.0) -> float:
     """Chord midpoint above shadow coordinate y, via the transform ratio.
 
     Numerator inverts the derivative transform (giving (b^2 - a^2)/2),
     denominator the plain transform (giving b - a); their ratio is the
-    midpoint.  Points within 5 percent of the shadow ends are rejected:
-    the denominator degenerates with the chord there.
+    midpoint.  Both come from one _prelude on the same nodes.  Points
+    within 5 percent of the shadow ends are rejected: the denominator
+    degenerates with the chord there.
     """
     w = check_direction(omega)
     lo, hi = shadow_interval(poly, w)
@@ -174,11 +177,11 @@ def midpoint_via_transform(
         raise DenominatorTooSmall(
             f"shadow coordinate {y} within 5% of the shadow ends [{lo}, {hi}]"
         )
-    u, s, wts = _inversion_nodes(poly, w, y, cutoff, n_points)
-    eta = s[:, None] * u[None, :]
+    u, s, wts = _inversion_nodes(poly, w, y, cutoff)
+    pre = _prelude(poly, s[:, None] * u[None, :])
     swing = np.exp(1j * y * s)
-    denom = np.real(wts @ (indicator_transform(poly, eta) * swing))
-    numer = np.real(wts @ (1j * indicator_transform_deriv(poly, eta, w) * swing))
+    denom = np.real(wts @ (_transform(poly, pre) * swing))
+    numer = np.real(wts @ (1j * _transform_deriv(poly, w, pre) * swing))
     if abs(denom) < 0.05 * poly.diameter * 2.0 * np.pi:
         raise DenominatorTooSmall("reconstructed chord too short to divide by")
     return float(numer / denom)

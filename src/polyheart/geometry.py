@@ -64,14 +64,27 @@ def perp(omega: np.ndarray) -> np.ndarray:
     return np.array([-omega[1], omega[0]])
 
 
+def _check_unit_rows(w: np.ndarray, shape_ok: bool, given) -> np.ndarray:
+    """Raise ValueError unless shape_ok and every row of w is a finite unit vector."""
+    if not shape_ok or not np.all(np.isfinite(w)):
+        raise ValueError(f"direction must be a finite 2-vector, got {given!r}")
+    norms = np.hypot(w[..., 0], w[..., 1])
+    off = np.abs(norms - 1.0) > 1e-12
+    if np.any(off):
+        raise ValueError(f"direction must be unit length, got norm {norms[off][0]!r}")
+    return w
+
+
 def check_direction(omega) -> np.ndarray:
     """Validate a unit direction and return it as a float64 array."""
     w = np.asarray(omega, dtype=float)
-    if w.shape != (2,) or not np.all(np.isfinite(w)):
-        raise ValueError(f"direction must be a finite 2-vector, got {omega!r}")
-    if abs(np.hypot(w[0], w[1]) - 1.0) > 1e-12:
-        raise ValueError(f"direction must be unit length, got norm {np.hypot(w[0], w[1])!r}")
-    return w
+    return _check_unit_rows(w, w.shape == (2,), omega)
+
+
+def check_directions(directions) -> np.ndarray:
+    """Validate unit directions, one per row, and return them as a (k, 2) float64 array."""
+    w = np.asarray(directions, dtype=float)
+    return _check_unit_rows(w, w.ndim == 2 and w.shape[1] == 2, directions)
 
 
 @dataclass(frozen=True)

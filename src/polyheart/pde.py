@@ -32,11 +32,32 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import GridTooCoarse, NoConvergence
-from .folding import heart_region
 from .geometry import ConvexPolygon, boundary_distance, region_point_distance
 
 _DT_FACTOR = 5.0
+# full_verify's default grid spacing is the inradius over this, so the
+# membership slack of two spacings is 4% of the inradius.
+_H_PER_INRADIUS = 50.0
+# eigsh's cap on ARPACK iterations; reaching it raises NoConvergence
+# rather than returning unconverged modes.
 _EIGEN_MAX_ITER = 400
+# eigen_solve's bound on the lowest mode's sup-norm residual relative to
+# its sup norm: far above rounding, so it only catches a failed solve.
+_EIGEN_TOL = 1e-8
+# full_verify samples the heat track this many times over two decades.
+_N_SAMPLES = 25
+# full_verify's membership slack, in grid spacings: the grid places the
+# hot spot only to the order of h (staircase boundary, peak fit).
+_MEMBERSHIP_SLACK = 2.0
+# varadhan_check's bounds: the first sample's boundary distance within
+# this fraction of the inradius, the last sample within this fraction of
+# the diameter from the eigenfunction peak.  decay_check fits the last
+# _DECAY_TAIL samples and accepts a rate within _DECAY_REL_TOL of lam1.
+# All four are few-percent cross-checks of a first-order grid.
+_EARLY_REL_TOL = 0.10
+_LATE_SLACK_REL = 0.02
+_DECAY_TAIL = 6
+_DECAY_REL_TOL = 0.02
 # Lowest Laplacian modes kept for the heat march's late phase.  More
 # modes let the march hand over earlier but make eigsh slower.  On a
 # half-disc and three seeded 8-12-gons at h = inradius/50 (13k-16k
@@ -97,8 +118,10 @@ def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     ys = (k0y + np.arange(k1y - k0y + 1)) * h
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)
-    gaps = poly.edge_offsets[None, None, :] - pts @ poly.edge_normals.T
-    mask = np.all(gaps > poly.eps, axis=-1)
+    # one (nx, ny) gap plane per edge, not all m at once
+    mask = np.ones(gx.shape, dtype=bool)
+    for normal, offset in zip(poly.edge_normals, poly.edge_offsets):
+        mask &= offset - pts @ normal > poly.eps
     mask[0, :] = mask[-1, :] = False
     mask[:, 0] = mask[:, -1] = False
     return GridField(h, k0x, k0y, mask, np.zeros_like(gx))
@@ -307,7 +330,7 @@ class LaplacianModes:
     vectors: np.ndarray
 
 
-def laplacian_modes(grid: GridField, max_iterations: int = _EIGEN_MAX_ITER) -> LaplacianModes:
+def laplacian_modes(grid: GridField) -> LaplacianModes:
     """The _MODES lowest eigenpairs of _interior_laplacian(grid).
 
     One shift-invert Lanczos solve at 0 (one sparse LU factorization);
@@ -324,37 +347,32 @@ def laplacian_modes(grid: GridField, max_iterations: int = _EIGEN_MAX_ITER) -> L
         return LaplacianModes(mat, values, vectors)
     try:
         values, vectors = scipy.sparse.linalg.eigsh(
-            mat, k=_MODES, sigma=0.0, v0=np.ones(n), maxiter=max_iterations
+            mat, k=_MODES, sigma=0.0, v0=np.ones(n), maxiter=_EIGEN_MAX_ITER
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NoConvergence(
             f"eigsh converged {len(exc.eigenvalues)} of {_MODES} modes "
-            f"in {max_iterations} iterations"
+            f"in {_EIGEN_MAX_ITER} iterations"
         ) from None
     order = np.argsort(values)
     return LaplacianModes(mat, values[order], vectors[:, order])
 
 
-def eigen_solve(
-    grid: GridField,
-    tol: float = 1e-8,
-    max_iterations: int = _EIGEN_MAX_ITER,
-    modes: LaplacianModes | None = None,
-) -> EigenResult:
+def eigen_solve(grid: GridField, modes: LaplacianModes | None = None) -> EigenResult:
     """Smallest eigenpair of the Dirichlet Laplacian: the lowest mode.
 
     Convergence is checked on the sup-norm eigen residual relative to the
-    sup norm of the eigenvector.  modes defaults to
-    laplacian_modes(grid, max_iterations).
+    sup norm of the eigenvector, against _EIGEN_TOL.  modes defaults to
+    laplacian_modes(grid).
     """
     if modes is None:
-        modes = laplacian_modes(grid, max_iterations)
+        modes = laplacian_modes(grid)
     v = modes.vectors[:, 0]
     av = modes.matrix.dot(v)
     lam = float(v @ av)
     residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
-    if residual > tol:
-        raise NoConvergence(f"eigen residual {residual:.3e} above tol {tol:.3e}")
+    if residual > _EIGEN_TOL:
+        raise NoConvergence(f"eigen residual {residual:.3e} above tol {_EIGEN_TOL:.3e}")
     if v.sum() < 0.0:
         v = -v
     values = np.zeros_like(grid.values)
@@ -393,15 +411,13 @@ class VaradhanReport:
     late_slack: float
 
 
-def varadhan_check(
-    samples, poly: ConvexPolygon, hot_spot_limit, early_tol: float = 0.10, late_slack: float | None = None
-) -> VaradhanReport:
+def varadhan_check(samples, poly: ConvexPolygon, hot_spot_limit) -> VaradhanReport:
     """Short-time and long-time behavior of the trajectory.
 
     Early: the first sampled hot spot should sit at boundary distance
-    close to the inradius (the deepest point wins for small times).
-    Late: the last sample should have essentially reached the
-    eigenfunction maximizer.
+    within _EARLY_REL_TOL of the inradius (the deepest point wins for
+    small times).  Late: the last sample should lie within
+    _LATE_SLACK_REL * diameter of the eigenfunction maximizer.
     """
     if len(samples) < 2:
         raise ValueError(f"need samples spanning at least two decades of time, got {len(samples)} sample(s)")
@@ -410,13 +426,12 @@ def varadhan_check(
             f"need samples spanning at least two decades of time: last/first time "
             f"ratio {samples[-1].time / samples[0].time!r} < 100"
         )
-    if late_slack is None:
-        late_slack = 0.02 * poly.diameter
+    late_slack = _LATE_SLACK_REL * poly.diameter
     inradius = poly.incircle.radius
     early = boundary_distance(poly, samples[0].location)
     rel = abs(early - inradius) / inradius
     late = float(np.linalg.norm(samples[-1].location - np.asarray(hot_spot_limit, dtype=float)))
-    return VaradhanReport(rel <= early_tol and late <= late_slack, early, inradius, rel, late, late_slack)
+    return VaradhanReport(rel <= _EARLY_REL_TOL and late <= late_slack, early, inradius, rel, late, late_slack)
 
 
 @dataclass(frozen=True)
@@ -427,9 +442,9 @@ class DecayReport:
     rel_err: float
 
 
-def decay_check(samples, eigenvalue: float, tail: int = 6, rel_tol: float = 0.02) -> DecayReport:
-    """Fit the late-time exponential decay rate of the peak against lam1."""
-    tail_samples = samples[-tail:]
+def decay_check(samples, eigenvalue: float) -> DecayReport:
+    """Fit the decay rate of the last _DECAY_TAIL peaks against lam1."""
+    tail_samples = samples[-_DECAY_TAIL:]
     ts = np.array([s.time for s in tail_samples])
     ms = np.array([s.peak for s in tail_samples])
     if np.any(ms <= 0.0):
@@ -437,7 +452,7 @@ def decay_check(samples, eigenvalue: float, tail: int = 6, rel_tol: float = 0.02
     slope = np.polyfit(ts, np.log(ms), 1)[0]
     rate = -float(slope)
     rel = abs(rate - eigenvalue) / eigenvalue
-    return DecayReport(rel <= rel_tol, rate, eigenvalue, rel)
+    return DecayReport(rel <= _DECAY_REL_TOL, rate, eigenvalue, rel)
 
 
 def write_csv(field: GridField, path) -> None:
@@ -474,38 +489,28 @@ class VerificationReport:
         return round(last_marched.time / (self.grid.spacing ** 2 / _DT_FACTOR))
 
 
-def full_verify(
-    poly: ConvexPolygon,
-    h: float | None = None,
-    heart=None,
-    n_dirs: int = 720,
-    n_samples: int = 25,
-    t_end: float | None = None,
-    eigen_tol: float = 1e-8,
-    slack: float | None = None,
-) -> VerificationReport:
-    """End-to-end run: grid, modes, eigenpair, trajectory, heart membership.
+def full_verify(poly: ConvexPolygon, heart, h: float | None = None,
+                t_end: float | None = None) -> VerificationReport:
+    """End-to-end run: grid, modes, eigenpair, trajectory, membership in heart.
 
-    The horizon defaults to max(10/lam1, 2500 h^2): long enough for the
-    eigenmode to dominate, and never shorter than the time scale the grid
-    itself can resolve.  Sampling is geometric in whole steps from about
+    heart is the Heart the trajectory is checked against, as heart_region
+    returns it.  The spacing h defaults to inradius/50.  The horizon
+    defaults to max(10/lam1, 2500 h^2): long enough for the eigenmode to
+    dominate, and never shorter than the time scale the grid itself can
+    resolve.  _N_SAMPLES samples are geometric in whole steps from about
     t_end/100 (see sample_steps), giving the two decades the short-time
-    check needs.
+    check needs, and each must lie within 2h of the heart.
     """
     if h is None:
-        h = poly.incircle.radius / 16.0
+        h = poly.incircle.radius / _H_PER_INRADIUS
     grid = rasterize(poly, h)
     modes = laplacian_modes(grid)
-    eigen = eigen_solve(grid, eigen_tol, modes=modes)
+    eigen = eigen_solve(grid, modes=modes)
     if t_end is None:
         t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
     dt = h * h / _DT_FACTOR
-    samples = heat_solve(grid, sample_steps(t_end, dt, n_samples) * dt, modes=modes)
-    if heart is None:
-        heart, _ = heart_region(poly, n_dirs)
-    if slack is None:
-        slack = 2.0 * h
-    membership = verify_heart(samples, eigen.location, heart.region, slack)
+    samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, modes=modes)
+    membership = verify_heart(samples, eigen.location, heart.region, _MEMBERSHIP_SLACK * h)
     varadhan = varadhan_check(samples, poly, eigen.location)
     decay = decay_check(samples, eigen.eigenvalue)
     return VerificationReport(grid, modes, eigen, samples, membership, varadhan, decay)

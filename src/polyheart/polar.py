@@ -25,6 +25,10 @@ from .geometry import EPS_REL, ConvexPolygon, _dedupe_ring, boundary_distance, e
 # unbounded to within rounding.
 _POLAR_GAP_TOL = 10.0
 
+# polar_area_eigen_check's relative slack: the hot-spot limit and lam1
+# both come from a first-order grid, not from closed forms.
+_EIGEN_AREA_SLACK = 0.02
+
 
 @dataclass(frozen=True)
 class PolarBody:
@@ -110,12 +114,12 @@ def polar_area_lower_check(polar: PolarBody) -> AreaCheck:
     return AreaCheck(lhs, rhs, lhs >= rhs * (1.0 - 1e-9))
 
 
-def polar_area_eigen_check(poly: ConvexPolygon, hot_spot_limit, lam1: float, slack: float = 0.02) -> AreaCheck:
+def polar_area_eigen_check(poly: ConvexPolygon, hot_spot_limit, lam1: float) -> AreaCheck:
     """Polar area at the hot-spot limit against (lam1/2)^2 * area.
 
     Both inputs normally come from discretized computations, hence the
-    default 2 percent slack on the comparison.
+    _EIGEN_AREA_SLACK (2 percent) on the comparison.
     """
     lhs = polar_polygon(poly, hot_spot_limit).area
     rhs = (lam1 / 2.0) ** 2 * poly.area
-    return AreaCheck(lhs, rhs, lhs <= rhs * (1.0 + slack))
+    return AreaCheck(lhs, rhs, lhs <= rhs * (1.0 + _EIGEN_AREA_SLACK))

@@ -94,7 +94,7 @@ def pde_runs(pde_bodies):
     runs = {}
     for name, poly in pde_bodies.items():
         h = chebyshev_center(poly).radius / 50.0
-        runs[name] = full_verify(poly, h=h)
+        runs[name] = full_verify(poly, heart_region(poly, 720)[0], h=h)
     return runs
 
 
@@ -188,7 +188,7 @@ def test_05_heart_membership_suite(pde_bodies):
         for theta in np.linspace(0.0, np.pi, 12, endpoint=False):
             wb = heart_width_bound(poly, unit(theta), heart)
             assert wb.heart_width <= wb.bound + tol
-        center, radius = heart_ball_radius(poly, profile, heart)
+        center, radius = heart_ball_radius(poly, heart)
         d = np.linalg.norm(hv - center, axis=1)
         assert d.max() <= radius + tol
 

@@ -181,3 +181,11 @@ def test_polar_subcommand(capsys):
     code, out, _ = run(["polar", "--body", "rectangle:2,1"], capsys)
     assert code == 0
     assert "polar area at centroid: 4" in out
+
+
+def test_parser_built_once(capsys):
+    cli.build_parser.cache_clear()
+    assert run(["bounds", "--body", "square"], capsys)[0] == 0
+    assert run(["polar", "--body", "regular_ngon:5"], capsys)[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -8,17 +8,18 @@ tangential contact at a shadow extreme, where the oracle itself only
 resolves the offset to about sqrt(eps), hence the looser bound there.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyheart import bodies
-from polyheart.errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall
+from polyheart.errors import OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
     _CENTROID_TOL,
     _CONTAINMENT_TOL,
-    FoldingProfile,
     chord_midpoint,
     folding_offset,
     folding_offset_bisection,
@@ -247,12 +248,12 @@ def test_heart_direction_monotonicity():
 
 def test_width_and_ball_bounds():
     for poly in random_bodies(seed=23, count=6):
-        heart, profile = heart_region(poly, 240)
+        heart, _ = heart_region(poly, 240)
         for theta in np.linspace(0.0, np.pi, 13):
             wb = heart_width_bound(poly, unit(theta), heart)
             if wb.heart_width is not None:
                 assert wb.heart_width <= wb.bound + 1e-7 * poly.diameter
-        center, radius = heart_ball_radius(poly, profile, heart)
+        center, radius = heart_ball_radius(poly, heart)
         d = np.linalg.norm(heart.vertices - center, axis=1)
         assert d.max() <= radius + 1e-7 * poly.diameter
 
@@ -340,17 +341,37 @@ def test_folding_offset_similarity_equivariant(seed, n, rotation, scale, shift, 
 @pytest.mark.parametrize("key, n", [([2, 21, 4, 0], 128), ([2, 10, 3, 2], 256), ([2, 15, 15, 3], 320)])
 def test_ball_radius_covers_intersection_slack(key, n):
     # heart vertices sit up to one eps beyond a folding plane (the cut
-    # slack); on these bodies 1/(omega . theta) amplified that gap past the
-    # ball check when the radius was built from the bare offsets
+    # slack); a radius built from the offsets alone fell short of them
     poly = bodies.random_convex_polygon(np.random.default_rng(key), n)
-    heart, profile = heart_region(poly, 720)
-    center, radius = heart_ball_radius(poly, profile, heart)
+    heart, _ = heart_region(poly, 720)
+    center, radius = heart_ball_radius(poly, heart)
     assert np.hypot(*(heart.vertices - center).T).max() <= radius + 1e-12 * poly.diameter
 
 
-def test_heart_failures_state_excess_and_tolerance(right_tri):
-    heart, profile = heart_region(right_tri, 90)
-    lowered = FoldingProfile(profile.directions, profile.values - 0.1 * right_tri.diameter,
-                             profile.witness_s, profile.witness_vertex)
-    with pytest.raises(InconsistentHeart, match=r"lies \S+ outside .* \(tolerance \S+\)"):
-        heart_ball_radius(right_tri, lowered, heart)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 64),
+    n_dirs=st.sampled_from([4, 8, 60, 720]),
+)
+def test_ball_is_farthest_heart_vertex(seed, n, n_dirs):
+    # the centroid-centered ball holds every heart vertex with no tolerance,
+    # and its radius is attained at one of them
+    poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
+    heart, _ = heart_region(poly, n_dirs)
+    center, radius = heart_ball_radius(poly, heart)
+    assert np.array_equal(center, poly.centroid)
+    dist = np.hypot(*(heart.vertices - center).T)
+    assert np.all(dist <= radius)
+    assert dist.max() == radius
+
+
+def test_folding_profile_rejects_non_unit_direction(square):
+    dirs = heart_directions(square, 60)
+    dirs[17] *= 1.0 + 1e-9
+    norm = np.hypot(*dirs[17])
+    with pytest.raises(ValueError, match=re.escape(f"direction must be unit length, got norm {norm!r}")):
+        folding_profile(square, dirs)
+    dirs[17] = [np.nan, 1.0]
+    with pytest.raises(ValueError, match="direction must be a finite 2-vector"):
+        folding_profile(square, dirs)

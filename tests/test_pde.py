@@ -80,6 +80,23 @@ def test_rasterize_square_counts(square):
     assert not g.mask[0, :].any() and not g.mask[-1, :].any()
 
 
+def test_rasterize_matches_all_edges_at_once():
+    # rasterize tests one edge at a time; the reference builds the gaps of
+    # every node to every edge in one (nx, ny, m) array
+    gen = np.random.default_rng([7, 19])
+    suite = [bodies.square(), bodies.right_triangle(), bodies.halfdisc(1.0, 0.0, 64),
+             bodies.regular_ngon(7), bodies.ellipse_approx(2.0, 1.0, 64)]
+    suite += [bodies.random_convex_polygon(gen, n) for n in (5, 12, 40) for _ in range(4)]
+    for poly in suite:
+        g = rasterize(poly, chebyshev_center(poly).radius / 50.0)
+        pts = np.stack(np.meshgrid(g.node_x(), g.node_y(), indexing="ij"), axis=-1)
+        gaps = poly.edge_offsets[None, None, :] - pts @ poly.edge_normals.T
+        want = np.all(gaps > poly.eps, axis=-1)
+        want[0, :] = want[-1, :] = False
+        want[:, 0] = want[:, -1] = False
+        assert np.array_equal(g.mask, want)
+
+
 def test_rasterize_too_coarse(square):
     with pytest.raises(GridTooCoarse):
         rasterize(square, 0.1)  # inradius/8 = 0.0625
@@ -113,10 +130,11 @@ def test_eigen_square(square):
     assert res.peak == pytest.approx(1.0, abs=1e-4)
 
 
-def test_eigen_no_convergence(square):
+def test_eigen_no_convergence(square, monkeypatch):
     g = rasterize(square, 0.02)
+    monkeypatch.setattr(pde, "_EIGEN_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match=r"converged \d+ of 32 modes in 1 iterations"):
-        eigen_solve(g, tol=1e-13, max_iterations=1)
+        eigen_solve(g)
     empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask), g.values)
     with pytest.raises(NoConvergence, match=r"0 interior nodes at spacing h = 2\.000e-02"):
         eigen_solve(empty)
@@ -186,7 +204,7 @@ def test_full_verify_factors_once(square, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("eigsh", scipy.sparse.linalg.eigsh))
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", scipy.sparse.linalg.splu))
     monkeypatch.setattr(arpack, "splu", counting("eigsh_splu", arpack.splu))
-    rep = full_verify(square, h=0.05)
+    rep = full_verify(square, heart_region(square, 720)[0], h=0.05)
     assert calls == {"eigsh": 1, "splu": 0, "eigsh_splu": 1}
     assert rep.switch_step is not None
     assert len(rep.modes.values) == 32
@@ -268,7 +286,7 @@ def test_write_csv_roundtrip(tmp_path, square):
 
 
 def test_full_verify_square_coarse(square):
-    rep = full_verify(square, h=0.02)
+    rep = full_verify(square, heart_region(square, 720)[0], h=0.02)
     assert rep.ok
     assert rep.eigen.eigenvalue == pytest.approx(2.0 * np.pi**2, rel=2e-3)
     assert rep.membership.worst_gap <= 1e-9
