@@ -44,7 +44,7 @@ def main():
 
     gen = distance_bounds_general(stats, eig.eigenvalue)
     conv = distance_bounds_convex(stats)
-    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly))
+    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly)[0])
     print("\nboundary-distance lower bounds vs measured depth"
           f" {depth:.5f}")
     for label, b in (

@@ -115,8 +115,12 @@ def from_spec(spec: dict) -> ConvexPolygon:
         return ConvexPolygon(spec["vertices"])
     if "generator" in spec:
         gen = spec["generator"]
+        if not isinstance(gen, dict):
+            raise InvalidPolygon("'generator' must be a JSON object with 'name' and 'args'")
         name = gen.get("name")
         args = gen.get("args", [])
+        if not isinstance(name, str) or not isinstance(args, list):
+            raise InvalidPolygon("generator 'name' must be a string and 'args' a list")
         if name not in _GENERATORS:
             raise InvalidPolygon(f"unknown generator {name!r}; expected one of {sorted(_GENERATORS)}")
         fn, min_args = _GENERATORS[name]

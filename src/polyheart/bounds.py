@@ -115,8 +115,9 @@ def reciprocal_support_integral(poly: ConvexPolygon, center) -> float:
     return float(poly.edge_lengths @ (1.0 / gaps))
 
 
-def minimal_reciprocal_support_integral(poly: ConvexPolygon, return_center: bool = False):
-    """Infimum over interior centers of the reciprocal support integral.
+def minimal_reciprocal_support_integral(poly: ConvexPolygon) -> tuple[float, np.ndarray]:
+    """Infimum over interior centers of the reciprocal support integral,
+    with the center that attains it: (value, center).
 
     The objective sum |e_i| / d_i is a sum of reciprocals of positive
     affine functions of the center, hence strictly convex with an interior
@@ -129,10 +130,7 @@ def minimal_reciprocal_support_integral(poly: ConvexPolygon, return_center: bool
         w = lengths / gaps**2
         return float(lengths @ (1.0 / gaps)), w @ n, (n.T * (2.0 * w / gaps)) @ n
 
-    best, center = newton_minimize(poly, support_integral)
-    if return_center:
-        return best, center
-    return best
+    return newton_minimize(poly, support_integral)
 
 
 def eigenvalue_upper_starshaped(stats: BodyStats, w_val: float) -> float:

@@ -94,7 +94,7 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
     lam1 = upper.best
     general = distance_bounds_general(stats, lam1)
     convex = distance_bounds_convex(stats)
-    w_val, w_center = minimal_reciprocal_support_integral(poly, return_center=True)
+    w_val, w_center = minimal_reciprocal_support_integral(poly)
     star = distance_bound_starshaped(stats, w_val)
     return {
         "stats": asdict(stats),
@@ -107,8 +107,8 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
     }
 
 
-def _polar_section(poly, tol: float, pde: dict | None = None) -> dict:
-    sant = santalo_point(poly, tol=max(tol, 1e-12))
+def _polar_section(poly, pde: dict | None = None) -> dict:
+    sant = santalo_point(poly)
     body_at_sant = polar_polygon(poly, sant)
     lower = polar_area_lower_check(polar_polygon(poly, poly.centroid))
     section = {
@@ -124,7 +124,7 @@ def _polar_section(poly, tol: float, pde: dict | None = None) -> dict:
 
 
 def _pde_section(poly, heart, args) -> dict:
-    rep = full_verify(poly, heart, h=args.h, t_end=args.tmax)
+    rep = full_verify(poly, heart, h=args.h)
     return {
         "h": rep.grid.spacing,
         "n_nodes": rep.grid.interior_count,
@@ -221,7 +221,7 @@ def _cmd_polar(poly, args):
 
 
 def _cmd_santalo(poly, args):
-    sec = _polar_section(poly, args.tol)
+    sec = _polar_section(poly)
     report = {"polar": sec}
     lines = [
         f"santalo point: {sec['santalo']}",
@@ -264,7 +264,7 @@ def _cmd_report(poly, args):
     report = {
         "heart": hsec,
         "bounds": _bounds_section(poly, lam1_numeric=pde["eigenvalue"]),
-        "polar": _polar_section(poly, args.tol, pde=pde),
+        "polar": _polar_section(poly, pde=pde),
         "pde": pde,
         "fourier": _fourier_section(poly, args.fourier_cutoff, args.seed),
     }
@@ -307,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "triangle:0,0,1,0,0,1, regular_ngon:6,1, ellipse_approx:2,1,256) "
                             "or a path to a JSON body file")
         p.add_argument("--dirs", type=int, default=720, help="direction count for the heart sweep")
-        p.add_argument("--tol", type=float, default=1e-9, help="generic tolerance")
         p.add_argument("--h", type=float, default=None, help="grid spacing (default inradius/50)")
-        p.add_argument("--tmax", type=float, default=None, help="heat-flow horizon")
         p.add_argument("--fourier-cutoff", type=float, default=400.0,
                        help="frequency cutoff for transform inversion")
         p.add_argument("--json", metavar="PATH", default=None, help="write the report JSON here")

@@ -21,6 +21,9 @@ yields an outer approximation of the heart: the region that provably
 confines the hot spot of the heat flow for all times.  The direction set
 holds every edge normal, and no offset exceeds the support value, so the
 body's own edges are implied and are not cut again.
+
+:func:`normal_cone_check` holds each normal cone as its first and last
+edge normal and compares cones by cross and dot products, not angles.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .geometry import (
     Region,
     _clip_ring,
     _edge_distances,
-    boundary_distance,
     chord,
     check_direction,
     check_directions,
@@ -67,8 +69,8 @@ _ORACLE_TOL_FLOOR = 10.0
 _ORACLE_FEAS_REL = 1e-13
 
 # normal_cone_check's contact points count as on the boundary, and as one
-# point, within this many eps; its arcs of normal directions count as
-# nested or empty within _ANGLE_TOL radians.
+# point, within this many eps; a direction lies in a cone when its cross
+# product with either end is on the wrong side by at most _ANGLE_TOL.
 _CONTACT_TOL = 10.0
 _ANGLE_TOL = 1e-9
 
@@ -379,79 +381,56 @@ def heart_ball_radius(poly: ConvexPolygon, heart: Heart) -> tuple[np.ndarray, fl
 
 # --- necessary optimality condition at the witness ------------------------
 
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = (a + np.pi) % (2.0 * np.pi) - np.pi
-    return np.pi if a == -np.pi else a
+# A normal cone is the pair (a, b) of its first and last outward edge
+# normals, counterclockwise, or this value at a point near every edge.
+_ALL_DIRECTIONS = "all directions"
 
 
-@dataclass(frozen=True)
-class _Arc:
-    lo: float
-    width: float  # in [0, 2*pi)
+def _cross(p: np.ndarray, q: np.ndarray) -> float:
+    return float(p[0] * q[1] - p[1] * q[0])
 
 
-def _arc_from_angles(a0: float, a1: float) -> _Arc:
-    """CCW arc from a0 to a1."""
-    width = (a1 - a0) % (2.0 * np.pi)
-    return _Arc(a0, width)
-
-
-def _arc_contains(outer: _Arc, inner: _Arc, tol: float) -> bool:
-    for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
-        d = (inner.lo - outer.lo) + shift
-        if -tol <= d and d + inner.width <= outer.width + tol:
-            return True
-    # also allow representations differing by full wrap of inner.lo
-    d = _wrap_angle(inner.lo - outer.lo)
-    return -tol <= d and d + inner.width <= outer.width + tol
-
-
-def _arc_intersect_halfcircle(arc: _Arc, half_lo: float) -> _Arc | None:
-    """Intersect with the closed half-circle of directions starting at
-    angle half_lo and spanning pi."""
-    for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
-        d = (arc.lo - half_lo) + shift
-        lo = max(d, 0.0)
-        hi = min(d + arc.width, np.pi)
-        if hi >= lo - 1e-15:
-            return _Arc(half_lo + lo, hi - lo)
-    return None
-
-
-def _normal_cone(poly: ConvexPolygon, x: np.ndarray, tol: float) -> _Arc | None:
-    """Angular span of outward normals at a boundary point, None off-boundary."""
-    d = _edge_distances(poly.vertices, poly.edges, x)
-    on = np.flatnonzero(d <= tol)
-    if len(on) == 0:
+def _normal_cone(poly: ConvexPolygon, x: np.ndarray, tol: float):
+    """Normal cone at a boundary point, None off the boundary."""
+    on = _edge_distances(poly.vertices, poly.edges, x) <= tol
+    if not on.any():
         return None
-    angles = np.arctan2(poly.edge_normals[on, 1], poly.edge_normals[on, 0])
-    if len(on) == 1:
-        return _Arc(float(angles[0]), 0.0)
-    # edges listed CCW; the cone runs CCW from the first incident edge
-    # normal to the last.  Identify extremes by cyclic adjacency.
-    n = len(poly.vertices)
-    on_set = set(int(i) for i in on)
-    start = None
-    for i in on_set:
-        if (i - 1) % n not in on_set:
-            start = i
-            break
-    if start is None:  # every edge incident: degenerate, full circle
-        return _Arc(0.0, 2.0 * np.pi - 1e-12)
-    end = start
-    while (end + 1) % n in on_set:
-        end = (end + 1) % n
-    a0 = float(np.arctan2(poly.edge_normals[start, 1], poly.edge_normals[start, 0]))
-    a1 = float(np.arctan2(poly.edge_normals[end, 1], poly.edge_normals[end, 0]))
-    return _arc_from_angles(a0, a1)
+    if on.all():
+        return _ALL_DIRECTIONS
+    # edges are listed counterclockwise: the run of incident edges starts
+    # at the first one whose predecessor is not incident
+    start = int(np.argmax(on & ~np.roll(on, 1)))
+    end = (start + int(np.argmin(np.roll(on, -start))) - 1) % len(on)
+    return poly.edge_normals[start], poly.edge_normals[end]
 
 
-def _reflect_arc(arc: _Arc, w: np.ndarray) -> _Arc:
-    """Image of a direction arc under reflection across the line spanned
-    by perp(w); orientation reverses."""
-    beta = float(np.arctan2(w[0], -w[1]))  # angle of perp(w)
-    return _Arc(2.0 * beta - (arc.lo + arc.width), arc.width)
+def _in_cone(v: np.ndarray, cone) -> bool:
+    """Direction v lies in the cone (a, b).  The last test keeps out the
+    antipode of a zero-width cone; unlike v . (a + b) > 0 it also holds at
+    a needle tip, where a is nearly -b."""
+    a, b = cone
+    return _cross(a, v) >= -_ANGLE_TOL and _cross(v, b) >= -_ANGLE_TOL and max(v @ a, v @ b) > 0.0
+
+
+def _reflection_within(inner, outer, w: np.ndarray) -> bool:
+    """The image of cone inner under v -> v - 2 (v . w) w lies in cone
+    outer; the reflection reverses orientation, so the ends of inner swap."""
+    if outer is _ALL_DIRECTIONS or inner is _ALL_DIRECTIONS:
+        return outer is _ALL_DIRECTIONS
+    p, q = (v - 2.0 * (v @ w) * w for v in inner[::-1])
+    return _in_cone(p, outer) and _in_cone(q, outer) and _cross(p, q) >= -_ANGLE_TOL
+
+
+def _half_cone(cone, w: np.ndarray):
+    """The directions v of the cone with v . w >= 0, clipped at -perp(w)
+    and perp(w); None when there are none."""
+    u = perp(w)
+    if cone is _ALL_DIRECTIONS:
+        return -u, u
+    a, b = cone
+    if a @ w < 0.0 and b @ w < 0.0:
+        return None
+    return (a if a @ w >= 0.0 else -u), (b if b @ w >= 0.0 else u)
 
 
 def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry) -> bool:
@@ -464,31 +443,24 @@ def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry) -> bool:
     whose reflected contact is off the boundary, e.g. a perturbed offset.
     """
     w = entry.omega
-    lam = entry.value
     iv = chord(poly, entry.witness_s, w)
     if iv is None:
         raise WitnessInvalid(f"witness coordinate {entry.witness_s} misses the body")
-    a, b = iv
     u = perp(w)
-    x_top = entry.witness_s * u + b * w
-    x_bot = entry.witness_s * u + (2.0 * lam - b) * w
+    x_top = entry.witness_s * u + iv[1] * w
+    x_bot = entry.witness_s * u + (2.0 * entry.value - iv[1]) * w
     tol = _CONTACT_TOL * poly.eps
     if float(np.hypot(*(x_top - x_bot))) <= tol:
         cone = _normal_cone(poly, x_top, tol)
         if cone is None:
             return False
-        gamma = float(np.arctan2(w[1], w[0]))
-        lower = _arc_intersect_halfcircle(cone, gamma + 0.5 * np.pi)
-        upper = _arc_intersect_halfcircle(cone, gamma - 0.5 * np.pi)
-        if lower is None or lower.width < -_ANGLE_TOL:
+        lower = _half_cone(cone, -w)
+        if lower is None:
             return True  # nothing to fold
-        if upper is None:
-            return False
-        return _arc_contains(upper, _reflect_arc(lower, w), _ANGLE_TOL)
-    if boundary_distance(poly, x_bot) > tol:
+        upper = _half_cone(cone, w)
+        return upper is not None and _reflection_within(lower, upper, w)
+    cone_bot = _normal_cone(poly, x_bot, tol)
+    if cone_bot is None:
         return False
     cone_top = _normal_cone(poly, x_top, tol)
-    cone_bot = _normal_cone(poly, x_bot, tol)
-    if cone_top is None or cone_bot is None:
-        return False
-    return _arc_contains(cone_top, _reflect_arc(cone_bot, w), _ANGLE_TOL)
+    return cone_top is not None and _reflection_within(cone_bot, cone_top, w)

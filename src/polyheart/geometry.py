@@ -26,11 +26,10 @@ from .errors import CenterTooCloseToBoundary, InvalidPolygon, NoConvergence
 
 EPS_REL = 1e-9
 
-# Extent thresholds (in units of eps) separating point / segment / polygon
-# when classifying a clipped region.  Kept well above the per-plane clip
-# slack so fattened degenerate sets classify correctly.
-_POINT_FACTOR = 50.0
-_WIDTH_FACTOR = 50.0
+# A clipped region no longer than this many eps classifies as a point, and
+# one no wider across its longest chord as a segment.  Kept well above the
+# per-plane clip slack so fattened degenerate sets classify correctly.
+_DEGENERATE_FACTOR = 50.0
 
 # Edges with |n . d| at most this are parallel to direction d: they bound
 # no chord along d, only exclude the line when it runs outside them.
@@ -97,10 +96,6 @@ class HalfPlane:
     def __post_init__(self):
         object.__setattr__(self, "normal", check_direction(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-
-    def signed_distance(self, x) -> float:
-        """Positive outside the half-plane, negative inside."""
-        return float(np.dot(self.normal, np.asarray(x, dtype=float)) - self.offset)
 
 
 def _polygon_area(points: np.ndarray) -> float:
@@ -334,7 +329,7 @@ def _classify(points: np.ndarray, eps: float) -> Region:
         return Region("point", pts.copy())
     i, j, _ = _farthest_pair(pts)
     extent = float(np.hypot(*(pts[j] - pts[i])))
-    if extent <= _POINT_FACTOR * eps:
+    if extent <= _DEGENERATE_FACTOR * eps:
         # bbox midpoint: insensitive to vertex multiplicity along the ring
         mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         return Region("point", mid[None, :])
@@ -342,7 +337,7 @@ def _classify(points: np.ndarray, eps: float) -> Region:
     center = pts.mean(axis=0)
     t = (pts - center) @ u
     w = np.abs((pts - center) @ perp(u))
-    if w.max() <= _WIDTH_FACTOR * eps:
+    if w.max() <= _DEGENERATE_FACTOR * eps:
         lo, hi = center + t.min() * u, center + t.max() * u
         return Region("segment", np.array([lo, hi]))
     if len(pts) < 3:

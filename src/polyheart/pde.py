@@ -489,13 +489,12 @@ class VerificationReport:
         return round(last_marched.time / (self.grid.spacing ** 2 / _DT_FACTOR))
 
 
-def full_verify(poly: ConvexPolygon, heart, h: float | None = None,
-                t_end: float | None = None) -> VerificationReport:
+def full_verify(poly: ConvexPolygon, heart, h: float | None = None) -> VerificationReport:
     """End-to-end run: grid, modes, eigenpair, trajectory, membership in heart.
 
     heart is the Heart the trajectory is checked against, as heart_region
     returns it.  The spacing h defaults to inradius/50.  The horizon
-    defaults to max(10/lam1, 2500 h^2): long enough for the eigenmode to
+    is max(10/lam1, 2500 h^2): long enough for the eigenmode to
     dominate, and never shorter than the time scale the grid itself can
     resolve.  _N_SAMPLES samples are geometric in whole steps from about
     t_end/100 (see sample_steps), giving the two decades the short-time
@@ -506,8 +505,7 @@ def full_verify(poly: ConvexPolygon, heart, h: float | None = None,
     grid = rasterize(poly, h)
     modes = laplacian_modes(grid)
     eigen = eigen_solve(grid, modes=modes)
-    if t_end is None:
-        t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
+    t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
     dt = h * h / _DT_FACTOR
     samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, modes=modes)
     membership = verify_heart(samples, eigen.location, heart.region, _MEMBERSHIP_SLACK * h)

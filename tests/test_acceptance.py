@@ -218,7 +218,7 @@ def test_07_distance_bounds_consistency(pde_bodies, pde_runs, disc_eigen):
         stats = BodyStats.from_polygon(poly)
         general = distance_bounds_general(stats, eig.eigenvalue)
         convex = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly))
+        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly)[0])
         for label, bound in (
             ("general-precise", general.precise),
             ("general-coarse", general.coarse),
@@ -266,7 +266,7 @@ def test_08_polar_suite(pde_bodies, pde_runs, disc_eigen):
         stats = BodyStats.from_polygon(poly)
         general = distance_bounds_general(stats, eig.eigenvalue)
         convex = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly))
+        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly)[0])
         for bound in (general.precise, general.coarse, convex.precise, convex.coarse, star):
             assert depth >= bound
 

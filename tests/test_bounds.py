@@ -55,7 +55,7 @@ def test_eigen_upper_prefers_numeric(square):
 
 def test_starshaped_upper_disc_tight(disc256):
     ub = eigenvalue_upper_starshaped(
-        BodyStats.from_polygon(disc256), minimal_reciprocal_support_integral(disc256)
+        BodyStats.from_polygon(disc256), minimal_reciprocal_support_integral(disc256)[0]
     )
     assert ub >= DISC_LAM
     assert ub == pytest.approx(DISC_LAM, rel=1e-3)
@@ -86,20 +86,20 @@ def test_reciprocal_support_unstable_on_boundary(square):
 
 
 def test_minimal_reciprocal_support_square(square):
-    val, center = minimal_reciprocal_support_integral(square, return_center=True)
+    val, center = minimal_reciprocal_support_integral(square)
     assert val == pytest.approx(8.0, abs=1e-6)
     assert np.allclose(center, [0.5, 0.5], atol=1e-3)
 
 
 def test_minimal_reciprocal_support_disc(disc256):
-    val = minimal_reciprocal_support_integral(disc256)
+    val = minimal_reciprocal_support_integral(disc256)[0]
     assert val == pytest.approx(2.0 * np.pi, abs=2e-3)
 
 
 def test_minimal_reciprocal_support_is_stationary(halfdisc64):
     # the gradient sum |e_i| n_i / d_i^2 vanishes at the returned minimizer
     for poly in [halfdisc64, *random_bodies(seed=29, count=12, lo=3)]:
-        val, center = minimal_reciprocal_support_integral(poly, return_center=True)
+        val, center = minimal_reciprocal_support_integral(poly)
         gaps = poly.edge_offsets - poly.edge_normals @ center
         grad = (poly.edge_lengths / gaps**2) @ poly.edge_normals
         assert np.linalg.norm(grad) <= 1e-9 * val / poly.diameter
@@ -110,7 +110,7 @@ def test_distance_goldens_square(square):
     stats = BodyStats.from_polygon(square)
     conv = distance_bounds_convex(stats)
     assert conv.coarse == pytest.approx(0.00336489, abs=1e-7)
-    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(square))
+    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(square)[0])
     # every square support line touches the incircle, so the star route
     # reproduces the convex one exactly
     assert star == pytest.approx(conv.precise, rel=1e-5)
@@ -136,7 +136,7 @@ def test_bound_hierarchy_random():
         ub = eigenvalue_upper_bounds(stats)
         gen = distance_bounds_general(stats, ub.best)
         conv = distance_bounds_convex(stats)
-        w_val = minimal_reciprocal_support_integral(poly)
+        w_val = minimal_reciprocal_support_integral(poly)[0]
         star = distance_bound_starshaped(stats, w_val)
         # the star bound is the precise general one at lam_W = lam(B1)/2 * W/|body|,
         # i.e. 16 |body| / (lam(B1)^2 d W^2)
@@ -156,7 +156,7 @@ def test_bound_hierarchy_random():
 def test_bounds_scale_linearly(right_tri):
     doubled = ConvexPolygon(2.0 * right_tri.vertices)
     s1, s2 = (
-        distance_bound_starshaped(BodyStats.from_polygon(p), minimal_reciprocal_support_integral(p))
+        distance_bound_starshaped(BodyStats.from_polygon(p), minimal_reciprocal_support_integral(p)[0])
         for p in (right_tri, doubled)
     )
     assert s2 == pytest.approx(2.0 * s1, rel=1e-6)

@@ -130,6 +130,19 @@ def test_invalid_body_exits_1(capsys):
     assert msg["error"]["type"] == "InvalidPolygon"
 
 
+@pytest.mark.parametrize("generator", [
+    "square",
+    {"name": "rectangle", "args": 5},
+    {"name": ["square"]},
+])
+def test_malformed_generator_exits_1(tmp_path, capsys, generator):
+    p = tmp_path / "gen.json"
+    p.write_text(json.dumps({"generator": generator}))
+    code, _, err = run(["heart", "--body", str(p)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "InvalidPolygon"
+
+
 def test_nonconvex_vertices_exit_1(tmp_path, capsys):
     spec = {"vertices": [[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]]}
     p = tmp_path / "bad.json"

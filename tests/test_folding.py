@@ -20,6 +20,7 @@ from polyheart.errors import OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
     _CENTROID_TOL,
     _CONTAINMENT_TOL,
+    FoldEntry,
     chord_midpoint,
     folding_offset,
     folding_offset_bisection,
@@ -272,15 +273,65 @@ def test_normal_cone_holds_at_witness():
             assert normal_cone_check(poly, entry)
 
 
-def test_normal_cone_negative_control(right_tri):
-    entry = folding_offset(right_tri, unit(0.3))
-    shifted = type(entry)(
-        omega=entry.omega,
-        value=entry.value - 0.07 * right_tri.diameter,
-        witness_s=entry.witness_s,
-        witness_vertex=entry.witness_vertex,
-    )
-    assert not normal_cone_check(right_tri, shifted)
+@pytest.mark.parametrize("delta", [1e-3, -1e-3, 0.07, -0.07])
+@pytest.mark.parametrize("body", ["right_tri", "square", "rect21", "hexagon", "halfdisc64", "disc256"])
+def test_normal_cone_negative_control(request, body, delta):
+    # a fold value moved off the witness leaves the lower contact off the boundary
+    poly = request.getfixturevalue(body)
+    entry = folding_offset(poly, unit(0.3))
+    shifted = FoldEntry(entry.omega, entry.value + delta * poly.diameter, entry.witness_s, entry.witness_vertex)
+    assert not normal_cone_check(poly, shifted)
+
+
+def _similar_entry(entry, value, rot, scale, t):
+    """The fold entry of the image under x -> scale * rot x + t, at fold value ``value``."""
+    w = rot @ entry.omega
+    return FoldEntry(w, scale * value + w @ t, scale * entry.witness_s + perp(w) @ t, entry.witness_vertex)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    rotation=st.floats(0.0, 2.0 * np.pi),
+    scale=st.floats(0.1, 10.0),
+    shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_normal_cone_similarity_invariant(seed, n, rotation, scale, shift):
+    poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
+    c, s = np.cos(rotation), np.sin(rotation)
+    rot = np.array([[c, -s], [s, c]])
+    t = np.array(shift)
+    moved = ConvexPolygon(scale * poly.vertices @ rot.T + t)
+    for entry in folding_profile(poly, heart_directions(poly, 16)).entries:
+        for delta in (0.0, 1e-3, -1e-3, 0.07, -0.07):
+            value = entry.value + delta * poly.diameter
+            want = normal_cone_check(poly, FoldEntry(entry.omega, value, entry.witness_s, entry.witness_vertex))
+            assert normal_cone_check(moved, _similar_entry(entry, value, rot, scale, t)) == want
+            if delta == 0.0:
+                assert want
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("h", [3e-9, 5e-9, 10e-9])
+def test_normal_cone_sliver_rotation_invariant(a, h):
+    # a few eps thick, so a contact point can lie within tolerance of every
+    # edge; the verdict must not depend on how the sliver is turned.  The
+    # directions along the long edge (k = 0, 32) are left out: there a chord
+    # end is where two edges about h radians apart cross, rounding moves it
+    # by about 1e-16 / h along the chord, past the contact tolerance, and
+    # the contact point is lost before any cone is compared.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [a, h]])
+    poly = ConvexPolygon(pts)
+    theta = 2.0 * np.pi * np.delete(np.arange(64), [0, 32]) / 64
+    entries = folding_profile(poly, np.column_stack([np.cos(theta), np.sin(theta)])).entries
+    want = [normal_cone_check(poly, e) for e in entries]
+    for phi in (0.7, 2.1, 3.5, 5.0):
+        c, s = np.cos(phi), np.sin(phi)
+        rot = np.array([[c, -s], [s, c]])
+        moved = ConvexPolygon(pts @ rot.T)
+        got = [normal_cone_check(moved, _similar_entry(e, e.value, rot, 1.0, np.zeros(2))) for e in entries]
+        assert got == want, phi
 
 
 def test_too_few_directions(square):

@@ -121,7 +121,7 @@ def test_straight_angle_vertex():
     assert len(pb.body) == 4
     assert pb.area == pytest.approx(4.0, abs=1e-12)
     assert np.allclose(santalo_point(poly), [1.0, 0.5], atol=1e-9)
-    assert minimal_reciprocal_support_integral(poly) == pytest.approx(10.0, abs=1e-9)
+    assert minimal_reciprocal_support_integral(poly)[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_minimizers_reject_body_thinner_than_eps():
