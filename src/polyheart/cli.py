@@ -154,10 +154,10 @@ def _fourier_section(poly, cutoff: float, seed: int) -> dict:
     checks = []
     for w in dirs:
         lo, hi = shadow_interval(poly, w)
-        for frac in (0.35, 0.5, 0.65):
-            y = lo + frac * (hi - lo)
+        ys = [lo + frac * (hi - lo) for frac in (0.35, 0.5, 0.65)]
+        recons = midpoint_via_transform(poly, w, np.array(ys), cutoff=cutoff)
+        for y, recon in zip(ys, recons.tolist()):
             direct = chord_midpoint(poly, w, y)
-            recon = midpoint_via_transform(poly, w, y, cutoff=cutoff)
             checks.append(
                 {
                     "omega": w.tolist(),

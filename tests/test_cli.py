@@ -6,6 +6,7 @@ import pytest
 
 import polyheart.bounds as bounds
 import polyheart.cli as cli
+import polyheart.fourier as fourier
 import polyheart.geometry as geometry
 import polyheart.polar as polar
 from polyheart.errors import NoConvergence
@@ -188,6 +189,13 @@ def test_fourier_check(capsys):
     code, out, _ = run(["fourier-check", "--body", "square"], capsys)
     assert code == 0
     assert "transform at zero" in out
+
+
+def test_fourier_check_one_prelude_per_direction(monkeypatch, capsys):
+    # one for the area check, then one per direction for its three points
+    calls = count_calls(monkeypatch, fourier._prelude)
+    assert run(["fourier-check", "--body", "regular_ngon:7"], capsys)[0] == 0
+    assert len(calls) == 4
 
 
 def test_polar_subcommand(capsys):

@@ -11,11 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from polyheart import bodies
+from polyheart import bodies, fourier
 from polyheart.errors import DenominatorTooSmall, FrequencyNotOrthogonal
 from polyheart.folding import chord_midpoint
 from polyheart.fourier import (
+    _prelude,
     _sinc,
+    _transform,
+    _transform_deriv,
     chord_via_transform,
     indicator_transform,
     indicator_transform_deriv,
@@ -164,3 +167,137 @@ def test_error_decays_with_cutoff(halfdisc64):
         ]
         errs[cutoff] = float(np.median(e))
     assert errs[200.0] <= 0.7 * errs[100.0]
+
+
+def full_line_midpoint(poly: ConvexPolygon, w: np.ndarray, y: float, cutoff: float = 400.0):
+    """Reference: the midpoint ratio over the whole segment [-S, S] in the
+    origin's frame, on a node set of its own for this one point.
+
+    Returns the midpoint and the number of panels.  At least 4096 nodes,
+    more when 8 per oscillation at y need it, in panels of 8.
+    """
+    u = perp(w)
+    s_max = cutoff * 2.0 * np.pi / poly.diameter
+    mids = poly.vertices + 0.5 * poly.edges
+    freq = abs(y) + float(np.abs(mids @ u).max()) + 1e-9
+    total = max(4096, int(np.ceil(8.0 * s_max * freq / np.pi)))
+    panels = max(8, int(np.ceil(total / 8.0)))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    ends = np.linspace(-s_max, s_max, panels + 1)
+    half = 0.5 * (ends[1:] - ends[:-1])
+    centers = 0.5 * (ends[1:] + ends[:-1])
+    s = (centers[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
+    pre = _prelude(poly, s[:, None] * u[None, :], np.zeros(2))
+    swing = np.exp(1j * y * s)
+    denom = np.real(wts @ (_transform(poly, pre) * swing))
+    numer = np.real(wts @ (1j * _transform_deriv(poly, w, pre) * swing))
+    return float(numer / denom), panels
+
+
+def prelude_sizes(monkeypatch) -> list:
+    """Record the number of frequencies of every fourier._prelude call."""
+    sizes = []
+    orig = fourier._prelude
+
+    def spy(poly, xi, origin):
+        sizes.append(len(xi))
+        return orig(poly, xi, origin)
+
+    monkeypatch.setattr(fourier, "_prelude", spy)
+    return sizes
+
+
+def centred(poly: ConvexPolygon) -> ConvexPolygon:
+    return ConvexPolygon(poly.vertices - poly.centroid)
+
+
+def test_half_line_rule_is_full_rule_folded():
+    # The half-line keeps the full rule's panels over [0, S] when their
+    # count is even, so on a body centred at the origin it is the full
+    # rule folded in half.  The points near the shadow ends need more than
+    # the 4096-node floor.
+    cases = [
+        (bodies.regular_ngon(7), 1.0, (0.06, 0.08, 0.5, 0.7)),
+        (centred(bodies.halfdisc(1.0, 0.0, 64)), 2.2, (0.06, 0.3, 0.8, 0.94)),
+    ]
+    grown = 0
+    for poly, theta, fracs in cases:
+        w = unit(theta)
+        lo, hi = shadow_interval(poly, w)
+        for frac in fracs:
+            y = lo + frac * (hi - lo)
+            want, panels = full_line_midpoint(poly, w, y)
+            assert panels % 2 == 0
+            grown += panels * 8 > 4096
+            got = midpoint_via_transform(poly, w, y)
+            assert abs(got - want) <= 1e-11 * poly.diameter
+    assert grown >= 5
+
+
+def test_midpoint_batch_matches_scalar(monkeypatch, halfdisc64):
+    # Points whose own node set is the batch's one: then batching changes
+    # only the order of the sums.  A point that needs fewer nodes than the
+    # batch's largest |y| gets the batch's finer rule instead.
+    sizes = prelude_sizes(monkeypatch)
+    for poly in (bodies.square(), bodies.regular_ngon(7), halfdisc64, *random_bodies(seed=5, count=3)):
+        for theta in (0.0, 1.0, 2.2):
+            w = unit(theta)
+            lo, hi = shadow_interval(poly, w)
+            mid = float(poly.centroid @ perp(w))
+            ys = mid + np.array([-0.1, 0.0, 0.05, 0.1]) * (hi - lo)
+            sizes.clear()
+            got = midpoint_via_transform(poly, w, ys)
+            singles = [midpoint_via_transform(poly, w, y) for y in ys]
+            assert len(set(sizes)) == 1 and len(sizes) == 1 + len(ys)
+            assert isinstance(got, np.ndarray) and got.shape == ys.shape
+            assert all(isinstance(v, float) for v in singles)
+            assert np.max(np.abs(got - singles)) <= 1e-13 * poly.diameter
+
+
+def test_node_budget_ignores_translation(monkeypatch, square):
+    sizes = prelude_sizes(monkeypatch)
+    far = ConvexPolygon(square.vertices + 1000.0)
+    for theta in (0.0, 1.0, 2.2):
+        w = unit(theta)
+        errs = []
+        for poly in (square, far):
+            lo, hi = shadow_interval(poly, w)
+            ys = lo + np.array([0.3, 0.5, 0.7]) * (hi - lo)
+            got = midpoint_via_transform(poly, w, ys)
+            errs.append(got - np.array([chord_midpoint(poly, w, y) for y in ys]))
+        assert sizes[0] == sizes[1]
+        assert np.max(np.abs(errs[0] - errs[1])) <= 1e-12
+        sizes.clear()
+    at_origin = chord_via_transform(square, unit(1.0), 0.2)
+    shifted = chord_via_transform(far, unit(1.0), 0.2 + 1000.0 * float(perp(unit(1.0)).sum()))
+    assert sizes[0] == sizes[1]
+    assert abs(at_origin - shifted) <= 1e-12
+
+
+def test_margin_error_names_first_bad_point(monkeypatch, square):
+    sizes = prelude_sizes(monkeypatch)
+    w = np.array([0.0, 1.0])
+    lo, hi = shadow_interval(square, w)
+    ys = np.array([lo + 0.5, hi - 0.01, lo + 0.02])
+    with pytest.raises(DenominatorTooSmall) as info:
+        midpoint_via_transform(square, w, ys)
+    msg = str(info.value)
+    assert f"shadow coordinate {ys[1]} " in msg
+    assert "0.01" in msg and "margin 0.05" in msg
+    assert sizes == []
+
+
+def test_short_chord_error_states_value_and_bound():
+    thin = bodies.rectangle(10.0, 0.1)
+    w = np.array([0.0, 1.0])
+    lo, hi = shadow_interval(thin, w)
+    ys = lo + np.array([0.5, 0.6]) * (hi - lo)
+    with pytest.raises(DenominatorTooSmall) as info:
+        midpoint_via_transform(thin, w, ys)
+    msg = str(info.value)
+    bound = 0.05 * thin.diameter * 2.0 * np.pi
+    assert f"shadow coordinate {ys[0]} " in msg
+    assert f"= {bound}" in msg
+    value = float(msg.split("2*pi*chord ")[1].split()[0])
+    assert abs(value) == pytest.approx(2.0 * np.pi * 0.1, rel=0.05)
