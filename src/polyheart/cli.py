@@ -133,6 +133,7 @@ def _pde_section(poly, heart, args) -> dict:
         "hot_spot_limit": rep.eigen.location.tolist(),
         "modes": len(rep.modes.values),
         "switch_step": rep.switch_step,
+        "chebyshev_degree": rep.chebyshev_degree,
         "track": [
             {"time": s.time, "location": s.location.tolist(), "peak": s.peak, "bound": s.bound}
             for s in rep.samples

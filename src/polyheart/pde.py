@@ -4,24 +4,26 @@ The grid is the global lattice h*Z^2 clipped to the body: nodes strictly
 inside carry unknowns, everything else is clamped to zero (staircase
 Dirichlet, first order).  Anchoring to the global lattice instead of the
 body's bounding box makes mirrored bodies produce mirrored node sets, and
-the update stencil and peak refinement below only combine values through
+the stencil and peak refinement below only combine values through
 commutative pairs, so a mirrored run reproduces the mirrored trajectory
-bit for bit.
+up to the summation order of one matrix product (far below 1e-10).
 
-Heat flow uses explicit Euler at dt = h^2/5, comfortably inside the h^2/4
-stability limit; the update is then a convex combination of neighbor
-values, so the maximum principle holds exactly, not just approximately.
-The step is u <- (I - dt A) u on the interior nodes, A the five-point
-Dirichlet Laplacian, so once the part of u outside A's lowest K modes
-is negligible the march is the closed form V ((1 - dt mu)^m * V^T u):
-heat_solve marches only until then and evaluates later samples from
-the modes, stating an error bound for each.  The same modes, the lowest
-eigenpairs from one shift-invert Lanczos solve (scipy's eigsh, so one
-sparse LU factorization), give the eigenpair.  Hot-spot locations are
-refined off-lattice by a least-squares quadratic fit on the 3x3
-neighborhood of the grid argmax.
+The heat flow is the explicit Euler march at dt = h^2/5, comfortably
+inside the h^2/4 stability limit: u <- p(B) u on the interior nodes, with
+B = A h^2/4 - I = -(four-neighbour sum)/4, A the five-point Dirichlet
+Laplacian and p(t) = (1 - 4t)/5.  The march is never run step by step.
+Up to the hand-over, n steps are the Chebyshev series of p^n in B, whose
+coefficients come from an exact recurrence and whose dropped tail, since
+|T_k(B)|_2 <= 1, bounds the error; one three-term recurrence
+T_{k+1}(B) u = 2B T_k(B) u - T_{k-1}(B) u serves every sample.  Once the
+part of u outside A's lowest K modes is negligible, the march is the
+closed form V ((1 - dt mu)^m * V^T u), and heat_solve evaluates later
+samples from the modes, stating an error bound for each.  The same
+modes, the lowest eigenpairs from one shift-invert Lanczos solve
+(scipy's eigsh on one sparse LU factorization), give the eigenpair.
+Hot-spot locations are refined off-lattice by a least-squares quadratic
+fit on the 3x3 neighborhood of the grid argmax.
 """
-
 from __future__ import annotations
 
 import math
@@ -58,15 +60,25 @@ _EARLY_REL_TOL = 0.10
 _LATE_SLACK_REL = 0.02
 _DECAY_TAIL = 6
 _DECAY_REL_TOL = 0.02
-# Lowest Laplacian modes kept for the heat march's late phase.  More
-# modes let the march hand over earlier but make eigsh slower.  On a
-# half-disc and three seeded 8-12-gons at h = inradius/50 (13k-16k
-# nodes, 2-core machine) eigsh plus march took 5.8-6.2 s for all four
-# at 32 modes, 5.9-6.8 s at 28, 5.9-6.2 s at 40 and 6.7-6.9 s at 24.
-_MODES = 32
-# The march hands over to the modes once the part of u outside them has
+# Lowest Laplacian modes kept for the heat track's late phase.  More
+# modes let the track hand over earlier but make eigsh slower, and the
+# Chebyshev early phase costs only about sqrt(n) products for n steps.
+# On a half-disc and three seeded 8-12-gons at h = inradius/50 (13k-16k
+# nodes, 2-core machine) laplacian_modes, eigen_solve and heat_solve
+# took 1.66-1.89 s for all four at 16 modes, 1.81-1.94 s at 24 and
+# 2.09-2.31 s at 32 (five runs each); 12 and 8 modes took 1.44-1.59 s
+# and 1.29-1.62 s in three runs.
+_MODES = 16
+# The track hands over to the modes once the part of u outside them has
 # 2-norm at most this fraction of max|u|.
 _SWITCH_TOL = 1e-10
+# Each early sample's Chebyshev series is cut where the l1 norm of the
+# dropped coefficients is at most this.
+_CHEB_TOL = 1e-17
+# Steps per precomputed power of p in the coefficient recurrence.
+_CHEB_CHUNK = 64
+# Chebyshev vectors T_k(B) u stacked per matrix product into the samples.
+_CHEB_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -201,11 +213,14 @@ def _locate_peak(grid: GridField, values: np.ndarray) -> tuple[np.ndarray, float
 class TrackSample:
     """Hot spot of the heat flow at one sampled time.
 
-    bound caps the sup-norm difference between the sampled field and the
-    explicit march at this step, rounding aside: 0.0 for marched samples,
-    rho^m * |r|_2 for samples evaluated from the modes m steps after the
-    hand-over, where r is the part of u outside the modes at the
-    hand-over (see heat_solve).
+    bound caps the 2-norm, and so the sup norm, of the difference between
+    the sampled field and the explicit march at this step, rounding
+    aside.  Early samples are Chebyshev series of degree `degree`: their
+    bound is the dropped coefficient tail times the 2-norm of the field
+    the series started from (see heat_solve).  Spectral samples,
+    evaluated from the modes m steps after the hand-over, state
+    rho^m * |r|_2 plus the hand-over sample's bound, where r is the part
+    of u outside the modes at the hand-over; their degree is 0.
     """
 
     time: float
@@ -213,6 +228,111 @@ class TrackSample:
     peak: float
     bound: float = 0.0
     spectral: bool = False
+    degree: int = 0
+
+
+def _chebyshev_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of two Chebyshev series.
+
+    T_j T_k = (T_{j+k} + T_{|j-k|}) / 2.  On powers of p every term of one
+    output coefficient has the same sign, so each keeps its relative
+    accuracy however small it is.
+    """
+    out = np.convolve(a, b)
+    lags = np.correlate(a, b, mode="full")  # lags[len(b) - 1 + d] pairs a_{i+d} with b_i
+    mid = len(b) - 1
+    out[: len(a)] += lags[mid:]
+    out[1 : len(b)] += lags[:mid][::-1]
+    return 0.5 * out
+
+
+def _powers_of_p(count: int) -> list[np.ndarray]:
+    """Chebyshev coefficients of p^0 .. p^count, p(t) = (1 - 4t)/5."""
+    p = np.array([0.2, -0.8])
+    powers = [np.ones(1)]
+    for _ in range(count):
+        powers.append(_chebyshev_product(powers[-1], p))
+    return powers
+
+
+_P_POWERS = _powers_of_p(_CHEB_CHUNK)
+
+
+def _power_series(steps) -> list[np.ndarray]:
+    """Chebyshev coefficients of p^n for each n in steps, ascending.
+
+    One product with p^_CHEB_CHUNK per chunk and one with p^r for the
+    remainder r between consecutive steps.  Trailing coefficients below
+    the smallest normal float are dropped: they only slow the products.
+    """
+    series = []
+    c = np.ones(1)
+    done = 0
+    for n in steps:
+        while n - done >= _CHEB_CHUNK:
+            c = _chebyshev_product(c, _P_POWERS[_CHEB_CHUNK])
+            done += _CHEB_CHUNK
+        if n > done:
+            c = _chebyshev_product(c, _P_POWERS[n - done])
+            done = n
+        c = c[: int(np.flatnonzero(np.abs(c) >= np.finfo(float).tiny)[-1]) + 1]
+        series.append(c)
+    return series
+
+
+def _cut_series(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Leading coefficients of c up to the lowest degree whose dropped
+    tail has l1 norm at most _CHEB_TOL, and that tail's norm."""
+    tails = np.append(np.cumsum(np.abs(c[::-1]))[::-1], 0.0)  # tails[k] = sum_{j >= k} |c_j|
+    degree = int(np.argmax(tails[1:] <= _CHEB_TOL))
+    return c[: degree + 1], float(tails[degree + 1])
+
+
+def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
+    """Yield (p(B)^n u, degree, tail) for each n in steps, ascending.
+
+    Each field is its series cut by _cut_series, summed from one
+    three-term recurrence on u, _CHEB_BLOCK vectors per matrix product.
+    A field is yielded as soon as the recurrence passes its degree, so a
+    caller that stops early saves the rest.  The stencil runs on the
+    flattened padded grid, where the four neighbours of node i are
+    i +- 1 and i +- ny; only padding nodes, which the mask zeroes, read
+    across the end of a row.
+    """
+    cut = [_cut_series(c) for c in _power_series(steps)]
+    degrees = [len(c) - 1 for c, _ in cut]
+    coeffs = np.zeros((len(cut), max(degrees) + 1))
+    for row, (c, _) in zip(coeffs, cut):
+        row[: len(c)] = c
+    acc = np.zeros((len(cut), u.size))
+    block = np.zeros((_CHEB_BLOCK, u.size))
+    ny = u.shape[1]
+    lo, hi = ny + 1, u.size - ny - 1
+    inner = mask_f.ravel()[lo:hi]
+    nbr = np.empty(hi - lo)
+    pair = np.empty(hi - lo)
+    done = 0
+    for k0 in range(0, coeffs.shape[1], _CHEB_BLOCK):
+        k1 = min(k0 + _CHEB_BLOCK, coeffs.shape[1])
+        for k in range(k0, k1):
+            t = block[k % _CHEB_BLOCK]
+            if k == 0:
+                t[:] = u.ravel()
+                continue
+            a = block[(k - 1) % _CHEB_BLOCK]
+            np.add(a[lo + ny : hi + ny], a[lo - ny : hi - ny], out=nbr)
+            np.add(a[lo + 1 : hi + 1], a[lo - 1 : hi - 1], out=pair)
+            nbr += pair
+            if k == 1:
+                nbr *= -0.25
+            else:
+                nbr *= -0.5
+                nbr -= block[(k - 2) % _CHEB_BLOCK][lo:hi]
+            np.multiply(nbr, inner, out=t[lo:hi])
+        acc[done:] += coeffs[done:, k0:k1] @ block[: k1 - k0]
+        while done < len(cut) and degrees[done] < k1:
+            yield acc[done].reshape(u.shape), degrees[done], cut[done][1]
+            done += 1
 
 
 def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
@@ -235,14 +355,24 @@ def heat_solve(grid: GridField, sample_times, modes: LaplacianModes | None = Non
     """Heat flow from unit initial data, sampling the hot spot.
 
     Requested times land on the nearest step multiple of dt = h^2/5; the
-    recorded times are the actual ones.  The explicit march runs up to the
-    first sample step n_s where the part r = u - V V^T u of u outside the
-    modes has |r|_2 <= _SWITCH_TOL * max|u|.  Every later sample is the
-    march's closed form u_n = V ((1 - dt mu)^(n - n_s) * V^T u_{n_s}).  The
-    dropped part evolves by the same step in the span of the other modes,
-    whose eigenvalues lie in [mu_K, 8/h^2), so it shrinks by at least
-    rho = max(1 - dt mu_K, 8 dt/h^2 - 1) per step; rho^(n - n_s) |r|_2 is
-    each spectral sample's stated bound.  modes defaults to
+    recorded times are the actual ones.  Each early sample at step n is
+    the explicit march's p(B)^n u_0 as a Chebyshev series (see
+    _chebyshev_fields), up to the first sample step n_s where the part
+    r = u - V V^T u of u outside the modes has |r|_2 <= _SWITCH_TOL *
+    max|u|.  Every later sample is the march's closed form
+    u_n = V ((1 - dt mu)^(n - n_s) * V^T u_{n_s}).  The dropped part
+    evolves by the same step in the span of the other modes, whose
+    eigenvalues lie in [mu_K, 8/h^2), so it shrinks by at least
+    rho = max(1 - dt mu_K, 8 dt/h^2 - 1) per step; rho^(n - n_s) |r|_2
+    plus the hand-over sample's bound is each spectral sample's stated
+    bound.
+
+    The recurrence sums no sample past a horizon: the first sample m
+    steps after its start field u where rho^m |u|_2 <= _SWITCH_TOL
+    |v_1 . u| (1 - dt mu_1)^m / sqrt(N) for N nodes, which makes the
+    hand-over check pass in exact arithmetic.  Should rounding defeat it
+    there, the recurrence restarts from that sample's field, whose bound
+    carries over, since |p(B)|_2 <= 1.  modes defaults to
     laplacian_modes(grid).
     """
     times = sorted(float(t) for t in sample_times)
@@ -252,39 +382,49 @@ def heat_solve(grid: GridField, sample_times, modes: LaplacianModes | None = Non
         modes = laplacian_modes(grid)
     h = grid.spacing
     dt = h * h / _DT_FACTOR
-    c = 1.0 / _DT_FACTOR
+    steps = []
+    for t in times:
+        steps.append(max(steps[-1] + 1 if steps else 1, int(round(t / dt))))
     mask_f = grid.mask.astype(float)
     ii, jj = np.nonzero(grid.mask)
     vectors = modes.vectors
     decay = 1.0 - dt * modes.values
-    rho = max(float(decay[-1]), 8.0 * c - 1.0)
-    u = mask_f.copy()
+    rho = max(float(decay[-1]), 8.0 / _DT_FACTOR - 1.0)
+    # the log of the horizon inequality's two sides differs by
+    # margin + (n - start) * slope
+    slope = math.log(float(decay[0])) - math.log(rho)
     samples = []
-    step = 0
+    # u is the field at step start, within carried of the march
+    start, u, carried = 0, mask_f, 0.0
     handover = None
-    for t in times:
-        target = max(step + 1, int(round(t / dt)))
-        if handover is None:
-            while step < target:
-                lap = (u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
-                u[1:-1, 1:-1] += c * (lap - 4.0 * u[1:-1, 1:-1])
-                u *= mask_f
-                step += 1
-            loc, peak = _locate_peak(grid, u)
-            samples.append(TrackSample(step * dt, loc, peak))
-            x = u[ii, jj]
+    while handover is None and len(samples) < len(steps):
+        x = u[ii, jj]
+        norm = float(np.linalg.norm(x))
+        lead = abs(float(vectors[:, 0] @ x))
+        margin = math.log(_SWITCH_TOL * lead / (norm * math.sqrt(len(x)))) if lead > 0.0 else -math.inf
+        pending = steps[len(samples) :]
+        horizon = next((i for i, n in enumerate(pending) if margin + (n - start) * slope >= 0.0), len(pending) - 1)
+        pending = pending[: horizon + 1]
+        fields = _chebyshev_fields(mask_f, u, [n - start for n in pending])
+        for n, (field, degree, tail) in zip(pending, fields):
+            bound = carried + tail * norm
+            loc, peak = _locate_peak(grid, field)
+            samples.append(TrackSample(n * dt, loc, peak, bound=bound, degree=degree))
+            x = field[ii, jj]
             coeffs = vectors.T @ x
             dropped = float(np.linalg.norm(x - vectors @ coeffs))
             if dropped <= _SWITCH_TOL * float(np.abs(x).max()):
-                handover = step, coeffs, dropped
-        else:
-            step = target
-            n_s, coeffs, dropped = handover
-            values = np.zeros_like(u)
-            values[ii, jj] = vectors @ (decay ** (step - n_s) * coeffs)
+                handover = n, coeffs, dropped, bound
+                break
+        start, u, carried = n, field, bound
+    if handover is not None:
+        n_s, coeffs, dropped, carried = handover
+        for n in steps[len(samples) :]:
+            values = np.zeros_like(mask_f)
+            values[ii, jj] = vectors @ (decay ** (n - n_s) * coeffs)
             loc, peak = _locate_peak(grid, values)
-            bound = rho ** (step - n_s) * dropped
-            samples.append(TrackSample(step * dt, loc, peak, bound=bound, spectral=True))
+            bound = rho ** (n - n_s) * dropped + carried
+            samples.append(TrackSample(n * dt, loc, peak, bound=bound, spectral=True))
     return tuple(samples)
 
 
@@ -333,8 +473,10 @@ class LaplacianModes:
 def laplacian_modes(grid: GridField) -> LaplacianModes:
     """The _MODES lowest eigenpairs of _interior_laplacian(grid).
 
-    One shift-invert Lanczos solve at 0 (one sparse LU factorization);
-    the fixed start vector makes it deterministic.  A grid with at most
+    One shift-invert Lanczos solve at 0 on one sparse LU factorization,
+    ordered by minimum degree on A + A^T, which for this symmetric matrix
+    fills in about half as much as SuperLU's default column ordering; the
+    fixed start vector makes it deterministic.  A grid with at most
     2 * _MODES + 1 nodes, where the Lanczos basis would span the whole
     space anyway, gets all its modes from a dense eigh.
     """
@@ -345,9 +487,11 @@ def laplacian_modes(grid: GridField) -> LaplacianModes:
     if n <= 2 * _MODES + 1:
         values, vectors = np.linalg.eigh(mat.toarray())
         return LaplacianModes(mat, values, vectors)
+    lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    inverse = scipy.sparse.linalg.LinearOperator(mat.shape, matvec=lu.solve, dtype=float)
     try:
         values, vectors = scipy.sparse.linalg.eigsh(
-            mat, k=_MODES, sigma=0.0, v0=np.ones(n), maxiter=_EIGEN_MAX_ITER
+            mat, k=_MODES, sigma=0.0, OPinv=inverse, v0=np.ones(n), maxiter=_EIGEN_MAX_ITER
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NoConvergence(
@@ -482,11 +626,20 @@ class VerificationReport:
 
     @property
     def switch_step(self) -> int | None:
-        """Last marched step when later samples came from the modes, else None."""
+        """Hand-over step when later samples came from the modes, else None."""
         if not self.samples[-1].spectral:
             return None
-        last_marched = [s for s in self.samples if not s.spectral][-1]
-        return round(last_marched.time / (self.grid.spacing ** 2 / _DT_FACTOR))
+        return round(self._last_early.time / (self.grid.spacing ** 2 / _DT_FACTOR))
+
+    @property
+    def chebyshev_degree(self) -> int:
+        """Degree of the Chebyshev series of the hand-over sample, or of
+        the last sample when there is no hand-over."""
+        return self._last_early.degree
+
+    @property
+    def _last_early(self) -> TrackSample:
+        return [s for s in self.samples if not s.spectral][-1]
 
 
 def full_verify(poly: ConvexPolygon, heart, h: float | None = None) -> VerificationReport:
