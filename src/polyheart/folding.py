@@ -60,6 +60,10 @@ _SUPPORT_TOL = 5.0       # folding offset above the body's support value
 _CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge or a folding plane
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
 
+# heart_directions merges directions whose angles agree to this many
+# decimals (in radians).
+_ANGLE_DECIMALS = 10
+
 # The bisection oracle stops no finer than this many eps (bisection below
 # rounding level only chases noise), and counts a reflected cap as inside
 # the body when it pokes out by at most _ORACLE_FEAS_REL * diameter, just
@@ -290,7 +294,11 @@ def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
                 ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
     arr = np.array(dirs)
     arr /= np.hypot(arr[:, 0], arr[:, 1])[:, None]
-    _, idx = np.unique(np.round(np.arctan2(arr[:, 1], arr[:, 0]), 10), return_index=True)
+    ang = np.arctan2(arr[:, 1], arr[:, 0])
+    # one half-open range, cut half a rounding step below pi, so that the
+    # angles on both sides of the +-pi seam round to one value
+    ang[ang >= np.pi - 0.5 * 10.0 ** -_ANGLE_DECIMALS] -= 2.0 * np.pi
+    _, idx = np.unique(np.round(ang, _ANGLE_DECIMALS), return_index=True)
     return arr[np.sort(idx)]
 
 

@@ -16,6 +16,7 @@ silently dropping lower-dimensional sets.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,7 @@ EPS_REL = 1e-9
 
 # A clipped region no longer than this many eps classifies as a point, and
 # one no wider across its longest chord as a segment.  Kept well above the
-# per-plane clip slack so fattened degenerate sets classify correctly.
+# per-cut slack so fattened degenerate sets classify correctly.
 _DEGENERATE_FACTOR = 50.0
 
 # Edges with |n . d| at most this are parallel to direction d: they bound
@@ -51,6 +52,11 @@ _NEWTON_ITERATIONS = 60
 # segment, and calls it unique when it spans at most _INCIRCLE_TIE eps.
 _INCIRCLE_SLACK = 2.0
 _INCIRCLE_TIE = 1e3
+
+# halfplane_intersection keeps only the tightest of half-planes whose
+# normals differ by so little that their lines part by at most this share
+# of eps across the bounding box.
+_MERGE_SHARE = 1e-3
 
 
 def unit(theta: float) -> np.ndarray:
@@ -128,20 +134,30 @@ def _edge_distances(starts: np.ndarray, edges: np.ndarray, x) -> np.ndarray:
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
-    """First farthest pair (i, j) in row-major order, and their distance.
+    """Farthest pair (i, j), i <= j, of a convex counterclockwise ring, and their distance.
 
-    Squared distances are scanned in row blocks of about 2M entries; the
-    distance is the square root of the largest one.
+    Rotating calipers (Shamos 1978): a farthest pair is antipodal, and the
+    vertex antipodal to edge i is where the edge directions first turn past
+    that edge's reverse, found for every edge by one sorted search over the
+    unwrapped edge angles.  Each edge's two ends are paired with that vertex
+    and its two neighbours, so a search that stops one vertex early or late
+    at near-collinear vertices still meets the pair.  The distance is the
+    square root of the largest squared distance; among equally far pairs
+    the first in row-major order wins.
     """
     n = len(points)
-    best = (0, 0, 0.0)
-    block = max(1, 2_000_000 // n)
-    for k in range(0, n, block):
-        d2 = np.sum((points[k:k + block, None, :] - points[None, :, :]) ** 2, axis=-1)
-        i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
-        if d2[i, j] > best[2]:
-            best = (k + int(i), int(j), float(d2[i, j]))
-    return best[0], best[1], float(np.sqrt(best[2]))
+    e = np.roll(points, -1, axis=0) - points
+    theta = np.arctan2(e[:, 1], e[:, 0])
+    theta[1:] += 2.0 * np.pi * np.cumsum(np.diff(theta) < -np.pi)  # unwrapped: the ring turns left
+    j = np.searchsorted(np.concatenate([theta, theta + 2.0 * np.pi]), theta + np.pi)
+    a = (np.arange(n)[:, None, None] + np.array([[0], [1]])) % n  # edge i's ends, (n, 2, 1)
+    b = (j[:, None, None] + np.array([-1, 0, 1])) % n  # j(i) and its neighbours, (n, 1, 3)
+    d = points[a] - points[b]
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    top = d2.max()
+    key = np.where(d2 == top, np.minimum(a, b) * n + np.maximum(a, b), n * n)
+    i, j = divmod(int(key.min()), n)
+    return i, j, float(np.sqrt(top))
 
 
 @dataclass(frozen=True)
@@ -355,23 +371,82 @@ def clip(poly: ConvexPolygon, plane: HalfPlane) -> Region:
 
 
 def halfplane_intersection(planes: np.ndarray, bbox, eps: float) -> Region:
-    """Intersect finitely many half-planes inside a seed bounding box.
+    """Intersect finitely many half-planes inside a bounding box.
 
     ``planes`` is an (m, 3) array of rows (nx, ny, c) with unit normals.
     ``bbox`` = (xmin, xmax, ymin, ymax) must contain the result.  Each cut
     is moved out by ``eps`` so that segment- and point-shaped intersections
     survive to be classified rather than vanishing to rounding, and the
     result is classified at the same ``eps``.
+
+    The box's four sides join the cuts, and all are sorted by normal angle,
+    with the +-pi seam folded to one angle; of normals closer than
+    _MERGE_SHARE eps across the box only the tightest plane is kept.  One deque pass then keeps the
+    boundary, O(k log k) in all (de Berg et al., *Computational Geometry*,
+    section 4.2), in a frame centred on the box.  Each new vertex is found
+    by walking forward from the previous one along its line, so rounding at
+    nearly parallel lines cannot fold the ring back on itself.
     """
     xmin, xmax, ymin, ymax = bbox
-    ring = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
-    for nx, ny, c in planes:
-        ring = _clip_ring(ring, np.array([nx, ny]), c + eps)
-        if len(ring) == 0:
-            return EMPTY_REGION
-        if len(ring) > 8:
-            ring = _dedupe_ring(ring, 0.25 * eps)
-    return _classify(ring, eps)
+    center = np.array([xmin + xmax, ymin + ymax]) / 2.0
+    hx, hy = (xmax - xmin) / 2.0, (ymax - ymin) / 2.0
+    p = np.asarray(planes, dtype=float).reshape(-1, 3)
+    normals = np.vstack([p[:, :2], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+    offsets = np.concatenate([p[:, 2] + eps - p[:, :2] @ center, [hx, hx, hy, hy]])
+    gap = _MERGE_SHARE * eps / max(float(np.hypot(hx, hy)), 1e-300)
+    angle = np.arctan2(normals[:, 1], normals[:, 0])
+    angle[angle >= np.pi - gap] -= 2.0 * np.pi  # (-1, +0.0) is (-1, -0.0)
+    order = np.argsort(angle, kind="stable")
+    group = np.concatenate([[0], np.cumsum(np.diff(angle[order]) > gap)])
+    tightest = np.lexsort((offsets[order], group))
+    first = np.concatenate([[True], np.diff(group[tightest]) > 0])
+    keep = order[tightest[first]]
+
+    lines: deque[tuple[float, float, float]] = deque()
+    ring: deque[tuple[float, float]] = deque()  # ring[i] is where lines[i] meets lines[i + 1]
+
+    def beyond(line, v) -> bool:
+        return line[0] * v[0] + line[1] * v[1] > line[2]
+
+    def turn(line) -> float:
+        """Sine of the turn from the back line to ``line``."""
+        return lines[-1][0] * line[1] - lines[-1][1] * line[0]
+
+    def walk(line, s):
+        # forward along the back line from its last vertex to ``line``; the
+        # residual is the one beyond() found <= 0, so the step is >= 0
+        a, b, c = line
+        v = ring[-1]
+        t = (c - (a * v[0] + b * v[1])) / s
+        return v[0] - t * lines[-1][1], v[1] + t * lines[-1][0]
+
+    for line in zip(*normals[keep].T.tolist(), offsets[keep].tolist()):
+        while ring and beyond(line, ring[-1]):
+            lines.pop()
+            ring.pop()
+        while ring and beyond(line, ring[0]):
+            lines.popleft()
+            ring.popleft()
+        if lines:
+            s = turn(line)
+            if s <= 0.0:  # a turn of pi or more: nothing lies inside both
+                return EMPTY_REGION
+            if ring:
+                ring.append(walk(line, s))
+            else:
+                (pa, pb, pc), (a, b, c) = lines[-1], line
+                ring.append(((pc * b - pb * c) / s, (pa * c - a * pc) / s))
+        lines.append(line)
+    while len(ring) > 1 and beyond(lines[0], ring[-1]):
+        lines.pop()
+        ring.pop()
+    while len(ring) > 1 and beyond(lines[-1], ring[0]):
+        lines.popleft()
+        ring.popleft()
+    if len(lines) < 3 or (s := turn(lines[0])) <= 0.0:
+        return EMPTY_REGION
+    ring.append(walk(lines[0], s))
+    return _classify(np.array(ring) + center, eps)
 
 
 def region_point_distance(region: Region, x) -> float:
@@ -452,9 +527,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     Solves max r s.t. n_e . x + r <= c_e as a linear program, then
     reconstructs the full optimal set by re-intersecting the inward-offset
     edges; a tie (e.g. oblong bodies) comes back as that segment's
-    midpoint with unique=False.  The edges that touch the LP circle cut
-    first: they shrink the seed box to the small optimal set at once, so
-    every later cut clips a short ring.
+    midpoint with unique=False.
     """
     n = poly.edge_normals
     c = poly.edge_offsets
@@ -464,8 +537,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     if not res.success:
         raise InvalidPolygon(f"incenter LP failed: {res.message}")
     radius = float(res.x[2])
-    order = np.argsort(c - radius - n @ res.x[:2], kind="stable")
-    planes = np.column_stack([n, c - radius])[order]
+    planes = np.column_stack([n, c - radius])
     opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
     if opt.is_empty:  # cannot happen unless tolerances are inconsistent
         return ChebyshevResult(np.array(res.x[:2]), radius, True)

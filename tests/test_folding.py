@@ -266,6 +266,16 @@ def test_heart_directions_contain_axes(square):
         assert np.min(np.abs(angles - axis)) < 1e-9
 
 
+@pytest.mark.parametrize("n_dirs", [4, 8, 360, 720])
+def test_heart_directions_one_row_at_the_seam(square, rect21, n_dirs):
+    # -pi and pi are one direction: (-1, -0.0) and (-1, 0) must not both stay
+    for poly in (square, rect21):
+        dirs = heart_directions(poly, n_dirs)
+        assert len(dirs) == n_dirs
+        ang = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
+        assert np.diff(np.append(ang, ang[0] + 2.0 * np.pi)).min() > 1e-10
+
+
 def test_normal_cone_holds_at_witness():
     for poly in random_bodies(seed=31, count=8):
         for theta in np.linspace(0.1, 2.0 * np.pi, 9):

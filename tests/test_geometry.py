@@ -6,15 +6,23 @@ from hypothesis import strategies as st
 from polyheart import bodies
 from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
+    _INCIRCLE_SLACK,
+    _INCIRCLE_TIE,
+    EMPTY_REGION,
     ConvexPolygon,
     HalfPlane,
     Region,
+    _classify,
+    _clip_ring,
+    _dedupe_ring,
+    _farthest_pair,
     boundary_distance,
     chebyshev_center,
     chord,
     clip,
     halfplane_intersection,
     line_interval,
+    perp,
     point_in,
     region_point_distance,
     shadow_interval,
@@ -22,7 +30,41 @@ from polyheart.geometry import (
     unit,
 )
 
+from conftest import random_bodies
+
 EPS = 1e-12
+
+
+def clip_intersection(planes, bbox, eps):
+    """Reference for halfplane_intersection: the bounding box clipped by one cut
+    at a time, each moved out by eps, with the ring deduped as it grows.
+
+    It shares no code with the sorted sweep; both hand their ring to the
+    same classification.
+    """
+    xmin, xmax, ymin, ymax = bbox
+    ring = np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]], dtype=float)
+    for nx, ny, c in planes:
+        ring = _clip_ring(ring, np.array([nx, ny]), c + eps)
+        if len(ring) == 0:
+            return EMPTY_REGION
+        if len(ring) > 8:
+            ring = _dedupe_ring(ring, 0.25 * eps)
+    return _classify(ring, eps)
+
+
+def all_pairs_farthest(points):
+    """Reference farthest pair: the first in row-major order over every pair."""
+    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    return int(i), int(j), float(np.sqrt(d2[i, j]))
+
+
+def support_gap(r1, r2):
+    """Largest difference of the two regions' supports over 64 directions."""
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    w = np.column_stack([np.cos(theta), np.sin(theta)])
+    return float(np.abs((r1.points @ w.T).max(axis=0) - (r2.points @ w.T).max(axis=0)).max())
 
 
 def test_rejects_degenerate_inputs():
@@ -110,7 +152,7 @@ def test_chebyshev_right_triangle(right_tri):
 
 def test_chebyshev_every_edge_touches():
     # every edge of the regular polygon touches the incircle, so every
-    # plane of the optimal-set intersection is cut first
+    # plane of the optimal-set intersection meets the optimal point
     poly = bodies.regular_ngon(512)
     c = chebyshev_center(poly)
     assert np.hypot(*c.center) <= poly.eps
@@ -124,6 +166,82 @@ def test_chebyshev_oblong_tie(rect21):
     assert c.radius == pytest.approx(0.5, abs=1e-9)
     assert not c.unique
     assert np.allclose(c.center, [1.0, 0.5], atol=1e-9)
+
+
+def test_incircle_matches_touching_first_clip():
+    # the optimal set cut plane by plane, touching planes first, as before
+    # the sorted sweep: same radius (the LP's) and tie verdict, center
+    # within the two intersections' slack
+    for poly in random_bodies(15, 200, 3, 40):
+        inc = chebyshev_center(poly)
+        n, c, r = poly.edge_normals, poly.edge_offsets, inc.radius
+        order = np.argsort(c - r - n @ inc.center, kind="stable")
+        opt = clip_intersection(np.column_stack([n, c - r])[order], poly.bbox,
+                                _INCIRCLE_SLACK * poly.eps)
+        assert inc.unique == (opt.extent() <= _INCIRCLE_TIE * poly.eps)
+        gap = np.hypot(*(inc.center - opt.representative()))
+        assert gap <= 2.0 * _INCIRCLE_SLACK * poly.eps
+
+
+@st.composite
+def plane_sets(draw):
+    """(planes, bbox, eps): random cuts around a center, one of four shapes,
+    with optional exact duplicates, antiparallel pairs, normals at +-pi and
+    pairs 1e-11 rad apart."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["general", "point", "segment", "empty"]))
+    center = gen.uniform(-1.0, 1.0, 2)
+    ang = gen.uniform(-np.pi, np.pi, draw(st.integers(0, 30)))
+    n = np.column_stack([np.cos(ang), np.sin(ang)])
+    c = n @ center + (gen.uniform(0.0, 1.0, len(ang)) if shape != "point" else 0.0)
+    if shape == "point":  # every plane through the center
+        n = np.vstack([n, [[1.0, 0.0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]]])
+        c = n @ center
+    elif shape in ("segment", "empty"):  # two slabs, the first of width 0 or -0.02
+        u = np.array([np.cos(ang[0]), np.sin(ang[0])]) if len(ang) else np.array([0.6, 0.8])
+        slabs = np.array([u, -u, perp(u), -perp(u)])
+        width = 0.0 if shape == "segment" else -0.01
+        half = np.array([width, width, 0.5, 0.5])
+        n, c = np.vstack([slabs, n]), np.concatenate([slabs @ center + half, c + 1.0])
+    if draw(st.booleans()) and len(c):  # exact duplicates
+        k = gen.integers(0, len(n), 3)
+        n, c = np.vstack([n, n[k]]), np.concatenate([c, c[k]])
+    if draw(st.booleans()) and len(c):  # antiparallel partners, loose enough to keep the shape
+        k = gen.integers(0, len(n), 2)
+        n, c = np.vstack([n, -n[k]]), np.concatenate([c, -n[k] @ center + 1.0])
+    if draw(st.booleans()):  # normals on both sides of the +-pi seam
+        seam = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-17], [-1.0, -1e-17]])
+        n, c = np.vstack([n, seam]), np.concatenate([c, seam @ center + (shape != "point") * 0.3])
+    if draw(st.booleans()) and len(c):  # each plane's twin 1e-11 rad away, through the same point
+        k = gen.integers(0, len(n), 3)
+        a = np.arctan2(n[k, 1], n[k, 0]) + 1e-11
+        twin = np.column_stack([np.cos(a), np.sin(a)])
+        foot = center + (c[k] - n[k] @ center)[:, None] * n[k]
+        n, c = np.vstack([n, twin]), np.concatenate([c, np.sum(twin * foot, axis=1)])
+    planes = np.column_stack([n, c])[gen.permutation(len(c))]
+    s = gen.uniform(2.0, 4.0)
+    bbox = (center[0] - s, center[0] + s, center[1] - 0.9 * s, center[1] + 1.1 * s)
+    return planes, bbox, 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane_sets())
+def test_sweep_matches_clip_reference(case):
+    planes, bbox, eps = case
+    got = halfplane_intersection(planes, bbox, eps)
+    want = clip_intersection(planes, bbox, eps)
+    assert got.kind == want.kind
+    if not got.is_empty:
+        assert support_gap(got, want) <= 3.0 * eps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 255, 1024])
+def test_farthest_pair_matches_all_pairs(n):
+    gen = np.random.default_rng([15, n])
+    rings = [bodies.random_convex_polygon(gen, n).vertices for _ in range(5)]
+    rings.append(bodies.regular_ngon(n).vertices)
+    for v in rings:
+        assert _farthest_pair(v) == all_pairs_farthest(v)
 
 
 def test_region_point_distance(square):
