@@ -351,14 +351,14 @@ def _classify(points: np.ndarray, eps: float) -> Region:
         return Region("point", mid[None, :])
     u = (pts[j] - pts[i]) / extent
     center = pts.mean(axis=0)
-    t = (pts - center) @ u
-    w = np.abs((pts - center) @ perp(u))
-    if w.max() <= _DEGENERATE_FACTOR * eps:
-        lo, hi = center + t.min() * u, center + t.max() * u
-        return Region("segment", np.array([lo, hi]))
-    if len(pts) < 3:
-        lo, hi = center + t.min() * u, center + t.max() * u
-        return Region("segment", np.array([lo, hi]))
+    d = pts - center
+    if len(pts) < 3 or np.abs(d @ perp(u)).max() <= _DEGENERATE_FACTOR * eps:
+        # ends on the ring's principal axis, its midline, rather than on
+        # the farthest pair, which is one of the eps-wide ring's diagonals
+        axis = np.linalg.eigh(d.T @ d)[1][:, -1]
+        axis = axis if axis @ u >= 0.0 else -axis
+        t = d @ axis
+        return Region("segment", np.array([center + t.min() * axis, center + t.max() * axis]))
     if _polygon_area(pts) < 0:
         pts = pts[::-1]
     return Region("polygon", pts)

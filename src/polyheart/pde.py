@@ -8,19 +8,15 @@ the stencil and peak refinement below only combine values through
 commutative pairs, so a mirrored run reproduces the mirrored trajectory
 up to the summation order of one matrix product (far below 1e-10).
 
-The heat flow is the explicit Euler march at dt = h^2/5, comfortably
-inside the h^2/4 stability limit: u <- p(B) u on the interior nodes, with
-B = A h^2/4 - I = -(four-neighbour sum)/4, A the five-point Dirichlet
-Laplacian and p(t) = (1 - 4t)/5.  The march is never run step by step.
-Up to the hand-over, n steps are the Chebyshev series of p^n in B, whose
-coefficients come from an exact recurrence and whose dropped tail, since
-|T_k(B)|_2 <= 1, bounds the error; one three-term recurrence
-T_{k+1}(B) u = 2B T_k(B) u - T_{k-1}(B) u serves every sample.  Once the
-part of u outside A's lowest K modes is negligible, the march is the
-closed form V ((1 - dt mu)^m * V^T u), and heat_solve evaluates later
-samples from the modes, stating an error bound for each.  The same
-modes, the lowest eigenpairs from one shift-invert Lanczos solve
-(scipy's eigsh on one sparse LU factorization), give the eigenpair.
+The eigenpair is the lowest one of the five-point Dirichlet Laplacian A,
+from eigsh with k = 1 on one sparse LU factorization.  The heat flow is
+the explicit Euler march u <- p(B) u at dt = h^2/5, inside the h^2/4
+stability limit, with B = A h^2/4 - I and p(t) = (1 - 4t)/5; it is never
+run step by step.  n steps are the Chebyshev series of p^n in B, summed
+from one recurrence T_{k+1}(B) u = 2B T_k(B) u - T_{k-1}(B) u; since
+|T_k(B)|_2 <= 1, the l1 norm of the coefficients left out bounds each
+sample's error.  The recurrence restarts as the field decays and hands
+over to the lowest eigenpair once the rest is negligible (heat_solve).
 Hot-spot locations are refined off-lattice by a least-squares quadratic
 fit on the 3x3 neighborhood of the grid argmax.
 """
@@ -41,7 +37,7 @@ _DT_FACTOR = 5.0
 # membership slack of two spacings is 4% of the inradius.
 _H_PER_INRADIUS = 50.0
 # eigsh's cap on ARPACK iterations; reaching it raises NoConvergence
-# rather than returning unconverged modes.
+# rather than returning an unconverged eigenpair.
 _EIGEN_MAX_ITER = 400
 # eigen_solve's bound on the lowest mode's sup-norm residual relative to
 # its sup norm: far above rounding, so it only catches a failed solve.
@@ -60,21 +56,22 @@ _EARLY_REL_TOL = 0.10
 _LATE_SLACK_REL = 0.02
 _DECAY_TAIL = 6
 _DECAY_REL_TOL = 0.02
-# Lowest Laplacian modes kept for the heat track's late phase.  More
-# modes let the track hand over earlier but make eigsh slower, and the
-# Chebyshev early phase costs only about sqrt(n) products for n steps.
-# On a half-disc and three seeded 8-12-gons at h = inradius/50 (13k-16k
-# nodes, 2-core machine) laplacian_modes, eigen_solve and heat_solve
-# took 1.66-1.89 s for all four at 16 modes, 1.81-1.94 s at 24 and
-# 2.09-2.31 s at 32 (five runs each); 12 and 8 modes took 1.44-1.59 s
-# and 1.29-1.62 s in three runs.
-_MODES = 16
-# The track hands over to the modes once the part of u outside them has
-# 2-norm at most this fraction of max|u|.
+# eigen_solve's dense eigh cut-off: ARPACK's default Lanczos basis for one
+# eigenpair (20 vectors) would span a grid this small anyway.
+_DENSE_NODES = 20
+# The heat track hands over to the lowest eigenpair once the part of u
+# outside it has 2-norm at most this fraction of max|u|.
 _SWITCH_TOL = 1e-10
+# The recurrence restarts from a sample whose peak is below this fraction
+# of the max of the field it started from: the Chebyshev sum of p^n loses
+# about one digit of the field for each decade the field decays.
+_RESTART_DECAY = 1e-4
 # Each early sample's Chebyshev series is cut where the l1 norm of the
 # dropped coefficients is at most this.
 _CHEB_TOL = 1e-17
+# _power_series drops running coefficients below this, far below any a cut
+# at _CHEB_TOL keeps, after every product; the bounds carry their l1 mass.
+_CHEB_FLOOR = 1e-30
 # Steps per precomputed power of p in the coefficient recurrence.
 _CHEB_CHUNK = 64
 # Chebyshev vectors T_k(B) u stacked per matrix product into the samples.
@@ -214,13 +211,10 @@ class TrackSample:
     """Hot spot of the heat flow at one sampled time.
 
     bound caps the 2-norm, and so the sup norm, of the difference between
-    the sampled field and the explicit march at this step, rounding
-    aside.  Early samples are Chebyshev series of degree `degree`: their
-    bound is the dropped coefficient tail times the 2-norm of the field
-    the series started from (see heat_solve).  Spectral samples,
-    evaluated from the modes m steps after the hand-over, state
-    rho^m * |r|_2 plus the hand-over sample's bound, where r is the part
-    of u outside the modes at the hand-over; their degree is 0.
+    the sampled field and the explicit march at this step, rounding aside
+    (see heat_solve).  Early samples are Chebyshev series of degree
+    `degree`; spectral samples come from the lowest eigenpair after the
+    hand-over and have degree 0.
     """
 
     time: float
@@ -258,25 +252,27 @@ def _powers_of_p(count: int) -> list[np.ndarray]:
 _P_POWERS = _powers_of_p(_CHEB_CHUNK)
 
 
-def _power_series(steps) -> list[np.ndarray]:
-    """Chebyshev coefficients of p^n for each n in steps, ascending.
+def _power_series(steps) -> list[tuple[np.ndarray, float]]:
+    """Chebyshev coefficients of p^n for each n in steps, ascending, each
+    with the l1 mass trimmed on the way to it.
 
-    One product with p^_CHEB_CHUNK per chunk and one with p^r for the
-    remainder r between consecutive steps.  Trailing coefficients below
-    the smallest normal float are dropped: they only slow the products.
+    One product with p^_CHEB_CHUNK per chunk, or with p^r for a shorter
+    remainder r, each followed by dropping trailing coefficients below
+    _CHEB_FLOOR.  Every power of p has Chebyshev l1 norm 1, so the sum of
+    the dropped masses bounds the l1 error of every later power.
     """
     series = []
-    c = np.ones(1)
+    c, dropped = np.ones(1), 0.0
     done = 0
     for n in steps:
-        while n - done >= _CHEB_CHUNK:
-            c = _chebyshev_product(c, _P_POWERS[_CHEB_CHUNK])
-            done += _CHEB_CHUNK
-        if n > done:
-            c = _chebyshev_product(c, _P_POWERS[n - done])
-            done = n
-        c = c[: int(np.flatnonzero(np.abs(c) >= np.finfo(float).tiny)[-1]) + 1]
-        series.append(c)
+        while n > done:
+            r = min(n - done, _CHEB_CHUNK)
+            c = _chebyshev_product(c, _P_POWERS[r])
+            keep = int(np.flatnonzero(np.abs(c) >= _CHEB_FLOOR)[-1]) + 1
+            dropped += float(np.abs(c[keep:]).sum())
+            c = c[:keep]
+            done += r
+        series.append((c, dropped))
     return series
 
 
@@ -292,14 +288,15 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     """Yield (p(B)^n u, degree, tail) for each n in steps, ascending.
 
     Each field is its series cut by _cut_series, summed from one
-    three-term recurrence on u, _CHEB_BLOCK vectors per matrix product.
-    A field is yielded as soon as the recurrence passes its degree, so a
-    caller that stops early saves the rest.  The stencil runs on the
-    flattened padded grid, where the four neighbours of node i are
-    i +- 1 and i +- ny; only padding nodes, which the mask zeroes, read
-    across the end of a row.
+    three-term recurrence on u, _CHEB_BLOCK vectors per matrix product;
+    tail also counts the mass _power_series trimmed.  A field is yielded
+    as soon as the recurrence passes its degree, so a caller that stops
+    early saves the rest.  The stencil runs on the flattened padded grid,
+    where the four neighbours of node i are i +- 1 and i +- ny; only
+    padding nodes, which the mask zeroes, read across the end of a row.
     """
-    cut = [_cut_series(c) for c in _power_series(steps)]
+    series = _power_series(steps)
+    cut = [_cut_series(c) for c, _ in series]
     degrees = [len(c) - 1 for c, _ in cut]
     coeffs = np.zeros((len(cut), max(degrees) + 1))
     for row, (c, _) in zip(coeffs, cut):
@@ -331,7 +328,7 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
             np.multiply(nbr, inner, out=t[lo:hi])
         acc[done:] += coeffs[done:, k0:k1] @ block[: k1 - k0]
         while done < len(cut) and degrees[done] < k1:
-            yield acc[done].reshape(u.shape), degrees[done], cut[done][1]
+            yield acc[done].reshape(u.shape), degrees[done], cut[done][1] + series[done][1]
             done += 1
 
 
@@ -351,35 +348,30 @@ def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
     return np.round(np.geomspace(first, last, n_samples)).astype(np.int64)
 
 
-def heat_solve(grid: GridField, sample_times, modes: LaplacianModes | None = None) -> tuple[TrackSample, ...]:
+def heat_solve(grid: GridField, sample_times, eigen: EigenResult | None = None) -> tuple[TrackSample, ...]:
     """Heat flow from unit initial data, sampling the hot spot.
 
     Requested times land on the nearest step multiple of dt = h^2/5; the
-    recorded times are the actual ones.  Each early sample at step n is
-    the explicit march's p(B)^n u_0 as a Chebyshev series (see
-    _chebyshev_fields), up to the first sample step n_s where the part
-    r = u - V V^T u of u outside the modes has |r|_2 <= _SWITCH_TOL *
-    max|u|.  Every later sample is the march's closed form
-    u_n = V ((1 - dt mu)^(n - n_s) * V^T u_{n_s}).  The dropped part
-    evolves by the same step in the span of the other modes, whose
-    eigenvalues lie in [mu_K, 8/h^2), so it shrinks by at least
-    rho = max(1 - dt mu_K, 8 dt/h^2 - 1) per step; rho^(n - n_s) |r|_2
-    plus the hand-over sample's bound is each spectral sample's stated
-    bound.
+    recorded times are the actual ones.  An early sample m steps after
+    the field u the recurrence started from is p(B)^m u as a Chebyshev
+    series (see _chebyshev_fields); its bound is the series' tail times
+    |u|_2 plus u's own bound, since |p(B)|_2 <= 1.  The recurrence
+    restarts from a sample whose peak is below _RESTART_DECAY of max u.
 
-    The recurrence sums no sample past a horizon: the first sample m
-    steps after its start field u where rho^m |u|_2 <= _SWITCH_TOL
-    |v_1 . u| (1 - dt mu_1)^m / sqrt(N) for N nodes, which makes the
-    hand-over check pass in exact arithmetic.  Should rounding defeat it
-    there, the recurrence restarts from that sample's field, whose bound
-    carries over, since |p(B)|_2 <= 1.  modes defaults to
-    laplacian_modes(grid).
+    Once the part r = x - v_1 (v_1 . x) of a sampled field x outside the
+    lowest unit eigenvector has |r|_2 <= _SWITCH_TOL max|x|, every sample
+    m steps later is the march's closed form v_1 (v_1 . x) (1 - dt lam_1)^m,
+    whose hot spot is the eigenpair's.  r evolves in the span of the other
+    eigenvectors, whose eigenvalues lie in [lam_1, 8/h^2), so it shrinks
+    by at least rho = max(1 - dt lam_1, 8 dt/h^2 - 1) per step; rho^m |r|_2
+    plus the hand-over sample's bound is the stated bound.  eigen
+    defaults to eigen_solve(grid).
     """
     times = sorted(float(t) for t in sample_times)
     if not times or times[0] <= 0.0:
         raise ValueError("sample times must be positive")
-    if modes is None:
-        modes = laplacian_modes(grid)
+    if eigen is None:
+        eigen = eigen_solve(grid)
     h = grid.spacing
     dt = h * h / _DT_FACTOR
     steps = []
@@ -387,44 +379,34 @@ def heat_solve(grid: GridField, sample_times, modes: LaplacianModes | None = Non
         steps.append(max(steps[-1] + 1 if steps else 1, int(round(t / dt))))
     mask_f = grid.mask.astype(float)
     ii, jj = np.nonzero(grid.mask)
-    vectors = modes.vectors
-    decay = 1.0 - dt * modes.values
-    rho = max(float(decay[-1]), 8.0 / _DT_FACTOR - 1.0)
-    # the log of the horizon inequality's two sides differs by
-    # margin + (n - start) * slope
-    slope = math.log(float(decay[0])) - math.log(rho)
+    phi = eigen.field.values[ii, jj]
+    scale = float(np.linalg.norm(phi))
+    v = phi / scale
     samples = []
     # u is the field at step start, within carried of the march
     start, u, carried = 0, mask_f, 0.0
-    handover = None
-    while handover is None and len(samples) < len(steps):
-        x = u[ii, jj]
-        norm = float(np.linalg.norm(x))
-        lead = abs(float(vectors[:, 0] @ x))
-        margin = math.log(_SWITCH_TOL * lead / (norm * math.sqrt(len(x)))) if lead > 0.0 else -math.inf
+    while len(samples) < len(steps):
+        norm, top = float(np.linalg.norm(u)), float(u.max())
         pending = steps[len(samples) :]
-        horizon = next((i for i, n in enumerate(pending) if margin + (n - start) * slope >= 0.0), len(pending) - 1)
-        pending = pending[: horizon + 1]
         fields = _chebyshev_fields(mask_f, u, [n - start for n in pending])
         for n, (field, degree, tail) in zip(pending, fields):
             bound = carried + tail * norm
             loc, peak = _locate_peak(grid, field)
             samples.append(TrackSample(n * dt, loc, peak, bound=bound, degree=degree))
             x = field[ii, jj]
-            coeffs = vectors.T @ x
-            dropped = float(np.linalg.norm(x - vectors @ coeffs))
+            lead = float(v @ x)
+            dropped = float(np.linalg.norm(x - lead * v))
             if dropped <= _SWITCH_TOL * float(np.abs(x).max()):
-                handover = n, coeffs, dropped, bound
+                decay = 1.0 - dt * eigen.eigenvalue
+                rho = max(decay, 8.0 / _DT_FACTOR - 1.0)
+                for m in steps[len(samples) :]:
+                    peak = eigen.peak * lead / scale * decay ** (m - n)
+                    later = rho ** (m - n) * dropped + bound
+                    samples.append(TrackSample(m * dt, eigen.location, peak, bound=later, spectral=True))
+                return tuple(samples)
+            if peak < _RESTART_DECAY * top:
                 break
         start, u, carried = n, field, bound
-    if handover is not None:
-        n_s, coeffs, dropped, carried = handover
-        for n in steps[len(samples) :]:
-            values = np.zeros_like(mask_f)
-            values[ii, jj] = vectors @ (decay ** (n - n_s) * coeffs)
-            loc, peak = _locate_peak(grid, values)
-            bound = rho ** (n - n_s) * dropped + carried
-            samples.append(TrackSample(n * dt, loc, peak, bound=bound, spectral=True))
     return tuple(samples)
 
 
@@ -457,62 +439,32 @@ def _interior_laplacian(grid: GridField):
     )
 
 
-@dataclass(frozen=True)
-class LaplacianModes:
-    """Lowest eigenpairs of the interior Laplacian, eigenvalues ascending.
+def eigen_solve(grid: GridField) -> EigenResult:
+    """Smallest eigenpair of the Dirichlet Laplacian on the grid.
 
-    vectors has orthonormal columns indexed like np.nonzero(grid.mask);
-    matrix is the Laplacian itself.
-    """
-
-    matrix: scipy.sparse.csr_matrix
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def laplacian_modes(grid: GridField) -> LaplacianModes:
-    """The _MODES lowest eigenpairs of _interior_laplacian(grid).
-
-    One shift-invert Lanczos solve at 0 on one sparse LU factorization,
-    ordered by minimum degree on A + A^T, which for this symmetric matrix
-    fills in about half as much as SuperLU's default column ordering; the
-    fixed start vector makes it deterministic.  A grid with at most
-    2 * _MODES + 1 nodes, where the Lanczos basis would span the whole
-    space anyway, gets all its modes from a dense eigh.
+    eigsh with k = 1, shift-invert at 0 on one sparse LU factorization
+    ordered by minimum degree on A + A^T (for this symmetric matrix about
+    half the fill-in of SuperLU's default), from a fixed start vector; a
+    dense eigh on at most _DENSE_NODES nodes.  The sup-norm eigen residual
+    relative to the eigenvector's sup norm must stay within _EIGEN_TOL.
     """
     mat = _interior_laplacian(grid)
     n = mat.shape[0]
     if n == 0:
         raise NoConvergence(f"empty grid: 0 interior nodes at spacing h = {grid.spacing:.3e}")
-    if n <= 2 * _MODES + 1:
-        values, vectors = np.linalg.eigh(mat.toarray())
-        return LaplacianModes(mat, values, vectors)
-    lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    inverse = scipy.sparse.linalg.LinearOperator(mat.shape, matvec=lu.solve, dtype=float)
-    try:
-        values, vectors = scipy.sparse.linalg.eigsh(
-            mat, k=_MODES, sigma=0.0, OPinv=inverse, v0=np.ones(n), maxiter=_EIGEN_MAX_ITER
-        )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NoConvergence(
-            f"eigsh converged {len(exc.eigenvalues)} of {_MODES} modes "
-            f"in {_EIGEN_MAX_ITER} iterations"
-        ) from None
-    order = np.argsort(values)
-    return LaplacianModes(mat, values[order], vectors[:, order])
-
-
-def eigen_solve(grid: GridField, modes: LaplacianModes | None = None) -> EigenResult:
-    """Smallest eigenpair of the Dirichlet Laplacian: the lowest mode.
-
-    Convergence is checked on the sup-norm eigen residual relative to the
-    sup norm of the eigenvector, against _EIGEN_TOL.  modes defaults to
-    laplacian_modes(grid).
-    """
-    if modes is None:
-        modes = laplacian_modes(grid)
-    v = modes.vectors[:, 0]
-    av = modes.matrix.dot(v)
+    if n <= _DENSE_NODES:
+        v = np.linalg.eigh(mat.toarray())[1][:, 0]
+    else:
+        lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        inverse = scipy.sparse.linalg.LinearOperator(mat.shape, matvec=lu.solve, dtype=float)
+        try:
+            _, vectors = scipy.sparse.linalg.eigsh(
+                mat, k=1, sigma=0.0, OPinv=inverse, v0=np.ones(n), maxiter=_EIGEN_MAX_ITER
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            raise NoConvergence(f"eigsh found no eigenpair in {_EIGEN_MAX_ITER} iterations") from None
+        v = vectors[:, 0]
+    av = mat.dot(v)
     lam = float(v @ av)
     residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
     if residual > _EIGEN_TOL:
@@ -613,7 +565,6 @@ def write_csv(field: GridField, path) -> None:
 @dataclass(frozen=True)
 class VerificationReport:
     grid: GridField
-    modes: LaplacianModes
     eigen: EigenResult
     samples: tuple[TrackSample, ...]
     membership: MembershipReport
@@ -626,7 +577,7 @@ class VerificationReport:
 
     @property
     def switch_step(self) -> int | None:
-        """Hand-over step when later samples came from the modes, else None."""
+        """Hand-over step when later samples came from the eigenpair, else None."""
         if not self.samples[-1].spectral:
             return None
         return round(self._last_early.time / (self.grid.spacing ** 2 / _DT_FACTOR))
@@ -643,7 +594,7 @@ class VerificationReport:
 
 
 def full_verify(poly: ConvexPolygon, heart, h: float | None = None) -> VerificationReport:
-    """End-to-end run: grid, modes, eigenpair, trajectory, membership in heart.
+    """End-to-end run: grid, eigenpair, trajectory, membership in heart.
 
     heart is the Heart the trajectory is checked against, as heart_region
     returns it.  The spacing h defaults to inradius/50.  The horizon
@@ -656,12 +607,11 @@ def full_verify(poly: ConvexPolygon, heart, h: float | None = None) -> Verificat
     if h is None:
         h = poly.incircle.radius / _H_PER_INRADIUS
     grid = rasterize(poly, h)
-    modes = laplacian_modes(grid)
-    eigen = eigen_solve(grid, modes=modes)
+    eigen = eigen_solve(grid)
     t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
     dt = h * h / _DT_FACTOR
-    samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, modes=modes)
+    samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, eigen=eigen)
     membership = verify_heart(samples, eigen.location, heart.region, _MEMBERSHIP_SLACK * h)
     varadhan = varadhan_check(samples, poly, eigen.location)
     decay = decay_check(samples, eigen.eigenvalue)
-    return VerificationReport(grid, modes, eigen, samples, membership, varadhan, decay)
+    return VerificationReport(grid, eigen, samples, membership, varadhan, decay)

@@ -233,6 +233,25 @@ def test_sweep_matches_clip_reference(case):
     assert got.kind == want.kind
     if not got.is_empty:
         assert support_gap(got, want) <= 3.0 * eps
+    if got.kind == "segment":
+        assert support_gap(got, want) <= eps
+
+
+def test_segment_ends_on_slab_axis():
+    # A zero-width slab with perpendicular caps: each cut moves out by eps,
+    # so the ring is a 2 eps-wide rectangle around the slab's axis, and
+    # the segment's ends belong on that axis, not on one of its diagonals.
+    eps = 1e-9
+    for seed in range(3000):
+        gen = np.random.default_rng([16, seed])
+        center = gen.uniform(-1.0, 1.0, 2)
+        u = unit(gen.uniform(-np.pi, np.pi))
+        n = np.array([perp(u), -perp(u), u, -u])
+        c = n @ center + np.array([0.0, 0.0, 1.0, 1.0]) * gen.uniform(0.1, 1.0)
+        bbox = (center[0] - 2.0, center[0] + 2.0, center[1] - 2.0, center[1] + 2.0)
+        seg = halfplane_intersection(np.column_stack([n, c]), bbox, eps)
+        assert seg.kind == "segment", seed
+        assert np.abs((seg.points - center) @ perp(u)).max() <= 0.01 * eps, seed
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 255, 1024])

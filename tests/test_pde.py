@@ -56,23 +56,23 @@ def assert_matches_march(grid: GridField, sample_times) -> tuple[TrackSample, ..
     A sample's bound caps the sup-norm error of its field; the fitted peak
     combines nine field values with absolute weights summing to at most
     17/9, so its error is within 2 * bound, plus an allowance of 4 ulps
-    of the peak per step for the march's own rounding.  An early sample's
-    stated error sits below that allowance.
+    of the peak per step for the march's own rounding.  Every bound is at
+    most 1e-10, and an early sample that has not decayed below
+    _RESTART_DECAY states an error below that allowance.
     """
     dt = grid.spacing ** 2 / 5.0
     got = heat_solve(grid, sample_times)
     ref = explicit_march(grid, sample_times)
     assert [s.time for s in got] == [s.time for s in ref]
-    assert any(s.spectral for s in got)
     for a, b in zip(got, ref):
         assert np.abs(a.location - b.location).max() <= 1e-9 * grid.spacing, a.time
         assert abs(a.peak - b.peak) <= 1e-9 * b.peak, a.time
         rounding = 4.0 * round(a.time / dt) * np.finfo(float).eps * b.peak
         assert abs(a.peak - b.peak) <= 2.0 * a.bound + rounding, a.time
-        if not a.spectral:
+        assert a.bound <= 1e-10, a.time
+        if not a.spectral and a.peak >= pde._RESTART_DECAY:
             assert a.bound <= rounding, a.time
     spectral = [s.bound for s in got if s.spectral]
-    assert spectral[0] <= 1e-10
     assert all(x >= y for x, y in zip(spectral, spectral[1:]))
     return got
 
@@ -134,29 +134,43 @@ def test_eigen_square(square):
 
 
 def test_eigen_no_convergence(square, monkeypatch):
+    # eigsh converges on these grids in one iteration, so a stand-in raises
+    # what ARPACK raises at its iteration cap
+    def stuck(*args, maxiter, **kwargs):
+        assert maxiter == pde._EIGEN_MAX_ITER
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+
     g = rasterize(square, 0.02)
-    monkeypatch.setattr(pde, "_EIGEN_MAX_ITER", 1)
-    with pytest.raises(NoConvergence, match=rf"converged \d+ of {pde._MODES} modes in 1 iterations"):
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+    with pytest.raises(NoConvergence, match=rf"eigsh found no eigenpair in {pde._EIGEN_MAX_ITER} iterations"):
         eigen_solve(g)
     empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask), g.values)
     with pytest.raises(NoConvergence, match=r"0 interior nodes at spacing h = 2\.000e-02"):
         eigen_solve(empty)
 
 
-@pytest.mark.parametrize("body", ["halfdisc", "hept"])
-def test_heat_solve_matches_explicit_march(body, halfdisc64):
+@pytest.mark.parametrize("body", ["halfdisc", "hept", "square"])
+def test_heat_solve_matches_explicit_march(body, halfdisc64, square):
     if body == "halfdisc":
         poly = halfdisc64
-    else:
+    elif body == "hept":
         poly = bodies.random_convex_polygon(np.random.default_rng(20260815), 7)
-    h = poly.incircle.radius / 25.0
+    else:
+        poly = square
+    h = poly.incircle.radius / 25.0  # 0.02 on the square
     grid = rasterize(poly, h)
     lam = eigen_solve(grid).eigenvalue
     dt = h * h / 5.0
     steps = sample_steps(max(10.0 / lam, 2500.0 * h * h), dt, 25)
     got = assert_matches_march(grid, steps * dt)
-    # the march hands over well before the end
-    assert sum(s.spectral for s in got) >= 5
+    if body == "square":
+        # the symmetric start leaves no mode below 5 lam_1 besides the
+        # lowest, so the track hands over well before the end
+        assert sum(s.spectral for s in got) >= 5
+    else:
+        # the recurrence restarts from a decayed sample, at a lower degree
+        early = [s.degree for s in got if not s.spectral]
+        assert any(b < a for a, b in zip(early, early[1:]))
 
 
 def test_heat_bound_covers_early_handover(square, monkeypatch):
@@ -178,7 +192,7 @@ def test_heat_bound_covers_early_handover(square, monkeypatch):
 def test_heat_bound_covers_loose_chebyshev_cut(square, monkeypatch):
     # A tail of 1e-6 leaves real truncation errors in the early samples,
     # which the stated bounds must cover, and it defeats the hand-over
-    # check, so the recurrence restarts from sampled fields.
+    # check, so the recurrence restarts from decayed samples.
     monkeypatch.setattr(pde, "_CHEB_TOL", 1e-6)
     h = 0.02
     grid = rasterize(square, h)
@@ -213,17 +227,26 @@ def exact_power_series(n: int) -> list[Fraction]:
 def test_power_series_exact():
     steps = [1, 2, 7, 63, 64, 65, 100, 128, 129, 150]
     assert any(n % pde._CHEB_CHUNK == 0 for n in steps)
-    for n, got in zip(steps, pde._power_series(steps)):
+    trimmed = 0
+    for n, (got, dropped) in zip(steps, pde._power_series(steps)):
         want = exact_power_series(n)
-        assert len(got) == len(want) == n + 1
-        # every coefficient, down to about 1e-60 at n = 150
-        rel = [abs((Fraction(float(g)) - w) / w) for g, w in zip(got, want)]
-        assert float(max(rel)) <= 1e-13, n
+        assert len(got) <= len(want) == n + 1
+        assert abs(got[-1]) >= pde._CHEB_FLOOR
+        # every coefficient above the floor, to 1e-13 relative plus the
+        # trimmed mass, which later products spread over the coefficients
+        err = [abs(Fraction(float(g)) - w) - Fraction(1e-13) * abs(w) for g, w in zip(got, want)]
+        assert max(err) <= Fraction(dropped), n
+        # the carried mass covers the rational tail the trim cut, up to
+        # the rounding of its own sum
+        cut_tail = sum(abs(w) for w in want[len(got) :])
+        assert Fraction(dropped * (1.0 + 1e-12)) >= cut_tail, n
+        trimmed += dropped > 0.0
         cut, tail = pde._cut_series(got)
         degree = len(cut) - 1
-        assert float(sum(abs(w) for w in want[degree + 1 :])) == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert float(sum(abs(w) for w in want[degree + 1 :])) == pytest.approx(tail, rel=1e-12, abs=dropped)
         assert tail <= pde._CHEB_TOL
         assert degree <= math.sqrt(1.6 * n * math.log(1.0 / pde._CHEB_TOL)) + 8, n
+    assert trimmed >= 3
 
 
 def test_grid_too_small_for_eigsh(square, monkeypatch):
@@ -233,13 +256,14 @@ def test_grid_too_small_for_eigsh(square, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
     g = rasterize(square, 0.05)
     mask = np.zeros_like(g.mask)
-    mask[3:8, 4:10] = True  # 5 x 6 nodes, too few for _MODES Lanczos modes
+    mask[3:7, 4:9] = True  # 4 x 5 nodes, within ARPACK's default basis of 20
     tiny = GridField(g.spacing, g.k0x, g.k0y, mask, g.values)
-    got = assert_matches_march(tiny, np.geomspace(1e-4, 1e-2, 8))
-    assert not got[0].spectral and all(s.spectral for s in got[1:])
+    assert tiny.interior_count == pde._DENSE_NODES
+    got = assert_matches_march(tiny, np.geomspace(1e-4, 1e-1, 8))
+    assert not got[0].spectral and got[-1].spectral
     res = eigen_solve(tiny)
     # discrete Dirichlet eigenvalue of a p x q block of nodes
-    exact = 4.0 / g.spacing ** 2 * (np.sin(np.pi / 12.0) ** 2 + np.sin(np.pi / 14.0) ** 2)
+    exact = 4.0 / g.spacing ** 2 * (np.sin(np.pi / 10.0) ** 2 + np.sin(np.pi / 12.0) ** 2)
     assert res.eigenvalue == pytest.approx(exact, rel=1e-13)
     assert res.residual <= 1e-8
 
@@ -261,12 +285,11 @@ def test_full_verify_factors_once(square, monkeypatch):
     rep = full_verify(square, heart_region(square, 720)[0], h=0.05)
     assert calls == {"eigsh": 1, "splu": 1, "eigsh_splu": 0}
     assert rep.switch_step is not None
-    assert len(rep.modes.values) == pde._MODES
 
 
-def test_chebyshev_degree_far_below_handover(halfdisc64):
+def test_chebyshev_degree_far_below_handover(square):
     # a fallback to step-by-step marching would make the degree the step
-    rep = full_verify(halfdisc64, heart_region(halfdisc64, 720)[0], h=halfdisc64.incircle.radius / 25.0)
+    rep = full_verify(square, heart_region(square, 720)[0], h=0.02)
     assert rep.switch_step is not None
     assert 0 < rep.chebyshev_degree < rep.switch_step / 4
 
