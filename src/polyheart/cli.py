@@ -51,18 +51,6 @@ _INCONSISTENCY = (InconsistentHeart, NoConvergence, QuadratureUnstable, Denomina
 _AREA_CHECK_REL = 1e-9
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 def _body_section(poly, spec) -> dict:
     cheb = poly.incircle
     return {
@@ -339,7 +327,7 @@ def main(argv=None) -> int:
     except (PolyheartError, ValueError) as exc:
         return _fail(1, type(exc).__name__, str(exc))
     report = {"schema": 1, "tool": {"name": "polyheart", "version": __version__},
-              "command": args.command, **_jsonable(report)}
+              "command": args.command, **report}
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2)

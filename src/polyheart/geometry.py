@@ -1,4 +1,5 @@
-"""Exact-ish planar geometry for convex polygons.
+"""Exact-ish planar geometry for convex polygons; the incircle is the last
+event of a straight-skeleton wavefront (:func:`chebyshev_center`).
 
 Conventions used throughout the package:
 
@@ -16,12 +17,12 @@ silently dropping lower-dimensional sets.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CenterTooCloseToBoundary, InvalidPolygon, NoConvergence
 
@@ -47,7 +48,7 @@ _GRAZE_REL = 1e-7
 _NEWTON_DECREMENT_REL = 1e-12
 _NEWTON_ITERATIONS = 60
 
-# chebyshev_center re-intersects the edges moved in by the LP radius with
+# chebyshev_center re-intersects the edges moved in by the inradius with
 # this slack (in units of eps), so the optimal set survives as a point or
 # segment, and calls it unique when it spans at most _INCIRCLE_TIE eps.
 _INCIRCLE_SLACK = 2.0
@@ -524,23 +525,53 @@ class ChebyshevResult:
 def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     """Incenter: the deepest point(s) of the polygon.
 
-    Solves max r s.t. n_e . x + r <= c_e as a linear program, then
-    reconstructs the full optimal set by re-intersecting the inward-offset
-    edges; a tie (e.g. oblong bodies) comes back as that segment's
-    midpoint with unique=False.
+    The inradius is the last event of the straight-skeleton wavefront
+    (Aichholzer-Aurenhammer 1995), here the medial axis (Chin-Snoeyink-Wang
+    1999), in Python floats in a frame centred on the centroid.  The edge
+    lines move inward at unit speed, and a heap splices out the edge that
+    vanishes first until three remain.  Edge i between a and b vanishes at
+    the r solving n_p . x + r = c_p for p = a, i, b: Cramer's rule in
+    X_pq = n_p x n_q, never if the determinant is <= 0.  An edge turning
+    left of its predecessor by no more than rounding (or right, as far as
+    ConvexPolygon admits) lies on its line, would make their 3x3s singular,
+    and is merged into it first.  Re-intersecting the inward-offset edges
+    gives the full optimal set; a tie (e.g. oblong bodies) comes back as
+    that segment's midpoint with unique=False.
     """
-    n = poly.edge_normals
-    c = poly.edge_offsets
-    a_ub = np.column_stack([n, np.ones(len(c))])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=c,
-                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
-    if not res.success:
-        raise InvalidPolygon(f"incenter LP failed: {res.message}")
-    radius = float(res.x[2])
-    planes = np.column_stack([n, c - radius])
+    normals = poly.edge_normals.tolist()
+    offsets = (poly.edge_offsets - poly.edge_normals @ poly.centroid).tolist()
+
+    def cross(p, q):
+        return normals[p][0] * normals[q][1] - normals[p][1] * normals[q][0]
+
+    ring = [i for i in range(len(normals)) if cross(i - 1, i) > PARALLEL_TOL
+            or normals[i - 1][0] * normals[i][0] + normals[i - 1][1] * normals[i][1] <= 0.0]
+    prev = dict(zip(ring, ring[-1:] + ring[:-1]))
+    succ = dict(zip(ring, ring[1:] + ring[:1]))
+
+    def vanish(i):
+        a, b = prev[i], succ[i]
+        xai, xib, xba = cross(a, i), cross(i, b), cross(b, a)
+        det = xai + xib + xba
+        return (offsets[a] * xib + offsets[i] * xba + offsets[b] * xai) / det if det > 0.0 else np.inf
+
+    event = {i: vanish(i) for i in ring}
+    heap = [(r, i) for i, r in event.items()]
+    heapq.heapify(heap)
+    while True:
+        radius, i = heapq.heappop(heap)
+        if event.get(i) != radius:
+            continue  # spliced out, or its neighbours changed since
+        if len(event) == 3:
+            break
+        a, b = prev.pop(i), succ.pop(i)
+        del event[i]
+        succ[a], prev[b] = b, a
+        for j in (a, b):
+            event[j] = vanish(j)
+            heapq.heappush(heap, (event[j], j))
+    planes = np.column_stack([poly.edge_normals, poly.edge_offsets - radius])
     opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
-    if opt.is_empty:  # cannot happen unless tolerances are inconsistent
-        return ChebyshevResult(np.array(res.x[:2]), radius, True)
     unique = opt.extent() <= _INCIRCLE_TIE * poly.eps
     return ChebyshevResult(opt.representative(), radius, unique)
 

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import GridTooCoarse, NoConvergence
 from .geometry import ConvexPolygon, boundary_distance, region_point_distance
@@ -420,6 +418,7 @@ class EigenResult:
 
 
 def _interior_laplacian(grid: GridField):
+    import scipy.sparse  # here, not at module level: only a PDE solve loads scipy
     idx = -np.ones(grid.mask.shape, dtype=np.int64)
     ii, jj = np.nonzero(grid.mask)
     n = len(ii)
@@ -448,6 +447,7 @@ def eigen_solve(grid: GridField) -> EigenResult:
     dense eigh on at most _DENSE_NODES nodes.  The sup-norm eigen residual
     relative to the eigenvector's sup norm must stay within _EIGEN_TOL.
     """
+    import scipy.sparse.linalg  # as in _interior_laplacian
     mat = _interior_laplacian(grid)
     n = mat.shape[0]
     if n == 0:

@@ -1,5 +1,8 @@
+import ast
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +55,44 @@ def test_heart_square(tmp_path, capsys):
     assert np.allclose(rep["heart"]["vertices"][0], [0.5, 0.5], atol=1e-9)
     # SVG re-rendered from the stored report is byte-identical
     assert spath.read_text() == render_report_svg(rep)
+
+
+@pytest.mark.parametrize("command", ["bounds", "polar", "santalo", "fourier-check", "report"])
+def test_report_json_rerenders_svg(tmp_path, capsys, command):
+    # json.dump fails on a numpy integer, bool or array left in a section
+    jpath, spath = tmp_path / "r.json", tmp_path / "r.svg"
+    code, _, err = run([command, "--body", "square", "--h", "0.02",
+                        "--json", str(jpath), "--svg", str(spath)], capsys)
+    assert code == 0, err
+    rep = json.loads(jpath.read_text())
+    assert rep["command"] == command
+    assert spath.read_text() == render_report_svg(rep)
+
+
+def test_no_scipy_outside_pde():
+    # a fresh interpreter runs every command but pde-verify and report
+    # without loading scipy; pde itself stays imported
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import polyheart.cli as cli\n"
+        "for argv in (['heart', '--dirs', '90'], ['bounds'], ['polar'], ['santalo'], ['fourier-check']):\n"
+        "    assert cli.main([*argv, '--body', 'square']) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')), 'polyheart.pde' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", script, src], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[] True"
+
+
+def test_scipy_named_only_in_pde_functions():
+    for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+        text = path.read_text()
+        lines = [i for i, line in enumerate(text.splitlines(), 1) if "scipy" in line]
+        bodies = [range(f.body[0].lineno, f.end_lineno + 1) for f in ast.walk(ast.parse(text))
+                  if isinstance(f, ast.FunctionDef)] if path.name == "pde.py" else []
+        assert all(any(i in body for body in bodies) for i in lines), (path.name, lines)
 
 
 def test_heart_direction_monotonicity_cli(tmp_path, capsys):

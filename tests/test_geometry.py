@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from polyheart import bodies
 from polyheart.errors import InvalidPolygon
@@ -9,6 +10,7 @@ from polyheart.geometry import (
     _INCIRCLE_SLACK,
     _INCIRCLE_TIE,
     EMPTY_REGION,
+    ChebyshevResult,
     ConvexPolygon,
     HalfPlane,
     Region,
@@ -58,6 +60,33 @@ def all_pairs_farthest(points):
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
     i, j = np.unravel_index(int(np.argmax(d2)), d2.shape)
     return int(i), int(j), float(np.sqrt(d2[i, j]))
+
+
+def lp_chebyshev_center(poly):
+    """Reference for chebyshev_center: the inradius as the linear program
+    max r s.t. n_e . x + r <= c_e (scipy's HiGHS), and the optimal set
+    re-intersected at that radius, as chebyshev_center does."""
+    n, c = poly.edge_normals, poly.edge_offsets
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([n, np.ones(len(c))]), b_ub=c,
+                  bounds=[(None, None), (None, None), (0.0, None)], method="highs")
+    assert res.success, res.message
+    radius = float(res.x[2])
+    opt = halfplane_intersection(np.column_stack([n, c - radius]), poly.bbox, _INCIRCLE_SLACK * poly.eps)
+    return ChebyshevResult(opt.representative(), radius, opt.extent() <= _INCIRCLE_TIE * poly.eps)
+
+
+def rotated(vertices, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return ConvexPolygon(np.asarray(vertices, dtype=float) @ np.array([[c, s], [-s, c]]))
+
+
+# two edges on one line (a straight angle): as given, their normals are
+# equal; turned, those of the last two differ by rounding, to either side
+STRAIGHT_ANGLE_BODIES = [rotated(v, theta)
+                         for v in ([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],
+                                   [[0, 0], [1, 0], [1, 1], [0.5, 1], [0, 1]],
+                                   [[0, 0], [2, 0], [2, 1], [0.7, 1], [0, 1]])
+                         for theta in (0.0, 0.7, 2.1)]
 
 
 def support_gap(r1, r2):
@@ -168,10 +197,31 @@ def test_chebyshev_oblong_tie(rect21):
     assert np.allclose(c.center, [1.0, 0.5], atol=1e-9)
 
 
+def test_incircle_matches_lp_reference():
+    gen = np.random.default_rng(17)
+    panel = [
+        *random_bodies(16, 300, 3, 63),
+        *(bodies.regular_ngon(n) for n in (3, 4, 5, 7, 64, 512, 1024)),
+        bodies.rectangle(2.0, 1.0),  # antiparallel sides: tied events, a segment of centers
+        bodies.rectangle(1000.0, 1.0),
+        bodies.halfdisc(1.0, 0.0, 64),
+        bodies.ellipse_approx(2.0, 1.0, 256),
+        *(bodies.random_convex_polygon(gen, 512) for _ in range(5)),
+        *STRAIGHT_ANGLE_BODIES,
+    ]
+    for poly in panel:
+        got, want = chebyshev_center(poly), lp_chebyshev_center(poly)
+        assert abs(got.radius - want.radius) <= 1e-11 * poly.diameter
+        assert np.hypot(*(got.center - want.center)) <= 1e-11 * poly.diameter
+        assert got.unique == want.unique
+    for poly in STRAIGHT_ANGLE_BODIES:
+        assert chebyshev_center(poly).radius == pytest.approx(0.5, abs=1e-12)
+
+
 def test_incircle_matches_touching_first_clip():
     # the optimal set cut plane by plane, touching planes first, as before
-    # the sorted sweep: same radius (the LP's) and tie verdict, center
-    # within the two intersections' slack
+    # the sorted sweep: same tie verdict, center within the two
+    # intersections' slack
     for poly in random_bodies(15, 200, 3, 40):
         inc = chebyshev_center(poly)
         n, c, r = poly.edge_normals, poly.edge_offsets, inc.radius
