@@ -526,17 +526,14 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     """Incenter: the deepest point(s) of the polygon.
 
     The inradius is the last event of the straight-skeleton wavefront
-    (Aichholzer-Aurenhammer 1995), here the medial axis (Chin-Snoeyink-Wang
-    1999), in Python floats in a frame centred on the centroid.  The edge
-    lines move inward at unit speed, and a heap splices out the edge that
+    (Aichholzer-Aurenhammer 1995): the edge lines, sorted by normal angle,
+    move inward about the centroid, and a heap splices out the edge that
     vanishes first until three remain.  Edge i between a and b vanishes at
-    the r solving n_p . x + r = c_p for p = a, i, b: Cramer's rule in
-    X_pq = n_p x n_q, never if the determinant is <= 0.  An edge turning
-    left of its predecessor by no more than rounding (or right, as far as
-    ConvexPolygon admits) lies on its line, would make their 3x3s singular,
-    and is merged into it first.  Re-intersecting the inward-offset edges
-    gives the full optimal set; a tie (e.g. oblong bodies) comes back as
-    that segment's midpoint with unique=False.
+    n_p . x + r = c_p, p = a, i, b (Cramer's rule in X_pq = n_p x n_q; never
+    if the determinant is <= 0).  Of normals equal to rounding only the
+    innermost line is kept; a slightly reflex vertex (ConvexPolygon admits
+    them) cuts in as in the re-intersection at that radius, which gives the
+    optimal set: a tie (oblong bodies) returns its midpoint, unique=False.
     """
     normals = poly.edge_normals.tolist()
     offsets = (poly.edge_offsets - poly.edge_normals @ poly.centroid).tolist()
@@ -544,8 +541,14 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     def cross(p, q):
         return normals[p][0] * normals[q][1] - normals[p][1] * normals[q][0]
 
-    ring = [i for i in range(len(normals)) if cross(i - 1, i) > PARALLEL_TOL
-            or normals[i - 1][0] * normals[i][0] + normals[i - 1][1] * normals[i][1] <= 0.0]
+    ring = []
+    for i in np.argsort(np.arctan2(*poly.edge_normals.T[::-1])).tolist():
+        if ring and cross(ring[-1], i) <= PARALLEL_TOL:
+            ring[-1] = min(ring[-1], i, key=offsets.__getitem__)
+        else:
+            ring.append(i)
+    if cross(ring[-1], ring[0]) <= PARALLEL_TOL:  # equal normals across atan2's cut
+        ring[0] = min(ring.pop(), ring[0], key=offsets.__getitem__)
     prev = dict(zip(ring, ring[-1:] + ring[:-1]))
     succ = dict(zip(ring, ring[1:] + ring[:1]))
 
@@ -556,8 +559,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
         return (offsets[a] * xib + offsets[i] * xba + offsets[b] * xai) / det if det > 0.0 else np.inf
 
     event = {i: vanish(i) for i in ring}
-    heap = [(r, i) for i, r in event.items()]
-    heapq.heapify(heap)
+    heap = sorted((r, i) for i, r in event.items())
     while True:
         radius, i = heapq.heappop(heap)
         if event.get(i) != radius:
@@ -572,8 +574,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
             heapq.heappush(heap, (event[j], j))
     planes = np.column_stack([poly.edge_normals, poly.edge_offsets - radius])
     opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
-    unique = opt.extent() <= _INCIRCLE_TIE * poly.eps
-    return ChebyshevResult(opt.representative(), radius, unique)
+    return ChebyshevResult(opt.representative(), radius, opt.extent() <= _INCIRCLE_TIE * poly.eps)
 
 
 def edge_gaps(poly: ConvexPolygon, center, tol: float, error: type[Exception]) -> np.ndarray:

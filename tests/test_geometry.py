@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
     _INCIRCLE_SLACK,
     _INCIRCLE_TIE,
+    _MERGE_SHARE,
     EMPTY_REGION,
     ChebyshevResult,
     ConvexPolygon,
@@ -81,12 +84,48 @@ def rotated(vertices, theta):
 
 
 # two edges on one line (a straight angle): as given, their normals are
-# equal; turned, those of the last two differ by rounding, to either side
-STRAIGHT_ANGLE_BODIES = [rotated(v, theta)
-                         for v in ([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],
-                                   [[0, 0], [1, 0], [1, 1], [0.5, 1], [0, 1]],
-                                   [[0, 0], [2, 0], [2, 1], [0.7, 1], [0, 1]])
-                         for theta in (0.0, 0.7, 2.1)]
+# equal; turned, those of the last two differ by rounding, to either side,
+# and turned by pi, those of the last body lie on either side of -pi = pi
+STRAIGHT_ANGLE_BODIES = [*(rotated(v, theta)
+                           for v in ([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],
+                                     [[0, 0], [1, 0], [1, 1], [0.5, 1], [0, 1]],
+                                     [[0, 0], [2, 0], [2, 1], [0.7, 1], [0, 1]])
+                           for theta in (0.0, 0.7, 2.1)),
+                         rotated([[0, 0], [3, 0], [3, 0.61], [3, 1], [0, 1]], np.pi - 4e-16)]
+
+# a short edge turned right (reflex) as far as ConvexPolygon admits: its
+# line, extended, cuts into the body, so the optimum is below 0.5
+REFLEX_BODIES = [rotated(v, theta)
+                 for v in ([[0, 0], [0.9, 0], [0.900001, -2e-9], [1, 0], [1, 1], [0, 1]],
+                           [[0, 0], [0.5, 0], [0.5, -1.5e-9], [1, -1.5e-9], [1, 1], [0, 1]])
+                 for theta in (0.0, 0.7, 2.1)]
+
+
+def kinked_bodies(seed, count):
+    """Random convex polygons with a 3e-9 to 1e-4 * diam edge put into edge
+    0, turned right by 0.1 to 0.9 of the most that ConvexPolygon admits."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for poly in random_bodies(seed, count, 3, 16):
+        a, e, d = poly.vertices[0], poly.edges[0], poly.diameter
+        u = e / np.hypot(*e)
+        length = d * gen.choice([3e-9, 1e-7, 1e-4])
+        depth = gen.uniform(0.1, 0.9) * 2e-9 * d * d / np.hypot(*e)
+        q = a + 0.5 * e
+        kinked = np.insert(poly.vertices, 1, [q, q + length * u + depth * np.array([u[1], -u[0]])], axis=0)
+        out.append(ConvexPolygon(kinked))
+    return out
+
+
+def vertex_inradius(poly):
+    """Reference inradius by enumeration: the optimum of max r s.t.
+    n_e . x + r <= c_e lies where three of the constraints are tight."""
+    a = np.column_stack([poly.edge_normals, np.ones(len(poly))])
+    c = poly.edge_offsets - poly.edge_normals @ poly.centroid
+    t = np.array(list(itertools.combinations(range(len(poly)), 3)))
+    t = t[np.abs(np.linalg.det(a[t])) > 1e-12]
+    x = np.linalg.solve(a[t], c[t][..., None])[..., 0]
+    return x[(x @ a.T - c).max(axis=1) <= 1e-14 * poly.diameter, 2].max()
 
 
 def support_gap(r1, r2):
@@ -208,6 +247,7 @@ def test_incircle_matches_lp_reference():
         bodies.ellipse_approx(2.0, 1.0, 256),
         *(bodies.random_convex_polygon(gen, 512) for _ in range(5)),
         *STRAIGHT_ANGLE_BODIES,
+        *REFLEX_BODIES,
     ]
     for poly in panel:
         got, want = chebyshev_center(poly), lp_chebyshev_center(poly)
@@ -216,6 +256,23 @@ def test_incircle_matches_lp_reference():
         assert got.unique == want.unique
     for poly in STRAIGHT_ANGLE_BODIES:
         assert chebyshev_center(poly).radius == pytest.approx(0.5, abs=1e-12)
+    for poly in REFLEX_BODIES:
+        assert chebyshev_center(poly).radius < 0.5 - 1e-5
+
+
+def test_incircle_on_reflex_kinks():
+    # HiGHS keeps its constraints only to ~1e-7, too loose for these cuts
+    # and for near-straight vertices, so the reference enumerates the LP's
+    # vertices
+    near_straight = [rotated(v, theta)
+                     for v in ([[0, 0], [1, 0], [2, 1e-10], [2, 1], [0, 1]],
+                               [[0, 0], [1, -1e-12], [2, 0], [2, 1], [0, 1]])
+                     for theta in (0.0, 0.7)]
+    for poly in kinked_bodies(18, 60) + near_straight:
+        inc = chebyshev_center(poly)
+        assert abs(inc.radius - vertex_inradius(poly)) <= 1e-14 * poly.diameter
+        gaps = poly.edge_offsets - poly.edge_normals @ inc.center
+        assert gaps.min() >= inc.radius - (_INCIRCLE_SLACK + _MERGE_SHARE) * poly.eps
 
 
 def test_incircle_matches_touching_first_clip():
