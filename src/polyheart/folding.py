@@ -5,10 +5,12 @@ that reflecting the part of the body above the line {x . omega = lambda}
 across that line lands inside the body.  For polygons it equals the largest
 chord midpoint over the projections of the vertices.  The chord over a
 projection runs between the two boundary chains, the edges facing along
-omega and those facing against it, and each chain is monotone in the
-shadow coordinate, so a sorted search finds the one edge of each chain
-that bounds the chord: O(n log n) per direction.  :func:`folding_profile`
-does this for many directions at once, in blocks of array operations, and
+omega and those facing against it.  The projections rise along one chain
+and fall along the other, so one stable sort of them, which merges those
+few runs in linear time, ranks every vertex within both chains: a running
+count of each chain's vertices in sorted order names the one edge of each
+chain that bounds the chord.  :func:`folding_profile` does this for many
+directions at once, in blocks of array operations, and
 :func:`folding_offset` is its one-direction case.
 :func:`folding_offset_bisection` instead bisects directly on the
 reflection-containment definition and serves as the independent reference
@@ -50,7 +52,8 @@ from .geometry import (
 
 # Directions are folded in blocks of about this many direction x vertex
 # cells, so that a block's temporaries stay at a few hundred kilobytes
-# each whatever the number of directions.
+# each (half a megabyte for the doubled edge arrays) whatever the number
+# of directions.
 _BLOCK_CELLS = 1 << 15
 
 # heart_region's tolerances, in units of poly.eps.  The intersection gives
@@ -133,51 +136,50 @@ def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
     return 0.5 * (iv[0] + iv[1])
 
 
-def _complex_keys(rows: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Keys rows + i*vals: numpy orders complex numbers by real part, then
-    imaginary part, so one searchsorted serves many rows and keeps vals exact."""
-    keys = np.empty(vals.shape, dtype=complex)
-    keys.real = rows
-    keys.imag = vals
-    return keys
+def _chain_ends(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi): both chord ends over every vertex projection, for a block
+    of directions.
 
-
-def _top_chain_bound(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Upper chord end over every vertex projection, for a block of directions.
-
-    Entry (b, k) is the minimum over the edges i with n_i . w_b above
-    PARALLEL_TOL of (c_i - (n_i . u_b) s[b, k]) / (n_i . w_b), the upper
-    end of the chord along w_b over the shadow coordinate s[b, k].  Those
-    edges form one run of the counterclockwise boundary, the top chain,
-    along which s increases; edges parallel to w_b are not in it.  The
-    minimum sits on the chain edge whose s-range brackets s[b, k], so the
-    expression is evaluated there and on the chain edge before it: at a
-    vertex of the chain both edges meet, and the smaller value of the two
-    is the better conditioned one when either edge is nearly parallel to
-    w_b.  A direction without a top chain gets +inf.
+    The upper end along w_b over s[b, k] is the minimum over the edges i
+    with n_i . w_b above PARALLEL_TOL, the top chain, of
+    (c_i - (n_i . u_b) s[b, k]) / (n_i . w_b); the lower end is the
+    maximum over the edges with n_i . w_b below -PARALLEL_TOL, the bottom
+    chain.  Each chain is one run of the counterclockwise boundary, along
+    which s rises (top) or falls (bottom), and the extremum sits on the
+    chain edge whose s-range brackets s[b, k].  With edge i starting at
+    vertex i, that edge's place in its chain is the count of the chain's
+    vertices up to the vertex in one stable sort of the row, ascending for
+    the top chain and descending for the bottom one.  Where projections
+    tie, the count may stop on either side of a chain vertex, at which the
+    edges on both sides meet.  The expression is evaluated on the
+    bracketing edge and on the one before it: at a chain vertex both give
+    the vertex, and the extremum of the two is the better conditioned
+    value when either edge is nearly parallel to w_b.  A direction without
+    a bottom (top) chain gets -inf (+inf).
     """
-    m = len(poly.edge_normals)
-    a = w @ poly.edge_normals.T   # (B, m)
-    du = u @ poly.edge_normals.T  # (B, m)
-    top = a > PARALLEL_TOL
-    length = top.sum(axis=1)
-    start = np.argmax(top & ~np.roll(top, 1, axis=1), axis=1)[:, None]
+    n = s.shape[1]
     rows = np.arange(len(w))[:, None]
-    # chain position j holds edge (start + j) % m, which starts at the
-    # vertex of the same index: the chain's breakpoints in increasing s
-    on_chain = np.arange(m) < length[:, None]
-    breaks = _complex_keys(rows, s[rows, (start + np.arange(m)) % m])[on_chain]
-    j = np.searchsorted(breaks, _complex_keys(rows, s).ravel(), side="right").reshape(s.shape)
-    j -= (np.cumsum(length) - length)[:, None] + 1
-    last = np.maximum(length - 1, 0)[:, None]
-    hi = np.full(s.shape, np.inf)
-    for shift in (-1, 0):
-        e = (start + np.clip(j + shift, 0, last)) % m
-        at = rows * m + e
-        val = (poly.edge_offsets[e] - du.ravel()[at] * s) / a.ravel()[at]
-        np.minimum(hi, val, out=hi)
-    hi[length == 0] = np.inf
-    return hi
+    # flat cell indices, ascending s along each row
+    order = np.argsort(s, axis=1, kind="stable") + n * rows
+    # edge data doubled along each row, so that a chain starting at any
+    # edge runs on without wrapping; indexed flat as well
+    normals = np.concatenate([poly.edge_normals, poly.edge_normals])
+    a = w @ normals.T   # (B, 2n)
+    du = u @ normals.T  # (B, 2n)
+    c = np.tile(np.concatenate([poly.edge_offsets, poly.edge_offsets]), (len(w), 1))
+    ends = []
+    for chain, way, extremum, absent in ((a[:, :n] < -PARALLEL_TOL, order[:, ::-1], np.maximum, -np.inf),
+                                         (a[:, :n] > PARALLEL_TOL, order, np.minimum, np.inf)):
+        count = np.empty_like(order)
+        np.put(count, way, np.cumsum(np.take(chain, way), axis=1))
+        start = np.argmax(chain & ~np.roll(chain, 1, axis=1), axis=1)[:, None] + 2 * n * rows
+        e = np.maximum(count + (start - 1), start)
+        end = (np.take(c, e) - np.take(du, e) * s) / np.take(a, e)
+        e = np.maximum(e - 1, start)
+        extremum(end, (np.take(c, e) - np.take(du, e) * s) / np.take(a, e), out=end)
+        end[~chain.any(axis=1)] = absent
+        ends.append(end)
+    return tuple(ends)
 
 
 def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +187,7 @@ def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndar
     u = np.column_stack([-w[:, 1], w[:, 0]])  # perp of every row
     s = u @ poly.vertices.T
     own = w @ poly.vertices.T
-    # the bottom chain along w is the top chain along -w, with s negated
-    hi = _top_chain_bound(poly, w, u, s)
-    lo = -_top_chain_bound(poly, -w, -u, -s)
+    lo, hi = _chain_ends(poly, w, u, s)
     f = 0.5 * (lo + hi)
     bad = ~np.isfinite(f) | (lo > hi)
     f[bad] = own[bad]
@@ -220,7 +220,9 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     """Folding offsets over many directions, each as in :func:`folding_offset`.
 
     The directions are evaluated in blocks, each in one set of array
-    operations whose cost grows as n log n in the vertex count.
+    operations.  Each row's vertex projections are sorted once, stably;
+    they form a rising and a falling run, which the sort merges in linear
+    time, and every other step is linear in the vertex count.
     """
     w = check_directions(directions)
     values = np.empty(len(w))
@@ -287,12 +289,9 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
 def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
     """Sampled direction set: uniform angles, body edge normals and both
     coordinate axes; deduplicated."""
-    ang = [2.0 * np.pi * k / n_dirs for k in range(n_dirs)]
-    dirs = [np.array([np.cos(a), np.sin(a)]) for a in ang]
-    dirs.extend(poly.edge_normals)
-    dirs.extend(np.array(d, dtype=float) for d in
-                ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
-    arr = np.array(dirs)
+    ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    axes = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    arr = np.concatenate([np.column_stack([np.cos(ang), np.sin(ang)]), poly.edge_normals, axes])
     arr /= np.hypot(arr[:, 0], arr[:, 1])[:, None]
     ang = np.arctan2(arr[:, 1], arr[:, 0])
     # one half-open range, cut half a rounding step below pi, so that the

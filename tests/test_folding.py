@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyheart import bodies
+from polyheart import bodies, folding
 from polyheart.errors import OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
     _CENTROID_TOL,
@@ -373,6 +373,58 @@ def test_profile_matches_tableau():
         for w in dirs[::37]:
             s, f = vertex_chord_midpoints(poly, w)
             assert np.abs(f - tableau_chord_midpoints(poly, w)[1]).max() <= tol
+
+
+def _assert_profile_matches_tableau(poly, dirs):
+    tol = 1e-11 * poly.diameter
+    profile = folding_profile(poly, dirs)
+    for k, w in enumerate(dirs):
+        s, f = tableau_chord_midpoints(poly, w)
+        assert abs(profile.values[k] - f.max()) <= tol, (len(poly), w)
+        j = profile.witness_vertex[k]
+        assert abs(f[j] - f.max()) <= tol and abs(profile.witness_s[k] - s[j]) <= tol
+        assert np.abs(vertex_chord_midpoints(poly, w)[1] - f).max() <= tol, (len(poly), w)
+
+
+def _turned(poly, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return ConvexPolygon(poly.vertices @ np.array([[c, s], [-s, c]]))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5 * np.pi, 0.7])
+@pytest.mark.parametrize("body", [
+    bodies.square(),
+    bodies.rectangle(2.0, 1.0),
+    *(bodies.regular_ngon(n) for n in (4, 6, 8, 12)),
+    ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
+    ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0], [0.0, 1.0]]),
+], ids=["square", "rect21", "ngon4", "ngon6", "ngon8", "ngon12", "straight_bottom", "straight_top"])
+def test_profile_matches_tableau_on_ties(body, theta):
+    # many projections tie exactly here, so the shared sort's tie order
+    # decides which chain edge brackets a vertex; along the edge
+    # directions +-e_i/|e_i| an edge is parallel to omega and leaves its chain
+    poly = _turned(body, theta)
+    e = poly.edges / poly.edge_lengths[:, None]
+    _assert_profile_matches_tableau(poly, np.concatenate([heart_directions(poly, 720), e, -e]))
+
+
+@pytest.mark.parametrize("cells", [lambda n: 7 * n + 3, lambda n: 1], ids=["7n+3", "one_row"])
+def test_profile_independent_of_block_split(monkeypatch, cells):
+    # blocks of 7 rows and a ragged last block, or one row each: every row
+    # must come out as the single direction does, whatever block it is in
+    gen = np.random.default_rng(907)
+    suite = [bodies.regular_ngon(12), bodies.halfdisc(1.0, 0.0, 64)] + [
+        bodies.random_convex_polygon(gen, n) for n in (5, 40, 150)]
+    for poly in suite:
+        dirs = heart_directions(poly, 720)
+        monkeypatch.setattr(folding, "_BLOCK_CELLS", cells(len(poly)))
+        profile = folding_profile(poly, dirs)
+        monkeypatch.undo()
+        for k, w in enumerate(dirs):
+            one = folding_offset(poly, w)
+            assert abs(profile.values[k] - one.value) <= 1e-12 * poly.diameter, (len(poly), w)
+            f = tableau_chord_midpoints(poly, w)[1]
+            assert abs(f[profile.witness_vertex[k]] - f.max()) <= 1e-11 * poly.diameter
 
 
 @settings(max_examples=60, deadline=None)
