@@ -51,10 +51,10 @@ from .geometry import (
 )
 
 # Directions are folded in blocks of about this many direction x vertex
-# cells, so that a block's temporaries stay at a few hundred kilobytes
-# each (half a megabyte for the doubled edge arrays) whatever the number
-# of directions.
-_BLOCK_CELLS = 1 << 15
+# cells, so that a block's temporaries stay at 128 kB each (256 kB for
+# the doubled edge arrays), about 2.5 MB in all, whatever the number of
+# directions.
+_BLOCK_CELLS = 1 << 14
 
 # heart_region's tolerances, in units of poly.eps.  The intersection gives
 # every cut one eps of slack, so a heart vertex may sit that far beyond a

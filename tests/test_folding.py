@@ -419,7 +419,6 @@ def test_profile_independent_of_block_split(monkeypatch, cells):
         dirs = heart_directions(poly, 720)
         monkeypatch.setattr(folding, "_BLOCK_CELLS", cells(len(poly)))
         profile = folding_profile(poly, dirs)
-        monkeypatch.undo()
         for k, w in enumerate(dirs):
             one = folding_offset(poly, w)
             assert abs(profile.values[k] - one.value) <= 1e-12 * poly.diameter, (len(poly), w)
