@@ -12,11 +12,13 @@ The eigenpair is the lowest one of the five-point Dirichlet Laplacian A,
 from eigsh with k = 1 on one sparse LU factorization.  The heat flow is
 the explicit Euler march u <- p(B) u at dt = h^2/5, inside the h^2/4
 stability limit, with B = A h^2/4 - I and p(t) = (1 - 4t)/5; it is never
-run step by step.  n steps are the Chebyshev series of p^n in B, summed
-from one recurrence T_{k+1}(B) u = 2B T_k(B) u - T_{k-1}(B) u; since
-|T_k(B)|_2 <= 1, the l1 norm of the coefficients left out bounds each
-sample's error.  The recurrence restarts as the field decays and hands
-over to the lowest eigenpair once the rest is negligible (heat_solve).
+run step by step.  n steps are the Chebyshev series of p^n in B, with
+coefficients from one backward banded solve (_power_series), summed from
+the recurrence T_{k+1}(B) u = 2B T_k(B) u - T_{k-1}(B) u into every
+pending sample at once; since |T_k(B)|_2 <= 1, the l1 norm of the
+coefficients left out bounds each sample's error.  The recurrence
+restarts as the field decays and hands over to the lowest eigenpair once
+the rest is negligible (heat_solve).
 Hot-spot locations are refined off-lattice by a least-squares quadratic
 fit on the 3x3 neighborhood of the grid argmax.
 """
@@ -67,13 +69,20 @@ _RESTART_DECAY = 1e-4
 # Each early sample's Chebyshev series is cut where the l1 norm of the
 # dropped coefficients is at most this.
 _CHEB_TOL = 1e-17
-# _power_series drops running coefficients below this, far below any a cut
-# at _CHEB_TOL keeps, after every product; the bounds carry their l1 mass.
+# _power_series drops trailing coefficients below this, far below any a cut
+# at _CHEB_TOL keeps; the bounds carry their l1 mass.
 _CHEB_FLOOR = 1e-30
-# Steps per precomputed power of p in the coefficient recurrence.
-_CHEB_CHUNK = 64
+# c_k of p^n falls off as about exp(-k^2/(1.6 n)), and a backward start
+# at K leaves it off by about exp(-(K^2 - k^2)/(4n)) relative: from K =
+# _MILLER_START sqrt(n) on, below rounding for every c_k above _CHEB_FLOOR.
+_MILLER_START = 16.0
 # Chebyshev vectors T_k(B) u stacked per matrix product into the samples.
 _CHEB_BLOCK = 32
+# That product runs per column tile of _TILE nodes, small enough at 25
+# samples that OpenBLAS keeps it on the calling thread, _TILE_GROUP tiles
+# per call: a whole-grid temporary left report's peak RSS 4 MB higher.
+_TILE = 256
+_TILE_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -223,54 +232,37 @@ class TrackSample:
     degree: int = 0
 
 
-def _chebyshev_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the product of two Chebyshev series.
-
-    T_j T_k = (T_{j+k} + T_{|j-k|}) / 2.  On powers of p every term of one
-    output coefficient has the same sign, so each keeps its relative
-    accuracy however small it is.
-    """
-    out = np.convolve(a, b)
-    lags = np.correlate(a, b, mode="full")  # lags[len(b) - 1 + d] pairs a_{i+d} with b_i
-    mid = len(b) - 1
-    out[: len(a)] += lags[mid:]
-    out[1 : len(b)] += lags[:mid][::-1]
-    return 0.5 * out
-
-
-def _powers_of_p(count: int) -> list[np.ndarray]:
-    """Chebyshev coefficients of p^0 .. p^count, p(t) = (1 - 4t)/5."""
-    p = np.array([0.2, -0.8])
-    powers = [np.ones(1)]
-    for _ in range(count):
-        powers.append(_chebyshev_product(powers[-1], p))
-    return powers
-
-
-_P_POWERS = _powers_of_p(_CHEB_CHUNK)
-
-
 def _power_series(steps) -> list[tuple[np.ndarray, float]]:
-    """Chebyshev coefficients of p^n for each n in steps, ascending, each
-    with the l1 mass trimmed on the way to it.
+    """Chebyshev coefficients of p^n, p(t) = (1 - 4t)/5, for each n in
+    steps, each with the l1 mass of the coefficients it leaves out.
 
-    One product with p^_CHEB_CHUNK per chunk, or with p^r for a shorter
-    remainder r, each followed by dropping trailing coefficients below
-    _CHEB_FLOOR.  Every power of p has Chebyshev l1 norm 1, so the sum of
-    the dropped masses bounds the l1 error of every later power.
+    (1 - 4t) (p^n)' = -4n p^n gives, with c_0 doubled, 2(n-k+1) c_{k-1}
+    + k c_k - 2(n+k+1) c_{k+1} = 0 for k >= 1.  The c_k alternate in sign,
+    so run backward every term has one sign: the recurrence is stable
+    (Miller's algorithm).  One upper-banded solve runs it from c_{K+1} = 0
+    at K = min(n, ceil(_MILLER_START sqrt(n)) + 10), exact at K = n, scaled
+    so that sum (-1)^k c_k = p(-1)^n = 1.  Trailing coefficients below
+    _CHEB_FLOOR are dropped; the mass left out is theirs plus the mass
+    beyond K, bounded on the Bernstein ellipse of parameter rho: there
+    |p| <= M = ((1 + 2(rho + 1/rho))/5)^n, so |c_k| <= 2 M rho^-k.
     """
+    import scipy.linalg  # loaded by scipy.sparse.linalg already; see _interior_laplacian
     series = []
-    c, dropped = np.ones(1), 0.0
-    done = 0
     for n in steps:
-        while n > done:
-            r = min(n - done, _CHEB_CHUNK)
-            c = _chebyshev_product(c, _P_POWERS[r])
-            keep = int(np.flatnonzero(np.abs(c) >= _CHEB_FLOOR)[-1]) + 1
-            dropped += float(np.abs(c[keep:]).sum())
-            c = c[:keep]
-            done += r
-        series.append((c, dropped))
+        top = min(n, math.ceil(_MILLER_START * math.sqrt(n)) + 10)
+        j = np.arange(top + 1.0)
+        # row k - 1 is the recurrence at k, c_{k-1} on the diagonal; the last sets c_K = 1
+        ab = np.stack([-2.0 * (n + j), j, 2.0 * (n - j)])
+        ab[2, 0], ab[2, top] = 4.0 * n, 1.0
+        c = scipy.linalg.solve_banded((0, 2), ab, (j == top) * 1.0, overwrite_ab=True, check_finite=False)
+        c /= (-1.0) ** top * np.abs(c).sum()
+        keep = int(np.flatnonzero(np.abs(c) >= _CHEB_FLOOR)[-1]) + 1
+        dropped = float(np.abs(c[keep:]).sum())
+        if top < n:
+            s = (top + 1) / (0.8 * n)  # log rho, near the bound's minimum
+            log_m = n * math.log1p(1.6 * math.sinh(0.5 * s) ** 2)
+            dropped += 2.0 * math.exp(log_m - (top + 1) * s) / -math.expm1(-s)
+        series.append((c[:keep], dropped))
     return series
 
 
@@ -286,12 +278,13 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     """Yield (p(B)^n u, degree, tail) for each n in steps, ascending.
 
     Each field is its series cut by _cut_series, summed from one
-    three-term recurrence on u, _CHEB_BLOCK vectors per matrix product;
-    tail also counts the mass _power_series trimmed.  A field is yielded
-    as soon as the recurrence passes its degree, so a caller that stops
-    early saves the rest.  The stencil runs on the flattened padded grid,
-    where the four neighbours of node i are i +- 1 and i +- ny; only
-    padding nodes, which the mask zeroes, read across the end of a row.
+    three-term recurrence on u; tail also counts the mass _power_series
+    left out.  The last _CHEB_BLOCK vectors T_k(B) u sit in a ring, added
+    into every pending sample at once, one matrix product per column tile.
+    A field is yielded, as a view, as soon as the recurrence passes its
+    degree, so a caller that stops early saves the rest.  The stencil runs
+    on the flattened padded grid, where node i's neighbours are i +- 1 and
+    i +- ny; only padding nodes, which the mask zeroes, wrap across a row.
     """
     series = _power_series(steps)
     cut = [_cut_series(c) for c, _ in series]
@@ -299,35 +292,42 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     coeffs = np.zeros((len(cut), max(degrees) + 1))
     for row, (c, _) in zip(coeffs, cut):
         row[: len(c)] = c
-    acc = np.zeros((len(cut), u.size))
-    block = np.zeros((_CHEB_BLOCK, u.size))
+    tiles = -(-u.size // _TILE)
+    acc = np.zeros((len(cut), tiles, _TILE))
+    ring = np.zeros((_CHEB_BLOCK, tiles, _TILE))
+    flat = ring.reshape(_CHEB_BLOCK, -1)
     ny = u.shape[1]
     lo, hi = ny + 1, u.size - ny - 1
-    inner = mask_f.ravel()[lo:hi]
-    nbr = np.empty(hi - lo)
+    half = -0.5 * mask_f.ravel()[lo:hi]
     pair = np.empty(hi - lo)
     done = 0
     for k0 in range(0, coeffs.shape[1], _CHEB_BLOCK):
         k1 = min(k0 + _CHEB_BLOCK, coeffs.shape[1])
         for k in range(k0, k1):
-            t = block[k % _CHEB_BLOCK]
             if k == 0:
-                t[:] = u.ravel()
+                flat[0, : u.size] = u.ravel()
                 continue
-            a = block[(k - 1) % _CHEB_BLOCK]
-            np.add(a[lo + ny : hi + ny], a[lo - ny : hi - ny], out=nbr)
+            t = flat[k % _CHEB_BLOCK, lo:hi]
+            a = flat[(k - 1) % _CHEB_BLOCK]
+            np.add(a[lo + ny : hi + ny], a[lo - ny : hi - ny], out=t)
             np.add(a[lo + 1 : hi + 1], a[lo - 1 : hi - 1], out=pair)
-            nbr += pair
+            t += pair
+            t *= half
             if k == 1:
-                nbr *= -0.25
+                t *= 0.5
             else:
-                nbr *= -0.5
-                nbr -= block[(k - 2) % _CHEB_BLOCK][lo:hi]
-            np.multiply(nbr, inner, out=t[lo:hi])
-        acc[done:] += coeffs[done:, k0:k1] @ block[: k1 - k0]
+                t -= flat[(k - 2) % _CHEB_BLOCK, lo:hi]
+        for j in range(0, tiles, _TILE_GROUP):
+            pending = acc[done:, j : j + _TILE_GROUP].swapaxes(0, 1)
+            pending += np.matmul(coeffs[done:, k0:k1], ring[: k1 - k0, j : j + _TILE_GROUP].swapaxes(0, 1))
         while done < len(cut) and degrees[done] < k1:
-            yield acc[done].reshape(u.shape), degrees[done], cut[done][1] + series[done][1]
+            yield acc[done].reshape(-1)[: u.size].reshape(u.shape), degrees[done], cut[done][1] + series[done][1]
             done += 1
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm by numpy's pairwise sum: a BLAS dot would spread over threads."""
+    return math.sqrt(float(np.add.reduce(x * x, axis=None)))
 
 
 def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
@@ -378,13 +378,13 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult | None = None) 
     mask_f = grid.mask.astype(float)
     ii, jj = np.nonzero(grid.mask)
     phi = eigen.field.values[ii, jj]
-    scale = float(np.linalg.norm(phi))
+    scale = _norm(phi)
     v = phi / scale
     samples = []
     # u is the field at step start, within carried of the march
     start, u, carried = 0, mask_f, 0.0
     while len(samples) < len(steps):
-        norm, top = float(np.linalg.norm(u)), float(u.max())
+        norm, top = _norm(u), float(u.max())
         pending = steps[len(samples) :]
         fields = _chebyshev_fields(mask_f, u, [n - start for n in pending])
         for n, (field, degree, tail) in zip(pending, fields):
@@ -392,8 +392,8 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult | None = None) 
             loc, peak = _locate_peak(grid, field)
             samples.append(TrackSample(n * dt, loc, peak, bound=bound, degree=degree))
             x = field[ii, jj]
-            lead = float(v @ x)
-            dropped = float(np.linalg.norm(x - lead * v))
+            lead = float(np.add.reduce(v * x))
+            dropped = _norm(x - lead * v)
             if dropped <= _SWITCH_TOL * float(np.abs(x).max()):
                 decay = 1.0 - dt * eigen.eigenvalue
                 rho = max(decay, 8.0 / _DT_FACTOR - 1.0)

@@ -408,6 +408,23 @@ def test_profile_matches_tableau_on_ties(body, theta):
     _assert_profile_matches_tableau(poly, np.concatenate([heart_directions(poly, 720), e, -e]))
 
 
+def test_chord_ends_near_edge_directions():
+    # 1e-6 rad off an edge direction that edge is nearly parallel to omega,
+    # and where it brackets a vertex its line puts the chord end there off
+    # by up to 1e-10 diam; the chain edge before it meets the same vertex
+    # well conditioned, and the kernel keeps the better of the two, as the
+    # tableau's extremum over all edges does
+    turns = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in (1e-6, -1e-6)]
+    for poly in random_bodies(1906, 6, 12, 36):
+        tol = 1e-12 * poly.diameter
+        e = poly.edges / poly.edge_lengths[:, None]
+        for w in np.concatenate([sign * e @ turn.T for turn in turns for sign in (1.0, -1.0)]):
+            w = w / np.linalg.norm(w)
+            f = tableau_chord_midpoints(poly, w)[1]
+            assert np.abs(vertex_chord_midpoints(poly, w)[1] - f).max() <= tol, (len(poly), w)
+            assert abs(folding_offset(poly, w).value - f.max()) <= tol, (len(poly), w)
+
+
 @pytest.mark.parametrize("cells", [lambda n: 7 * n + 3, lambda n: 1], ids=["7n+3", "one_row"])
 def test_profile_independent_of_block_split(monkeypatch, cells):
     # blocks of 7 rows and a ragged last block, or one row each: every row

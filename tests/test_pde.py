@@ -210,10 +210,11 @@ def test_heat_bound_covers_loose_chebyshev_cut(square, monkeypatch):
     assert any(b < a for a, b in zip(early, early[1:]))
 
 
-def exact_power_series(n: int) -> list[Fraction]:
-    """Chebyshev coefficients of ((1 - 4t)/5)^n in rational arithmetic."""
+def exact_power_series(steps):
+    """Chebyshev coefficients of ((1 - 4t)/5)^n in rational arithmetic, for
+    each n of the ascending steps."""
     coeffs = [Fraction(1)]
-    for _ in range(n):
+    for n in range(1, max(steps) + 1):
         out = [Fraction(0)] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             # t T_k = (T_{k+1} + T_{|k-1|}) / 2
@@ -221,23 +222,25 @@ def exact_power_series(n: int) -> list[Fraction]:
             out[k + 1] -= 2 * c / 5
             out[abs(k - 1)] -= 2 * c / 5
         coeffs = out
-    return coeffs
+        if n in steps:
+            yield coeffs
 
 
 def test_power_series_exact():
-    steps = [1, 2, 7, 63, 64, 65, 100, 128, 129, 150]
-    assert any(n % pde._CHEB_CHUNK == 0 for n in steps)
+    steps = [1, 2, 7, 63, 64, 65, 100, 128, 129, 150, 250, 300, 400]
+    # the last two start the recurrence below n, the others at n (exact)
+    starts = [math.ceil(pde._MILLER_START * math.sqrt(n)) + 10 for n in steps]
+    assert sum(k < n for k, n in zip(starts, steps)) == 2
     trimmed = 0
-    for n, (got, dropped) in zip(steps, pde._power_series(steps)):
-        want = exact_power_series(n)
+    for n, (got, dropped), want in zip(steps, pde._power_series(steps), exact_power_series(steps)):
         assert len(got) <= len(want) == n + 1
         assert abs(got[-1]) >= pde._CHEB_FLOOR
         # every coefficient above the floor, to 1e-13 relative plus the
-        # trimmed mass, which later products spread over the coefficients
+        # mass left out
         err = [abs(Fraction(float(g)) - w) - Fraction(1e-13) * abs(w) for g, w in zip(got, want)]
         assert max(err) <= Fraction(dropped), n
-        # the carried mass covers the rational tail the trim cut, up to
-        # the rounding of its own sum
+        # the carried mass covers the rational tail beyond the trim and
+        # beyond the recurrence's start, up to the rounding of its own sum
         cut_tail = sum(abs(w) for w in want[len(got) :])
         assert Fraction(dropped * (1.0 + 1e-12)) >= cut_tail, n
         trimmed += dropped > 0.0
@@ -247,6 +250,50 @@ def test_power_series_exact():
         assert tail <= pde._CHEB_TOL
         assert degree <= math.sqrt(1.6 * n * math.log(1.0 / pde._CHEB_TOL)) + 8, n
     assert trimmed >= 3
+
+
+def test_power_series_sums_to_one_at_minus_one():
+    # p(-1)^n = 1 at the last step of the half-disc's track, which holds to
+    # 1e-15 only if the coefficients' l1 error is at rounding level
+    ((c, _),) = pde._power_series([34312])
+    assert abs(math.fsum(c[::2]) - math.fsum(c[1::2]) - 1.0) <= 1e-15
+
+
+def plain_chebyshev_fields(mask_f, u, steps):
+    """Reference for _chebyshev_fields: the same cut series summed term by
+    term on the 2-D grid, T_{k+1} = 2 B T_k - T_{k-1} with B = -1/4 times
+    the four-neighbour sum, masked."""
+    cut = [pde._cut_series(c)[0] for c, _ in pde._power_series(steps)]
+    fields = [c[0] * u for c in cut]
+    prev, t = None, u
+    for k in range(1, max(len(c) for c in cut)):
+        nbr = np.zeros_like(u)
+        nbr[1:-1, 1:-1] = (t[2:, 1:-1] + t[:-2, 1:-1]) + (t[1:-1, 2:] + t[1:-1, :-2])
+        prev, t = t, mask_f * (-0.25 * nbr if k == 1 else -0.5 * nbr - prev)
+        for field, c in zip(fields, cut):
+            if k < len(c):
+                field += c[k] * t
+    return fields
+
+
+def test_chebyshev_fields_match_plain_sum(right_tri):
+    # 71 x 71 padded nodes on the triangle, not a multiple of the 256-node
+    # tile; the 4 x 5 block of test_grid_too_small_for_eigsh, with its
+    # ring of padding, is 42 nodes, less than one tile.  The coefficients
+    # have l1 norm 1, so rounding scales with max|u|, not with the field.
+    grid = rasterize(right_tri, chebyshev_center(right_tri).radius / 20.0)
+    mask = np.zeros((6, 7), dtype=bool)
+    mask[1:5, 1:6] = True
+    for mask_f in (grid.mask.astype(float), mask.astype(float)):
+        assert mask_f.size % pde._TILE != 0
+        u = mask_f * np.linspace(0.5, 1.5, mask_f.size).reshape(mask_f.shape)
+        steps = [1, 2, 5, 40, 41, 300, 2000]
+        # the yielded views must stay as they were while the sum runs on
+        got = [field for field, _, _ in pde._chebyshev_fields(mask_f, u, steps)]
+        want = plain_chebyshev_fields(mask_f, u, steps)
+        assert len(got) == len(steps)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(u).max()
 
 
 def test_grid_too_small_for_eigsh(square, monkeypatch):
