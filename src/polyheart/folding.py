@@ -100,6 +100,7 @@ class FoldingProfile:
     values: np.ndarray          # (k,) folding offsets
     witness_s: np.ndarray       # (k,) shadow coordinate of the maximal chord midpoint
     witness_vertex: np.ndarray  # (k,) index of the vertex that projects there
+    support: np.ndarray         # (k,) support value h(omega), the largest vertex projection
 
     @property
     def entries(self) -> tuple[FoldEntry, ...]:
@@ -182,8 +183,9 @@ def _chain_ends(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.ndarray
     return tuple(ends)
 
 
-def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, f) of :func:`vertex_chord_midpoints` for a block of directions, one row each."""
+def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(s, f) of :func:`vertex_chord_midpoints` for a block of directions,
+    one row each, and every vertex's own coordinate along each direction."""
     u = np.column_stack([-w[:, 1], w[:, 0]])  # perp of every row
     s = u @ poly.vertices.T
     own = w @ poly.vertices.T
@@ -191,7 +193,7 @@ def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndar
     f = 0.5 * (lo + hi)
     bad = ~np.isfinite(f) | (lo > hi)
     f[bad] = own[bad]
-    return s, f
+    return s, f, own
 
 
 def vertex_chord_midpoints(poly: ConvexPolygon, omega) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +203,7 @@ def vertex_chord_midpoints(poly: ConvexPolygon, omega) -> tuple[np.ndarray, np.n
     perp(omega) and the chord-midpoint value above each.  Degenerate chords
     at shadow-extreme vertices contribute the vertex's own omega-coordinate.
     """
-    s, f = _vertex_chord_midpoints(poly, check_direction(omega)[None, :])
+    s, f, _ = _vertex_chord_midpoints(poly, check_direction(omega)[None, :])
     return s[0], f[0]
 
 
@@ -222,21 +224,26 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     The directions are evaluated in blocks, each in one set of array
     operations.  Each row's vertex projections are sorted once, stably;
     they form a rising and a falling run, which the sort merges in linear
-    time, and every other step is linear in the vertex count.
+    time, and every other step is linear in the vertex count.  Each
+    block's vertex projections also give the support values, so no
+    matrix product spans all directions at once: one that large would
+    run on OpenBLAS's worker threads.
     """
     w = check_directions(directions)
     values = np.empty(len(w))
     witness_s = np.empty(len(w))
     witness_vertex = np.empty(len(w), dtype=np.intp)
+    support = np.empty(len(w))
     block = max(1, _BLOCK_CELLS // len(poly.vertices))
     for k in range(0, len(w), block):
-        s, f = _vertex_chord_midpoints(poly, w[k:k + block])
+        s, f, own = _vertex_chord_midpoints(poly, w[k:k + block])
         j = np.argmax(f, axis=1)
         rows = np.arange(len(j))
         values[k:k + block] = f[rows, j]
         witness_s[k:k + block] = s[rows, j]
         witness_vertex[k:k + block] = j
-    return FoldingProfile(w, values, witness_s, witness_vertex)
+        support[k:k + block] = own.max(axis=1)
+    return FoldingProfile(w, values, witness_s, witness_vertex, support)
 
 
 def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
@@ -315,9 +322,8 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720) -> tuple[Heart, Folding
     dirs = heart_directions(poly, n_dirs)
     profile = folding_profile(poly, dirs)
     eps = poly.eps
-    sup = (poly.vertices @ dirs.T).max(axis=0)
     vals = profile.values
-    over = vals - sup
+    over = vals - profile.support
     if over.max() > _SUPPORT_TOL * eps:
         i = int(np.argmax(over))
         raise InconsistentHeart(
@@ -349,7 +355,11 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720) -> tuple[Heart, Folding
             f"heart left the body by {out:.3e} (tolerance {_CONTAINMENT_TOL * eps:.3e})"
         )
     if region.kind == "polygon":
-        above = ((region.points @ dirs.T).max(axis=0) - vals).max()
+        # in direction blocks, as in folding_profile: one product over
+        # all directions would run on OpenBLAS's worker threads
+        block = max(1, _BLOCK_CELLS // len(region.points))
+        above = max(((region.points @ dirs[k:k + block].T).max(axis=0) - vals[k:k + block]).max()
+                    for k in range(0, len(dirs), block))
         if above > _CONTAINMENT_TOL * eps:
             raise InconsistentHeart(
                 f"heart support exceeds a folding offset by {above:.3e} "

@@ -214,11 +214,17 @@ class ConvexPolygon:
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths <= EPS_REL * scale):
             raise InvalidPolygon("duplicate or near-duplicate consecutive vertices")
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        nxt = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if _polygon_area(v) <= 0.0:
             raise InvalidPolygon("vertices must be in counterclockwise order with positive area")
         if np.any(cross < -EPS_REL * scale * scale):
             raise InvalidPolygon("polygon is not convex")
+        # left turns everywhere still admit a star ring that winds k times
+        # and turns through 2 pi k; a convex ring turns through 2 pi once
+        turn = float(np.arctan2(cross, edges[:, 0] * nxt[:, 0] + edges[:, 1] * nxt[:, 1]).sum())
+        if turn > 3.0 * np.pi:
+            raise InvalidPolygon(f"ring winds more than once: its exterior angles sum to {turn:.6g}, above 3 pi")
         v.setflags(write=False)
         edges.setflags(write=False)
         self.vertices = v

@@ -9,7 +9,8 @@ commutative pairs, so a mirrored run reproduces the mirrored trajectory
 up to the summation order of one matrix product (far below 1e-10).
 
 The eigenpair is the lowest one of the five-point Dirichlet Laplacian A,
-from eigsh with k = 1 on one sparse LU factorization.  The heat flow is
+from a shift-invert Lanczos on one sparse LU factorization (eigen_solve),
+whose dot products and basis sums stay off BLAS.  The heat flow is
 the explicit Euler march u <- p(B) u at dt = h^2/5, inside the h^2/4
 stability limit, with B = A h^2/4 - I and p(t) = (1 - 4t)/5; it is never
 run step by step.  n steps are the Chebyshev series of p^n in B, with
@@ -36,9 +37,19 @@ _DT_FACTOR = 5.0
 # full_verify's default grid spacing is the inradius over this, so the
 # membership slack of two spacings is 4% of the inradius.
 _H_PER_INRADIUS = 50.0
-# eigsh's cap on ARPACK iterations; reaching it raises NoConvergence
-# rather than returning an unconverged eigenpair.
+# eigen_solve's Lanczos: a basis of at most _LANCZOS_BASIS vectors
+# (ARPACK's default for one eigenpair), restarted from the Ritz vector when
+# full; it stops once the Ritz estimate of |A^-1 x - theta x| is at most
+# _LANCZOS_TOL theta, and raises NoConvergence after _EIGEN_MAX_ITER LU
+# solves rather than return an unconverged eigenpair.
+_LANCZOS_BASIS = 20
+_LANCZOS_TOL = 1e-15
 _EIGEN_MAX_ITER = 400
+# SuperLU's supernode relaxation and panel width for that LU: at 4 and 4
+# the factor plus its Lanczos solves took 15-20% less time than at
+# SuperLU's defaults, on the report panel and on 8k-79k-node grids.
+_LU_RELAX = 4
+_LU_PANEL = 4
 # eigen_solve's bound on the lowest mode's sup-norm residual relative to
 # its sup norm: far above rounding, so it only catches a failed solve.
 _EIGEN_TOL = 1e-8
@@ -56,9 +67,9 @@ _EARLY_REL_TOL = 0.10
 _LATE_SLACK_REL = 0.02
 _DECAY_TAIL = 6
 _DECAY_REL_TOL = 0.02
-# eigen_solve's dense eigh cut-off: ARPACK's default Lanczos basis for one
-# eigenpair (20 vectors) would span a grid this small anyway.
-_DENSE_NODES = 20
+# eigen_solve's dense eigh cut-off: the Lanczos basis would span a grid
+# this small anyway.
+_DENSE_NODES = _LANCZOS_BASIS
 # The heat track hands over to the lowest eigenpair once the part of u
 # outside it has 2-norm at most this fraction of max|u|.
 _SWITCH_TOL = 1e-10
@@ -438,14 +449,68 @@ def _interior_laplacian(grid: GridField):
     )
 
 
+def _lanczos(solve, n: int) -> np.ndarray:
+    """Unit eigenvector for the largest eigenvalue theta of the symmetric
+    positive definite operator solve on R^n, by Lanczos from the unit
+    vector along (1, ..., 1).
+
+    Each new vector is orthogonalized against the whole basis twice
+    (classical Gram-Schmidt), so no spurious copies of theta appear.  The
+    Ritz pair (theta, x = V y) of the tridiagonal T_j has |solve(x) -
+    theta x|_2 = beta_j |y_j| in exact arithmetic; the iteration stops once
+    that is at most _LANCZOS_TOL theta, and a full basis of _LANCZOS_BASIS
+    vectors starts over from x.  Dot products and basis combinations are
+    numpy's pairwise sums, not BLAS calls, which would spread over threads.
+    """
+    basis = np.empty((_LANCZOS_BASIS, n))
+    x = np.full(n, 1.0 / math.sqrt(n))
+    solves = 0
+    while True:
+        basis[0] = x
+        alpha, beta = [], []
+        for j in range(_LANCZOS_BASIS):
+            v = basis[: j + 1]
+            w = solve(v[j])
+            solves += 1
+            a = 0.0
+            for _ in range(2):
+                c = np.add.reduce(v * w, axis=1)
+                w -= np.add.reduce(v * c[:, None], axis=0)
+                a += c[j]
+            alpha.append(a)
+            b = _norm(w)
+            thetas, ys = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            theta, y = thetas[-1], ys[:, -1]
+            bound = b * abs(y[-1])
+            if bound <= _LANCZOS_TOL * theta:
+                break
+            if solves == _EIGEN_MAX_ITER:
+                raise NoConvergence(
+                    f"Lanczos bound {bound / theta:.3e} theta after {solves} LU solves "
+                    f"above tol {_LANCZOS_TOL:.1e} theta"
+                )
+            if j + 1 < _LANCZOS_BASIS:
+                basis[j + 1] = w / b
+                beta.append(b)
+        x = np.add.reduce(v * y[:, None], axis=0)
+        x /= _norm(x)
+        if bound <= _LANCZOS_TOL * theta:
+            return x
+
+
 def eigen_solve(grid: GridField) -> EigenResult:
     """Smallest eigenpair of the Dirichlet Laplacian on the grid.
 
-    eigsh with k = 1, shift-invert at 0 on one sparse LU factorization
-    ordered by minimum degree on A + A^T (for this symmetric matrix about
-    half the fill-in of SuperLU's default), from a fixed start vector; a
-    dense eigh on at most _DENSE_NODES nodes.  The sup-norm eigen residual
+    A shift-invert Lanczos at 0 (Ericsson & Ruhe 1980; _lanczos) finds the
+    largest eigenvalue 1/lam of A^-1, applied through one sparse LU
+    factorization ordered by minimum degree on A + A^T (for this symmetric
+    matrix about half the fill-in of SuperLU's default) and pivoting on
+    the diagonal, which is stable for a positive definite A and keeps
+    that order (a row search made a thin sliver's factor 7x slower); a
+    dense eigh on at most _DENSE_NODES nodes.  lam is the Rayleigh
+    quotient of the unit eigenvector, and the sup-norm eigen residual
     relative to the eigenvector's sup norm must stay within _EIGEN_TOL.
+    No step calls BLAS on a whole vector.
     """
     import scipy.sparse.linalg  # as in _interior_laplacian
     mat = _interior_laplacian(grid)
@@ -455,17 +520,11 @@ def eigen_solve(grid: GridField) -> EigenResult:
     if n <= _DENSE_NODES:
         v = np.linalg.eigh(mat.toarray())[1][:, 0]
     else:
-        lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        inverse = scipy.sparse.linalg.LinearOperator(mat.shape, matvec=lu.solve, dtype=float)
-        try:
-            _, vectors = scipy.sparse.linalg.eigsh(
-                mat, k=1, sigma=0.0, OPinv=inverse, v0=np.ones(n), maxiter=_EIGEN_MAX_ITER
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            raise NoConvergence(f"eigsh found no eigenpair in {_EIGEN_MAX_ITER} iterations") from None
-        v = vectors[:, 0]
+        lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      relax=_LU_RELAX, panel_size=_LU_PANEL, options={"SymmetricMode": True})
+        v = _lanczos(lu.solve, n)
     av = mat.dot(v)
-    lam = float(v @ av)
+    lam = float(np.add.reduce(v * av))
     residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
     if residual > _EIGEN_TOL:
         raise NoConvergence(f"eigen residual {residual:.3e} above tol {_EIGEN_TOL:.3e}")

@@ -86,6 +86,42 @@ def test_no_scipy_outside_pde():
     assert out.stdout.splitlines()[-1] == "[] True"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs per-thread CPU times in /proc")
+def test_commands_stay_on_calling_thread():
+    # A matrix product large enough for OpenBLAS to split wakes its worker
+    # threads, which then spin for a while and compete with the commands
+    # that follow.  After the spin from the imports has ended, report and
+    # a large heart must leave every thread but the main one idle.
+    script = (
+        "import os, sys, time\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import polyheart.cli as cli\n"
+        "import scipy.sparse.linalg\n"
+        "time.sleep(0.5)\n"
+        "def helpers():\n"
+        "    total = 0.0\n"
+        "    for tid in os.listdir('/proc/self/task'):\n"
+        "        if int(tid) == os.getpid():\n"
+        "            continue\n"
+        "        try:\n"
+        "            with open(f'/proc/self/task/{tid}/schedstat') as fh:\n"
+        "                total += int(fh.read().split()[0]) * 1e-9\n"
+        "        except FileNotFoundError:\n"
+        "            with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+        "                fields = fh.read().rsplit(')', 1)[1].split()\n"
+        "            total += (int(fields[11]) + int(fields[12])) / os.sysconf('SC_CLK_TCK')\n"
+        "    return total\n"
+        "before = helpers()\n"
+        "for argv in (['report', '--body', 'halfdisc:1,0,64'], ['heart', '--body', 'regular_ngon:512']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(helpers() - before)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", script, src], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout.splitlines()[-1]) <= 0.010
+
+
 def test_scipy_named_only_in_pde_functions():
     for path in Path(cli.__file__).resolve().parent.glob("*.py"):
         text = path.read_text()
@@ -193,6 +229,17 @@ def test_nonconvex_vertices_exit_1(tmp_path, capsys):
     code, _, err = run(["heart", "--body", str(p)], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "InvalidPolygon"
+
+
+def test_star_ring_exits_1(tmp_path, capsys):
+    # the pentagram order of a regular pentagon turns left at every vertex
+    ang = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5
+    p = tmp_path / "star.json"
+    p.write_text(json.dumps({"vertices": np.column_stack([np.cos(ang), np.sin(ang)]).tolist()}))
+    code, out, err = run(["heart", "--body", str(p)], capsys)
+    assert code == 1 and out == ""
+    msg = json.loads(err)["error"]
+    assert msg["type"] == "InvalidPolygon" and "winds more than once" in msg["message"]
 
 
 def test_grid_too_coarse_exits_1(capsys):

@@ -146,6 +146,54 @@ def test_rejects_degenerate_inputs():
         ConvexPolygon([[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]])  # reflex
 
 
+def star_ring(n: int, step: int) -> np.ndarray:
+    """Vertices of the regular n-gon visited step at a time: the star {n/step}."""
+    ang = 2.0 * np.pi * (step * np.arange(n) % n) / n
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def test_rejects_multiply_wound_rings():
+    # every turn is left and the signed area positive (1.469 for the
+    # pentagram), yet the ring winds twice around the center
+    for n, step in ((5, 2), (7, 2), (7, 3)):
+        with pytest.raises(InvalidPolygon, match=r"winds more than once: its exterior angles sum to "
+                                                 rf"{2.0 * np.pi * step:.6g}, above 3 pi"):
+            ConvexPolygon(star_ring(n, step))
+        ConvexPolygon(star_ring(n, 1))
+
+
+@st.composite
+def generator_specs(draw):
+    """A --body shorthand for one of the named generators, with arguments
+    inside each generator's own domain."""
+    size = st.floats(min_value=1e-3, max_value=1e3)
+    name = draw(st.sampled_from(["square", "rectangle", "regular_ngon", "ellipse_approx", "halfdisc", "triangle"]))
+    if name == "square":
+        return name
+    if name == "rectangle":
+        args = [draw(size), draw(size)]
+    elif name == "regular_ngon":
+        args = [draw(st.integers(3, 2048)), draw(size)]
+    elif name == "ellipse_approx":
+        a = draw(size)
+        args = [a, a * draw(st.floats(min_value=0.05, max_value=20.0)), draw(st.integers(8, 2048))]
+    elif name == "halfdisc":
+        r = draw(size)
+        args = [r, r * draw(st.floats(min_value=-0.95, max_value=0.95)), draw(st.integers(8, 1024))]
+    else:
+        args = [0.0, 0.0, 1.0, 0.0, draw(st.floats(min_value=-3.0, max_value=3.0)),
+                draw(st.floats(min_value=0.01, max_value=3.0))]
+    return f"{name}:" + ",".join(repr(float(a)) for a in args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_specs(), st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=512))
+def test_generated_bodies_wind_once(spec, seed, n):
+    # every body the package generates passes the winding check
+    for poly in (bodies.parse_body_arg(spec)[0], bodies.random_convex_polygon(np.random.default_rng(seed), n)):
+        assert poly.area > 0.0
+
+
 def test_square_metrics(square):
     assert square.area == pytest.approx(1.0, abs=EPS)
     assert square.perimeter == pytest.approx(4.0, abs=EPS)

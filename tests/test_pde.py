@@ -1,5 +1,5 @@
-import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -134,19 +134,96 @@ def test_eigen_square(square):
 
 
 def test_eigen_no_convergence(square, monkeypatch):
-    # eigsh converges on these grids in one iteration, so a stand-in raises
-    # what ARPACK raises at its iteration cap
-    def stuck(*args, maxiter, **kwargs):
-        assert maxiter == pde._EIGEN_MAX_ITER
-        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
-
+    # the Lanczos needs about a dozen LU solves on this grid; a cap of 3
+    # stops it short, and the message states the bound it reached
     g = rasterize(square, 0.02)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
-    with pytest.raises(NoConvergence, match=rf"eigsh found no eigenpair in {pde._EIGEN_MAX_ITER} iterations"):
+    monkeypatch.setattr(pde, "_EIGEN_MAX_ITER", 3)
+    with pytest.raises(NoConvergence) as info:
         eigen_solve(g)
+    got = re.fullmatch(r"Lanczos bound (\S+) theta after 3 LU solves above tol 1\.0e-15 theta", str(info.value))
+    assert got and float(got.group(1)) > pde._LANCZOS_TOL
     empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask), g.values)
     with pytest.raises(NoConvergence, match=r"0 interior nodes at spacing h = 2\.000e-02"):
         eigen_solve(empty)
+
+
+def report_panel() -> dict:
+    """The benchmark's report panel: the half-disc and three seeded
+    5-12-gons, drawn as perfbench/workloads.py draws them (its
+    spacings_polygon gives random_convex_polygon's vertices bit for bit)."""
+    gen = np.random.default_rng(20101247)
+    panel = {"halfdisc64": bodies.halfdisc(1.0, 0.0, 64)}
+    for i in range(3):
+        n = int(gen.integers(5, 13))
+        panel[f"panel{i}_{n}gon"] = bodies.random_convex_polygon(gen, n)
+    return panel
+
+
+def eigsh_eigen(grid: GridField) -> tuple[float, np.ndarray, float]:
+    """Reference eigenpair as eigen_solve took it from ARPACK: eigsh with
+    k = 1, shift-invert at 0 on the same LU factor, from the all-ones
+    start.  Returns (eigenvalue, hot spot, residual) as eigen_solve
+    computes them from the eigenvector."""
+    mat = pde._interior_laplacian(grid)
+    lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    inverse = scipy.sparse.linalg.LinearOperator(mat.shape, matvec=lu.solve, dtype=float)
+    _, vectors = scipy.sparse.linalg.eigsh(mat, k=1, sigma=0.0, OPinv=inverse, v0=np.ones(mat.shape[0]))
+    v = vectors[:, 0] * np.sign(vectors[:, 0].sum())
+    av = mat @ v
+    lam = float(v @ av)
+    values = np.zeros_like(grid.values)
+    values[grid.mask] = v
+    loc, _ = _locate_peak(grid, values / values.max())
+    return lam, loc, float(np.abs(av - lam * v).max() / np.abs(v).max())
+
+
+EIGEN_BODIES = {
+    **report_panel(),
+    "rect8": bodies.rectangle(8.0, 1.0),
+    # eigsh's residual on this sliver is 8.3e-9, just under _EIGEN_TOL
+    "thin_triangle": bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.5, 0.08]),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGEN_BODIES))
+def test_eigen_matches_eigsh(name):
+    poly = EIGEN_BODIES[name]
+    grid = rasterize(poly, poly.incircle.radius / pde._H_PER_INRADIUS)
+    got = eigen_solve(grid)
+    lam, loc, residual = eigsh_eigen(grid)
+    assert abs(got.eigenvalue - lam) <= 1e-12 * lam
+    assert np.abs(got.location - loc).max() <= 1e-9 * grid.spacing
+    assert got.residual <= 2.0 * residual
+
+
+def test_eigen_lanczos_restarts(halfdisc64, monkeypatch):
+    # a basis of 6 vectors fills before the bound is met, so the Lanczos
+    # starts over from the Ritz vector, more than once
+    factors = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.solves = lu, 0
+
+        def solve(self, b):
+            self.solves += 1
+            return self.lu.solve(b)
+
+    real = scipy.sparse.linalg.splu
+
+    def splu(*args, **kwargs):
+        factors.append(CountingLU(real(*args, **kwargs)))
+        return factors[-1]
+
+    grid = rasterize(halfdisc64, halfdisc64.incircle.radius / 25.0)
+    lam, loc, residual = eigsh_eigen(grid)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    monkeypatch.setattr(pde, "_LANCZOS_BASIS", 6)
+    got = eigen_solve(grid)
+    assert len(factors) == 1 and factors[0].solves > 2 * 6
+    assert abs(got.eigenvalue - lam) <= 1e-12 * lam
+    assert np.abs(got.location - loc).max() <= 1e-9 * grid.spacing
+    assert got.residual <= 2.0 * residual
 
 
 @pytest.mark.parametrize("body", ["halfdisc", "hept", "square"])
@@ -297,13 +374,13 @@ def test_chebyshev_fields_match_plain_sum(right_tri):
 
 
 def test_grid_too_small_for_eigsh(square, monkeypatch):
-    def no_eigsh(*args, **kwargs):
-        raise AssertionError("eigsh called on a tiny grid")
+    def no_splu(*args, **kwargs):
+        raise AssertionError("LU factor for the Lanczos on a tiny grid")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
     g = rasterize(square, 0.05)
     mask = np.zeros_like(g.mask)
-    mask[3:7, 4:9] = True  # 4 x 5 nodes, within ARPACK's default basis of 20
+    mask[3:7, 4:9] = True  # 4 x 5 nodes, within the Lanczos basis of 20
     tiny = GridField(g.spacing, g.k0x, g.k0y, mask, g.values)
     assert tiny.interior_count == pde._DENSE_NODES
     got = assert_matches_march(tiny, np.geomspace(1e-4, 1e-1, 8))
@@ -316,7 +393,7 @@ def test_grid_too_small_for_eigsh(square, monkeypatch):
 
 
 def test_full_verify_factors_once(square, monkeypatch):
-    calls = {"eigsh": 0, "splu": 0, "eigsh_splu": 0}
+    calls = {"eigsh": 0, "splu": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -325,12 +402,10 @@ def test_full_verify_factors_once(square, monkeypatch):
 
         return wrapper
 
-    arpack = inspect.getmodule(scipy.sparse.linalg.eigsh)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("eigsh", scipy.sparse.linalg.eigsh))
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting("splu", scipy.sparse.linalg.splu))
-    monkeypatch.setattr(arpack, "splu", counting("eigsh_splu", arpack.splu))
     rep = full_verify(square, heart_region(square, 720)[0], h=0.05)
-    assert calls == {"eigsh": 1, "splu": 1, "eigsh_splu": 0}
+    assert calls == {"eigsh": 0, "splu": 1}
     assert rep.switch_step is not None
 
 
