@@ -50,9 +50,8 @@ _NEWTON_ITERATIONS = 60
 
 # chebyshev_center re-intersects the edges moved in by the inradius with
 # this slack (in units of eps), so the optimal set survives as a point or
-# segment, and calls it unique when it spans at most _INCIRCLE_TIE eps.
+# segment.
 _INCIRCLE_SLACK = 2.0
-_INCIRCLE_TIE = 1e3
 
 # halfplane_intersection keeps only the tightest of half-planes whose
 # normals differ by so little that their lines part by at most this share
@@ -106,19 +105,24 @@ class HalfPlane:
 
 
 def _polygon_area(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
+    """Shoelace area, relative to points[0]: far from the origin the
+    absolute cross products cancel to rounding of |points|^2."""
+    d = points - points[0]
+    x, y = d[:, 0], d[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
 def _polygon_centroid(points: np.ndarray) -> np.ndarray:
-    x, y = points[:, 0], points[:, 1]
+    """Area centroid, summed relative to points[0] as in _polygon_area."""
+    d = points - points[0]
+    x, y = d[:, 0], d[:, 1]
     cross = x * np.roll(y, -1) - np.roll(x, -1) * y
     a = 0.5 * cross.sum()
     if abs(a) < 1e-300:
         return points.mean(axis=0)
     cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * a)
     cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * a)
-    return np.array([cx, cy])
+    return points[0] + np.array([cx, cy])
 
 
 def _edge_distances(starts: np.ndarray, edges: np.ndarray, x) -> np.ndarray:
@@ -189,11 +193,6 @@ class Region:
         if self.kind == "polygon":
             return _polygon_centroid(self.points)
         return self.points.mean(axis=0)
-
-    def extent(self) -> float:
-        if self.kind == "empty":
-            return 0.0
-        return _farthest_pair(self.points)[2]
 
 
 EMPTY_REGION = Region("empty", np.zeros((0, 2)))
@@ -525,7 +524,6 @@ def chord(poly: ConvexPolygon, s: float, omega):
 class ChebyshevResult:
     center: np.ndarray
     radius: float
-    unique: bool
 
 
 def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
@@ -539,7 +537,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     if the determinant is <= 0).  Of normals equal to rounding only the
     innermost line is kept; a slightly reflex vertex (ConvexPolygon admits
     them) cuts in as in the re-intersection at that radius, which gives the
-    optimal set: a tie (oblong bodies) returns its midpoint, unique=False.
+    optimal set: a tie (oblong bodies) returns its midpoint.
     """
     normals = poly.edge_normals.tolist()
     offsets = (poly.edge_offsets - poly.edge_normals @ poly.centroid).tolist()
@@ -580,7 +578,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
             heapq.heappush(heap, (event[j], j))
     planes = np.column_stack([poly.edge_normals, poly.edge_offsets - radius])
     opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
-    return ChebyshevResult(opt.representative(), radius, opt.extent() <= _INCIRCLE_TIE * poly.eps)
+    return ChebyshevResult(opt.representative(), radius)
 
 
 def edge_gaps(poly: ConvexPolygon, center, tol: float, error: type[Exception]) -> np.ndarray:
@@ -591,35 +589,39 @@ def edge_gaps(poly: ConvexPolygon, center, tol: float, error: type[Exception]) -
     return gaps
 
 
-def newton_minimize(poly: ConvexPolygon, objective, xtol: float = 0.0) -> tuple[float, np.ndarray]:
+def newton_minimize(poly: ConvexPolygon, objective) -> tuple[float, np.ndarray]:
     """Minimize a smooth, strictly convex function of the edge gaps.
 
     ``objective(gaps)`` returns the value, gradient and Hessian in the
     center p, where gaps = edge_offsets - edge_normals @ p.  Damped Newton
-    from the centroid halves each step until every gap stays above eps and
-    the Armijo test holds.  It stops once the Newton decrement g . H^-1 g
-    is at most 1e-12 * |f|, or a step was shorter than ``xtol``, taking
-    that last step.  Returns the minimum and the minimizer.
+    runs in a frame at the centroid c: the gaps at c are taken once, and
+    the iterate is a shift s from c with gaps(c + s) = gaps(c) - edge_normals @ s,
+    so neither the gaps nor the step lose digits to |c| on a body far from
+    the origin.  It halves each step until every gap stays above eps and
+    the Armijo test holds, and stops once the Newton decrement g . H^-1 g
+    is at most _NEWTON_DECREMENT_REL * |f|, taking that last step.
+    Returns the minimum and the minimizer.
     """
-    def at(p):
-        gaps = poly.edge_offsets - poly.edge_normals @ p
+    c = poly.centroid
+    base = edge_gaps(poly, c, poly.eps, CenterTooCloseToBoundary)
+
+    def at(s):
+        gaps = base - poly.edge_normals @ s
         return objective(gaps) if gaps.min() > poly.eps else None
 
-    p = poly.centroid
-    state = objective(edge_gaps(poly, p, poly.eps, CenterTooCloseToBoundary))
+    s = np.zeros(2)
+    state = objective(base)
     for _ in range(_NEWTON_ITERATIONS):
         f, g, hess = state
         step = np.linalg.solve(hess, g)
         decrement = float(g @ step)
-        if decrement <= _NEWTON_DECREMENT_REL * abs(f) and (last := at(p - step)) is not None:
-            return last[0], p - step
+        if decrement <= _NEWTON_DECREMENT_REL * abs(f) and (last := at(s - step)) is not None:
+            return last[0], c + (s - step)
         for t in 0.5 ** np.arange(_NEWTON_ITERATIONS):
-            if (state := at(p - t * step)) is not None and state[0] <= f - 0.25 * t * decrement:
+            if (state := at(s - t * step)) is not None and state[0] <= f - 0.25 * t * decrement:
                 break
         else:
             break
-        p = p - t * step
-        if t * np.hypot(*step) <= xtol:
-            return state[0], p
+        s = s - t * step
     tol = _NEWTON_DECREMENT_REL * abs(f)
     raise NoConvergence(f"Newton decrement {decrement:.3e} above tolerance {tol:.3e}")

@@ -50,9 +50,10 @@ _EIGEN_MAX_ITER = 400
 # SuperLU's defaults, on the report panel and on 8k-79k-node grids.
 _LU_RELAX = 4
 _LU_PANEL = 4
-# eigen_solve's bound on the lowest mode's sup-norm residual relative to
-# its sup norm: far above rounding, so it only catches a failed solve.
-_EIGEN_TOL = 1e-8
+# eigen_solve's bound on the backward error of the lowest mode:
+# |A v - lam v|_inf <= _EIGEN_BACKWARD_TOL |A|_inf |v|_inf, |A|_inf = 8/h^2.
+# A converged solve leaves about 5e-16, so this only catches a failed one.
+_EIGEN_BACKWARD_TOL = 1e-12
 # full_verify samples the heat track this many times over two decades.
 _N_SAMPLES = 25
 # full_verify's membership slack, in grid spacings: the grid places the
@@ -67,9 +68,6 @@ _EARLY_REL_TOL = 0.10
 _LATE_SLACK_REL = 0.02
 _DECAY_TAIL = 6
 _DECAY_REL_TOL = 0.02
-# eigen_solve's dense eigh cut-off: the Lanczos basis would span a grid
-# this small anyway.
-_DENSE_NODES = _LANCZOS_BASIS
 # The heat track hands over to the lowest eigenpair once the part of u
 # outside it has 2-norm at most this fraction of max|u|.
 _SWITCH_TOL = 1e-10
@@ -80,12 +78,10 @@ _RESTART_DECAY = 1e-4
 # Each early sample's Chebyshev series is cut where the l1 norm of the
 # dropped coefficients is at most this.
 _CHEB_TOL = 1e-17
-# _power_series drops trailing coefficients below this, far below any a cut
-# at _CHEB_TOL keeps; the bounds carry their l1 mass.
-_CHEB_FLOOR = 1e-30
 # c_k of p^n falls off as about exp(-k^2/(1.6 n)), and a backward start
 # at K leaves it off by about exp(-(K^2 - k^2)/(4n)) relative: from K =
-# _MILLER_START sqrt(n) on, below rounding for every c_k above _CHEB_FLOOR.
+# _MILLER_START sqrt(n) on, below rounding for every c_k a cut at
+# _CHEB_TOL keeps.
 _MILLER_START = 16.0
 # Chebyshev vectors T_k(B) u stacked per matrix product into the samples.
 _CHEB_BLOCK = 32
@@ -252,10 +248,11 @@ def _power_series(steps) -> list[tuple[np.ndarray, float]]:
     so run backward every term has one sign: the recurrence is stable
     (Miller's algorithm).  One upper-banded solve runs it from c_{K+1} = 0
     at K = min(n, ceil(_MILLER_START sqrt(n)) + 10), exact at K = n, scaled
-    so that sum (-1)^k c_k = p(-1)^n = 1.  Trailing coefficients below
-    _CHEB_FLOOR are dropped; the mass left out is theirs plus the mass
-    beyond K, bounded on the Bernstein ellipse of parameter rho: there
-    |p| <= M = ((1 + 2(rho + 1/rho))/5)^n, so |c_k| <= 2 M rho^-k.
+    so that sum (-1)^k c_k = p(-1)^n = 1.  The mass beyond K is bounded on
+    the Bernstein ellipse of parameter rho: there |p| <= M =
+    ((1 + 2(rho + 1/rho))/5)^n, so |c_k| <= 2 M rho^-k.  Each series is
+    cut at the lowest degree whose left-out mass, that bound included, is
+    at most _CHEB_TOL.
     """
     import scipy.linalg  # loaded by scipy.sparse.linalg already; see _interior_laplacian
     series = []
@@ -267,30 +264,24 @@ def _power_series(steps) -> list[tuple[np.ndarray, float]]:
         ab[2, 0], ab[2, top] = 4.0 * n, 1.0
         c = scipy.linalg.solve_banded((0, 2), ab, (j == top) * 1.0, overwrite_ab=True, check_finite=False)
         c /= (-1.0) ** top * np.abs(c).sum()
-        keep = int(np.flatnonzero(np.abs(c) >= _CHEB_FLOOR)[-1]) + 1
-        dropped = float(np.abs(c[keep:]).sum())
+        beyond = 0.0
         if top < n:
             s = (top + 1) / (0.8 * n)  # log rho, near the bound's minimum
             log_m = n * math.log1p(1.6 * math.sinh(0.5 * s) ** 2)
-            dropped += 2.0 * math.exp(log_m - (top + 1) * s) / -math.expm1(-s)
-        series.append((c[:keep], dropped))
+            beyond = 2.0 * math.exp(log_m - (top + 1) * s) / -math.expm1(-s)
+        tails = np.append(np.cumsum(np.abs(c[::-1]))[::-1], 0.0) + beyond  # tails[k]: the mass from c_k on
+        # tails falls with k, so the cut degree counts the tails[k >= 1] above _CHEB_TOL
+        keep = int(np.count_nonzero(tails[1:] > _CHEB_TOL)) + 1
+        series.append((c[:keep], float(tails[keep])))
     return series
-
-
-def _cut_series(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Leading coefficients of c up to the lowest degree whose dropped
-    tail has l1 norm at most _CHEB_TOL, and that tail's norm."""
-    tails = np.append(np.cumsum(np.abs(c[::-1]))[::-1], 0.0)  # tails[k] = sum_{j >= k} |c_j|
-    degree = int(np.argmax(tails[1:] <= _CHEB_TOL))
-    return c[: degree + 1], float(tails[degree + 1])
 
 
 def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     """Yield (p(B)^n u, degree, tail) for each n in steps, ascending.
 
-    Each field is its series cut by _cut_series, summed from one
-    three-term recurrence on u; tail also counts the mass _power_series
-    left out.  The last _CHEB_BLOCK vectors T_k(B) u sit in a ring, added
+    Each field is its series from _power_series, summed from one
+    three-term recurrence on u, and tail is the mass that series leaves
+    out.  The last _CHEB_BLOCK vectors T_k(B) u sit in a ring, added
     into every pending sample at once, one matrix product per column tile.
     A field is yielded, as a view, as soon as the recurrence passes its
     degree, so a caller that stops early saves the rest.  The stencil runs
@@ -298,13 +289,12 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     i +- ny; only padding nodes, which the mask zeroes, wrap across a row.
     """
     series = _power_series(steps)
-    cut = [_cut_series(c) for c, _ in series]
-    degrees = [len(c) - 1 for c, _ in cut]
-    coeffs = np.zeros((len(cut), max(degrees) + 1))
-    for row, (c, _) in zip(coeffs, cut):
+    degrees = [len(c) - 1 for c, _ in series]
+    coeffs = np.zeros((len(series), max(degrees) + 1))
+    for row, (c, _) in zip(coeffs, series):
         row[: len(c)] = c
     tiles = -(-u.size // _TILE)
-    acc = np.zeros((len(cut), tiles, _TILE))
+    acc = np.zeros((len(series), tiles, _TILE))
     ring = np.zeros((_CHEB_BLOCK, tiles, _TILE))
     flat = ring.reshape(_CHEB_BLOCK, -1)
     ny = u.shape[1]
@@ -331,8 +321,8 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
         for j in range(0, tiles, _TILE_GROUP):
             pending = acc[done:, j : j + _TILE_GROUP].swapaxes(0, 1)
             pending += np.matmul(coeffs[done:, k0:k1], ring[: k1 - k0, j : j + _TILE_GROUP].swapaxes(0, 1))
-        while done < len(cut) and degrees[done] < k1:
-            yield acc[done].reshape(-1)[: u.size].reshape(u.shape), degrees[done], cut[done][1] + series[done][1]
+        while done < len(series) and degrees[done] < k1:
+            yield acc[done].reshape(-1)[: u.size].reshape(u.shape), degrees[done], series[done][1]
             done += 1
 
 
@@ -506,28 +496,26 @@ def eigen_solve(grid: GridField) -> EigenResult:
     factorization ordered by minimum degree on A + A^T (for this symmetric
     matrix about half the fill-in of SuperLU's default) and pivoting on
     the diagonal, which is stable for a positive definite A and keeps
-    that order (a row search made a thin sliver's factor 7x slower); a
-    dense eigh on at most _DENSE_NODES nodes.  lam is the Rayleigh
-    quotient of the unit eigenvector, and the sup-norm eigen residual
-    relative to the eigenvector's sup norm must stay within _EIGEN_TOL.
-    No step calls BLAS on a whole vector.
+    that order (a row search made a thin sliver's factor 7x slower).
+    lam is the Rayleigh quotient of the unit eigenvector v, and the
+    residual |A v - lam v|_inf must stay within _EIGEN_BACKWARD_TOL
+    |A|_inf |v|_inf, a bound that scales with the grid as A does.  No step
+    calls BLAS on a whole vector.
     """
     import scipy.sparse.linalg  # as in _interior_laplacian
     mat = _interior_laplacian(grid)
     n = mat.shape[0]
     if n == 0:
         raise NoConvergence(f"empty grid: 0 interior nodes at spacing h = {grid.spacing:.3e}")
-    if n <= _DENSE_NODES:
-        v = np.linalg.eigh(mat.toarray())[1][:, 0]
-    else:
-        lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                      relax=_LU_RELAX, panel_size=_LU_PANEL, options={"SymmetricMode": True})
-        v = _lanczos(lu.solve, n)
+    lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                  relax=_LU_RELAX, panel_size=_LU_PANEL, options={"SymmetricMode": True})
+    v = _lanczos(lu.solve, n)
     av = mat.dot(v)
     lam = float(np.add.reduce(v * av))
     residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
-    if residual > _EIGEN_TOL:
-        raise NoConvergence(f"eigen residual {residual:.3e} above tol {_EIGEN_TOL:.3e}")
+    tol = _EIGEN_BACKWARD_TOL * 8.0 / grid.spacing ** 2
+    if residual > tol:
+        raise NoConvergence(f"eigen residual {residual:.3e} above tol {tol:.3e}")
     if v.sum() < 0.0:
         v = -v
     values = np.zeros_like(grid.values)

@@ -34,9 +34,6 @@ _LOWER_CHECK_SLACK = 1e-9
 # both come from a first-order grid, not from closed forms.
 _EIGEN_AREA_SLACK = 0.02
 
-# santalo_point stops at a Newton step below this times the diameter.
-_SANTALO_STEP_REL = 1e-9
-
 
 @dataclass(frozen=True)
 class PolarBody:
@@ -81,9 +78,8 @@ def santalo_point(poly: ConvexPolygon) -> np.ndarray:
     With u_i = n_i / d_i, the area terms q_i = 1/2 (n_i x n_{i+1}) / (d_i d_{i+1})
     and a_i = u_i + u_{i+1}, the area has gradient sum q_i a_i and Hessian
     sum q_i (a_i a_i^T + u_i u_i^T + u_{i+1} u_{i+1}^T); it is strictly
-    convex with an interior minimum.  The search stops at a step below
-    _SANTALO_STEP_REL * diam.  At the minimizer the polar body's centroid is the
-    center itself (Santalo 1949).
+    convex with an interior minimum.  At the minimizer the polar body's
+    centroid is the center itself (Santalo 1949).
     """
     n = poly.edge_normals
     n_next = np.roll(n, -1, axis=0)
@@ -97,7 +93,7 @@ def santalo_point(poly: ConvexPolygon) -> np.ndarray:
         hess = (a.T * q) @ a + (u.T * q) @ u + (u_next.T * q) @ u_next
         return float(q.sum()), q @ a, hess
 
-    return newton_minimize(poly, polar_area, _SANTALO_STEP_REL * poly.diameter)[1]
+    return newton_minimize(poly, polar_area)[1]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import polyheart.fourier as fourier
 import polyheart.geometry as geometry
 import polyheart.pde as pde_module
 import polyheart.polar as polar
+from polyheart.bodies import halfdisc
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
 
@@ -277,6 +278,34 @@ def test_pde_verify_square(tmp_path, capsys):
                if m and s["peak"] >= pde_module._RESTART_DECAY)
     assert 0 < sum(not m for m in early) < len(early)
     assert all(0.0 < b <= 1e-10 for b in bounds)
+
+
+def test_pde_verify_thin_triangle(tmp_path, capsys):
+    # the eigen residual here is 1.4e-8 at h = r/50, a backward error of
+    # 4e-16 against |A|_inf = 8/h^2; a bound fixed at 1e-8 rejected this
+    # converged solve
+    jpath = tmp_path / "r.json"
+    code, _, err = run(["pde-verify", "--body", "triangle:0,0,1,0,0.5,0.05", "--json", str(jpath)], capsys)
+    assert code == 0, err
+    pde = json.loads(jpath.read_text())["pde"]
+    assert pde["membership"]["ok"] and pde["varadhan"]["ok"] and pde["decay"]["ok"]
+    assert 1e-8 < pde["residual"] <= 1e-15 * 8.0 / pde["h"] ** 2
+
+
+def test_halfdisc_far_from_the_origin(tmp_path, capsys):
+    # shifted by (1e5, 1e5), the shoelace sums in absolute coordinates put
+    # the centroid 4.4e-3 outside the heart and the area off by 1e-5
+    results = []
+    for shift in (0.0, 1e5):
+        path = tmp_path / f"body{shift:g}.json"
+        path.write_text(json.dumps({"vertices": (halfdisc(1.0, 0.0, 64).vertices + shift).tolist()}))
+        assert run(["heart", "--body", str(path)], capsys)[0] == 0
+        jpath = tmp_path / f"bounds{shift:g}.json"
+        assert run(["bounds", "--body", str(path), "--json", str(jpath)], capsys)[0] == 0
+        results.append(json.loads(jpath.read_text())["bounds"])
+    near, far = results
+    assert far["stats"]["area"] == pytest.approx(near["stats"]["area"], rel=1e-11)
+    assert far["distance_convex"]["precise"] == pytest.approx(near["distance_convex"]["precise"], rel=1e-11)
 
 
 def test_fourier_check(capsys):

@@ -10,7 +10,6 @@ from polyheart import bodies
 from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
     _INCIRCLE_SLACK,
-    _INCIRCLE_TIE,
     _MERGE_SHARE,
     EMPTY_REGION,
     ChebyshevResult,
@@ -75,7 +74,7 @@ def lp_chebyshev_center(poly):
     assert res.success, res.message
     radius = float(res.x[2])
     opt = halfplane_intersection(np.column_stack([n, c - radius]), poly.bbox, _INCIRCLE_SLACK * poly.eps)
-    return ChebyshevResult(opt.representative(), radius, opt.extent() <= _INCIRCLE_TIE * poly.eps)
+    return ChebyshevResult(opt.representative(), radius)
 
 
 def rotated(vertices, theta):
@@ -253,7 +252,6 @@ def test_chebyshev_square(square):
     c = chebyshev_center(square)
     assert np.allclose(c.center, [0.5, 0.5], atol=1e-9)
     assert c.radius == pytest.approx(0.5, abs=1e-9)
-    assert c.unique
     assert square.incircle is square.incircle
     assert square.incircle.radius == c.radius
     assert np.array_equal(square.incircle.center, c.center)
@@ -273,14 +271,12 @@ def test_chebyshev_every_edge_touches():
     c = chebyshev_center(poly)
     assert np.hypot(*c.center) <= poly.eps
     assert abs(c.radius - np.cos(np.pi / 512)) <= poly.eps
-    assert c.unique
 
 
 def test_chebyshev_oblong_tie(rect21):
     # deepest set of the 2x1 rectangle is a segment; reported center is its midpoint
     c = chebyshev_center(rect21)
     assert c.radius == pytest.approx(0.5, abs=1e-9)
-    assert not c.unique
     assert np.allclose(c.center, [1.0, 0.5], atol=1e-9)
 
 
@@ -301,7 +297,6 @@ def test_incircle_matches_lp_reference():
         got, want = chebyshev_center(poly), lp_chebyshev_center(poly)
         assert abs(got.radius - want.radius) <= 1e-11 * poly.diameter
         assert np.hypot(*(got.center - want.center)) <= 1e-11 * poly.diameter
-        assert got.unique == want.unique
     for poly in STRAIGHT_ANGLE_BODIES:
         assert chebyshev_center(poly).radius == pytest.approx(0.5, abs=1e-12)
     for poly in REFLEX_BODIES:
@@ -325,15 +320,13 @@ def test_incircle_on_reflex_kinks():
 
 def test_incircle_matches_touching_first_clip():
     # the optimal set cut plane by plane, touching planes first, as before
-    # the sorted sweep: same tie verdict, center within the two
-    # intersections' slack
+    # the sorted sweep: center within the two intersections' slack
     for poly in random_bodies(15, 200, 3, 40):
         inc = chebyshev_center(poly)
         n, c, r = poly.edge_normals, poly.edge_offsets, inc.radius
         order = np.argsort(c - r - n @ inc.center, kind="stable")
         opt = clip_intersection(np.column_stack([n, c - r])[order], poly.bbox,
                                 _INCIRCLE_SLACK * poly.eps)
-        assert inc.unique == (opt.extent() <= _INCIRCLE_TIE * poly.eps)
         gap = np.hypot(*(inc.center - opt.representative()))
         assert gap <= 2.0 * _INCIRCLE_SLACK * poly.eps
 

@@ -4,6 +4,7 @@ import pytest
 from polyheart import bodies
 from polyheart.bounds import minimal_reciprocal_support_integral
 from polyheart.errors import CenterTooCloseToBoundary
+from polyheart.folding import heart_region
 from polyheart.geometry import ConvexPolygon, boundary_distance, chebyshev_center, point_in
 from polyheart.polar import (
     gauge,
@@ -112,6 +113,22 @@ def test_santalo_point_is_polar_centroid(halfdisc64):
         s = santalo_point(poly)
         centroid = polar_polygon(poly, s).body.centroid
         assert np.linalg.norm(centroid - s) <= 1e-9 * poly.diameter
+
+
+def test_bodies_far_from_the_origin():
+    # seeded 3-300-gons scaled by 1e-4 to 1e4 and shifted by up to 1e3:
+    # where areas, centroids or Newton's gaps are taken in absolute
+    # coordinates, the heart check, the minimizers or the Santalo
+    # condition fail on about one body in seven
+    gen = np.random.default_rng(20260419)
+    for _ in range(120):
+        base = bodies.random_convex_polygon(gen, int(gen.integers(3, 301)))
+        poly = ConvexPolygon(base.vertices * 10.0 ** gen.uniform(-4.0, 4.0) + gen.uniform(-1e3, 1e3, size=2))
+        heart_region(poly, 720)
+        minimal_reciprocal_support_integral(poly)
+        s = santalo_point(poly)
+        polar = polar_polygon(poly, s).body
+        assert np.linalg.norm(polar.centroid - s) <= 1e-9 * polar.diameter
 
 
 def test_straight_angle_vertex():
