@@ -330,8 +330,7 @@ def main(argv=None) -> int:
               "command": args.command, **report}
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_report_svg(report))

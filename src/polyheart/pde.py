@@ -444,7 +444,8 @@ def _lanczos(solve, n: int) -> np.ndarray:
     positive definite operator solve on R^n, by Lanczos from the unit
     vector along (1, ..., 1).
 
-    Each new vector is orthogonalized against the whole basis twice
+    Each new vector loses its three-term part alpha_j v_j + beta_{j-1}
+    v_{j-1} first and is then orthogonalized once against the whole basis
     (classical Gram-Schmidt), so no spurious copies of theta appear.  The
     Ritz pair (theta, x = V y) of the tridiagonal T_j has |solve(x) -
     theta x|_2 = beta_j |y_j| in exact arithmetic; the iteration stops once
@@ -462,12 +463,13 @@ def _lanczos(solve, n: int) -> np.ndarray:
             v = basis[: j + 1]
             w = solve(v[j])
             solves += 1
-            a = 0.0
-            for _ in range(2):
-                c = np.add.reduce(v * w, axis=1)
-                w -= np.add.reduce(v * c[:, None], axis=0)
-                a += c[j]
-            alpha.append(a)
+            a = float(np.add.reduce(v[j] * w))
+            w -= a * v[j]
+            if j:
+                w -= beta[-1] * v[j - 1]
+            c = np.add.reduce(v * w, axis=1)
+            w -= np.add.reduce(v * c[:, None], axis=0)
+            alpha.append(a + c[j])
             b = _norm(w)
             thetas, ys = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             theta, y = thetas[-1], ys[:, -1]

@@ -58,14 +58,17 @@ def test_heart_square(tmp_path, capsys):
     assert spath.read_text() == render_report_svg(rep)
 
 
-@pytest.mark.parametrize("command", ["bounds", "polar", "santalo", "fourier-check", "report"])
+@pytest.mark.parametrize("command", ["bounds", "polar", "santalo", "fourier-check", "report", "heart"])
 def test_report_json_rerenders_svg(tmp_path, capsys, command):
-    # json.dump fails on a numpy integer, bool or array left in a section
+    # json.dumps fails on a numpy integer, bool or array left in a section;
+    # the file is the report at indent 2 with one newline at the end
     jpath, spath = tmp_path / "r.json", tmp_path / "r.svg"
     code, _, err = run([command, "--body", "square", "--h", "0.02",
                         "--json", str(jpath), "--svg", str(spath)], capsys)
     assert code == 0, err
-    rep = json.loads(jpath.read_text())
+    text = jpath.read_text()
+    rep = json.loads(text)
+    assert text == json.dumps(rep, indent=2) + "\n"
     assert rep["command"] == command
     assert spath.read_text() == render_report_svg(rep)
 
@@ -315,10 +318,12 @@ def test_fourier_check(capsys):
 
 
 def test_fourier_check_one_prelude_per_direction(monkeypatch, capsys):
-    # one for the area check, then one per direction for its three points
-    calls = count_calls(monkeypatch, fourier._prelude)
+    # one direct evaluation for the area check, then one line evaluation per
+    # direction for its three points
+    direct = count_calls(monkeypatch, fourier._prelude)
+    lines = count_calls(monkeypatch, fourier._line_transform)
     assert run(["fourier-check", "--body", "regular_ngon:7"], capsys)[0] == 0
-    assert len(calls) == 4
+    assert (len(direct), len(lines)) == (1, 3)
 
 
 def test_polar_subcommand(capsys):

@@ -15,6 +15,9 @@ from polyheart import bodies, fourier
 from polyheart.errors import DenominatorTooSmall, FrequencyNotOrthogonal
 from polyheart.folding import chord_midpoint
 from polyheart.fourier import (
+    _SERIES_CUT,
+    _inversion_nodes,
+    _line_transform,
     _prelude,
     _sinc,
     _transform,
@@ -171,15 +174,16 @@ def test_error_decays_with_cutoff(halfdisc64):
 
 def full_line_midpoint(poly: ConvexPolygon, w: np.ndarray, y: float, cutoff: float = 400.0):
     """Reference: the midpoint ratio over the whole segment [-S, S] in the
-    origin's frame, on a node set of its own for this one point.
+    origin's frame, on a node set of its own for this one point, with T
+    and T' evaluated directly at every node.
 
     Returns the midpoint and the number of panels.  At least 4096 nodes,
-    more when 8 per oscillation at y need it, in panels of 8.
+    more when 8 per oscillation at y need it (T's phases run to the
+    vertices), in panels of 8.
     """
     u = perp(w)
     s_max = cutoff * 2.0 * np.pi / poly.diameter
-    mids = poly.vertices + 0.5 * poly.edges
-    freq = abs(y) + float(np.abs(mids @ u).max()) + 1e-9
+    freq = abs(y) + float(np.abs(poly.vertices @ u).max()) + 1e-9
     total = max(4096, int(np.ceil(8.0 * s_max * freq / np.pi)))
     panels = max(8, int(np.ceil(total / 8.0)))
     nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -188,23 +192,24 @@ def full_line_midpoint(poly: ConvexPolygon, w: np.ndarray, y: float, cutoff: flo
     centers = 0.5 * (ends[1:] + ends[:-1])
     s = (centers[:, None] + half[:, None] * nodes[None, :]).ravel()
     wts = (half[:, None] * weights[None, :]).ravel()
-    pre = _prelude(poly, s[:, None] * u[None, :], np.zeros(2))
+    pre = _prelude(poly, s[:, None] * u[None, :])
     swing = np.exp(1j * y * s)
     denom = np.real(wts @ (_transform(poly, pre) * swing))
     numer = np.real(wts @ (1j * _transform_deriv(poly, w, pre) * swing))
     return float(numer / denom), panels
 
 
-def prelude_sizes(monkeypatch) -> list:
-    """Record the number of frequencies of every fourier._prelude call."""
+def node_counts(monkeypatch) -> list:
+    """Record the number of nodes of every fourier._line_transform call."""
     sizes = []
-    orig = fourier._prelude
+    orig = fourier._line_transform
 
-    def spy(poly, xi, origin):
-        sizes.append(len(xi))
-        return orig(poly, xi, origin)
+    def spy(poly, w, yc, cutoff):
+        out = orig(poly, w, yc, cutoff)
+        sizes.append(len(out[0]))
+        return out
 
-    monkeypatch.setattr(fourier, "_prelude", spy)
+    monkeypatch.setattr(fourier, "_line_transform", spy)
     return sizes
 
 
@@ -218,7 +223,7 @@ def test_half_line_rule_is_full_rule_folded():
     # rule folded in half.  The points near the shadow ends need more than
     # the 4096-node floor.
     cases = [
-        (bodies.regular_ngon(7), 1.0, (0.06, 0.08, 0.5, 0.7)),
+        (bodies.regular_ngon(7), 1.0, (0.3, 0.5, 0.7, 0.8)),
         (centred(bodies.halfdisc(1.0, 0.0, 64)), 2.2, (0.06, 0.3, 0.8, 0.94)),
     ]
     grown = 0
@@ -235,11 +240,92 @@ def test_half_line_rule_is_full_rule_folded():
     assert grown >= 5
 
 
+def line_gap(poly: ConvexPolygon, w: np.ndarray, yc: np.ndarray) -> tuple:
+    """Largest gaps between _line_transform and T, T' and e^{i s y}
+    evaluated directly on its nodes, in units of area, area*diameter and 1."""
+    u = perp(w)
+    s, _, t, dt, swing = _line_transform(poly, w, yc, 400.0)
+    centred = ConvexPolygon(poly.vertices - poly.centroid)
+    pre = _prelude(centred, s[:, None] * u[None, :])
+    return (
+        np.max(np.abs(t - _transform(centred, pre))) / poly.area,
+        np.max(np.abs(dt - _transform_deriv(centred, w, pre))) / (poly.area * poly.diameter),
+        np.max(np.abs(swing - np.exp(1j * np.outer(yc, s)))),
+    )
+
+
+# Both sides round phase angles of up to S*diam = 2*pi*400 rad and more,
+# so they may part by about 1e-13 in each unit-modulus phase; measured,
+# the gaps stay below 2e-13.
+_LINE_TOL = 1e-12
+
+
+def test_line_transform_matches_direct(halfdisc64):
+    # test_fourier's panels, the square along its edges (D_j = 0 exactly
+    # on two of them) and one random body of each `analyses` size
+    polys = [bodies.square(), bodies.regular_ngon(7), halfdisc64, *random_bodies(seed=5, count=3)]
+    polys += [bodies.random_convex_polygon(np.random.default_rng(n), n) for n in (5, 6, 8, 10, 12, 48)]
+    flat = 0
+    for poly in polys:
+        for theta in (0.0, 1.0, 2.2, 0.5 * np.pi):
+            w = unit(theta)
+            flat += int(np.any(poly.edges @ perp(w) == 0.0))
+            lo, hi = shadow_interval(poly, w)
+            yc = lo + np.array([0.35, 0.5, 0.65]) * (hi - lo) - float(poly.centroid @ perp(w))
+            assert max(line_gap(poly, w, yc)) <= _LINE_TOL
+    assert flat >= 2
+
+
+@pytest.mark.parametrize("excess", [-1e-9, 1e-9, None])
+def test_line_transform_at_the_series_cut(excess):
+    # turn omega so that |s_k D_0 / 2| on edge 0 sits just below or just
+    # above _SERIES_CUT at node k = 100, or (None) so that edge 0 is 1e-9
+    # rad from parallel and every node of it takes the series
+    poly = bodies.regular_ngon(7)
+    yc = np.zeros(1)
+    nodes = _inversion_nodes(poly, unit(0.0), yc, 400.0)
+    s_k = _line_transform(poly, unit(0.0), yc, 400.0)[0][100]
+    edge = poly.edges[0] / poly.edge_lengths[0]
+    if excess is None:
+        turn = 1e-9
+    else:
+        turn = math.asin(2.0 * _SERIES_CUT * (1.0 + excess) / (s_k * poly.edge_lengths[0]))
+    w = np.array([edge[0] * math.cos(turn) - edge[1] * math.sin(turn),
+                  edge[0] * math.sin(turn) + edge[1] * math.cos(turn)])
+    x = abs(0.5 * float(poly.edges[0] @ perp(w))) * s_k
+    assert _inversion_nodes(poly, perp(w), yc, 400.0) == nodes
+    if excess is not None:
+        assert (x < _SERIES_CUT) == (excess < 0.0) and abs(x / _SERIES_CUT - 1.0) < 1e-8
+    assert max(line_gap(poly, w, yc)) <= _LINE_TOL
+
+
+def test_node_budget_reaches_the_vertices():
+    # T's phases run to the vertices, so 8 nodes per oscillation must count
+    # them.  Sized by the edge midpoints, the half-line rule sat 2.1e-12 to
+    # 4.2e-12 diam from the full rule here, and the batch up to 3.7e-12
+    # diam from its scalar calls; sized by the vertices, both gaps are at
+    # most 2e-13 diam.  From 88% on, the full rule has an odd panel count,
+    # so its middle panel straddles 0 and the two rules differ.
+    poly = bodies.regular_ngon(7)
+    w = unit(1.0)
+    lo, hi = shadow_interval(poly, w)
+    ys = lo + np.linspace(0.80, 0.94, 15) * (hi - lo)
+    batch = midpoint_via_transform(poly, w, ys)
+    odd = 0
+    for y, got in zip(ys, batch):
+        single = midpoint_via_transform(poly, w, y)
+        want, panels = full_line_midpoint(poly, w, y)
+        odd += panels % 2
+        assert abs(single - want) <= 1e-12 * poly.diameter
+        assert abs(got - single) <= 1e-12 * poly.diameter
+    assert odd >= 5
+
+
 def test_midpoint_batch_matches_scalar(monkeypatch, halfdisc64):
     # Points whose own node set is the batch's one: then batching changes
     # only the order of the sums.  A point that needs fewer nodes than the
     # batch's largest |y| gets the batch's finer rule instead.
-    sizes = prelude_sizes(monkeypatch)
+    sizes = node_counts(monkeypatch)
     for poly in (bodies.square(), bodies.regular_ngon(7), halfdisc64, *random_bodies(seed=5, count=3)):
         for theta in (0.0, 1.0, 2.2):
             w = unit(theta)
@@ -256,7 +342,7 @@ def test_midpoint_batch_matches_scalar(monkeypatch, halfdisc64):
 
 
 def test_node_budget_ignores_translation(monkeypatch, square):
-    sizes = prelude_sizes(monkeypatch)
+    sizes = node_counts(monkeypatch)
     far = ConvexPolygon(square.vertices + 1000.0)
     for theta in (0.0, 1.0, 2.2):
         w = unit(theta)
@@ -276,7 +362,7 @@ def test_node_budget_ignores_translation(monkeypatch, square):
 
 
 def test_margin_error_names_first_bad_point(monkeypatch, square):
-    sizes = prelude_sizes(monkeypatch)
+    sizes = node_counts(monkeypatch)
     w = np.array([0.0, 1.0])
     lo, hi = shadow_interval(square, w)
     ys = np.array([lo + 0.5, hi - 0.01, lo + 0.02])
