@@ -283,7 +283,7 @@ def test_line_transform_at_the_series_cut(excess):
     # rad from parallel and every node of it takes the series
     poly = bodies.regular_ngon(7)
     yc = np.zeros(1)
-    nodes = _inversion_nodes(poly, unit(0.0), yc, 400.0)
+    panels = _inversion_nodes(poly, perp(unit(0.0)), yc, 400.0)
     s_k = _line_transform(poly, unit(0.0), yc, 400.0)[0][100]
     edge = poly.edges[0] / poly.edge_lengths[0]
     if excess is None:
@@ -293,7 +293,7 @@ def test_line_transform_at_the_series_cut(excess):
     w = np.array([edge[0] * math.cos(turn) - edge[1] * math.sin(turn),
                   edge[0] * math.sin(turn) + edge[1] * math.cos(turn)])
     x = abs(0.5 * float(poly.edges[0] @ perp(w))) * s_k
-    assert _inversion_nodes(poly, perp(w), yc, 400.0) == nodes
+    assert _inversion_nodes(poly, perp(w), yc, 400.0) == panels
     if excess is not None:
         assert (x < _SERIES_CUT) == (excess < 0.0) and abs(x / _SERIES_CUT - 1.0) < 1e-8
     assert max(line_gap(poly, w, yc)) <= _LINE_TOL
