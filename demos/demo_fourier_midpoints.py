@@ -28,11 +28,11 @@ def main():
     print("  y        chord(exact)  chord(fourier)  mid(exact)  mid(fourier)   err")
     ys = lo + np.array([0.25, 0.4, 0.5, 0.6, 0.75]) * (hi - lo)
     # one transform evaluation serves all five midpoints
-    mids = midpoint_via_transform(poly, w, ys)
+    mids = midpoint_via_transform(poly, w, ys, 400.0)
     for y, m_four in zip(ys, mids):
         a, b = chord(poly, y, w)
         c_direct = b - a
-        c_four = chord_via_transform(poly, w, y)
+        c_four = chord_via_transform(poly, w, y, 400.0)
         m_direct = chord_midpoint(poly, w, y)
         print(f"  {y:7.4f}  {c_direct:11.6f}  {c_four:13.6f}"
               f"  {m_direct:10.6f}  {m_four:11.6f}  {abs(m_four - m_direct):.2e}")

@@ -61,7 +61,7 @@ class EigenvalueBounds:
         return min(cands)
 
 
-def eigenvalue_upper_bounds(stats: BodyStats, numeric: float | None = None) -> EigenvalueBounds:
+def eigenvalue_upper_bounds(stats: BodyStats, numeric: float | None) -> EigenvalueBounds:
     fk = DISC_EIGENVALUE / 2.0 * stats.perimeter / (stats.inradius * stats.area)
     mono = DISC_EIGENVALUE / stats.inradius**2
     return EigenvalueBounds(fk, mono, DISC_EIGENVALUE, numeric)

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands cover the individual capabilities (heart, bounds, polar,
-santalo, pde-verify, fourier-check) plus a combined report.  Output is a
-versioned JSON document and optionally an SVG figure rendered purely
-from that document, so a report file re-renders byte for byte.
+santalo, pde-verify, fourier-check) plus a combined report.  Each takes
+--body, --json, --svg, --seed and the options it reads (_COMMANDS).
+Output is a versioned JSON document and optionally an SVG figure
+rendered purely from that document, so a report re-renders byte for byte.
 
-Exit codes: 0 success, 1 invalid input, 2 internal inconsistency
-(including verification checks that come back false).  Errors go to
-stderr as one JSON object per failure.
+Exit codes: 0 success, 1 invalid input or a usage error, 2 internal
+inconsistency (including verification checks that come back false).
+Errors go to stderr as one JSON object per failure.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     NoConvergence,
     PolyheartError,
     QuadratureUnstable,
+    UsageError,
 )
 from .folding import chord_midpoint, heart_ball_radius, heart_region
 from .fourier import indicator_transform, midpoint_via_transform
@@ -46,8 +48,8 @@ from .svgout import render_report_svg
 
 _INCONSISTENCY = (InconsistentHeart, NoConvergence, QuadratureUnstable, DenominatorTooSmall)
 # fourier-check passes when the transform at zero matches the area within
-# this share of max(1, area): the zero frequency is the area's own closed
-# form, so a larger gap can only mean a broken transform.
+# this share of max(1, area): there the transform is the limit of its edge
+# sum, so a larger gap means edge data that do not describe the body.
 _AREA_CHECK_REL = 1e-9
 
 
@@ -82,7 +84,7 @@ def _heart_section(poly, n_dirs: int):
 
 def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
     stats = BodyStats.from_polygon(poly)
-    upper = eigenvalue_upper_bounds(stats, numeric=lam1_numeric)
+    upper = eigenvalue_upper_bounds(stats, lam1_numeric)
     lam1 = upper.best
     general = distance_bounds_general(stats, lam1)
     convex = distance_bounds_convex(stats)
@@ -168,19 +170,17 @@ def _fourier_section(poly, cutoff: float, seed: int) -> dict:
 
 
 def _cmd_heart(poly, args):
-    heart, hsec = _heart_section(poly, args.dirs)
-    report = {"heart": hsec}
+    _, hsec = _heart_section(poly, args.dirs)
     lines = [
         f"heart kind: {hsec['kind']}",
         f"heart vertices: {hsec['vertices']}",
         f"ball radius around centroid: {hsec['ball_radius']:.9g}",
     ]
-    return report, lines, True
+    return {"heart": hsec}, lines, True
 
 
 def _cmd_bounds(poly, args):
     sec = _bounds_section(poly)
-    report = {"bounds": sec}
     lines = [
         f"lambda1 upper (best): {sec['lam1_used']:.9g}",
         f"distance bounds: general precise {sec['distance_general']['precise']:.9g}, "
@@ -189,7 +189,7 @@ def _cmd_bounds(poly, args):
         f"coarse {sec['distance_convex']['coarse']:.9g}",
         f"star-shaped {sec['distance_star']:.9g}",
     ]
-    return report, lines, True
+    return {"bounds": sec}, lines, True
 
 
 def _cmd_polar(poly, args):
@@ -214,18 +214,16 @@ def _cmd_polar(poly, args):
 
 def _cmd_santalo(poly, args):
     sec = _polar_section(poly)
-    report = {"polar": sec}
     lines = [
         f"santalo point: {sec['santalo']}",
         f"polar area there: {sec['polar_area_at_santalo']:.9g}",
     ]
-    return report, lines, sec["lower_check"]["ok"]
+    return {"polar": sec}, lines, sec["lower_check"]["ok"]
 
 
 def _cmd_pde_verify(poly, args):
     heart, hsec = _heart_section(poly, args.dirs)
     pde = _pde_section(poly, heart, args)
-    report = {"heart": hsec, "pde": pde}
     lines = [
         f"lambda1 numeric: {pde['eigenvalue']:.9g} (residual {pde['residual']:.3g})",
         f"hot spot limit: {pde['hot_spot_limit']}",
@@ -236,18 +234,17 @@ def _cmd_pde_verify(poly, args):
         f"decay: {'ok' if pde['decay']['ok'] else 'FAILED'} "
         f"(rate {pde['decay']['fitted_rate']:.6g} vs {pde['decay']['eigenvalue']:.6g})",
     ]
-    return report, lines, pde["ok"]
+    return {"heart": hsec, "pde": pde}, lines, pde["ok"]
 
 
 def _cmd_fourier_check(poly, args):
     sec = _fourier_section(poly, args.fourier_cutoff, args.seed)
-    report = {"fourier": sec}
     ok = sec["area_check"]["abs_err"] <= _AREA_CHECK_REL * max(1.0, poly.area)
     lines = [
         f"transform at zero: {sec['area_check']['transform']:.12g} vs area {poly.area:.12g}",
         f"max midpoint reconstruction error: {sec['max_abs_err']:.3g}",
     ]
-    return report, lines, ok
+    return {"fourier": sec}, lines, ok
 
 
 def _cmd_report(poly, args):
@@ -274,34 +271,45 @@ def _cmd_report(poly, args):
 
 
 _COMMANDS = {
-    "heart": _cmd_heart,
-    "bounds": _cmd_bounds,
-    "polar": _cmd_polar,
-    "santalo": _cmd_santalo,
-    "pde-verify": _cmd_pde_verify,
-    "fourier-check": _cmd_fourier_check,
-    "report": _cmd_report,
+    "heart": (_cmd_heart, ("--dirs",)),
+    "bounds": (_cmd_bounds, ()),
+    "polar": (_cmd_polar, ()),
+    "santalo": (_cmd_santalo, ()),
+    "pde-verify": (_cmd_pde_verify, ("--dirs", "--h")),
+    "fourier-check": (_cmd_fourier_check, ("--fourier-cutoff",)),
+    "report": (_cmd_report, ("--dirs", "--h", "--fourier-cutoff")),
 }
+
+_OPTIONS = {
+    "--dirs": {"type": int, "default": 720, "help": "direction count for the heart sweep"},
+    "--h": {"type": float, "default": None, "help": "grid spacing (default inradius/50)"},
+    "--fourier-cutoff": {"type": float, "default": 400.0,
+                         "help": "frequency cutoff for transform inversion"},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # in place of argparse's usage text and exit 2
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyheart",
         description="Hot-spot confinement toolkit for convex polygons.",
+        allow_abbrev=False,  # else --h on a subcommand without it would be --help
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name, (_, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--body", required=True,
                        help="generator shorthand (square, rectangle:2,1, halfdisc:1,0,64, "
                             "triangle:0,0,1,0,0,1, regular_ngon:6,1, ellipse_approx:2,1,256) "
                             "or a path to a JSON body file")
-        p.add_argument("--dirs", type=int, default=720, help="direction count for the heart sweep")
-        p.add_argument("--h", type=float, default=None, help="grid spacing (default inradius/50)")
-        p.add_argument("--fourier-cutoff", type=float, default=400.0,
-                       help="frequency cutoff for transform inversion")
+        for option in reads:
+            p.add_argument(option, **_OPTIONS[option])
         p.add_argument("--json", metavar="PATH", default=None, help="write the report JSON here")
         p.add_argument("--svg", metavar="PATH", default=None, help="write an SVG figure here")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
@@ -314,13 +322,13 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         poly, spec = parse_body_arg(args.body)
     except (PolyheartError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(1, type(exc).__name__, str(exc))
     try:
-        report, lines, ok = _COMMANDS[args.command](poly, args)
+        report, lines, ok = _COMMANDS[args.command][0](poly, args)
         report = {"body": _body_section(poly, spec), **report}
     except _INCONSISTENCY as exc:
         return _fail(2, type(exc).__name__, str(exc))

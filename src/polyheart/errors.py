@@ -53,3 +53,8 @@ class WitnessInvalid(PolyheartError):
 
 class InconsistentHeart(PolyheartError):
     """Heart construction produced an impossible result (hard failure)."""
+
+
+class UsageError(PolyheartError):
+    """Command line does not parse: an unknown subcommand or option, or a
+    missing or mistyped value."""

@@ -308,7 +308,7 @@ def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
     return arr[np.sort(idx)]
 
 
-def heart_region(poly: ConvexPolygon, n_dirs: int = 720) -> tuple[Heart, FoldingProfile]:
+def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Heart, FoldingProfile]:
     """Outer approximation of the heart over a sampled direction set.
 
     Raises InconsistentHeart when the construction contradicts itself
@@ -371,18 +371,15 @@ def heart_region(poly: ConvexPolygon, n_dirs: int = 720) -> tuple[Heart, Folding
 @dataclass(frozen=True)
 class WidthBound:
     bound: float
-    heart_width: float | None
+    heart_width: float
 
 
-def heart_width_bound(poly: ConvexPolygon, omega, heart: Heart | None = None) -> WidthBound:
-    """Two-sided folding bound on the heart's width along omega."""
+def heart_width_bound(poly: ConvexPolygon, omega, heart: Heart) -> WidthBound:
+    """Two-sided folding bound on the width along omega, and heart's width there."""
     w = check_direction(omega)
     bound = folding_offset(poly, w).value + folding_offset(poly, -w).value
-    hw = None
-    if heart is not None and not heart.region.is_empty:
-        vals = heart.vertices @ w
-        hw = float(vals.max() - vals.min())
-    return WidthBound(float(bound), hw)
+    vals = heart.vertices @ w
+    return WidthBound(float(bound), float(vals.max() - vals.min()))
 
 
 def heart_ball_radius(poly: ConvexPolygon, heart: Heart) -> tuple[np.ndarray, float]:

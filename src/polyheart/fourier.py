@@ -9,7 +9,7 @@ midpoint, the stable form used here is
 with sinc(x) = sin(x)/x.  The sinc form is the raw difference quotient
 with its removable singularity at edge-orthogonal frequencies already
 cancelled, so no per-edge threshold switching is needed; only xi = 0
-remains special, where the value is the area.
+remains special, where the value is the sum's limit, the area.
 
 Restricting to the line orthogonal to a direction omega and inverting the
 one-dimensional transform reconstructs the chord length above each shadow
@@ -99,10 +99,14 @@ def _prelude(poly: ConvexPolygon, xi: np.ndarray):
 
 
 def _transform(poly: ConvexPolygon, pre) -> np.ndarray:
-    """T at the frequencies of a _prelude."""
+    """T at the frequencies of a _prelude.  At xi = 0 it is the sum's own
+    limit, (1/2) sum_j |e_j| nu_j . (m_j - v_0) by the divergence theorem,
+    which is the area when the edge data describe the polygon."""
     safe2, zero, _, _, sinc_d, phase, proj = pre
     vals = 1j / safe2 * np.sum(proj * sinc_d * phase, axis=1)
-    return np.where(zero, poly.area + 0.0j, vals)
+    mids_v0 = poly.vertices - poly.vertices[0] + 0.5 * poly.edges  # m_j - v_0
+    limit = 0.5 * np.sum(poly.edge_normals * poly.edge_lengths[:, None] * mids_v0)
+    return np.where(zero, limit + 0.0j, vals)
 
 
 def _transform_deriv(poly: ConvexPolygon, w: np.ndarray, pre) -> np.ndarray:
@@ -121,7 +125,7 @@ def indicator_transform(poly: ConvexPolygon, xi) -> complex | np.ndarray:
     """Transform of the polygon indicator at one or many frequencies.
 
     Accepts a single (2,) frequency or an (k, 2) batch; returns complex
-    scalar or (k,) array.  The zero frequency returns the area.
+    scalar or (k,) array.  The zero frequency returns the edge sum's limit, the area.
     """
     xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
     vals = _transform(poly, _prelude(poly, xi_arr))
@@ -278,7 +282,7 @@ def _line_sums(poly: ConvexPolygon, w: np.ndarray, ys: np.ndarray, cutoff: float
     return denom, numer
 
 
-def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float = 400.0) -> float:
+def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float) -> float:
     """Chord length above shadow coordinate y, via the inverse transform.
 
     (1/(2 pi)) Int_{-S}^{S} T(s u) e^{i y s} ds equals the chord length
@@ -290,9 +294,7 @@ def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float = 40
     return float(denom[0]) / (2.0 * np.pi)
 
 
-def midpoint_via_transform(
-    poly: ConvexPolygon, omega, y, cutoff: float = 400.0
-) -> float | np.ndarray:
+def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> float | np.ndarray:
     """Chord midpoints above shadow coordinates y, via the transform ratio.
 
     y is one shadow coordinate (the result is a float) or a 1-D array of

@@ -215,7 +215,8 @@ class ConvexPolygon:
             raise InvalidPolygon("duplicate or near-duplicate consecutive vertices")
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if _polygon_area(v) <= 0.0:
+        area = _polygon_area(v)
+        if area <= 0.0:
             raise InvalidPolygon("vertices must be in counterclockwise order with positive area")
         if np.any(cross < -EPS_REL * scale * scale):
             raise InvalidPolygon("polygon is not convex")
@@ -224,10 +225,12 @@ class ConvexPolygon:
         turn = float(np.arctan2(cross, edges[:, 0] * nxt[:, 0] + edges[:, 1] * nxt[:, 1]).sum())
         if turn > 3.0 * np.pi:
             raise InvalidPolygon(f"ring winds more than once: its exterior angles sum to {turn:.6g}, above 3 pi")
-        v.setflags(write=False)
-        edges.setflags(write=False)
+        for arr in (v, edges, lengths):
+            arr.setflags(write=False)
         self.vertices = v
         self.edges = edges  # row i: v_{i+1} - v_i
+        self.edge_lengths = lengths
+        self.area = area
         self.diameter = diameter
 
     def __repr__(self):
@@ -235,10 +238,6 @@ class ConvexPolygon:
 
     def __len__(self):
         return len(self.vertices)
-
-    @cached_property
-    def area(self) -> float:
-        return _polygon_area(self.vertices)
 
     @cached_property
     def perimeter(self) -> float:
@@ -267,13 +266,6 @@ class ConvexPolygon:
         c = np.sum(self.edge_normals * self.vertices, axis=1)
         c.setflags(write=False)
         return c
-
-    @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        e = self.edges
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        lengths.setflags(write=False)
-        return lengths
 
     @cached_property
     def incircle(self) -> ChebyshevResult:

@@ -34,7 +34,7 @@ from .errors import GridTooCoarse, NoConvergence
 from .geometry import ConvexPolygon, boundary_distance, region_point_distance
 
 _DT_FACTOR = 5.0
-# full_verify's default grid spacing is the inradius over this, so the
+# full_verify's grid spacing at h=None is the inradius over this, so the
 # membership slack of two spacings is 4% of the inradius.
 _H_PER_INRADIUS = 50.0
 # eigen_solve's Lanczos: a basis of at most _LANCZOS_BASIS vectors
@@ -347,7 +347,7 @@ def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
     return np.round(np.geomspace(first, last, n_samples)).astype(np.int64)
 
 
-def heat_solve(grid: GridField, sample_times, eigen: EigenResult | None = None) -> tuple[TrackSample, ...]:
+def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[TrackSample, ...]:
     """Heat flow from unit initial data, sampling the hot spot.
 
     Requested times land on the nearest step multiple of dt = h^2/5; the
@@ -363,14 +363,12 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult | None = None) 
     whose hot spot is the eigenpair's.  r evolves in the span of the other
     eigenvectors, whose eigenvalues lie in [lam_1, 8/h^2), so it shrinks
     by at least rho = max(1 - dt lam_1, 8 dt/h^2 - 1) per step; rho^m |r|_2
-    plus the hand-over sample's bound is the stated bound.  eigen
-    defaults to eigen_solve(grid).
+    plus the hand-over sample's bound is the stated bound.  eigen is the
+    grid's lowest eigenpair, as eigen_solve(grid) returns it.
     """
     times = sorted(float(t) for t in sample_times)
     if not times or times[0] <= 0.0:
         raise ValueError("sample times must be positive")
-    if eigen is None:
-        eigen = eigen_solve(grid)
     h = grid.spacing
     dt = h * h / _DT_FACTOR
     steps = []
@@ -642,11 +640,11 @@ class VerificationReport:
         return [s for s in self.samples if not s.spectral][-1]
 
 
-def full_verify(poly: ConvexPolygon, heart, h: float | None = None) -> VerificationReport:
+def full_verify(poly: ConvexPolygon, heart, h: float | None) -> VerificationReport:
     """End-to-end run: grid, eigenpair, trajectory, membership in heart.
 
     heart is the Heart the trajectory is checked against, as heart_region
-    returns it.  The spacing h defaults to inradius/50.  The horizon
+    returns it.  The spacing h is inradius/50 when None.  The horizon
     is max(10/lam1, 2500 h^2): long enough for the eigenmode to
     dominate, and never shorter than the time scale the grid itself can
     resolve.  _N_SAMPLES samples are geometric in whole steps from about

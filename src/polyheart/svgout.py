@@ -100,23 +100,18 @@ def render_report_svg(report: dict) -> str:
             )
         else:
             out.append(_path(frame, verts, "heart"))
-    track = (report.get("pde") or {}).get("track")
-    if track:
-        pts = " ".join(",".join(frame.pt(s["location"])) for s in track)
-        out.append(f'  <polyline class="track" points="{pts}"/>\n')
-    points = dict(body.get("markers") or {})
     pde = report.get("pde") or {}
-    if "centroid" in body:
-        points.setdefault("centroid", body["centroid"])
-    if "incenter" in body:
-        points.setdefault("incenter", body["incenter"])
-    santalo = (report.get("polar") or {}).get("santalo")
-    if santalo is not None:
-        points.setdefault("santalo", santalo)
-    if pde.get("hot_spot_limit") is not None:
-        points.setdefault("hot_spot_limit", pde["hot_spot_limit"])
+    if pde.get("track"):
+        pts = " ".join(",".join(frame.pt(s["location"])) for s in pde["track"])
+        out.append(f'  <polyline class="track" points="{pts}"/>\n')
+    points = {
+        "centroid": body.get("centroid"),
+        "incenter": body.get("incenter"),
+        "santalo": (report.get("polar") or {}).get("santalo"),
+        "hot_spot_limit": pde.get("hot_spot_limit"),
+    }
     for name, color in _MARKERS:
-        if name in points:
+        if points[name] is not None:
             out.append(_dot(frame, points[name], color, name))
     out.append("</svg>\n")
     return "".join(out)

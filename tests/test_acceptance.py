@@ -293,7 +293,7 @@ def test_09_fourier_cross_check(pde_bodies):
             y = lo + gen.uniform(0.2, 0.8) * (hi - lo)
             pts.append((w, y))
             direct = chord_midpoint(poly, w, y)
-            recon = midpoint_via_transform(poly, w, y)
+            recon = midpoint_via_transform(poly, w, y, 400.0)
             a, b = chord(poly, y, w)
             assert abs(recon - direct) <= 0.05 * (b - a)
         meds = {}

@@ -39,7 +39,7 @@ def test_disc_eigenvalue_golden():
 
 def test_eigen_upper_square(square):
     stats = BodyStats.from_polygon(square)
-    ub = eigenvalue_upper_bounds(stats)
+    ub = eigenvalue_upper_bounds(stats, None)
     # both routes coincide on the square: lam(B1)/N * 4/(1/2) = lam(B1)/(1/2)^2
     assert ub.perimeter_over_inradius == pytest.approx(23.13274385, abs=1e-6)
     assert ub.monotone == pytest.approx(23.13274385, abs=1e-6)
@@ -133,7 +133,7 @@ def test_general_bounds_monotone_in_lambda(square):
 def test_bound_hierarchy_random():
     for poly in random_bodies(seed=17, count=10):
         stats = BodyStats.from_polygon(poly)
-        ub = eigenvalue_upper_bounds(stats)
+        ub = eigenvalue_upper_bounds(stats, None)
         gen = distance_bounds_general(stats, ub.best)
         conv = distance_bounds_convex(stats)
         w_val = minimal_reciprocal_support_integral(poly)[0]

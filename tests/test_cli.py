@@ -63,7 +63,8 @@ def test_report_json_rerenders_svg(tmp_path, capsys, command):
     # json.dumps fails on a numpy integer, bool or array left in a section;
     # the file is the report at indent 2 with one newline at the end
     jpath, spath = tmp_path / "r.json", tmp_path / "r.svg"
-    code, _, err = run([command, "--body", "square", "--h", "0.02",
+    grid = ["--h", "0.02"] if command == "report" else []
+    code, _, err = run([command, "--body", "square", *grid,
                         "--json", str(jpath), "--svg", str(spath)], capsys)
     assert code == 0, err
     text = jpath.read_text()
@@ -311,10 +312,31 @@ def test_halfdisc_far_from_the_origin(tmp_path, capsys):
     assert far["distance_convex"]["precise"] == pytest.approx(near["distance_convex"]["precise"], rel=1e-11)
 
 
-def test_fourier_check(capsys):
-    code, out, _ = run(["fourier-check", "--body", "square"], capsys)
-    assert code == 0
-    assert "transform at zero" in out
+def test_fourier_check(tmp_path, capsys):
+    for body in ("square", "halfdisc:1,0,64", "regular_ngon:7"):
+        jpath = tmp_path / "r.json"
+        code, out, _ = run(["fourier-check", "--body", body, "--json", str(jpath)], capsys)
+        assert code == 0
+        assert "transform at zero" in out
+        check = json.loads(jpath.read_text())["fourier"]["area_check"]
+        assert check["abs_err"] <= 1e-12 * max(1.0, check["area"])
+
+
+def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys):
+    # the transform at zero is the limit of its edge sum, so edge lengths
+    # 1e-6 too long, with the normals taken before, fail the area check
+    parse = cli.parse_body_arg
+
+    def tampered(arg):
+        poly, spec = parse(arg)
+        poly.edge_normals
+        poly.edge_lengths = poly.edge_lengths * (1.0 + 1e-6)
+        return poly, spec
+
+    monkeypatch.setattr(cli, "parse_body_arg", tampered)
+    code, _, err = run(["fourier-check", "--body", "regular_ngon:7"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "VerificationFailed"
 
 
 def test_fourier_check_one_prelude_per_direction(monkeypatch, capsys):
@@ -338,3 +360,64 @@ def test_parser_built_once(capsys):
     assert run(["polar", "--body", "regular_ngon:5"], capsys)[0] == 0
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# The options each subcommand reads besides --body, --json, --svg and
+# --seed, which all of them take, and a value for each option.
+READS = {
+    "heart": ("--dirs",),
+    "bounds": (),
+    "polar": (),
+    "santalo": (),
+    "pde-verify": ("--dirs", "--h"),
+    "fourier-check": ("--fourier-cutoff",),
+    "report": ("--dirs", "--h", "--fourier-cutoff"),
+}
+VALUES = {"--dirs": ("90", 90), "--h": ("0.05", 0.05), "--fourier-cutoff": ("200", 200.0)}
+
+
+def usage_error(code, out, err) -> str:
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "UsageError"
+    return error["message"]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_options_read_parse(command):
+    argv = [command, "--body", "square", "--json", "r.json", "--svg", "r.svg", "--seed", "3"]
+    for option in READS[command]:
+        argv += [option, VALUES[option][0]]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.command, args.body, args.json, args.svg, args.seed) == (command, "square", "r.json", "r.svg", 3)
+    for option in READS[command]:
+        assert getattr(args, option[2:].replace("-", "_")) == VALUES[option][1]
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in sorted(READS)
+                                              for o in sorted(set(VALUES) - set(READS[c]))])
+def test_options_not_read_exit_1(command, option, capsys):
+    # --h must not be taken as an abbreviation of --help either
+    message = usage_error(*run([command, "--body", "square", option, VALUES[option][0]], capsys))
+    assert f"unrecognized arguments: {option} {VALUES[option][0]}" in message
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["bounds", "--body", "square", "--nope"], "unrecognized arguments: --nope"),
+    (["heart", "--dirs", "90"], "required: --body"),
+    (["heart", "--body", "square", "--dirs", "ninety"], "invalid int value: 'ninety'"),
+    (["pde-verify", "--body", "square", "--h"], "expected one argument"),
+    (["nosuch", "--body", "square"], "invalid choice: 'nosuch'"),
+    ([], "required: command"),
+])
+def test_usage_errors_exit_1(capsys, argv, says):
+    assert says in usage_error(*run(argv, capsys))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["heart", "--help"], ["report", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 0
+    assert "usage: polyheart" in capsys.readouterr().out

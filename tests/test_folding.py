@@ -254,8 +254,7 @@ def test_width_and_ball_bounds():
         heart, _ = heart_region(poly, 240)
         for theta in np.linspace(0.0, np.pi, 13):
             wb = heart_width_bound(poly, unit(theta), heart)
-            if wb.heart_width is not None:
-                assert wb.heart_width <= wb.bound + 1e-7 * poly.diameter
+            assert wb.heart_width <= wb.bound + 1e-7 * poly.diameter
         center, radius = heart_ball_radius(poly, heart)
         d = np.linalg.norm(heart.vertices - center, axis=1)
         assert d.max() <= radius + 1e-7 * poly.diameter

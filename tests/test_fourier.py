@@ -132,10 +132,10 @@ def test_chord_reconstruction(square):
     lo, hi = shadow_interval(square, w)
     y = 0.5 * (lo + hi)
     direct = chord(square, y, w)
-    got = chord_via_transform(square, w, y)
+    got = chord_via_transform(square, w, y, 400.0)
     assert got == pytest.approx(direct[1] - direct[0], abs=2e-3)
     # outside the shadow the inversion integrates to ~0
-    assert abs(chord_via_transform(square, w, hi + 0.5)) < 2e-3
+    assert abs(chord_via_transform(square, w, hi + 0.5, 400.0)) < 2e-3
 
 
 def test_midpoint_reconstruction_bodies(square, halfdisc64):
@@ -146,7 +146,7 @@ def test_midpoint_reconstruction_bodies(square, halfdisc64):
             for frac in (0.3, 0.5, 0.7):
                 y = lo + frac * (hi - lo)
                 direct = chord_midpoint(poly, w, y)
-                got = midpoint_via_transform(poly, w, y)
+                got = midpoint_via_transform(poly, w, y, 400.0)
                 assert abs(got - direct) <= 5e-4 * poly.diameter
 
 
@@ -154,7 +154,7 @@ def test_midpoint_rejects_shadow_edge(square):
     w = np.array([0.0, 1.0])
     lo, hi = shadow_interval(square, w)
     with pytest.raises(DenominatorTooSmall):
-        midpoint_via_transform(square, w, hi - 1e-6)
+        midpoint_via_transform(square, w, hi - 1e-6, 400.0)
 
 
 def test_error_decays_with_cutoff(halfdisc64):
@@ -235,7 +235,7 @@ def test_half_line_rule_is_full_rule_folded():
             want, panels = full_line_midpoint(poly, w, y)
             assert panels % 2 == 0
             grown += panels * 8 > 4096
-            got = midpoint_via_transform(poly, w, y)
+            got = midpoint_via_transform(poly, w, y, 400.0)
             assert abs(got - want) <= 1e-11 * poly.diameter
     assert grown >= 5
 
@@ -310,10 +310,10 @@ def test_node_budget_reaches_the_vertices():
     w = unit(1.0)
     lo, hi = shadow_interval(poly, w)
     ys = lo + np.linspace(0.80, 0.94, 15) * (hi - lo)
-    batch = midpoint_via_transform(poly, w, ys)
+    batch = midpoint_via_transform(poly, w, ys, 400.0)
     odd = 0
     for y, got in zip(ys, batch):
-        single = midpoint_via_transform(poly, w, y)
+        single = midpoint_via_transform(poly, w, y, 400.0)
         want, panels = full_line_midpoint(poly, w, y)
         odd += panels % 2
         assert abs(single - want) <= 1e-12 * poly.diameter
@@ -333,8 +333,8 @@ def test_midpoint_batch_matches_scalar(monkeypatch, halfdisc64):
             mid = float(poly.centroid @ perp(w))
             ys = mid + np.array([-0.1, 0.0, 0.05, 0.1]) * (hi - lo)
             sizes.clear()
-            got = midpoint_via_transform(poly, w, ys)
-            singles = [midpoint_via_transform(poly, w, y) for y in ys]
+            got = midpoint_via_transform(poly, w, ys, 400.0)
+            singles = [midpoint_via_transform(poly, w, y, 400.0) for y in ys]
             assert len(set(sizes)) == 1 and len(sizes) == 1 + len(ys)
             assert isinstance(got, np.ndarray) and got.shape == ys.shape
             assert all(isinstance(v, float) for v in singles)
@@ -350,13 +350,13 @@ def test_node_budget_ignores_translation(monkeypatch, square):
         for poly in (square, far):
             lo, hi = shadow_interval(poly, w)
             ys = lo + np.array([0.3, 0.5, 0.7]) * (hi - lo)
-            got = midpoint_via_transform(poly, w, ys)
+            got = midpoint_via_transform(poly, w, ys, 400.0)
             errs.append(got - np.array([chord_midpoint(poly, w, y) for y in ys]))
         assert sizes[0] == sizes[1]
         assert np.max(np.abs(errs[0] - errs[1])) <= 1e-12
         sizes.clear()
-    at_origin = chord_via_transform(square, unit(1.0), 0.2)
-    shifted = chord_via_transform(far, unit(1.0), 0.2 + 1000.0 * float(perp(unit(1.0)).sum()))
+    at_origin = chord_via_transform(square, unit(1.0), 0.2, 400.0)
+    shifted = chord_via_transform(far, unit(1.0), 0.2 + 1000.0 * float(perp(unit(1.0)).sum()), 400.0)
     assert sizes[0] == sizes[1]
     assert abs(at_origin - shifted) <= 1e-12
 
@@ -367,7 +367,7 @@ def test_margin_error_names_first_bad_point(monkeypatch, square):
     lo, hi = shadow_interval(square, w)
     ys = np.array([lo + 0.5, hi - 0.01, lo + 0.02])
     with pytest.raises(DenominatorTooSmall) as info:
-        midpoint_via_transform(square, w, ys)
+        midpoint_via_transform(square, w, ys, 400.0)
     msg = str(info.value)
     assert f"shadow coordinate {ys[1]} " in msg
     assert "0.01" in msg and "margin 0.05" in msg
@@ -380,7 +380,7 @@ def test_short_chord_error_states_value_and_bound():
     lo, hi = shadow_interval(thin, w)
     ys = lo + np.array([0.5, 0.6]) * (hi - lo)
     with pytest.raises(DenominatorTooSmall) as info:
-        midpoint_via_transform(thin, w, ys)
+        midpoint_via_transform(thin, w, ys, 400.0)
     msg = str(info.value)
     bound = 0.05 * thin.diameter * 2.0 * np.pi
     assert f"shadow coordinate {ys[0]} " in msg

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import polyheart.geometry as geometry
 from polyheart import bodies
 from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
@@ -191,6 +192,23 @@ def test_generated_bodies_wind_once(spec, seed, n):
     # every body the package generates passes the winding check
     for poly in (bodies.parse_body_arg(spec)[0], bodies.random_convex_polygon(np.random.default_rng(seed), n)):
         assert poly.area > 0.0
+
+
+def test_area_and_edge_lengths_kept_from_validation(monkeypatch):
+    # the constructor's orientation check takes the shoelace area and its
+    # duplicate-vertex check the edge lengths; reading them must not
+    # compute either again
+    calls = []
+    orig = geometry._polygon_area
+    monkeypatch.setattr(geometry, "_polygon_area", lambda points: calls.append(1) or orig(points))
+    poly = ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
+    assert len(calls) == 1
+    hypot = []
+    orig_hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", lambda *a: hypot.append(1) or orig_hypot(*a))
+    assert poly.area == 2.0 and poly.perimeter == 6.0
+    assert poly.edge_lengths.tolist() == [2.0, 1.0, 2.0, 1.0] and not poly.edge_lengths.flags.writeable
+    assert (len(calls), len(hypot)) == (1, 0)
 
 
 def test_square_metrics(square):

@@ -61,7 +61,7 @@ def assert_matches_march(grid: GridField, sample_times) -> tuple[TrackSample, ..
     _RESTART_DECAY states an error below that allowance.
     """
     dt = grid.spacing ** 2 / 5.0
-    got = heat_solve(grid, sample_times)
+    got = heat_solve(grid, sample_times, eigen_solve(grid))
     ref = explicit_march(grid, sample_times)
     assert [s.time for s in got] == [s.time for s in ref]
     for a, b in zip(got, ref):
@@ -107,7 +107,7 @@ def test_rasterize_too_coarse(square):
 
 def test_heat_maximum_principle_and_monotone(square):
     g = rasterize(square, 0.02)
-    samples = heat_solve(g, np.geomspace(0.005, 0.5, 10))
+    samples = heat_solve(g, np.geomspace(0.005, 0.5, 10), eigen_solve(g))
     peaks = [s.peak for s in samples]
     assert all(0.0 < p <= 1.0 for p in peaks)
     assert all(a > b for a, b in zip(peaks, peaks[1:]))
@@ -117,10 +117,11 @@ def test_heat_maximum_principle_and_monotone(square):
 
 def test_heat_rejects_bad_times(square):
     g = rasterize(square, 0.05)
+    eigen = eigen_solve(g)
     with pytest.raises(ValueError):
-        heat_solve(g, [])
+        heat_solve(g, [], eigen)
     with pytest.raises(ValueError):
-        heat_solve(g, [-1.0, 0.5])
+        heat_solve(g, [-1.0, 0.5], eigen)
 
 
 def test_eigen_square(square):
@@ -259,7 +260,7 @@ def test_heat_bound_covers_early_handover(square, monkeypatch):
     dt = h * h / 5.0
     times = sample_steps(1.0, dt, 25) * dt
     errors = []
-    for a, b in zip(heat_solve(grid, times), explicit_march(grid, times)):
+    for a, b in zip(heat_solve(grid, times, eigen_solve(grid)), explicit_march(grid, times)):
         rounding = 4.0 * round(a.time / dt) * np.finfo(float).eps * b.peak
         assert abs(a.peak - b.peak) <= 2.0 * a.bound + rounding, a.time
         errors.append(abs(a.peak - b.peak) - rounding)
@@ -275,7 +276,7 @@ def test_heat_bound_covers_loose_chebyshev_cut(square, monkeypatch):
     grid = rasterize(square, h)
     dt = h * h / 5.0
     times = sample_steps(1.0, dt, 25) * dt
-    got = heat_solve(grid, times)
+    got = heat_solve(grid, times, eigen_solve(grid))
     errors = []
     for a, b in zip(got, explicit_march(grid, times)):
         rounding = 4.0 * round(a.time / dt) * np.finfo(float).eps * b.peak
@@ -435,11 +436,11 @@ def test_mirror_equivariance(right_tri):
     g2 = rasterize(mirrored_x(right_tri), h)
     assert g1.interior_count == g2.interior_count
     times = np.geomspace(0.004, 0.4, 6)
-    for a, b in zip(heat_solve(g1, times), heat_solve(g2, times)):
+    e1, e2 = eigen_solve(g1), eigen_solve(g2)
+    for a, b in zip(heat_solve(g1, times, e1), heat_solve(g2, times, e2)):
         assert abs(a.location[0] + b.location[0]) <= 1e-10
         assert abs(a.location[1] - b.location[1]) <= 1e-10
         assert abs(a.peak - b.peak) <= 1e-10
-    e1, e2 = eigen_solve(g1), eigen_solve(g2)
     assert abs(e1.eigenvalue - e2.eigenvalue) <= 1e-10 * e1.eigenvalue
     assert abs(e1.location[0] + e2.location[0]) <= 1e-10
 
@@ -448,7 +449,7 @@ def test_decay_matches_eigenvalue(square):
     g = rasterize(square, 0.02)
     res = eigen_solve(g)
     t_end = 10.0 / res.eigenvalue
-    samples = heat_solve(g, np.geomspace(t_end / 100.0, t_end, 20))
+    samples = heat_solve(g, np.geomspace(t_end / 100.0, t_end, 20), res)
     rep = decay_check(samples, res.eigenvalue)
     assert rep.ok
     assert rep.rel_err <= 0.01
@@ -456,7 +457,7 @@ def test_decay_matches_eigenvalue(square):
 
 def test_varadhan_needs_two_decades(square):
     g = rasterize(square, 0.05)
-    samples = heat_solve(g, [0.01, 0.02])
+    samples = heat_solve(g, [0.01, 0.02], eigen_solve(g))
     with pytest.raises(ValueError, match=r"ratio 2\.0 < 100"):
         varadhan_check(samples, square, [0.5, 0.5])
 
@@ -483,7 +484,7 @@ def test_sample_steps_span_two_decades():
 
 def test_verify_heart_slack(square):
     g = rasterize(square, 0.02)
-    samples = heat_solve(g, np.geomspace(0.01, 1.0, 8))
+    samples = heat_solve(g, np.geomspace(0.01, 1.0, 8), eigen_solve(g))
     heart, _ = heart_region(square, 360)
     rep = verify_heart(samples, [0.5, 0.5], heart.region, slack=2.0 * g.spacing)
     assert rep.ok
