@@ -22,11 +22,9 @@ from .errors import (
 )
 from .geometry import (
     ConvexPolygon,
-    HalfPlane,
     Region,
     chebyshev_center,
     chord,
-    clip,
     halfplane_intersection,
     support,
 )

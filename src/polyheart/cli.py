@@ -323,7 +323,9 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # argparse would name the program only, not the subcommand
+            raise UsageError(f"polyheart {args.command}: unrecognized arguments: {' '.join(extra)}")
         poly, spec = parse_body_arg(args.body)
     except (PolyheartError, ValueError, OSError, json.JSONDecodeError) as exc:
         return _fail(1, type(exc).__name__, str(exc))

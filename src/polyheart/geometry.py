@@ -1,5 +1,7 @@
-"""Exact-ish planar geometry for convex polygons; the incircle is the last
-event of a straight-skeleton wavefront (:func:`chebyshev_center`).
+"""Exact-ish planar geometry for convex polygons.  The inradius is the last
+event of a straight-skeleton wavefront, and the incenter the middle of the
+optimal set along one of the wavefront's last three lines
+(:func:`chebyshev_center`).
 
 Conventions used throughout the package:
 
@@ -10,8 +12,8 @@ Conventions used throughout the package:
   passes its own absolute value; each multiple of eps a check uses is a
   named module constant that states its reason.
 
-Degenerate results are first-class: clipping and half-plane intersection
-return a :class:`Region` tagged polygon / segment / point / empty instead of
+Degenerate results are first-class: half-plane intersection returns a
+:class:`Region` tagged polygon / segment / point / empty instead of
 silently dropping lower-dimensional sets.
 """
 
@@ -47,11 +49,6 @@ _GRAZE_REL = 1e-7
 # at most this many steps and halvings per line search.
 _NEWTON_DECREMENT_REL = 1e-12
 _NEWTON_ITERATIONS = 60
-
-# chebyshev_center re-intersects the edges moved in by the inradius with
-# this slack (in units of eps), so the optimal set survives as a point or
-# segment.
-_INCIRCLE_SLACK = 2.0
 
 # halfplane_intersection keeps only the tightest of half-planes whose
 # normals differ by so little that their lines part by at most this share
@@ -90,18 +87,6 @@ def check_directions(directions) -> np.ndarray:
     """Validate unit directions, one per row, and return them as a (k, 2) float64 array."""
     w = np.asarray(directions, dtype=float)
     return _check_unit_rows(w, w.ndim == 2 and w.shape[1] == 2, directions)
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """The set {x : normal . x <= offset}, with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", check_direction(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
 
 
 def _polygon_area(points: np.ndarray) -> float:
@@ -185,14 +170,6 @@ class Region:
         if self.kind != "polygon":
             return 0.0
         return _polygon_area(self.points)
-
-    def representative(self) -> np.ndarray:
-        """Centroid for polygons, midpoint for segments, the point itself."""
-        if self.kind == "empty":
-            raise ValueError("empty region has no representative point")
-        if self.kind == "polygon":
-            return _polygon_centroid(self.points)
-        return self.points.mean(axis=0)
 
 
 EMPTY_REGION = Region("empty", np.zeros((0, 2)))
@@ -362,12 +339,6 @@ def _classify(points: np.ndarray, eps: float) -> Region:
     return Region("polygon", pts)
 
 
-def clip(poly: ConvexPolygon, plane: HalfPlane) -> Region:
-    """Intersect the polygon with the half-plane, degenerate-safe."""
-    ring = _clip_ring(poly.vertices, plane.normal, plane.offset)
-    return _classify(ring, poly.eps)
-
-
 def halfplane_intersection(planes: np.ndarray, bbox, eps: float) -> Region:
     """Intersect finitely many half-planes inside a bounding box.
 
@@ -465,6 +436,17 @@ def region_point_distance(region: Region, x) -> float:
     return float(_edge_distances(pts, e, x).min())
 
 
+def _edge_range(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Bounds (lo, hi) of {t : a_e t <= b_e} over the edges not parallel to
+    a line, where a_e = n_e . direction and b_e is edge e's gap from the
+    line's point; lo > hi when those edges leave no t."""
+    pos = a > PARALLEL_TOL
+    neg = a < -PARALLEL_TOL
+    hi = float((b[pos] / a[pos]).min()) if np.any(pos) else np.inf
+    lo = float((b[neg] / a[neg]).max()) if np.any(neg) else -np.inf
+    return lo, hi
+
+
 def line_interval(poly: ConvexPolygon, point, direction):
     """Parameter range {t : point + t * direction in poly}, or None.
 
@@ -475,16 +457,9 @@ def line_interval(poly: ConvexPolygon, point, direction):
     d = np.asarray(direction, dtype=float)
     a = poly.edge_normals @ d
     b = poly.edge_offsets - poly.edge_normals @ p
-    lo, hi = -np.inf, np.inf
-    par = np.abs(a) <= PARALLEL_TOL
-    if np.any(b[par] < -poly.eps):
+    if np.any(b[np.abs(a) <= PARALLEL_TOL] < -poly.eps):
         return None
-    pos = a > PARALLEL_TOL
-    neg = a < -PARALLEL_TOL
-    if np.any(pos):
-        hi = float((b[pos] / a[pos]).min())
-    if np.any(neg):
-        lo = float((b[neg] / a[neg]).max())
+    lo, hi = _edge_range(a, b)
     if not np.isfinite(lo) or not np.isfinite(hi):
         return None  # unbounded direction cannot happen for a polygon
     if lo > hi:
@@ -519,7 +494,7 @@ class ChebyshevResult:
 
 
 def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
-    """Incenter: the deepest point(s) of the polygon.
+    """Incenter and inradius: the deepest point of the polygon.
 
     The inradius is the last event of the straight-skeleton wavefront
     (Aichholzer-Aurenhammer 1995): the edge lines, sorted by normal angle,
@@ -527,12 +502,22 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     vanishes first until three remain.  Edge i between a and b vanishes at
     n_p . x + r = c_p, p = a, i, b (Cramer's rule in X_pq = n_p x n_q; never
     if the determinant is <= 0).  Of normals equal to rounding only the
-    innermost line is kept; a slightly reflex vertex (ConvexPolygon admits
-    them) cuts in as in the re-intersection at that radius, which gives the
-    optimal set: a tie (oblong bodies) returns its midpoint.
+    innermost line is kept.
+
+    The three lines left at the last event are tight at an optimal point
+    x.  Of their normals take the most nearly antiparallel pair, and walk
+    the first one's line moved in by the radius, which passes through x:
+    the center is the midpoint of its range over every edge line moved in
+    by the radius (line_interval's bounds).  Where the optimum is unique
+    that range collapses to x; in a tie (oblong bodies) the walked line is
+    the pair's midline and the center the middle of the segment of optima.
+    The walk starts at the line's foot from the centroid, not at x by
+    Cramer's rule, which loses its digits when the three normals are all
+    near-parallel or antiparallel (a straight angle bent by 1e-12 rad); a
+    range that rounding leaves empty at such edges still has a midpoint.
     """
-    normals = poly.edge_normals.tolist()
-    offsets = (poly.edge_offsets - poly.edge_normals @ poly.centroid).tolist()
+    shifted = poly.edge_offsets - poly.edge_normals @ poly.centroid
+    normals, offsets = poly.edge_normals.tolist(), shifted.tolist()
 
     def cross(p, q):
         return normals[p][0] * normals[q][1] - normals[p][1] * normals[q][0]
@@ -568,9 +553,13 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
         for j in (a, b):
             event[j] = vanish(j)
             heapq.heappush(heap, (event[j], j))
-    planes = np.column_stack([poly.edge_normals, poly.edge_offsets - radius])
-    opt = halfplane_intersection(planes, poly.bbox, _INCIRCLE_SLACK * poly.eps)
-    return ChebyshevResult(opt.representative(), radius)
+    tri = [prev[i], i, succ[i]]
+    n = poly.edge_normals[tri]
+    k = int(np.argmin(np.sum(n * np.roll(n, -1, axis=0), axis=1)))
+    d = perp(n[k])
+    foot = (shifted[tri[k]] - radius) * n[k]
+    lo, hi = _edge_range(poly.edge_normals @ d, shifted - radius - poly.edge_normals @ foot)
+    return ChebyshevResult(poly.centroid + foot + 0.5 * (lo + hi) * d, radius)
 
 
 def edge_gaps(poly: ConvexPolygon, center, tol: float, error: type[Exception]) -> np.ndarray:

@@ -10,12 +10,9 @@ import polyheart.geometry as geometry
 from polyheart import bodies
 from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
-    _INCIRCLE_SLACK,
-    _MERGE_SHARE,
     EMPTY_REGION,
     ChebyshevResult,
     ConvexPolygon,
-    HalfPlane,
     Region,
     _classify,
     _clip_ring,
@@ -24,7 +21,6 @@ from polyheart.geometry import (
     boundary_distance,
     chebyshev_center,
     chord,
-    clip,
     halfplane_intersection,
     line_interval,
     perp,
@@ -65,17 +61,14 @@ def all_pairs_farthest(points):
     return int(i), int(j), float(np.sqrt(d2[i, j]))
 
 
-def lp_chebyshev_center(poly):
-    """Reference for chebyshev_center: the inradius as the linear program
-    max r s.t. n_e . x + r <= c_e (scipy's HiGHS), and the optimal set
-    re-intersected at that radius, as chebyshev_center does."""
+def lp_inradius(poly):
+    """Reference inradius for bodies too large to enumerate: the linear
+    program max r s.t. n_e . x + r <= c_e, by scipy's HiGHS."""
     n, c = poly.edge_normals, poly.edge_offsets
     res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([n, np.ones(len(c))]), b_ub=c,
                   bounds=[(None, None), (None, None), (0.0, None)], method="highs")
     assert res.success, res.message
-    radius = float(res.x[2])
-    opt = halfplane_intersection(np.column_stack([n, c - radius]), poly.bbox, _INCIRCLE_SLACK * poly.eps)
-    return ChebyshevResult(opt.representative(), radius)
+    return float(res.x[2])
 
 
 def rotated(vertices, theta):
@@ -117,15 +110,25 @@ def kinked_bodies(seed, count):
     return out
 
 
-def vertex_inradius(poly):
-    """Reference inradius by enumeration: the optimum of max r s.t.
-    n_e . x + r <= c_e lies where three of the constraints are tight."""
+def vertex_incircle(poly):
+    """Reference incircle by enumeration: the optimum of max r s.t.
+    n_e . x + r <= c_e lies where three of the constraints are tight.  The
+    center is the middle of the points of the tight triples at the largest
+    r: one point, or the two ends of a segment of optima in a tie."""
     a = np.column_stack([poly.edge_normals, np.ones(len(poly))])
     c = poly.edge_offsets - poly.edge_normals @ poly.centroid
     t = np.array(list(itertools.combinations(range(len(poly)), 3)))
     t = t[np.abs(np.linalg.det(a[t])) > 1e-12]
     x = np.linalg.solve(a[t], c[t][..., None])[..., 0]
-    return x[(x @ a.T - c).max(axis=1) <= 1e-14 * poly.diameter, 2].max()
+    x = x[(x @ a.T - c).max(axis=1) <= 1e-14 * poly.diameter]
+    top = x[x[:, 2] >= x[:, 2].max() - 1e-14 * poly.diameter, :2]
+    return ChebyshevResult(poly.centroid + 0.5 * (top.min(axis=0) + top.max(axis=0)), x[:, 2].max())
+
+
+def assert_incircle_inside(poly, inc):
+    """Every edge line lies at least the inradius from the center, to 1e-12 * diam."""
+    gaps = poly.edge_offsets - poly.edge_normals @ inc.center
+    assert gaps.min() >= inc.radius - 1e-12 * poly.diameter
 
 
 def support_gap(r1, r2):
@@ -243,13 +246,13 @@ def test_line_interval_misses_body(square):
 
 def test_clip_square():
     sq = bodies.square()
-    r = clip(sq, HalfPlane(np.array([1.0, 0.0]), 0.5))
+    r = _classify(_clip_ring(sq.vertices, np.array([1.0, 0.0]), 0.5), sq.eps)
     assert r.kind == "polygon"
     assert r.area == pytest.approx(0.5, abs=EPS)
     # clip down to the boundary edge: degenerates to a segment
-    r = clip(sq, HalfPlane(np.array([1.0, 0.0]), 0.0))
+    r = _classify(_clip_ring(sq.vertices, np.array([1.0, 0.0]), 0.0), sq.eps)
     assert r.kind == "segment"
-    r = clip(sq, HalfPlane(np.array([1.0, 0.0]), -0.5))
+    r = _classify(_clip_ring(sq.vertices, np.array([1.0, 0.0]), -0.5), sq.eps)
     assert r.is_empty
 
 
@@ -299,22 +302,31 @@ def test_chebyshev_oblong_tie(rect21):
 
 
 def test_incircle_matches_lp_reference():
-    gen = np.random.default_rng(17)
-    panel = [
+    # the center is the optimum itself, or the middle of a segment of optima
+    enumerated = [
         *random_bodies(16, 300, 3, 63),
-        *(bodies.regular_ngon(n) for n in (3, 4, 5, 7, 64, 512, 1024)),
+        *(bodies.regular_ngon(n) for n in (3, 4, 5, 7, 64)),
         bodies.rectangle(2.0, 1.0),  # antiparallel sides: tied events, a segment of centers
         bodies.rectangle(1000.0, 1.0),
+        *(rotated(bodies.rectangle(2.0, 1.0).vertices, theta) for theta in (0.3, 0.7, 2.1)),
         bodies.halfdisc(1.0, 0.0, 64),
+        *STRAIGHT_ANGLE_BODIES,
+    ]
+    for poly in enumerated:
+        got, want = chebyshev_center(poly), vertex_incircle(poly)
+        assert abs(got.radius - want.radius) <= 1e-12 * poly.diameter
+        assert np.hypot(*(got.center - want.center)) <= 1e-12 * poly.diameter
+        assert_incircle_inside(poly, got)
+    gen = np.random.default_rng(17)
+    large = [
+        *(bodies.regular_ngon(n) for n in (512, 1024)),
         bodies.ellipse_approx(2.0, 1.0, 256),
         *(bodies.random_convex_polygon(gen, 512) for _ in range(5)),
-        *STRAIGHT_ANGLE_BODIES,
-        *REFLEX_BODIES,
     ]
-    for poly in panel:
-        got, want = chebyshev_center(poly), lp_chebyshev_center(poly)
-        assert abs(got.radius - want.radius) <= 1e-11 * poly.diameter
-        assert np.hypot(*(got.center - want.center)) <= 1e-11 * poly.diameter
+    for poly in large + REFLEX_BODIES:
+        got = chebyshev_center(poly)
+        assert abs(got.radius - lp_inradius(poly)) <= 1e-11 * poly.diameter
+        assert_incircle_inside(poly, got)
     for poly in STRAIGHT_ANGLE_BODIES:
         assert chebyshev_center(poly).radius == pytest.approx(0.5, abs=1e-12)
     for poly in REFLEX_BODIES:
@@ -330,23 +342,11 @@ def test_incircle_on_reflex_kinks():
                                [[0, 0], [1, -1e-12], [2, 0], [2, 1], [0, 1]])
                      for theta in (0.0, 0.7)]
     for poly in kinked_bodies(18, 60) + near_straight:
-        inc = chebyshev_center(poly)
-        assert abs(inc.radius - vertex_inradius(poly)) <= 1e-14 * poly.diameter
-        gaps = poly.edge_offsets - poly.edge_normals @ inc.center
-        assert gaps.min() >= inc.radius - (_INCIRCLE_SLACK + _MERGE_SHARE) * poly.eps
-
-
-def test_incircle_matches_touching_first_clip():
-    # the optimal set cut plane by plane, touching planes first, as before
-    # the sorted sweep: center within the two intersections' slack
-    for poly in random_bodies(15, 200, 3, 40):
-        inc = chebyshev_center(poly)
-        n, c, r = poly.edge_normals, poly.edge_offsets, inc.radius
-        order = np.argsort(c - r - n @ inc.center, kind="stable")
-        opt = clip_intersection(np.column_stack([n, c - r])[order], poly.bbox,
-                                _INCIRCLE_SLACK * poly.eps)
-        gap = np.hypot(*(inc.center - opt.representative()))
-        assert gap <= 2.0 * _INCIRCLE_SLACK * poly.eps
+        inc, want = chebyshev_center(poly), vertex_incircle(poly)
+        assert abs(inc.radius - want.radius) <= 1e-14 * poly.diameter
+        assert_incircle_inside(poly, inc)
+        if poly not in near_straight:  # there the optimum moves 1e-5 * diam per rounding error
+            assert np.hypot(*(inc.center - want.center)) <= 1e-12 * poly.diameter
 
 
 @st.composite
@@ -430,7 +430,7 @@ def test_farthest_pair_matches_all_pairs(n):
 
 
 def test_region_point_distance(square):
-    r = clip(square, HalfPlane(np.array([1.0, 0.0]), 2.0))
+    r = _classify(_clip_ring(square.vertices, np.array([1.0, 0.0]), 2.0), square.eps)
     assert region_point_distance(r, [0.5, 0.5]) == 0.0
     assert region_point_distance(r, [2.0, 0.5]) == pytest.approx(1.0)
 
@@ -444,7 +444,7 @@ def test_region_point_distance_segment_point_and_vertex(square):
     assert region_point_distance(point, [4.0, 5.0]) == pytest.approx(5.0, abs=EPS)
     stub = Region("segment", np.array([[1.0, 1.0], [1.0, 1.0]]))  # zero length
     assert region_point_distance(stub, [4.0, 5.0]) == pytest.approx(5.0, abs=EPS)
-    poly = clip(square, HalfPlane(np.array([1.0, 0.0]), 2.0))
+    poly = _classify(_clip_ring(square.vertices, np.array([1.0, 0.0]), 2.0), square.eps)
     # nearest boundary points are the vertices (1, 1) and (0, 0)
     assert region_point_distance(poly, [2.0, 3.0]) == pytest.approx(np.sqrt(5.0), abs=EPS)
     assert region_point_distance(poly, [-0.5, -0.5]) == pytest.approx(np.sqrt(0.5), abs=EPS)
@@ -481,7 +481,7 @@ def test_clip_area_never_grows(seed, theta, frac):
     w = unit(theta)
     lo, hi = (support(poly, -w) * -1.0, support(poly, w))
     c = lo + frac * (hi - lo)
-    r = clip(poly, HalfPlane(w, c))
+    r = _classify(_clip_ring(poly.vertices, w, c), poly.eps)
     assert r.area <= poly.area + poly.eps
     if r.kind == "polygon":
         assert all(point_in(poly, v) for v in ConvexPolygon(r.points).vertices)
