@@ -41,16 +41,12 @@ from .errors import (
 )
 from .folding import chord_midpoint, heart_ball_radius, heart_region
 from .fourier import indicator_transform, midpoint_via_transform
-from .geometry import shadow_interval
+from .geometry import EPS_REL, shadow_interval
 from .pde import full_verify
 from .polar import polar_area_eigen_check, polar_area_lower_check, polar_polygon, santalo_point
 from .svgout import render_report_svg
 
 _INCONSISTENCY = (InconsistentHeart, NoConvergence, QuadratureUnstable, DenominatorTooSmall)
-# fourier-check passes when the transform at zero matches the area within
-# this share of max(1, area): there the transform is the limit of its edge
-# sum, so a larger gap means edge data that do not describe the body.
-_AREA_CHECK_REL = 1e-9
 
 
 def _body_section(poly, spec) -> dict:
@@ -239,7 +235,9 @@ def _cmd_pde_verify(poly, args):
 
 def _cmd_fourier_check(poly, args):
     sec = _fourier_section(poly, args.fourier_cutoff, args.seed)
-    ok = sec["area_check"]["abs_err"] <= _AREA_CHECK_REL * max(1.0, poly.area)
+    # the transform at zero is the limit of its edge sum, a closed form: a
+    # gap beyond rounding means edge data that do not describe the body
+    ok = sec["area_check"]["abs_err"] <= EPS_REL * max(1.0, poly.area)
     lines = [
         f"transform at zero: {sec['area_check']['transform']:.12g} vs area {poly.area:.12g}",
         f"max midpoint reconstruction error: {sec['max_abs_err']:.3g}",

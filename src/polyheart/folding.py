@@ -21,8 +21,9 @@ does not call).
 Intersecting the half-planes {x . omega <= offset} over many directions
 yields an outer approximation of the heart: the region that provably
 confines the hot spot of the heat flow for all times.  The direction set
-holds every edge normal, and no offset exceeds the support value, so the
-body's own edges are implied and are not cut again.
+holds every edge normal, normalized and never merged into a nearby
+uniform angle, and no offset exceeds the support value, so the body's
+own edges are implied and are not cut again.
 
 :func:`normal_cone_check` holds each normal cone as its first and last
 edge normal and compares cones by cross and dot products, not angles.
@@ -62,10 +63,6 @@ _BLOCK_CELLS = 1 << 14
 _SUPPORT_TOL = 5.0       # folding offset above the body's support value
 _CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge or a folding plane
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
-
-# heart_directions merges directions whose angles agree to this many
-# decimals (in radians).
-_ANGLE_DECIMALS = 10
 
 # The bisection oracle stops no finer than this many eps (bisection below
 # rounding level only chases noise), and counts a reflected cap as inside
@@ -294,18 +291,14 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
 
 
 def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
-    """Sampled direction set: uniform angles, body edge normals and both
-    coordinate axes; deduplicated."""
+    """Sampled direction set: n_dirs uniform angles, every body edge normal
+    and both coordinate axes, normalized.  Directions that repeat stay:
+    the heart's sweep keeps one plane per direction."""
     ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     axes = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     arr = np.concatenate([np.column_stack([np.cos(ang), np.sin(ang)]), poly.edge_normals, axes])
     arr /= np.hypot(arr[:, 0], arr[:, 1])[:, None]
-    ang = np.arctan2(arr[:, 1], arr[:, 0])
-    # one half-open range, cut half a rounding step below pi, so that the
-    # angles on both sides of the +-pi seam round to one value
-    ang[ang >= np.pi - 0.5 * 10.0 ** -_ANGLE_DECIMALS] -= 2.0 * np.pi
-    _, idx = np.unique(np.round(ang, _ANGLE_DECIMALS), return_index=True)
-    return arr[np.sort(idx)]
+    return arr
 
 
 def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Heart, FoldingProfile]:
@@ -331,11 +324,12 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Heart, FoldingProfil
             f"{dirs[i].tolist()} (tolerance {_SUPPORT_TOL * eps:.3e})"
         )
     # The body's edges need no cut of their own.  Every edge normal is among
-    # the directions (the angle dedupe moves one by under 1e-10 rad, at most
-    # 0.1 eps across the body), and the check above keeps each offset within
-    # _SUPPORT_TOL eps of the support value, which at an edge normal is that
-    # edge's offset: the folding plane there is the edge line or lies inside
-    # it.  The containment check below still guards the result.
+    # the directions, moved by normalizing at most, and the sweep keeps the
+    # innermost of the planes within PARALLEL_TOL of it.  The check above
+    # keeps each offset within _SUPPORT_TOL eps of the support value, which
+    # at an edge normal is that edge's offset: the folding plane there is
+    # the edge line or lies inside it.  The containment check below still
+    # guards the result.
     planes = np.column_stack([dirs, vals])
     region = halfplane_intersection(planes, poly.bbox, eps)
     if region.is_empty:

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DenominatorTooSmall, FrequencyNotOrthogonal
-from .geometry import ConvexPolygon, check_direction, perp, shadow_interval
+from .geometry import PARALLEL_TOL, ConvexPolygon, check_direction, perp, shadow_interval
 
 # sinc' switches to its series below this |x| (_series_filled): cos x -
 # sin x / x cancels there, losing digits that the series keeps.
@@ -52,10 +52,6 @@ _INVERSION_POINTS = 4096
 
 # The Gauss-Legendre rule on each inversion panel.
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-# indicator_transform_deriv rejects eta with |eta . omega| above this
-# times max(|eta|, 1).
-_ORTHOGONAL_TOL = 1e-12
 
 # midpoint_via_transform rejects shadow points this close to the shadow
 # ends, as a share of the shadow's width, and reconstructed chords below
@@ -151,7 +147,7 @@ def indicator_transform_deriv(poly: ConvexPolygon, eta, omega) -> complex | np.n
     eta_arr = np.atleast_2d(np.asarray(eta, dtype=float))
     dots = eta_arr @ w
     scale = np.linalg.norm(eta_arr, axis=1)
-    if np.any(np.abs(dots) > _ORTHOGONAL_TOL * np.maximum(scale, 1.0)):
+    if np.any(np.abs(dots) > PARALLEL_TOL * np.maximum(scale, 1.0)):
         raise FrequencyNotOrthogonal("eta must be orthogonal to omega")
     pre = _prelude(poly, eta_arr)
     moment = -1j * poly.area * float(poly.centroid @ w)
@@ -176,8 +172,8 @@ def _inversion_nodes(poly: ConvexPolygon, u: np.ndarray, y: np.ndarray, cutoff: 
     for an even count this is the full rule folded in half, for an odd one
     (whose middle panel straddles 0) its panels are slightly narrower.
     """
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    if not 0.0 < cutoff < np.inf:
+        raise ValueError(f"fourier cutoff must be finite and positive, got {cutoff!r}")
     s_max = cutoff * 2.0 * np.pi / poly.diameter
     reach = float(np.abs((poly.vertices - poly.centroid) @ u).max())
     freq = float(np.abs(y).max()) + reach + 1e-9

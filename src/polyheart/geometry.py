@@ -8,9 +8,14 @@ Conventions used throughout the package:
 * polygons are counterclockwise vertex arrays of shape (n, 2), float64;
 * directions are unit vectors, validated to |norm - 1| <= 1e-12;
 * a half-plane (normal n, offset c) denotes the set {x : n . x <= c};
-* tolerances scale with ``eps = EPS_REL * diameter`` unless a caller
-  passes its own absolute value; each multiple of eps a check uses is a
-  named module constant that states its reason.
+* tolerances are of two kinds.  Lengths scale with
+  ``eps = EPS_REL * diameter`` unless a caller passes its own absolute
+  value, and a relative check of a closed form allows EPS_REL; each
+  multiple of eps a check uses is a named module constant that states
+  its reason.  Directions allow PARALLEL_TOL: an edge whose normal has
+  |n . d| at most that is parallel to d, and lines whose normals lie at
+  most that many radians apart share a direction, of which only the
+  innermost line is kept (_by_normal_angle).
 
 Degenerate results are first-class: half-plane intersection returns a
 :class:`Region` tagged polygon / segment / point / empty instead of
@@ -36,7 +41,9 @@ EPS_REL = 1e-9
 _DEGENERATE_FACTOR = 50.0
 
 # Edges with |n . d| at most this are parallel to direction d: they bound
-# no chord along d, only exclude the line when it runs outside them.
+# no chord along d, only exclude the line when it runs outside them.  Two
+# lines whose normals are at most this many radians apart share a
+# direction (_by_normal_angle).
 PARALLEL_TOL = 1e-13
 
 # line_interval collapses an empty interval (lo > hi) to its midpoint when
@@ -49,11 +56,6 @@ _GRAZE_REL = 1e-7
 # at most this many steps and halvings per line search.
 _NEWTON_DECREMENT_REL = 1e-12
 _NEWTON_ITERATIONS = 60
-
-# halfplane_intersection keeps only the tightest of half-planes whose
-# normals differ by so little that their lines part by at most this share
-# of eps across the bounding box.
-_MERGE_SHARE = 1e-3
 
 
 def unit(theta: float) -> np.ndarray:
@@ -339,6 +341,26 @@ def _classify(points: np.ndarray, eps: float) -> Region:
     return Region("polygon", pts)
 
 
+def _by_normal_angle(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Indices of the lines {n . x <= c} to keep, in order of normal angle
+    from -pi: of each run of normals that step by at most PARALLEL_TOL,
+    only the innermost line (least offset).  The run across the +-pi seam
+    is one run, kept at the front."""
+    angle = np.arctan2(normals[:, 1], normals[:, 0])
+    angle[angle > np.pi - PARALLEL_TOL] -= 2.0 * np.pi  # (-1, +0.0) is (-1, -0.0)
+    order = np.argsort(angle, kind="stable")
+    sorted_angle = angle[order]
+    group = np.zeros(len(order), dtype=np.intp)
+    np.cumsum(sorted_angle[1:] - sorted_angle[:-1] > PARALLEL_TOL, out=group[1:])
+    if sorted_angle[0] + 2.0 * np.pi - sorted_angle[-1] <= PARALLEL_TOL:
+        group[group == group[-1]] = 0  # a run that straddles the cut above
+    innermost = np.lexsort((offsets[order], group))
+    group = group[innermost]
+    first = np.ones(len(group), dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    return order[innermost[first]]
+
+
 def halfplane_intersection(planes: np.ndarray, bbox, eps: float) -> Region:
     """Intersect finitely many half-planes inside a bounding box.
 
@@ -348,11 +370,11 @@ def halfplane_intersection(planes: np.ndarray, bbox, eps: float) -> Region:
     survive to be classified rather than vanishing to rounding, and the
     result is classified at the same ``eps``.
 
-    The box's four sides join the cuts, and all are sorted by normal angle,
-    with the +-pi seam folded to one angle; of normals closer than
-    _MERGE_SHARE eps across the box only the tightest plane is kept.  One deque pass then keeps the
-    boundary, O(k log k) in all (de Berg et al., *Computational Geometry*,
-    section 4.2), in a frame centred on the box.  Each new vertex is found
+    The box's four sides join the cuts, and all are sorted by normal angle;
+    of normals that share a direction only the tightest plane is kept
+    (_by_normal_angle).  One deque pass then keeps the boundary, O(k log k)
+    in all (de Berg et al., *Computational Geometry*, section 4.2), in a
+    frame centred on the box.  Each new vertex is found
     by walking forward from the previous one along its line, so rounding at
     nearly parallel lines cannot fold the ring back on itself.
     """
@@ -362,14 +384,7 @@ def halfplane_intersection(planes: np.ndarray, bbox, eps: float) -> Region:
     p = np.asarray(planes, dtype=float).reshape(-1, 3)
     normals = np.vstack([p[:, :2], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
     offsets = np.concatenate([p[:, 2] + eps - p[:, :2] @ center, [hx, hx, hy, hy]])
-    gap = _MERGE_SHARE * eps / max(float(np.hypot(hx, hy)), 1e-300)
-    angle = np.arctan2(normals[:, 1], normals[:, 0])
-    angle[angle >= np.pi - gap] -= 2.0 * np.pi  # (-1, +0.0) is (-1, -0.0)
-    order = np.argsort(angle, kind="stable")
-    group = np.concatenate([[0], np.cumsum(np.diff(angle[order]) > gap)])
-    tightest = np.lexsort((offsets[order], group))
-    first = np.concatenate([[True], np.diff(group[tightest]) > 0])
-    keep = order[tightest[first]]
+    keep = _by_normal_angle(normals, offsets)
 
     lines: deque[tuple[float, float, float]] = deque()
     ring: deque[tuple[float, float]] = deque()  # ring[i] is where lines[i] meets lines[i + 1]
@@ -501,8 +516,8 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     move inward about the centroid, and a heap splices out the edge that
     vanishes first until three remain.  Edge i between a and b vanishes at
     n_p . x + r = c_p, p = a, i, b (Cramer's rule in X_pq = n_p x n_q; never
-    if the determinant is <= 0).  Of normals equal to rounding only the
-    innermost line is kept.
+    if the determinant is <= 0).  Of normals that share a direction only
+    the innermost line is kept (_by_normal_angle).
 
     The three lines left at the last event are tight at an optimal point
     x.  Of their normals take the most nearly antiparallel pair, and walk
@@ -522,14 +537,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     def cross(p, q):
         return normals[p][0] * normals[q][1] - normals[p][1] * normals[q][0]
 
-    ring = []
-    for i in np.argsort(np.arctan2(*poly.edge_normals.T[::-1])).tolist():
-        if ring and cross(ring[-1], i) <= PARALLEL_TOL:
-            ring[-1] = min(ring[-1], i, key=offsets.__getitem__)
-        else:
-            ring.append(i)
-    if cross(ring[-1], ring[0]) <= PARALLEL_TOL:  # equal normals across atan2's cut
-        ring[0] = min(ring.pop(), ring[0], key=offsets.__getitem__)
+    ring = _by_normal_angle(poly.edge_normals, shifted).tolist()
     prev = dict(zip(ring, ring[-1:] + ring[:-1]))
     succ = dict(zip(ring, ring[1:] + ring[:1]))
 

@@ -129,6 +129,8 @@ def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     Dirichlet-zero anyway and keeping them out makes the interior count
     reproducible.
     """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"grid step h must be finite and positive, got {h!r}")
     inradius = poly.incircle.radius
     if h > inradius / 8.0:
         raise GridTooCoarse(f"h={h} exceeds inradius/8 = {inradius / 8.0:.6g}")

@@ -25,11 +25,6 @@ from .geometry import EPS_REL, ConvexPolygon, _dedupe_ring, boundary_distance, e
 # unbounded to within rounding.
 _POLAR_GAP_TOL = 10.0
 
-# polar_area_lower_check's relative slack: the planar bound
-# area >= 1/(R d) holds exactly, so this only absorbs the rounding of the
-# closed-form polar area and of R and d.
-_LOWER_CHECK_SLACK = 1e-9
-
 # polar_area_eigen_check's relative slack: the hot-spot limit and lam1
 # both come from a first-order grid, not from closed forms.
 _EIGEN_AREA_SLACK = 0.02
@@ -115,7 +110,9 @@ def polar_area_lower_check(polar: PolarBody) -> AreaCheck:
     far = float(np.linalg.norm(poly.vertices - p, axis=1).max())
     near = boundary_distance(poly, p)
     rhs = 1.0 / (far * near)
-    return AreaCheck(lhs, rhs, lhs >= rhs * (1.0 - _LOWER_CHECK_SLACK))
+    # the bound holds exactly: the slack only absorbs the rounding of the
+    # closed-form polar area and of R and d
+    return AreaCheck(lhs, rhs, lhs >= rhs * (1.0 - EPS_REL))
 
 
 def polar_area_eigen_check(poly: ConvexPolygon, hot_spot_limit, lam1: float) -> AreaCheck:

@@ -253,6 +253,20 @@ def test_grid_too_coarse_exits_1(capsys):
     assert json.loads(err)["error"]["type"] == "GridTooCoarse"
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("pde-verify", "--h", "0"),
+    ("pde-verify", "--h", "-0.01"),
+    ("pde-verify", "--h", "nan"),
+    ("fourier-check", "--fourier-cutoff", "inf"),
+    ("fourier-check", "--fourier-cutoff", "nan"),
+])
+def test_bad_numeric_option_exits_1(capsys, command, option, value):
+    code, out, err = run([command, "--body", "square", option, value], capsys)
+    assert code == 1 and out == ""
+    msg = json.loads(err)["error"]
+    assert msg["type"] == "ValueError" and msg["message"].endswith(f"got {float(value)!r}")
+
+
 def test_inconsistency_exits_2(monkeypatch, capsys):
     def boom(*a, **k):
         raise NoConvergence("stuck")

@@ -267,14 +267,28 @@ def test_heart_directions_contain_axes(square):
         assert np.min(np.abs(angles - axis)) < 1e-9
 
 
-@pytest.mark.parametrize("n_dirs", [4, 8, 360, 720])
-def test_heart_directions_one_row_at_the_seam(square, rect21, n_dirs):
-    # -pi and pi are one direction: (-1, -0.0) and (-1, 0) must not both stay
-    for poly in (square, rect21):
-        dirs = heart_directions(poly, n_dirs)
-        assert len(dirs) == n_dirs
-        ang = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-        assert np.diff(np.append(ang, ang[0] + 2.0 * np.pi)).min() > 1e-10
+def test_heart_directions_hold_every_edge_normal(halfdisc64):
+    # the chord's normal (0, -1) is 1.8e-16 rad from a uniform angle; both stay
+    rows = {tuple(d) for d in heart_directions(halfdisc64, 720).tolist()}
+    normals = halfdisc64.edge_normals / np.hypot(*halfdisc64.edge_normals.T)[:, None]
+    assert all(tuple(n) in rows for n in normals.tolist())
+
+
+@pytest.mark.parametrize("poly", [bodies.rectangle(2.0, 1.0), bodies.regular_ngon(6), bodies.regular_ngon(8),
+                                  *random_bodies(9, 5, 9, 9)], ids=lambda p: f"{len(p)}-gon")
+def test_heart_of_turned_body_is_turned_heart(poly):
+    # lambda jumps at an edge normal, so a uniform angle a hair off it must
+    # not stand in for it: turned by up to 3e-10 rad, the heart keeps its
+    # kind (the 2 x 1 rectangle's is the point (1, 0.5)) and its place
+    probe = np.array([unit(t) for t in np.arange(97) * 2.0 * np.pi / 97])
+    base = heart_region(poly, 720)[0]
+    for theta in (1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 3e-10):
+        heart = heart_region(_turned(poly, theta), 720)[0]
+        assert heart.kind == base.kind, theta
+        c, s = np.cos(theta), np.sin(theta)
+        turned_base = base.vertices @ np.array([[c, s], [-s, c]])  # as _turned
+        gap = (heart.vertices @ probe.T).max(axis=0) - (turned_base @ probe.T).max(axis=0)
+        assert np.abs(gap).max() <= poly.eps, theta
 
 
 def test_normal_cone_holds_at_witness():

@@ -352,8 +352,9 @@ def test_incircle_on_reflex_kinks():
 @st.composite
 def plane_sets(draw):
     """(planes, bbox, eps): random cuts around a center, one of four shapes,
-    with optional exact duplicates, antiparallel pairs, normals at +-pi and
-    pairs 1e-11 rad apart."""
+    with optional exact duplicates, antiparallel pairs, normals at +-pi
+    (among them a pair 6e-14 rad apart a hair below pi) and pairs 1e-11
+    rad apart."""
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["general", "point", "segment", "empty"]))
     center = gen.uniform(-1.0, 1.0, 2)
@@ -376,7 +377,9 @@ def plane_sets(draw):
         k = gen.integers(0, len(n), 2)
         n, c = np.vstack([n, -n[k]]), np.concatenate([c, -n[k] @ center + 1.0])
     if draw(st.booleans()):  # normals on both sides of the +-pi seam
-        seam = np.array([[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-17], [-1.0, -1e-17]])
+        below = np.pi - np.array([2.2e-13, 2.8e-13])
+        seam = np.vstack([[[-1.0, 0.0], [-1.0, -0.0], [-1.0, 1e-17], [-1.0, -1e-17]],
+                          np.column_stack([np.cos(below), np.sin(below)])])
         n, c = np.vstack([n, seam]), np.concatenate([c, seam @ center + (shape != "point") * 0.3])
     if draw(st.booleans()) and len(c):  # each plane's twin 1e-11 rad away, through the same point
         k = gen.integers(0, len(n), 3)
@@ -401,6 +404,17 @@ def test_sweep_matches_clip_reference(case):
         assert support_gap(got, want) <= 3.0 * eps
     if got.kind == "segment":
         assert support_gap(got, want) <= eps
+
+
+def test_seam_pair_is_one_line():
+    # two normals 3e-14 rad apart just below pi share a direction, however
+    # they straddle any cut of the angles: the square has 4 vertices
+    a = np.pi - np.array([3.7e-13, 3.4e-13])
+    planes = np.array([[np.cos(a[0]), np.sin(a[0]), 1.0], [np.cos(a[1]), np.sin(a[1]), 1.0],
+                       [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
+    square = halfplane_intersection(planes, (-2.0, 2.0, -2.0, 2.0), 1e-9)
+    assert square.kind == "polygon" and len(square.points) == 4
+    assert np.abs(np.abs(square.points) - 1.0).max() <= 2e-9
 
 
 def test_segment_ends_on_slab_axis():
