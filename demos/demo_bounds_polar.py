@@ -21,7 +21,7 @@ from polyheart.bounds import (
 )
 from polyheart.geometry import boundary_distance, chebyshev_center
 from polyheart.pde import eigen_solve, rasterize
-from polyheart.polar import polar_area_eigen_check, polar_polygon, santalo_point
+from polyheart.polar import polar_area, polar_area_eigen_check, santalo_point
 
 
 def main():
@@ -63,7 +63,7 @@ def main():
     print(f"\nSantalo point ({s[0]:.6f}, {s[1]:.6f})")
     cheb = chebyshev_center(poly)
     for label, c in (("santalo", s), ("chebyshev", cheb.center), ("centroid", poly.centroid)):
-        prod = poly.area * polar_polygon(poly, c).area
+        prod = poly.area * polar_area(poly, c)
         print(f"  area product at {label:9s} {prod:.6f}")
 
     chk = polar_area_eigen_check(poly, eig.location, eig.eigenvalue)

@@ -128,7 +128,7 @@ def from_spec(spec: dict) -> ConvexPolygon:
             raise InvalidPolygon(f"generator {name!r} needs at least {min_args} arguments")
         try:
             return fn(*[float(a) for a in args])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(round(inf)) overflows
             raise InvalidPolygon(f"bad arguments for generator {name!r}: {exc}") from exc
     raise InvalidPolygon("body spec needs 'vertices' or 'generator'")
 

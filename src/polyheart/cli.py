@@ -43,7 +43,7 @@ from .folding import chord_midpoint, heart_ball_radius, heart_region
 from .fourier import indicator_transform, midpoint_via_transform
 from .geometry import EPS_REL, shadow_interval
 from .pde import full_verify
-from .polar import polar_area_eigen_check, polar_area_lower_check, polar_polygon, santalo_point
+from .polar import polar_area, polar_area_eigen_check, polar_area_lower_check, polar_polygon, santalo_point
 from .svgout import render_report_svg
 
 _INCONSISTENCY = (InconsistentHeart, NoConvergence, QuadratureUnstable, DenominatorTooSmall)
@@ -99,11 +99,10 @@ def _bounds_section(poly, lam1_numeric: float | None = None) -> dict:
 
 def _polar_section(poly, pde: dict | None = None) -> dict:
     sant = santalo_point(poly)
-    body_at_sant = polar_polygon(poly, sant)
-    lower = polar_area_lower_check(polar_polygon(poly, poly.centroid))
+    lower = polar_area_lower_check(poly, poly.centroid)
     section = {
         "santalo": sant.tolist(),
-        "polar_area_at_santalo": body_at_sant.body.area,
+        "polar_area_at_santalo": polar_area(poly, sant),
         "polar_area_at_centroid": lower.lhs,
         "lower_check": asdict(lower),
     }
@@ -190,18 +189,17 @@ def _cmd_bounds(poly, args):
 
 def _cmd_polar(poly, args):
     center = poly.centroid
-    pb = polar_polygon(poly, center)
-    lower = polar_area_lower_check(pb)
+    lower = polar_area_lower_check(poly, center)
     report = {
         "polar": {
             "center": center.tolist(),
-            "polar_vertices": pb.body.vertices.tolist(),
-            "polar_area": pb.body.area,
+            "polar_vertices": polar_polygon(poly, center).vertices.tolist(),
+            "polar_area": lower.lhs,
             "lower_check": asdict(lower),
         },
     }
     lines = [
-        f"polar area at centroid: {pb.body.area:.9g}",
+        f"polar area at centroid: {lower.lhs:.9g}",
         f"area product check: lhs {lower.lhs:.9g} >= rhs {lower.rhs:.9g} "
         f"({'ok' if lower.ok else 'VIOLATED'})",
     ]
@@ -336,12 +334,15 @@ def main(argv=None) -> int:
         return _fail(1, type(exc).__name__, str(exc))
     report = {"schema": 1, "tool": {"name": "polyheart", "version": __version__},
               "command": args.command, **report}
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_report_svg(report))
+    try:
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
+        if args.svg:
+            with open(args.svg, "w") as fh:
+                fh.write(render_report_svg(report))
+    except OSError as exc:
+        return _fail(1, type(exc).__name__, str(exc))
     for line in lines:
         print(line)
     if not ok:

@@ -538,11 +538,8 @@ class MembershipReport:
 
 def verify_heart(samples, hot_spot_limit, heart_region, slack: float) -> MembershipReport:
     """Check every tracked hot spot against the heart, within slack."""
-    points = [s.location for s in samples]
-    if hot_spot_limit is not None:
-        points.append(np.asarray(hot_spot_limit, dtype=float))
-    gaps = [region_point_distance(heart_region, p) for p in points]
-    worst = float(max(gaps)) if gaps else 0.0
+    points = [s.location for s in samples] + [np.asarray(hot_spot_limit, dtype=float)]
+    worst = float(max(region_point_distance(heart_region, p) for p in points))
     return MembershipReport(worst <= slack, worst, slack, len(points))
 
 

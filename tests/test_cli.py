@@ -199,6 +199,15 @@ def test_polar_builds_polar_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["santalo", "report"])
+def test_polar_areas_build_no_polar(monkeypatch, capsys, command):
+    # polar areas are the closed form in the edge gaps, not a polygon's shoelace
+    calls = count_calls(monkeypatch, polar.polar_polygon)
+    code, _, err = run([command, "--body", "halfdisc:1,0,32"], capsys)
+    assert code == 0, err
+    assert len(calls) == 0
+
+
 def test_generator_file_input(tmp_path, capsys):
     spec = {"generator": {"name": "regular_ngon", "args": [6, 1.0]}}
     p = tmp_path / "gen.json"
@@ -207,8 +216,14 @@ def test_generator_file_input(tmp_path, capsys):
     assert code == 0
 
 
-def test_invalid_body_exits_1(capsys):
-    code, _, err = run(["heart", "--body", "nosuch"], capsys)
+@pytest.mark.parametrize("body", [
+    "nosuch",
+    "regular_ngon:inf",
+    "halfdisc:1,0,inf",
+    "ellipse_approx:2,1,inf",
+])
+def test_invalid_body_exits_1(capsys, body):
+    code, _, err = run(["heart", "--body", body], capsys)
     assert code == 1
     msg = json.loads(err)
     assert msg["error"]["type"] == "InvalidPolygon"
@@ -218,6 +233,7 @@ def test_invalid_body_exits_1(capsys):
     "square",
     {"name": "rectangle", "args": 5},
     {"name": ["square"]},
+    {"name": "regular_ngon", "args": [1e400]},
 ])
 def test_malformed_generator_exits_1(tmp_path, capsys, generator):
     p = tmp_path / "gen.json"
@@ -225,6 +241,13 @@ def test_malformed_generator_exits_1(tmp_path, capsys, generator):
     code, _, err = run(["heart", "--body", str(p)], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "InvalidPolygon"
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    for option in ("--json", "--svg"):
+        code, out, err = run(["bounds", "--body", "square", option, str(tmp_path / "no" / "x")], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
 
 def test_nonconvex_vertices_exit_1(tmp_path, capsys):
