@@ -29,7 +29,7 @@ def main():
     print("  angle     offset        support      gap")
     for deg in (0, 30, 60, 90, 120, 150):
         w = unit(np.radians(deg))
-        r = folding_offset(tri, w).value
+        r = folding_offset(tri, w)
         h = support(tri, w)
         print(f"  {deg:5d}  {r:12.8f}  {h:12.8f}  {h - r:10.3e}")
     # The gap h - r is how far the folding plane cuts past the support
@@ -39,7 +39,7 @@ def main():
     prev = None
     for n in (45, 90, 180, 360, 720):
         heart, _ = heart_region(tri, n)
-        verts = heart.vertices
+        verts = heart.points
         spread = float(np.ptp(verts, axis=0).max()) if len(verts) > 1 else 0.0
         print(f"  {n:4d} dirs: kind={heart.kind:8s} vertex spread {spread:.6e}")
         if prev is not None:
@@ -47,11 +47,11 @@ def main():
         prev = spread
 
     heart, _ = heart_region(tri, 720)
-    d = region_point_distance(heart.region, tri.centroid)
+    d = region_point_distance(heart, tri.centroid)
     print(f"\ncentroid sits inside the heart (distance {d:.3e})")
 
-    center, radius = heart_ball_radius(tri, heart)
-    print(f"bounding ball: center ({center[0]:.6f}, {center[1]:.6f}), radius {radius:.6f}")
+    radius = heart_ball_radius(tri, heart)
+    print(f"bounding ball: center ({tri.centroid[0]:.6f}, {tri.centroid[1]:.6f}), radius {radius:.6f}")
 
     wb = heart_width_bound(tri, unit(0.7), heart)
     print(f"width along 0.7 rad: heart {wb.heart_width:.6f} <= bound {wb.bound:.6f}")

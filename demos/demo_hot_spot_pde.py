@@ -25,8 +25,8 @@ def main():
     h = chebyshev_center(hd).radius / 50.0
     heart, _ = heart_region(hd, 720)
     print(f"half-disc of radius 1, grid spacing h = {h:.5f}")
-    print(f"heart: {heart.kind} from ({heart.vertices[0][0]:.4f}, {heart.vertices[0][1]:.4f})"
-          f" to ({heart.vertices[-1][0]:.4f}, {heart.vertices[-1][1]:.4f})")
+    print(f"heart: {heart.kind} from ({heart.points[0][0]:.4f}, {heart.points[0][1]:.4f})"
+          f" to ({heart.points[-1][0]:.4f}, {heart.points[-1][1]:.4f})")
 
     rep = full_verify(hd, h=h, heart=heart)
     eig = rep.eigen

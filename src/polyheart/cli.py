@@ -65,12 +65,11 @@ def _body_section(poly, spec) -> dict:
 
 def _heart_section(poly, n_dirs: int):
     heart, profile = heart_region(poly, n_dirs)
-    center, radius = heart_ball_radius(poly, heart)
     section = {
         "kind": heart.kind,
-        "vertices": heart.vertices.tolist(),
-        "ball_center": center.tolist(),
-        "ball_radius": radius,
+        "vertices": heart.points.tolist(),
+        "ball_center": poly.centroid.tolist(),
+        "ball_radius": heart_ball_radius(poly, heart),
         "n_dirs": n_dirs,
         "offset_min": float(profile.values.min()),
         "offset_max": float(profile.values.max()),
@@ -235,7 +234,7 @@ def _cmd_fourier_check(poly, args):
     sec = _fourier_section(poly, args.fourier_cutoff, args.seed)
     # the transform at zero is the limit of its edge sum, a closed form: a
     # gap beyond rounding means edge data that do not describe the body
-    ok = sec["area_check"]["abs_err"] <= EPS_REL * max(1.0, poly.area)
+    ok = sec["area_check"]["abs_err"] <= EPS_REL * poly.area
     lines = [
         f"transform at zero: {sec['area_check']['transform']:.12g} vs area {poly.area:.12g}",
         f"max midpoint reconstruction error: {sec['max_abs_err']:.3g}",

@@ -20,7 +20,9 @@ does not call).
 
 Intersecting the half-planes {x . omega <= offset} over many directions
 yields an outer approximation of the heart: the region that provably
-confines the hot spot of the heat flow for all times.  The direction set
+confines the hot spot of the heat flow for all times.
+:func:`heart_region` returns it as a :class:`geometry.Region`, with the
+:class:`FoldingProfile` whose rows are its planes.  The direction set
 holds every edge normal, normalized and never merged into a nearby
 uniform angle, and no offset exceeds the support value, so the body's
 own edges are implied and are not cut again.
@@ -79,16 +81,6 @@ _CONTACT_TOL = 10.0
 _ANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FoldEntry:
-    """Folding offset for one direction, with the witnessing projection."""
-
-    omega: np.ndarray
-    value: float
-    witness_s: float
-    witness_vertex: int
-
-
 @dataclass(frozen=True, eq=False)
 class FoldingProfile:
     """Folding offsets over a direction set, one row per direction."""
@@ -98,32 +90,6 @@ class FoldingProfile:
     witness_s: np.ndarray       # (k,) shadow coordinate of the maximal chord midpoint
     witness_vertex: np.ndarray  # (k,) index of the vertex that projects there
     support: np.ndarray         # (k,) support value h(omega), the largest vertex projection
-
-    @property
-    def entries(self) -> tuple[FoldEntry, ...]:
-        return tuple(
-            FoldEntry(w, float(v), float(s), int(j))
-            for w, v, s, j in zip(self.directions, self.values, self.witness_s, self.witness_vertex)
-        )
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class Heart:
-    """Outer approximation of the heart plus the planes that cut it."""
-
-    region: Region
-    planes: np.ndarray  # rows (nx, ny, c), one folding plane per direction
-
-    @property
-    def kind(self) -> str:
-        return self.region.kind
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self.region.points
 
 
 def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
@@ -204,7 +170,7 @@ def vertex_chord_midpoints(poly: ConvexPolygon, omega) -> tuple[np.ndarray, np.n
     return s[0], f[0]
 
 
-def folding_offset(poly: ConvexPolygon, omega) -> FoldEntry:
+def folding_offset(poly: ConvexPolygon, omega) -> float:
     """Maximal folding offset via the vertex-projection maximum.
 
     The chord-midpoint function is piecewise linear in the shadow coordinate
@@ -212,7 +178,7 @@ def folding_offset(poly: ConvexPolygon, omega) -> FoldEntry:
     shadow is attained at one of them.  First maximal vertex index wins ties.
     This is the one-direction case of :func:`folding_profile`.
     """
-    return folding_profile(poly, [omega]).entries[0]
+    return float(folding_profile(poly, [omega]).values[0])
 
 
 def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
@@ -301,8 +267,10 @@ def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
     return arr
 
 
-def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Heart, FoldingProfile]:
-    """Outer approximation of the heart over a sampled direction set.
+def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Region, FoldingProfile]:
+    """Outer approximation of the heart over a sampled direction set: the
+    intersection of the half-planes {x . omega <= offset} over the
+    profile's directions and values, and that profile.
 
     Raises InconsistentHeart when the construction contradicts itself
     (empty intersection, centroid excluded, or an offset exceeding the
@@ -359,7 +327,7 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Heart, FoldingProfil
                 f"heart support exceeds a folding offset by {above:.3e} "
                 f"(tolerance {_CONTAINMENT_TOL * eps:.3e})"
             )
-    return Heart(region, planes), profile
+    return region, profile
 
 
 @dataclass(frozen=True)
@@ -368,23 +336,22 @@ class WidthBound:
     heart_width: float
 
 
-def heart_width_bound(poly: ConvexPolygon, omega, heart: Heart) -> WidthBound:
+def heart_width_bound(poly: ConvexPolygon, omega, heart: Region) -> WidthBound:
     """Two-sided folding bound on the width along omega, and heart's width there."""
     w = check_direction(omega)
-    bound = folding_offset(poly, w).value + folding_offset(poly, -w).value
-    vals = heart.vertices @ w
+    bound = folding_offset(poly, w) + folding_offset(poly, -w)
+    vals = heart.points @ w
     return WidthBound(float(bound), float(vals.max() - vals.min()))
 
 
-def heart_ball_radius(poly: ConvexPolygon, heart: Heart) -> tuple[np.ndarray, float]:
-    """Smallest centroid-centered ball containing the heart: (center, radius).
+def heart_ball_radius(poly: ConvexPolygon, heart: Region) -> float:
+    """Radius of the smallest centroid-centered ball containing the heart.
 
     The heart is the intersection of finitely many half-planes, a convex
     polygon, segment or point, so its farthest point from the centroid is
-    one of its vertices and the radius is that vertex's distance.
+    one of its points and the radius is that point's distance.
     """
-    xbar = poly.centroid
-    return xbar.copy(), float(np.hypot(*(heart.vertices - xbar).T).max())
+    return float(np.hypot(*(heart.points - poly.centroid).T).max())
 
 
 # --- necessary optimality condition at the witness ------------------------
@@ -441,8 +408,9 @@ def _half_cone(cone, w: np.ndarray):
     return (a if a @ w >= 0.0 else -u), (b if b @ w >= 0.0 else u)
 
 
-def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry) -> bool:
-    """Necessary optimality condition at a folding witness.
+def normal_cone_check(poly: ConvexPolygon, omega, value: float, witness_s: float) -> bool:
+    """Necessary optimality condition at a folding witness: one row of a
+    :class:`FoldingProfile`, its direction, offset and witness coordinate.
 
     Reflecting the normal cone at the lower chord contact across the
     folding line must land inside the normal cone at the upper contact;
@@ -450,13 +418,13 @@ def normal_cone_check(poly: ConvexPolygon, entry: FoldEntry) -> bool:
     split by the sign of xi . omega.  Fails (returns False) for any witness
     whose reflected contact is off the boundary, e.g. a perturbed offset.
     """
-    w = entry.omega
-    iv = chord(poly, entry.witness_s, w)
+    w = check_direction(omega)
+    iv = chord(poly, witness_s, w)
     if iv is None:
-        raise WitnessInvalid(f"witness coordinate {entry.witness_s} misses the body")
+        raise WitnessInvalid(f"witness coordinate {witness_s} misses the body")
     u = perp(w)
-    x_top = entry.witness_s * u + iv[1] * w
-    x_bot = entry.witness_s * u + (2.0 * entry.value - iv[1]) * w
+    x_top = witness_s * u + iv[1] * w
+    x_bot = witness_s * u + (2.0 * value - iv[1]) * w
     tol = _CONTACT_TOL * poly.eps
     if float(np.hypot(*(x_top - x_bot))) <= tol:
         cone = _normal_cone(poly, x_top, tol)

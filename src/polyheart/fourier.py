@@ -176,7 +176,7 @@ def _inversion_nodes(poly: ConvexPolygon, u: np.ndarray, y: np.ndarray, cutoff: 
         raise ValueError(f"fourier cutoff must be finite and positive, got {cutoff!r}")
     s_max = cutoff * 2.0 * np.pi / poly.diameter
     reach = float(np.abs((poly.vertices - poly.centroid) @ u).max())
-    freq = float(np.abs(y).max()) + reach + 1e-9
+    freq = float(np.abs(y).max()) + reach
     needed = int(np.ceil(8.0 * s_max * freq / np.pi))
     panels = max(4, int(np.ceil(max(_INVERSION_POINTS, needed) / 16.0)))
     return panels, 0.5 * s_max / panels

@@ -47,7 +47,7 @@ _DEGENERATE_FACTOR = 50.0
 PARALLEL_TOL = 1e-13
 
 # line_interval collapses an empty interval (lo > hi) to its midpoint when
-# the overlap is short by at most this times max(diameter, 1): a line that
+# the overlap is short by at most this times the diameter: a line that
 # grazes a vertex, lost to rounding.
 _GRAZE_REL = 1e-7
 
@@ -478,7 +478,7 @@ def line_interval(poly: ConvexPolygon, point, direction):
     if not np.isfinite(lo) or not np.isfinite(hi):
         return None  # unbounded direction cannot happen for a polygon
     if lo > hi:
-        if lo - hi <= _GRAZE_REL * max(poly.diameter, 1.0):
+        if lo - hi <= _GRAZE_REL * poly.diameter:
             mid = 0.5 * (lo + hi)
             return (mid, mid)
         return None

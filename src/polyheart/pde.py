@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, NoConvergence
-from .geometry import ConvexPolygon, boundary_distance, region_point_distance
+from .geometry import ConvexPolygon, Region, boundary_distance, region_point_distance
 
 _DT_FACTOR = 5.0
 # full_verify's grid spacing at h=None is the inradius over this, so the
@@ -536,10 +536,10 @@ class MembershipReport:
     n_checked: int
 
 
-def verify_heart(samples, hot_spot_limit, heart_region, slack: float) -> MembershipReport:
+def verify_heart(samples, hot_spot_limit, heart: Region, slack: float) -> MembershipReport:
     """Check every tracked hot spot against the heart, within slack."""
     points = [s.location for s in samples] + [np.asarray(hot_spot_limit, dtype=float)]
-    worst = float(max(region_point_distance(heart_region, p) for p in points))
+    worst = float(max(region_point_distance(heart, p) for p in points))
     return MembershipReport(worst <= slack, worst, slack, len(points))
 
 
@@ -639,16 +639,16 @@ class VerificationReport:
         return [s for s in self.samples if not s.spectral][-1]
 
 
-def full_verify(poly: ConvexPolygon, heart, h: float | None) -> VerificationReport:
+def full_verify(poly: ConvexPolygon, heart: Region, h: float | None) -> VerificationReport:
     """End-to-end run: grid, eigenpair, trajectory, membership in heart.
 
-    heart is the Heart the trajectory is checked against, as heart_region
-    returns it.  The spacing h is inradius/50 when None.  The horizon
-    is max(10/lam1, 2500 h^2): long enough for the eigenmode to
-    dominate, and never shorter than the time scale the grid itself can
-    resolve.  _N_SAMPLES samples are geometric in whole steps from about
-    t_end/100 (see sample_steps), giving the two decades the short-time
-    check needs, and each must lie within 2h of the heart.
+    heart is the Region the trajectory is checked against, the first of
+    the pair folding.heart_region returns.  The spacing h is inradius/50
+    when None.  The horizon is max(10/lam1, 2500 h^2): long enough for
+    the eigenmode to dominate, and never shorter than the time scale the
+    grid itself can resolve.  _N_SAMPLES samples are geometric in whole
+    steps from about t_end/100 (see sample_steps), giving the two decades
+    the short-time check needs, and each must lie within 2h of the heart.
     """
     if h is None:
         h = poly.incircle.radius / _H_PER_INRADIUS
@@ -657,7 +657,7 @@ def full_verify(poly: ConvexPolygon, heart, h: float | None) -> VerificationRepo
     t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
     dt = h * h / _DT_FACTOR
     samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, eigen=eigen)
-    membership = verify_heart(samples, eigen.location, heart.region, _MEMBERSHIP_SLACK * h)
+    membership = verify_heart(samples, eigen.location, heart, _MEMBERSHIP_SLACK * h)
     varadhan = varadhan_check(samples, poly, eigen.location)
     decay = decay_check(samples, eigen.eigenvalue)
     return VerificationReport(grid, eigen, samples, membership, varadhan, decay)

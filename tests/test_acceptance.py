@@ -69,7 +69,7 @@ def record_all_folding_calls():
 
     def recording(poly, directions):
         profile = orig(poly, directions)
-        RECORDED_FOLDS.extend((poly, entry) for entry in profile.entries)
+        RECORDED_FOLDS.extend((poly, row) for row in zip(profile.directions, profile.values, profile.witness_s))
         return profile
 
     folding.folding_profile = recording
@@ -113,7 +113,7 @@ def test_01_folding_matches_definition_oracle():
         budget = 1e-7 * poly.diameter
         for _ in range(64):
             w = unit(gen.uniform(0.0, 2.0 * np.pi))
-            fast = folding.folding_offset(poly, w).value
+            fast = folding.folding_offset(poly, w)
             slow = folding.folding_offset_bisection(poly, w, 1e-8)
             err = abs(fast - slow)
             worst = max(worst, err / poly.diameter)
@@ -134,7 +134,7 @@ def test_02_ellipse_closed_form_256gon():
     for t in thetas:
         w1, w2 = np.cos(t), np.sin(t)
         want = 3.0 * abs(w1 * w2) / np.hypot(w1, 2.0 * w2)
-        errs.append(abs(folding.folding_offset(ell, unit(t)).value - want))
+        errs.append(abs(folding.folding_offset(ell, unit(t)) - want))
     errs = np.array(errs)
     j = int(np.argmax(errs))
     assert errs[j] <= tol, (
@@ -156,8 +156,8 @@ def test_03_halfdisc_heart_segment():
         return float(np.linalg.norm(p - seg[0] - t * d))
 
     haus = max(
-        max(seg_dist(v, target) for v in heart.vertices),
-        max(seg_dist(v, heart.vertices) for v in target),
+        max(seg_dist(v, target) for v in heart.points),
+        max(seg_dist(v, heart.points) for v in target),
     )
     assert haus <= 0.02, f"Hausdorff {haus}"
 
@@ -166,8 +166,8 @@ def test_04_symmetric_hearts_collapse_to_centroid():
     for poly in (bodies.square(), bodies.regular_ngon(6)):
         heart, _ = heart_region(poly, 360)  # 1-degree grid contains all axes
         assert heart.kind == "point"
-        gap = float(np.linalg.norm(heart.vertices[0] - poly.centroid))
-        assert gap <= 1e-9, f"heart point {heart.vertices[0]} vs centroid {poly.centroid}"
+        gap = float(np.linalg.norm(heart.points[0] - poly.centroid))
+        assert gap <= 1e-9, f"heart point {heart.points[0]} vs centroid {poly.centroid}"
 
 
 def test_05_heart_membership_suite(pde_bodies):
@@ -179,17 +179,17 @@ def test_05_heart_membership_suite(pde_bodies):
     for poly in suite:
         heart, profile = heart_region(poly, 240)
         tol = 1e-7 * poly.diameter
-        assert region_point_distance(heart.region, poly.centroid) <= tol
-        hv = heart.vertices
-        for e in profile.entries:
-            h_heart = float((hv @ e.omega).max())
-            assert h_heart <= e.value + tol
-            assert e.value <= support(poly, e.omega) + tol
+        assert region_point_distance(heart, poly.centroid) <= tol
+        hv = heart.points
+        for w, value in zip(profile.directions, profile.values):
+            h_heart = float((hv @ w).max())
+            assert h_heart <= value + tol
+            assert value <= support(poly, w) + tol
         for theta in np.linspace(0.0, np.pi, 12, endpoint=False):
             wb = heart_width_bound(poly, unit(theta), heart)
             assert wb.heart_width <= wb.bound + tol
-        center, radius = heart_ball_radius(poly, heart)
-        d = np.linalg.norm(hv - center, axis=1)
+        radius = heart_ball_radius(poly, heart)
+        d = np.linalg.norm(hv - poly.centroid, axis=1)
         assert d.max() <= radius + tol
 
 
@@ -309,17 +309,12 @@ def test_09_fourier_cross_check(pde_bodies):
 def test_10_normal_cone_at_witnesses():
     assert RECORDED_FOLDS, "folding calls from the earlier criteria should be recorded"
     bad = 0
-    for poly, entry in RECORDED_FOLDS:
-        if not normal_cone_check(poly, entry):
+    for poly, row in RECORDED_FOLDS:
+        if not normal_cone_check(poly, *row):
             bad += 1
     assert bad == 0, f"{bad}/{len(RECORDED_FOLDS)} witnesses violate the optimality condition"
 
     tri = bodies.right_triangle()
-    entry = folding.folding_offset(tri, unit(0.3))
-    perturbed = type(entry)(
-        omega=entry.omega,
-        value=entry.value - 0.07 * tri.diameter,
-        witness_s=entry.witness_s,
-        witness_vertex=entry.witness_vertex,
-    )
-    assert not normal_cone_check(tri, perturbed)
+    w = unit(0.3)
+    profile = folding.folding_profile(tri, [w])
+    assert not normal_cone_check(tri, w, profile.values[0] - 0.07 * tri.diameter, profile.witness_s[0])

@@ -58,20 +58,30 @@ def test_heart_square(tmp_path, capsys):
     assert spath.read_text() == render_report_svg(rep)
 
 
-@pytest.mark.parametrize("command", ["bounds", "polar", "santalo", "fourier-check", "report", "heart"])
-def test_report_json_rerenders_svg(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, body, heart_element", [
+    *(pytest.param(command, "square", None, id=command)
+      for command in ("bounds", "polar", "santalo", "fourier-check", "report", "heart")),
+    pytest.param("heart", "halfdisc:1,0,64", '<line class="heart"', id="heart-segment"),
+    pytest.param("heart", "triangle:0,0,1,0,0.3,0.8", '<path class="heart"', id="heart-polygon"),
+])
+def test_report_json_rerenders_svg(tmp_path, capsys, command, body, heart_element):
     # json.dumps fails on a numpy integer, bool or array left in a section;
-    # the file is the report at indent 2 with one newline at the end
+    # the file is the report at indent 2 with one newline at the end.  The
+    # square's heart is a point; the half-disc's is a segment and this
+    # triangle's a 6-gon, each drawn as its own element.
     jpath, spath = tmp_path / "r.json", tmp_path / "r.svg"
     grid = ["--h", "0.02"] if command == "report" else []
-    code, _, err = run([command, "--body", "square", *grid,
+    code, _, err = run([command, "--body", body, *grid,
                         "--json", str(jpath), "--svg", str(spath)], capsys)
     assert code == 0, err
     text = jpath.read_text()
     rep = json.loads(text)
     assert text == json.dumps(rep, indent=2) + "\n"
     assert rep["command"] == command
-    assert spath.read_text() == render_report_svg(rep)
+    svg = spath.read_text()
+    assert svg == render_report_svg(rep)
+    if heart_element is not None:
+        assert heart_element in svg
 
 
 def test_no_scipy_outside_pde():
@@ -221,6 +231,13 @@ def test_generator_file_input(tmp_path, capsys):
     "regular_ngon:inf",
     "halfdisc:1,0,inf",
     "ellipse_approx:2,1,inf",
+    "regular_ngon:2",
+    "ellipse_approx:2,1,4",
+    "halfdisc:1,2,64",
+    "halfdisc:1,0,4",
+    "triangle:0,0,1,0,0,1,5",
+    "missing/body.json",
+    "@missing/body",
 ])
 def test_invalid_body_exits_1(capsys, body):
     code, _, err = run(["heart", "--body", body], capsys)
@@ -234,10 +251,20 @@ def test_invalid_body_exits_1(capsys, body):
     {"name": "rectangle", "args": 5},
     {"name": ["square"]},
     {"name": "regular_ngon", "args": [1e400]},
+    {"name": "rectangle", "args": [1]},
 ])
 def test_malformed_generator_exits_1(tmp_path, capsys, generator):
     p = tmp_path / "gen.json"
     p.write_text(json.dumps({"generator": generator}))
+    code, _, err = run(["heart", "--body", str(p)], capsys)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "InvalidPolygon"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{}", '{"vertices": [[0, 0], [1'])
+def test_malformed_body_file_exits_1(tmp_path, capsys, text):
+    p = tmp_path / "body.json"
+    p.write_text(text)
     code, _, err = run(["heart", "--body", str(p)], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "InvalidPolygon"
@@ -350,7 +377,9 @@ def test_halfdisc_far_from_the_origin(tmp_path, capsys):
 
 
 def test_fourier_check(tmp_path, capsys):
-    for body in ("square", "halfdisc:1,0,64", "regular_ngon:7"):
+    # the 1e-40 square once sized its node budget with an absolute length
+    # and asked for more nodes than an array can hold
+    for body in ("square", "halfdisc:1,0,64", "regular_ngon:7", "rectangle:1e-40,1e-40"):
         jpath = tmp_path / "r.json"
         code, out, _ = run(["fourier-check", "--body", body, "--json", str(jpath)], capsys)
         assert code == 0
@@ -359,9 +388,11 @@ def test_fourier_check(tmp_path, capsys):
         assert check["abs_err"] <= 1e-12 * max(1.0, check["area"])
 
 
-def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys):
+@pytest.mark.parametrize("body", ["regular_ngon:7", "square", "rectangle:1e-3,1e-3", "rectangle:1e3,1e3"])
+def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys, body):
     # the transform at zero is the limit of its edge sum, so edge lengths
-    # 1e-6 too long, with the normals taken before, fail the area check
+    # 1e-6 too long, with the normals taken before, fail the area check at
+    # any scale: its tolerance is relative to the area, below unit area too
     parse = cli.parse_body_arg
 
     def tampered(arg):
@@ -371,7 +402,7 @@ def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys):
         return poly, spec
 
     monkeypatch.setattr(cli, "parse_body_arg", tampered)
-    code, _, err = run(["fourier-check", "--body", "regular_ngon:7"], capsys)
+    code, _, err = run(["fourier-check", "--body", body], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "VerificationFailed"
 

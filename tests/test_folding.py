@@ -20,7 +20,6 @@ from polyheart.errors import OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
     _CENTROID_TOL,
     _CONTAINMENT_TOL,
-    FoldEntry,
     chord_midpoint,
     folding_offset,
     folding_offset_bisection,
@@ -86,17 +85,17 @@ def test_chord_midpoint_square(square):
 
 
 def test_square_offsets(square):
-    assert folding_offset(square, [0.0, 1.0]).value == pytest.approx(0.5, abs=1e-12)
-    assert folding_offset(square, [1.0, 0.0]).value == pytest.approx(0.5, abs=1e-12)
+    assert folding_offset(square, [0.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
+    assert folding_offset(square, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
     d = unit(np.pi / 4)
-    assert folding_offset(square, d).value == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
+    assert folding_offset(square, d) == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
 
 
 def test_offset_below_support(square, hexagon, right_tri):
     for poly in (square, hexagon, right_tri):
         for theta in np.linspace(0.0, 2.0 * np.pi, 37):
             w = unit(theta)
-            assert folding_offset(poly, w).value <= support(poly, w) + poly.eps
+            assert folding_offset(poly, w) <= support(poly, w) + poly.eps
 
 
 def test_bisection_tolerance_floor(square):
@@ -109,7 +108,7 @@ def test_oracle_agreement_random():
     for poly in random_bodies(seed=42, count=12):
         for _ in range(8):
             w = unit(gen.uniform(0.0, 2.0 * np.pi))
-            fast = folding_offset(poly, w).value
+            fast = folding_offset(poly, w)
             slow = folding_offset_bisection(poly, w, ORACLE_TOL)
             assert abs(fast - slow) <= max(ORACLE_TOL, 1e-7 * poly.diameter)
 
@@ -119,7 +118,7 @@ def test_oracle_agreement_tangential():
     ell = bodies.ellipse_approx(2.0, 1.0, 256)
     for deg in (20.0, 32.0, 45.0, 58.0, 70.0):
         w = unit(np.radians(deg))
-        fast = folding_offset(ell, w).value
+        fast = folding_offset(ell, w)
         slow = folding_offset_bisection(ell, w, ORACLE_TOL)
         assert abs(fast - slow) <= TANGENTIAL_TOL
 
@@ -136,7 +135,7 @@ def test_ellipse_closed_form_converges():
     def sweep(m):
         poly = bodies.ellipse_approx(2.0, 1.0, m)
         errs = [
-            abs(folding_offset(poly, unit(t)).value - ellipse_folding(2.0, 1.0, t))
+            abs(folding_offset(poly, unit(t)) - ellipse_folding(2.0, 1.0, t))
             for t in thetas
         ]
         return max(errs)
@@ -154,22 +153,22 @@ def test_ellipse_diagonal_value():
     # a=2, b=1 at 45 degrees: closed form gives 3/sqrt(10)
     assert ellipse_folding(2.0, 1.0, np.pi / 4) == pytest.approx(3.0 / np.sqrt(10.0))
     ell = bodies.ellipse_approx(2.0, 1.0, 4096)
-    got = folding_offset(ell, unit(np.pi / 4)).value
+    got = folding_offset(ell, unit(np.pi / 4))
     assert got == pytest.approx(3.0 / np.sqrt(10.0), abs=2e-3)
 
 
 def test_heart_square_collapses(square):
     heart, profile = heart_region(square, 360)
     assert heart.kind == "point"
-    assert np.allclose(heart.vertices[0], [0.5, 0.5], atol=1e-9)
-    assert len(profile) >= 360
+    assert np.allclose(heart.points[0], [0.5, 0.5], atol=1e-9)
+    assert len(profile.values) >= 360
 
 
 def test_heart_halfdisc_segment(halfdisc64):
     heart, _ = heart_region(halfdisc64, 720)
     assert heart.kind == "segment"
-    ys = np.sort(heart.vertices[:, 1])
-    assert abs(heart.vertices[:, 0]).max() < 1e-6
+    ys = np.sort(heart.points[:, 1])
+    assert abs(heart.points[:, 0]).max() < 1e-6
     assert ys[0] == pytest.approx(0.0, abs=1e-6)
     assert ys[1] == pytest.approx(0.5, abs=2e-3)
 
@@ -177,9 +176,9 @@ def test_heart_halfdisc_segment(halfdisc64):
 def test_heart_inside_body():
     for poly in random_bodies(seed=5, count=10):
         heart, profile = heart_region(poly, 180)
-        for v in heart.vertices:
+        for v in heart.points:
             assert point_in(poly, v, eps=1e-7 * poly.diameter)
-        assert region_point_distance(heart.region, poly.centroid) <= 1e-7 * poly.diameter
+        assert region_point_distance(heart, poly.centroid) <= 1e-7 * poly.diameter
 
 
 def heart_workload_bodies():
@@ -198,11 +197,12 @@ SUPPORT_DIRS = np.array([unit(a) for a in 2.0 * np.pi * np.arange(64) / 64])
 def test_heart_edges_implied_by_folding_planes(n_dirs):
     # cutting by the body's edges as well as the folding planes gives the same set
     for poly in heart_workload_bodies() + [STRAIGHT_ANGLE]:
-        heart, _ = heart_region(poly, n_dirs)
+        heart, profile = heart_region(poly, n_dirs)
+        planes = np.column_stack([profile.directions, profile.values])
         edges = np.column_stack([poly.edge_normals, poly.edge_offsets])
-        with_edges = halfplane_intersection(np.vstack([heart.planes, edges]), poly.bbox, poly.eps)
+        with_edges = halfplane_intersection(np.vstack([planes, edges]), poly.bbox, poly.eps)
         assert heart.kind == with_edges.kind
-        gap = (heart.vertices @ SUPPORT_DIRS.T).max(axis=0) - (with_edges.points @ SUPPORT_DIRS.T).max(axis=0)
+        gap = (heart.points @ SUPPORT_DIRS.T).max(axis=0) - (with_edges.points @ SUPPORT_DIRS.T).max(axis=0)
         assert np.abs(gap).max() <= 2.0 * poly.eps
 
 
@@ -221,9 +221,9 @@ def test_heart_properties(seed, n, n_dirs, turns, scale, shift):
     # is a multiple of 4, so the grid also holds the coordinate axes)
     poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
     heart, _ = heart_region(poly, n_dirs)
-    out = (heart.vertices @ poly.edge_normals.T - poly.edge_offsets).max()
+    out = (heart.points @ poly.edge_normals.T - poly.edge_offsets).max()
     assert out <= _CONTAINMENT_TOL * poly.eps
-    assert region_point_distance(heart.region, poly.centroid) <= _CENTROID_TOL * poly.eps
+    assert region_point_distance(heart, poly.centroid) <= _CENTROID_TOL * poly.eps
     angle = 2.0 * np.pi * (turns % n_dirs) / n_dirs
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
@@ -231,8 +231,8 @@ def test_heart_properties(seed, n, n_dirs, turns, scale, shift):
     moved = ConvexPolygon(scale * poly.vertices @ rot.T + t)
     moved_heart, _ = heart_region(moved, n_dirs)
     assert moved_heart.kind == heart.kind
-    want = scale * (heart.vertices @ rot.T) + t
-    gap = (moved_heart.vertices @ SUPPORT_DIRS.T).max(axis=0) - (want @ SUPPORT_DIRS.T).max(axis=0)
+    want = scale * (heart.points @ rot.T) + t
+    gap = (moved_heart.points @ SUPPORT_DIRS.T).max(axis=0) - (want @ SUPPORT_DIRS.T).max(axis=0)
     assert np.abs(gap).max() <= 10.0 * moved.eps + 1e-12 * np.abs(t).max()
 
 
@@ -243,9 +243,9 @@ def test_heart_direction_monotonicity(seed, n, k):
     # uniform angles hold the k ones, so the heart at 2k directions keeps
     # to every plane of the heart at k
     poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
-    coarse, _ = heart_region(poly, k)
+    _, coarse = heart_region(poly, k)
     fine, _ = heart_region(poly, 2 * k)
-    gaps = fine.vertices @ coarse.planes[:, :2].T - coarse.planes[:, 2]
+    gaps = fine.points @ coarse.directions.T - coarse.values
     assert gaps.max() <= _CONTAINMENT_TOL * poly.eps
 
 
@@ -255,8 +255,8 @@ def test_width_and_ball_bounds():
         for theta in np.linspace(0.0, np.pi, 13):
             wb = heart_width_bound(poly, unit(theta), heart)
             assert wb.heart_width <= wb.bound + 1e-7 * poly.diameter
-        center, radius = heart_ball_radius(poly, heart)
-        d = np.linalg.norm(heart.vertices - center, axis=1)
+        radius = heart_ball_radius(poly, heart)
+        d = np.linalg.norm(heart.points - poly.centroid, axis=1)
         assert d.max() <= radius + 1e-7 * poly.diameter
 
 
@@ -286,16 +286,17 @@ def test_heart_of_turned_body_is_turned_heart(poly):
         heart = heart_region(_turned(poly, theta), 720)[0]
         assert heart.kind == base.kind, theta
         c, s = np.cos(theta), np.sin(theta)
-        turned_base = base.vertices @ np.array([[c, s], [-s, c]])  # as _turned
-        gap = (heart.vertices @ probe.T).max(axis=0) - (turned_base @ probe.T).max(axis=0)
+        turned_base = base.points @ np.array([[c, s], [-s, c]])  # as _turned
+        gap = (heart.points @ probe.T).max(axis=0) - (turned_base @ probe.T).max(axis=0)
         assert np.abs(gap).max() <= poly.eps, theta
 
 
 def test_normal_cone_holds_at_witness():
+    theta = np.linspace(0.1, 2.0 * np.pi, 9)
     for poly in random_bodies(seed=31, count=8):
-        for theta in np.linspace(0.1, 2.0 * np.pi, 9):
-            entry = folding_offset(poly, unit(theta))
-            assert normal_cone_check(poly, entry)
+        profile = folding_profile(poly, np.column_stack([np.cos(theta), np.sin(theta)]))
+        for w, value, s in zip(profile.directions, profile.values, profile.witness_s):
+            assert normal_cone_check(poly, w, value, s)
 
 
 @pytest.mark.parametrize("delta", [1e-3, -1e-3, 0.07, -0.07])
@@ -303,15 +304,15 @@ def test_normal_cone_holds_at_witness():
 def test_normal_cone_negative_control(request, body, delta):
     # a fold value moved off the witness leaves the lower contact off the boundary
     poly = request.getfixturevalue(body)
-    entry = folding_offset(poly, unit(0.3))
-    shifted = FoldEntry(entry.omega, entry.value + delta * poly.diameter, entry.witness_s, entry.witness_vertex)
-    assert not normal_cone_check(poly, shifted)
+    w = unit(0.3)
+    profile = folding_profile(poly, [w])
+    assert not normal_cone_check(poly, w, profile.values[0] + delta * poly.diameter, profile.witness_s[0])
 
 
-def _similar_entry(entry, value, rot, scale, t):
-    """The fold entry of the image under x -> scale * rot x + t, at fold value ``value``."""
-    w = rot @ entry.omega
-    return FoldEntry(w, scale * value + w @ t, scale * entry.witness_s + perp(w) @ t, entry.witness_vertex)
+def _similar_row(w, value, witness_s, rot, scale, t):
+    """(omega, value, witness_s) of a profile row's image under x -> scale * rot x + t."""
+    w = rot @ w
+    return w, scale * value + w @ t, scale * witness_s + perp(w) @ t
 
 
 @settings(max_examples=30, deadline=None)
@@ -328,11 +329,12 @@ def test_normal_cone_similarity_invariant(seed, n, rotation, scale, shift):
     rot = np.array([[c, -s], [s, c]])
     t = np.array(shift)
     moved = ConvexPolygon(scale * poly.vertices @ rot.T + t)
-    for entry in folding_profile(poly, heart_directions(poly, 16)).entries:
+    profile = folding_profile(poly, heart_directions(poly, 16))
+    for w, offset, s in zip(profile.directions, profile.values, profile.witness_s):
         for delta in (0.0, 1e-3, -1e-3, 0.07, -0.07):
-            value = entry.value + delta * poly.diameter
-            want = normal_cone_check(poly, FoldEntry(entry.omega, value, entry.witness_s, entry.witness_vertex))
-            assert normal_cone_check(moved, _similar_entry(entry, value, rot, scale, t)) == want
+            value = offset + delta * poly.diameter
+            want = normal_cone_check(poly, w, value, s)
+            assert normal_cone_check(moved, *_similar_row(w, value, s, rot, scale, t)) == want
             if delta == 0.0:
                 assert want
 
@@ -349,13 +351,14 @@ def test_normal_cone_sliver_rotation_invariant(a, h):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [a, h]])
     poly = ConvexPolygon(pts)
     theta = 2.0 * np.pi * np.delete(np.arange(64), [0, 32]) / 64
-    entries = folding_profile(poly, np.column_stack([np.cos(theta), np.sin(theta)])).entries
-    want = [normal_cone_check(poly, e) for e in entries]
+    profile = folding_profile(poly, np.column_stack([np.cos(theta), np.sin(theta)]))
+    rows = list(zip(profile.directions, profile.values, profile.witness_s))
+    want = [normal_cone_check(poly, *row) for row in rows]
     for phi in (0.7, 2.1, 3.5, 5.0):
         c, s = np.cos(phi), np.sin(phi)
         rot = np.array([[c, -s], [s, c]])
         moved = ConvexPolygon(pts @ rot.T)
-        got = [normal_cone_check(moved, _similar_entry(e, e.value, rot, 1.0, np.zeros(2))) for e in entries]
+        got = [normal_cone_check(moved, *_similar_row(*row, rot, 1.0, np.zeros(2))) for row in rows]
         assert got == want, phi
 
 
@@ -378,7 +381,7 @@ def test_profile_matches_tableau():
         tol = 1e-11 * poly.diameter
         dirs = heart_directions(poly, 720)
         profile = folding_profile(poly, dirs)
-        assert len(profile) == len(dirs)
+        assert len(profile.values) == len(dirs)
         assert np.array_equal(profile.directions, dirs)
         for k, w in enumerate(dirs):
             s, f = tableau_chord_midpoints(poly, w)
@@ -437,7 +440,7 @@ def test_chord_ends_near_edge_directions():
             w = w / np.linalg.norm(w)
             f = tableau_chord_midpoints(poly, w)[1]
             assert np.abs(vertex_chord_midpoints(poly, w)[1] - f).max() <= tol, (len(poly), w)
-            assert abs(folding_offset(poly, w).value - f.max()) <= tol, (len(poly), w)
+            assert abs(folding_offset(poly, w) - f.max()) <= tol, (len(poly), w)
 
 
 @pytest.mark.parametrize("cells", [lambda n: 7 * n + 3, lambda n: 1], ids=["7n+3", "one_row"])
@@ -453,7 +456,7 @@ def test_profile_independent_of_block_split(monkeypatch, cells):
         profile = folding_profile(poly, dirs)
         for k, w in enumerate(dirs):
             one = folding_offset(poly, w)
-            assert abs(profile.values[k] - one.value) <= 1e-12 * poly.diameter, (len(poly), w)
+            assert abs(profile.values[k] - one) <= 1e-12 * poly.diameter, (len(poly), w)
             f = tableau_chord_midpoints(poly, w)[1]
             assert abs(f[profile.witness_vertex[k]] - f.max()) <= 1e-11 * poly.diameter
 
@@ -477,8 +480,8 @@ def test_folding_offset_similarity_equivariant(seed, n, rotation, scale, shift, 
     w = unit(theta)
     rw = rot @ w
     rw /= np.hypot(*rw)
-    want = scale * folding_offset(poly, w).value + t @ rw
-    got = folding_offset(moved, rw).value
+    want = scale * folding_offset(poly, w) + t @ rw
+    got = folding_offset(moved, rw)
     assert abs(got - want) <= 1e-9 * moved.diameter + 1e-12 * np.abs(t).max()
 
 
@@ -488,8 +491,8 @@ def test_ball_radius_covers_intersection_slack(key, n):
     # slack); a radius built from the offsets alone fell short of them
     poly = bodies.random_convex_polygon(np.random.default_rng(key), n)
     heart, _ = heart_region(poly, 720)
-    center, radius = heart_ball_radius(poly, heart)
-    assert np.hypot(*(heart.vertices - center).T).max() <= radius + 1e-12 * poly.diameter
+    radius = heart_ball_radius(poly, heart)
+    assert np.hypot(*(heart.points - poly.centroid).T).max() <= radius + 1e-12 * poly.diameter
 
 
 @settings(max_examples=40, deadline=None)
@@ -503,9 +506,8 @@ def test_ball_is_farthest_heart_vertex(seed, n, n_dirs):
     # and its radius is attained at one of them
     poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
     heart, _ = heart_region(poly, n_dirs)
-    center, radius = heart_ball_radius(poly, heart)
-    assert np.array_equal(center, poly.centroid)
-    dist = np.hypot(*(heart.vertices - center).T)
+    radius = heart_ball_radius(poly, heart)
+    dist = np.hypot(*(heart.points - poly.centroid).T)
     assert np.all(dist <= radius)
     assert dist.max() == radius
 

@@ -361,6 +361,19 @@ def test_node_budget_ignores_translation(monkeypatch, square):
     assert abs(at_origin - shifted) <= 1e-12
 
 
+def test_node_budget_ignores_scale():
+    # the oscillation is sized by lengths of the body alone; an absolute
+    # 1e-9 added to them gave the square scaled by 1e-12 283027 panels
+    def panels(s):
+        poly = bodies.rectangle(s, s)
+        u = perp(unit(1.0))
+        lo, hi = shadow_interval(poly, unit(1.0))
+        yc = lo + np.array([0.35, 0.5, 0.65]) * (hi - lo) - float(poly.centroid @ u)
+        return _inversion_nodes(poly, u, yc, 400.0)[0]
+
+    assert [panels(s) for s in (1e-12, 1.0, 1e6)] == [panels(1.0)] * 3
+
+
 def test_margin_error_names_first_bad_point(monkeypatch, square):
     sizes = node_counts(monkeypatch)
     w = np.array([0.0, 1.0])

@@ -244,6 +244,17 @@ def test_line_interval_misses_body(square):
     assert line_interval(square, [5.0, 5.0], [0.0, 1.0]) is None
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_near_miss_is_none_at_every_scale(scale):
+    # a line 1e-5 diameters past the vertex (0, scale) misses the body
+    # whatever its size; a graze slack floored at one unit length made it
+    # a zero-length chord below unit diameter
+    poly = bodies.rectangle(scale, scale)
+    w = unit(np.pi / 4)
+    hi = shadow_interval(poly, w)[1]
+    assert chord(poly, hi + 1e-5 * poly.diameter, w) is None
+
+
 def test_clip_square():
     sq = bodies.square()
     r = _classify(_clip_ring(sq.vertices, np.array([1.0, 0.0]), 0.5), sq.eps)

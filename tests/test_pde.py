@@ -486,10 +486,10 @@ def test_verify_heart_slack(square):
     g = rasterize(square, 0.02)
     samples = heat_solve(g, np.geomspace(0.01, 1.0, 8), eigen_solve(g))
     heart, _ = heart_region(square, 360)
-    rep = verify_heart(samples, [0.5, 0.5], heart.region, slack=2.0 * g.spacing)
+    rep = verify_heart(samples, [0.5, 0.5], heart, slack=2.0 * g.spacing)
     assert rep.ok
     assert rep.n_checked == 9
-    far = verify_heart(samples, [0.9, 0.9], heart.region, slack=1e-3)
+    far = verify_heart(samples, [0.9, 0.9], heart, slack=1e-3)
     assert not far.ok
 
 
