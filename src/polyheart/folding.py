@@ -5,13 +5,16 @@ that reflecting the part of the body above the line {x . omega = lambda}
 across that line lands inside the body.  For polygons it equals the largest
 chord midpoint over the projections of the vertices.  The chord over a
 projection runs between the two boundary chains, the edges facing along
-omega and those facing against it.  The projections rise along one chain
-and fall along the other, so one stable sort of them, which merges those
-few runs in linear time, ranks every vertex within both chains: a running
-count of each chain's vertices in sorted order names the one edge of each
-chain that bounds the chord.  :func:`folding_profile` does this for many
-directions at once, in blocks of array operations, and
-:func:`folding_offset` is its one-direction case.
+omega (the top chain) and those facing against it (the bottom chain).
+Along the shadow the upper end is concave and the lower end convex, so
+their midpoint peaks at a top-chain vertex: only those are evaluated.
+Each one's upper end lies on its own top-chain edges.  Its lower end
+takes one chain search per direction: the projections fall along the
+bottom chain, so one stable sort of them, which merges the boundary's
+rising and falling runs in linear time, and a running count of the
+chain's vertices in sorted order name the one edge that bounds the chord.
+:func:`folding_profile` does this for many directions at once, in blocks
+of array operations, and :func:`folding_offset` is its one-direction case.
 :func:`folding_offset_bisection` instead bisects directly on the
 reflection-containment definition and serves as the independent reference
 implementation; it shares no code with the fast path (it cuts its cap with
@@ -54,9 +57,8 @@ from .geometry import (
 )
 
 # Directions are folded in blocks of about this many direction x vertex
-# cells, so that a block's temporaries stay at 128 kB each (256 kB for
-# the doubled edge arrays), about 2.5 MB in all, whatever the number of
-# directions.
+# cells, so that a block's temporaries stay at 128 kB each, whatever the
+# number of directions.
 _BLOCK_CELLS = 1 << 14
 
 # heart_region's tolerances, in units of poly.eps.  The intersection gives
@@ -100,74 +102,53 @@ def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
     return 0.5 * (iv[0] + iv[1])
 
 
-def _chain_ends(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(lo, hi): both chord ends over every vertex projection, for a block
-    of directions.
+def _edge_lines(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(a, du, c): n_i . w_b, n_i . u_b and c_i over the edges for a block
+    of directions, the last edge first.  Column i + 1 holds edge i, so
+    vertex k's own edges k - 1 and k are columns k and k + 1, and edge
+    indices wrap without doubled arrays."""
+    normals = np.concatenate([poly.edge_normals[-1:], poly.edge_normals])
+    return w @ normals.T, u @ normals.T, np.concatenate([poly.edge_offsets[-1:], poly.edge_offsets])
 
-    The upper end along w_b over s[b, k] is the minimum over the edges i
-    with n_i . w_b above PARALLEL_TOL, the top chain, of
-    (c_i - (n_i . u_b) s[b, k]) / (n_i . w_b); the lower end is the
-    maximum over the edges with n_i . w_b below -PARALLEL_TOL, the bottom
-    chain.  Each chain is one run of the counterclockwise boundary, along
-    which s rises (top) or falls (bottom), and the extremum sits on the
-    chain edge whose s-range brackets s[b, k].  With edge i starting at
-    vertex i, that edge's place in its chain is the count of the chain's
-    vertices up to the vertex in one stable sort of the row, ascending for
-    the top chain and descending for the bottom one.  Where projections
-    tie, the count may stop on either side of a chain vertex, at which the
-    edges on both sides meet.  The expression is evaluated on the
-    bracketing edge and on the one before it: at a chain vertex both give
-    the vertex, and the extremum of the two is the better conditioned
+
+def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lower chord end along w_b over every vertex projection s[b, k], for
+    a block of directions with the edge data of :func:`_edge_lines`.
+
+    The lower end is the maximum over the edges i with n_i . w_b below
+    -PARALLEL_TOL, the bottom chain, of (c_i - (n_i . u_b) s[b, k]) /
+    (n_i . w_b).  The chain is one run of the counterclockwise boundary,
+    along which s falls, and the maximum sits on the chain edge whose
+    s-range brackets s[b, k].  With edge i starting at vertex i, that
+    edge's place in the chain is the count of the chain's vertices up to
+    the vertex in one stable descending sort of the row.  Where
+    projections tie, the count may stop on either side of a chain vertex,
+    at which the edges on both sides meet.  The expression is evaluated on
+    the bracketing edge and on the one before it: at a chain vertex both
+    give the vertex, and the larger of the two is the better conditioned
     value when either edge is nearly parallel to w_b.  A direction without
-    a bottom (top) chain gets -inf (+inf).
+    a bottom chain gets -inf.  At -w_b, -s and -a, -du the same search
+    gives minus the upper end.
     """
-    n = s.shape[1]
-    rows = np.arange(len(w))[:, None]
-    # flat cell indices, ascending s along each row
-    order = np.argsort(s, axis=1, kind="stable") + n * rows
-    # edge data doubled along each row, so that a chain starting at any
-    # edge runs on without wrapping; indexed flat as well
-    normals = np.concatenate([poly.edge_normals, poly.edge_normals])
-    a = w @ normals.T   # (B, 2n)
-    du = u @ normals.T  # (B, 2n)
-    c = np.tile(np.concatenate([poly.edge_offsets, poly.edge_offsets]), (len(w), 1))
-    ends = []
-    for chain, way, extremum, absent in ((a[:, :n] < -PARALLEL_TOL, order[:, ::-1], np.maximum, -np.inf),
-                                         (a[:, :n] > PARALLEL_TOL, order, np.minimum, np.inf)):
-        count = np.empty_like(order)
-        np.put(count, way, np.cumsum(np.take(chain, way), axis=1))
-        start = np.argmax(chain & ~np.roll(chain, 1, axis=1), axis=1)[:, None] + 2 * n * rows
-        e = np.maximum(count + (start - 1), start)
-        end = (np.take(c, e) - np.take(du, e) * s) / np.take(a, e)
-        e = np.maximum(e - 1, start)
-        extremum(end, (np.take(c, e) - np.take(du, e) * s) / np.take(a, e), out=end)
-        end[~chain.any(axis=1)] = absent
-        ends.append(end)
-    return tuple(ends)
-
-
-def _vertex_chord_midpoints(poly: ConvexPolygon, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(s, f) of :func:`vertex_chord_midpoints` for a block of directions,
-    one row each, and every vertex's own coordinate along each direction."""
-    u = np.column_stack([-w[:, 1], w[:, 0]])  # perp of every row
-    s = u @ poly.vertices.T
-    own = w @ poly.vertices.T
-    lo, hi = _chain_ends(poly, w, u, s)
-    f = 0.5 * (lo + hi)
-    bad = ~np.isfinite(f) | (lo > hi)
-    f[bad] = own[bad]
-    return s, f, own
-
-
-def vertex_chord_midpoints(poly: ConvexPolygon, omega) -> tuple[np.ndarray, np.ndarray]:
-    """Chord midpoints over every vertex projection.
-
-    Returns (s, f): projection coordinates of the vertices onto the axis
-    perp(omega) and the chord-midpoint value above each.  Degenerate chords
-    at shadow-extreme vertices contribute the vertex's own omega-coordinate.
-    """
-    s, f, _ = _vertex_chord_midpoints(poly, check_direction(omega)[None, :])
-    return s[0], f[0]
+    m, n = s.shape
+    rows = np.arange(m)[:, None]
+    # flat cell indices, descending s along each row
+    order = np.argsort(s, axis=1, kind="stable")[:, ::-1] + n * rows
+    chain = a[:, 1:] < -PARALLEL_TOL
+    count = np.empty_like(order)
+    np.put(count, order, np.cumsum(np.take(chain, order), axis=1))
+    start = np.argmax(chain & ~(a[:, :-1] < -PARALLEL_TOL), axis=1)[:, None]
+    # the bracketing edge's column, wrapped past the last edge
+    col = start + np.maximum(count, 1)
+    np.subtract(col, n, out=col, where=col > n)
+    flat = col + (n + 1) * rows
+    lo = (np.take(c, col) - np.take(du, flat) * s) / np.take(a, flat)
+    step = count > 1  # the edge before, unless the bracketing edge starts the chain
+    col -= step
+    flat -= step
+    np.maximum(lo, (np.take(c, col) - np.take(du, flat) * s) / np.take(a, flat), out=lo)
+    lo[~chain.any(axis=1)] = -np.inf
+    return lo
 
 
 def folding_offset(poly: ConvexPolygon, omega) -> float:
@@ -175,7 +156,8 @@ def folding_offset(poly: ConvexPolygon, omega) -> float:
 
     The chord-midpoint function is piecewise linear in the shadow coordinate
     with breakpoints exactly at vertex projections, so its maximum over the
-    shadow is attained at one of them.  First maximal vertex index wins ties.
+    shadow is attained at one of them, and at a vertex of the top chain
+    (see :func:`folding_profile`).  First maximal vertex index wins ties.
     This is the one-direction case of :func:`folding_profile`.
     """
     return float(folding_profile(poly, [omega]).values[0])
@@ -184,13 +166,24 @@ def folding_offset(poly: ConvexPolygon, omega) -> float:
 def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     """Folding offsets over many directions, each as in :func:`folding_offset`.
 
+    Over the shadow, the chord midpoint is half the sum of the upper end,
+    concave in s, and the lower end, convex in s.  Its maximum therefore
+    sits at a kink of the upper end or at a shadow end, and both are
+    vertices of the top chain (an edge at the vertex has n_i . omega above
+    PARALLEL_TOL) unless the direction has no top chain at all.  Only
+    those vertices are evaluated.  Their lower ends come from one chain search
+    (:func:`_lower_ends`); their upper end is the smaller of the vertex's
+    own top-chain edges' lines over it, which is where a search would
+    land, so it needs none.  Every other vertex gets -inf.  A non-finite
+    or inverted chord falls back to the vertex's own coordinate.
+
     The directions are evaluated in blocks, each in one set of array
-    operations.  Each row's vertex projections are sorted once, stably;
-    they form a rising and a falling run, which the sort merges in linear
-    time, and every other step is linear in the vertex count.  Each
-    block's vertex projections also give the support values, so no
-    matrix product spans all directions at once: one that large would
-    run on OpenBLAS's worker threads.
+    operations: one stable sort of each row's vertex projections, which
+    form a rising and a falling run that the sort merges in linear time,
+    and otherwise steps linear in the vertex count.  Each block's vertex
+    projections also give the support values, so no matrix product spans
+    all directions at once: one that large would run on OpenBLAS's worker
+    threads.
     """
     w = check_directions(directions)
     values = np.empty(len(w))
@@ -199,7 +192,20 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     support = np.empty(len(w))
     block = max(1, _BLOCK_CELLS // len(poly.vertices))
     for k in range(0, len(w), block):
-        s, f, own = _vertex_chord_midpoints(poly, w[k:k + block])
+        wb = w[k:k + block]
+        u = np.column_stack([-wb[:, 1], wb[:, 0]])  # perp of every row
+        s = u @ poly.vertices.T
+        own = wb @ poly.vertices.T
+        a, du, c = _edge_lines(poly, wb, u)
+        lo = _lower_ends(s, a, du, c)
+        # the top-chain edges' lines; NaN on the others drops them from fmin
+        top = np.where(a > PARALLEL_TOL, a, np.nan)
+        hi = np.fmin((c[:-1] - du[:, :-1] * s) / top[:, :-1], (c[1:] - du[:, 1:] * s) / top[:, 1:])
+        f = 0.5 * (lo + hi)
+        f = np.where(np.isfinite(f) & (lo <= hi), f, own)
+        off = np.isnan(hi)  # no top-chain edge at the vertex
+        off[off.all(axis=1)] = False  # a row without a top chain keeps every vertex
+        f[off] = -np.inf
         j = np.argmax(f, axis=1)
         rows = np.arange(len(j))
         values[k:k + block] = f[rows, j]

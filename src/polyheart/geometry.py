@@ -46,6 +46,11 @@ _DEGENERATE_FACTOR = 50.0
 # direction (_by_normal_angle).
 PARALLEL_TOL = 1e-13
 
+# A vertex coordinate carries the rounding of the few operations that made
+# it (a turn, a shift): ConvexPolygon takes it as this many units in the
+# last place of the largest coordinate.
+_VERTEX_ULPS = 4.0
+
 # line_interval collapses an empty interval (lo > hi) to its midpoint when
 # the overlap is short by at most this times the diameter: a line that
 # grazes a vertex, lost to rounding.
@@ -178,7 +183,17 @@ EMPTY_REGION = Region("empty", np.zeros((0, 2)))
 
 
 class ConvexPolygon:
-    """Immutable CCW convex polygon with cached metric quantities."""
+    """Immutable CCW convex polygon with cached metric quantities.
+
+    The ring must turn left at every vertex, up to rounding.  A vertex
+    coordinate is known to _VERTEX_ULPS units in the last place of the
+    largest coordinate, delta, so the direction of an edge of length L is
+    known to delta / L rad.  The turn theta from edge i to edge i + 1 may
+    lie right by the slack of those two directions,
+    sin(theta) >= -delta (1 / L_i + 1 / L_{i+1}); a sharper right turn
+    is rejected at any edge length.  Edges must be longer than eps, and
+    the ring must wind once.
+    """
 
     def __init__(self, vertices):
         v = np.array(vertices, dtype=float)
@@ -194,14 +209,21 @@ class ConvexPolygon:
             raise InvalidPolygon("duplicate or near-duplicate consecutive vertices")
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+        theta = np.arctan2(cross, edges[:, 0] * nxt[:, 0] + edges[:, 1] * nxt[:, 1])
         area = _polygon_area(v)
         if area <= 0.0:
             raise InvalidPolygon("vertices must be in counterclockwise order with positive area")
-        if np.any(cross < -EPS_REL * scale * scale):
-            raise InvalidPolygon("polygon is not convex")
+        if cross.min() < 0.0:
+            # L_i L_{i+1} sin(theta) against the slack of the two directions
+            delta = _VERTEX_ULPS * np.finfo(float).eps * float(np.abs(v).max())
+            right = cross < -delta * (lengths + np.roll(lengths, -1))
+            if np.any(right):
+                i = int(np.argmax(right))
+                raise InvalidPolygon(f"polygon is not convex: it turns right by {-theta[i]:.3g} rad at vertex "
+                                     f"{(i + 1) % len(v)}, beyond the rounding of its edge directions")
         # left turns everywhere still admit a star ring that winds k times
         # and turns through 2 pi k; a convex ring turns through 2 pi once
-        turn = float(np.arctan2(cross, edges[:, 0] * nxt[:, 0] + edges[:, 1] * nxt[:, 1]).sum())
+        turn = float(theta.sum())
         if turn > 3.0 * np.pi:
             raise InvalidPolygon(f"ring winds more than once: its exterior angles sum to {turn:.6g}, above 3 pi")
         for arr in (v, edges, lengths):

@@ -286,6 +286,18 @@ def test_nonconvex_vertices_exit_1(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "InvalidPolygon"
 
 
+def test_short_edge_right_turn_exits_1(tmp_path, capsys):
+    # a right angle turned right at an edge 1.5e-9 long: the edge cross
+    # product is only 7.5e-10, but the turn is no rounding
+    spec = {"vertices": [[0, 0], [0.5, 0], [0.5, -1.5e-9], [1, -1.5e-9], [1, 1], [0, 1]]}
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(spec))
+    code, out, err = run(["heart", "--body", str(p)], capsys)
+    assert code == 1 and out == ""
+    msg = json.loads(err)["error"]
+    assert msg["type"] == "InvalidPolygon" and "turns right by 1.57 rad at vertex 1" in msg["message"]
+
+
 def test_star_ring_exits_1(tmp_path, capsys):
     # the pentagram order of a regular pentagon turns left at every vertex
     ang = 2.0 * np.pi * np.array([0, 2, 4, 1, 3]) / 5

@@ -29,10 +29,11 @@ from polyheart.folding import (
     heart_region,
     heart_width_bound,
     normal_cone_check,
-    vertex_chord_midpoints,
 )
 from polyheart.geometry import (
+    PARALLEL_TOL,
     ConvexPolygon,
+    check_direction,
     halfplane_intersection,
     perp,
     point_in,
@@ -48,26 +49,51 @@ TANGENTIAL_TOL = 5e-5  # sqrt(eps * curvature scale), see module docstring
 
 
 def tableau_chord_midpoints(poly, w):
-    """Reference (s, f) from the full edges x vertices tableau, O(n^2).
+    """Reference (s, f) from the full edges x vertices tableau, O(n^2), for
+    one direction w, or one row each for a (k, 2) array of directions.
 
     Every edge with n_i . w above 1e-13 bounds the chord over each vertex
     projection from above, every edge with n_i . w below -1e-13 from
     below; a non-finite or inverted pair falls back to the vertex's own
     coordinate.
     """
-    u = perp(w)
-    v = poly.vertices
-    s = v @ u
-    own = v @ w
-    a = poly.edge_normals @ w
-    b = poly.edge_offsets[:, None] - np.outer(poly.edge_normals @ u, s)
-    pos, neg = a > 1e-13, a < -1e-13
-    hi = (b[pos] / a[pos, None]).min(axis=0) if pos.any() else np.full(len(v), np.inf)
-    lo = (b[neg] / a[neg, None]).max(axis=0) if neg.any() else np.full(len(v), -np.inf)
+    w = np.asarray(w, dtype=float)
+    ws = np.atleast_2d(w)
+    block = max(1, (1 << 18) // len(poly) ** 2)  # directions x edges x vertices cells
+    rows = []
+    for k in range(0, len(ws), block):
+        wb = ws[k:k + block]
+        u = np.column_stack([-wb[:, 1], wb[:, 0]])
+        s = u @ poly.vertices.T
+        own = wb @ poly.vertices.T
+        a = (wb @ poly.edge_normals.T)[:, :, None]
+        b = poly.edge_offsets[None, :, None] - (u @ poly.edge_normals.T)[:, :, None] * s[:, None, :]
+        hi = np.divide(b, a, out=np.full(b.shape, np.inf), where=a > 1e-13).min(axis=1)
+        lo = np.divide(b, a, out=np.full(b.shape, -np.inf), where=a < -1e-13).max(axis=1)
+        f = 0.5 * (lo + hi)
+        bad = ~np.isfinite(f) | (lo > hi)
+        f[bad] = own[bad]
+        rows.append((s, f))
+    s, f = (np.concatenate(part) for part in zip(*rows))
+    return (s[0], f[0]) if w.ndim == 1 else (s, f)
+
+
+def vertex_chord_midpoints(poly, omega):
+    """(s, f) over every vertex projection from the kernel's one chain
+    search, run at omega for the lower chord ends and at -omega for the
+    upper ones: top(omega) = -bottom(-omega).  Degenerate chords at
+    shadow-extreme vertices contribute the vertex's own omega-coordinate."""
+    w = check_direction(omega)[None, :]
+    u = perp(w[0])[None, :]
+    s = u @ poly.vertices.T
+    a, du, c = folding._edge_lines(poly, w, u)
+    lo = folding._lower_ends(s, a, du, c)
+    hi = -folding._lower_ends(-s, -a, -du, c)
+    own = w @ poly.vertices.T
     f = 0.5 * (lo + hi)
     bad = ~np.isfinite(f) | (lo > hi)
     f[bad] = own[bad]
-    return s, f
+    return s[0], f[0]
 
 
 def ellipse_folding(a: float, b: float, theta: float) -> float:
@@ -441,6 +467,37 @@ def test_chord_ends_near_edge_directions():
             f = tableau_chord_midpoints(poly, w)[1]
             assert np.abs(vertex_chord_midpoints(poly, w)[1] - f).max() <= tol, (len(poly), w)
             assert abs(folding_offset(poly, w) - f.max()) <= tol, (len(poly), w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    rotation=st.floats(0.0, 2.0 * np.pi),
+    scale=st.floats(0.05, 20.0),
+    shift=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_profile_is_top_chain_maximum(seed, n, rotation, scale, shift):
+    # the kernel evaluates only top-chain vertices, since the chord midpoint
+    # is a concave upper end plus a convex lower one; its values must still
+    # be the tableau's maximum over every vertex, also along and 1e-6 rad
+    # off the edge directions, where edges leave and join the chains
+    poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
+    c, s = np.cos(rotation), np.sin(rotation)
+    poly = ConvexPolygon(scale * poly.vertices @ np.array([[c, s], [-s, c]]) + np.array(shift))
+    e = poly.edges / poly.edge_lengths[:, None]
+    dirs = [heart_directions(poly, 720), e, -e]
+    for t in (1e-6, -1e-6):
+        turn = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+        dirs += [e @ turn, -e @ turn]
+    dirs = np.concatenate(dirs)
+    dirs /= np.hypot(dirs[:, 0], dirs[:, 1])[:, None]
+    profile = folding_profile(poly, dirs)
+    assert np.abs(profile.values - tableau_chord_midpoints(poly, dirs)[1].max(axis=1)).max() <= 1e-11 * poly.diameter
+    j = profile.witness_vertex
+    a = np.einsum("ij,ij->i", poly.edge_normals[j], dirs)
+    a_before = np.einsum("ij,ij->i", poly.edge_normals[j - 1], dirs)
+    assert np.all(np.maximum(a, a_before) > PARALLEL_TOL)
 
 
 @pytest.mark.parametrize("cells", [lambda n: 7 * n + 3, lambda n: 1], ids=["7n+3", "one_row"])

@@ -11,6 +11,7 @@ from polyheart import bodies
 from polyheart.errors import InvalidPolygon
 from polyheart.geometry import (
     EMPTY_REGION,
+    _VERTEX_ULPS,
     ChebyshevResult,
     ConvexPolygon,
     Region,
@@ -86,24 +87,27 @@ STRAIGHT_ANGLE_BODIES = [*(rotated(v, theta)
                            for theta in (0.0, 0.7, 2.1)),
                          rotated([[0, 0], [3, 0], [3, 0.61], [3, 1], [0, 1]], np.pi - 4e-16)]
 
-# a short edge turned right (reflex) as far as ConvexPolygon admits: its
-# line, extended, cuts into the body, so the optimum is below 0.5
-REFLEX_BODIES = [rotated(v, theta)
-                 for v in ([[0, 0], [0.9, 0], [0.900001, -2e-9], [1, 0], [1, 1], [0, 1]],
-                           [[0, 0], [0.5, 0], [0.5, -1.5e-9], [1, -1.5e-9], [1, 1], [0, 1]])
-                 for theta in (0.0, 0.7, 2.1)]
+# a short edge turned right (reflex) far beyond rounding: its line,
+# extended, cuts into the body.  The edge cross product L_i L_{i+1} sin(theta)
+# stays within 1e-9 diam^2, so only a bound on the turn angle rejects them
+REFLEX_RINGS = ([[0, 0], [0.9, 0], [0.900001, -2e-9], [1, 0], [1, 1], [0, 1]],
+                [[0, 0], [0.5, 0], [0.5, -1.5e-9], [1, -1.5e-9], [1, 1], [0, 1]])
 
 
 def kinked_bodies(seed, count):
     """Random convex polygons with a 3e-9 to 1e-4 * diam edge put into edge
-    0, turned right by 0.1 to 0.9 of the most that ConvexPolygon admits."""
+    0, turned right by 0.1 to 0.5 of the most that ConvexPolygon admits,
+    so that the rounding of the new vertices stays within the rest."""
     gen = np.random.default_rng(seed)
     out = []
     for poly in random_bodies(seed, count, 3, 16):
         a, e, d = poly.vertices[0], poly.edges[0], poly.diameter
         u = e / np.hypot(*e)
         length = d * gen.choice([3e-9, 1e-7, 1e-4])
-        depth = gen.uniform(0.1, 0.9) * 2e-9 * d * d / np.hypot(*e)
+        # the turn at q may be delta (1 / L_0 + 1 / L_1) right, so the far
+        # end may sit delta (1 + L_1 / L_0) below edge 0's line
+        delta = _VERTEX_ULPS * np.finfo(float).eps * np.abs(poly.vertices).max()
+        depth = gen.uniform(0.1, 0.5) * delta * (1.0 + 2.0 * length / np.hypot(*e))
         q = a + 0.5 * e
         kinked = np.insert(poly.vertices, 1, [q, q + length * u + depth * np.array([u[1], -u[0]])], axis=0)
         out.append(ConvexPolygon(kinked))
@@ -147,6 +151,16 @@ def test_rejects_degenerate_inputs():
         ConvexPolygon([[0, 0], [0, 1], [1, 0]])  # clockwise
     with pytest.raises(InvalidPolygon):
         ConvexPolygon([[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]])  # reflex
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.1])
+@pytest.mark.parametrize("ring", REFLEX_RINGS, ids=["turn_2e-3", "turn_pi_2"])
+def test_rejects_short_edge_right_turn(ring, theta):
+    # a right turn of 2e-3 or pi / 2 rad at an edge 1e-6 or 1.5e-9 long
+    # is no rounding of its edge directions, however short the edge
+    c, s = np.cos(theta), np.sin(theta)
+    with pytest.raises(InvalidPolygon, match=r"not convex: it turns right by (0\.002|1\.57) rad at vertex 1,"):
+        ConvexPolygon(np.asarray(ring, dtype=float) @ np.array([[c, s], [-s, c]]))
 
 
 def star_ring(n: int, step: int) -> np.ndarray:
@@ -334,14 +348,12 @@ def test_incircle_matches_lp_reference():
         bodies.ellipse_approx(2.0, 1.0, 256),
         *(bodies.random_convex_polygon(gen, 512) for _ in range(5)),
     ]
-    for poly in large + REFLEX_BODIES:
+    for poly in large:
         got = chebyshev_center(poly)
         assert abs(got.radius - lp_inradius(poly)) <= 1e-11 * poly.diameter
         assert_incircle_inside(poly, got)
     for poly in STRAIGHT_ANGLE_BODIES:
         assert chebyshev_center(poly).radius == pytest.approx(0.5, abs=1e-12)
-    for poly in REFLEX_BODIES:
-        assert chebyshev_center(poly).radius < 0.5 - 1e-5
 
 
 def test_incircle_on_reflex_kinks():
