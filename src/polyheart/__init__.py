@@ -9,7 +9,6 @@ folding geometry, and a finite-difference verifier for the heat flow.
 from .errors import (
     CenterTooCloseToBoundary,
     DenominatorTooSmall,
-    FrequencyNotOrthogonal,
     GridTooCoarse,
     InconsistentHeart,
     InvalidPolygon,
@@ -18,7 +17,6 @@ from .errors import (
     PolyheartError,
     QuadratureUnstable,
     ToleranceTooSmall,
-    WitnessInvalid,
 )
 from .geometry import (
     ConvexPolygon,

@@ -28,11 +28,6 @@ def triangle(p1, p2, p3) -> ConvexPolygon:
     return ConvexPolygon([p1, p2, p3])
 
 
-def right_triangle() -> ConvexPolygon:
-    """Legs on the axes: (0,0), (1,0), (0,1)."""
-    return triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-
-
 def regular_ngon(n: int, r: float = 1.0) -> ConvexPolygon:
     """Regular n-gon of circumradius r centered at the origin."""
     if n < 3:

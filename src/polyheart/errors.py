@@ -31,10 +31,6 @@ class CenterTooCloseToBoundary(PolyheartError):
     """Polar body blows up: base point is within tolerance of the boundary."""
 
 
-class FrequencyNotOrthogonal(PolyheartError):
-    """Directional-derivative frequency must be orthogonal to the direction."""
-
-
 class DenominatorTooSmall(PolyheartError):
     """Reconstructed chord length too close to zero to divide by."""
 
@@ -45,10 +41,6 @@ class GridTooCoarse(PolyheartError):
 
 class NoConvergence(PolyheartError):
     """Iterative solver exhausted its iteration budget."""
-
-
-class WitnessInvalid(PolyheartError):
-    """Folding witness does not describe a valid chord of the body."""
 
 
 class InconsistentHeart(PolyheartError):

@@ -29,9 +29,6 @@ confines the hot spot of the heat flow for all times.
 holds every edge normal, normalized and never merged into a nearby
 uniform angle, and no offset exceeds the support value, so the body's
 own edges are implied and are not cut again.
-
-:func:`normal_cone_check` holds each normal cone as its first and last
-edge normal and compares cones by cross and dot products, not angles.
 """
 
 from __future__ import annotations
@@ -40,18 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall, WitnessInvalid
+from .errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall
 from .geometry import (
     PARALLEL_TOL,
     ConvexPolygon,
     Region,
     _clip_ring,
-    _edge_distances,
     chord,
     check_direction,
     check_directions,
     halfplane_intersection,
-    perp,
     region_point_distance,
     support,
 )
@@ -76,12 +71,6 @@ _CENTROID_TOL = 100.0    # centroid's distance from the heart
 _ORACLE_TOL_FLOOR = 10.0
 _ORACLE_FEAS_REL = 1e-13
 
-# normal_cone_check's contact points count as on the boundary, and as one
-# point, within this many eps; a direction lies in a cone when its cross
-# product with either end is on the wrong side by at most _ANGLE_TOL.
-_CONTACT_TOL = 10.0
-_ANGLE_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class FoldingProfile:
@@ -89,8 +78,7 @@ class FoldingProfile:
 
     directions: np.ndarray      # (k, 2) unit directions
     values: np.ndarray          # (k,) folding offsets
-    witness_s: np.ndarray       # (k,) shadow coordinate of the maximal chord midpoint
-    witness_vertex: np.ndarray  # (k,) index of the vertex that projects there
+    witness_vertex: np.ndarray  # (k,) index of the vertex under the maximal chord midpoint
     support: np.ndarray         # (k,) support value h(omega), the largest vertex projection
 
 
@@ -103,12 +91,14 @@ def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
 
 
 def _edge_lines(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(a, du, c): n_i . w_b, n_i . u_b and c_i over the edges for a block
-    of directions, the last edge first.  Column i + 1 holds edge i, so
+    """(a, du, c): n_i . w_b, n_i . u_b and c_i = n_i . (v_i - v_0), the
+    offset in the frame at vertex 0, over the edges for a block of
+    directions, the last edge first.  Column i + 1 holds edge i, so
     vertex k's own edges k - 1 and k are columns k and k + 1, and edge
     indices wrap without doubled arrays."""
     normals = np.concatenate([poly.edge_normals[-1:], poly.edge_normals])
-    return w @ normals.T, u @ normals.T, np.concatenate([poly.edge_offsets[-1:], poly.edge_offsets])
+    c = np.sum(poly.edge_normals * (poly.vertices - poly.vertices[0]), axis=1)
+    return w @ normals.T, u @ normals.T, np.concatenate([c[-1:], c])
 
 
 def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -126,9 +116,9 @@ def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> 
     at which the edges on both sides meet.  The expression is evaluated on
     the bracketing edge and on the one before it: at a chain vertex both
     give the vertex, and the larger of the two is the better conditioned
-    value when either edge is nearly parallel to w_b.  A direction without
-    a bottom chain gets -inf.  At -w_b, -s and -a, -du the same search
-    gives minus the upper end.
+    value when either edge is nearly parallel to w_b.  Every direction has
+    a bottom chain, since ConvexPolygon rejects needle tips.  At -w_b, -s
+    and -a, -du the same search gives minus the upper end.
     """
     m, n = s.shape
     rows = np.arange(m)[:, None]
@@ -147,7 +137,6 @@ def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> 
     col -= step
     flat -= step
     np.maximum(lo, (np.take(c, col) - np.take(du, flat) * s) / np.take(a, flat), out=lo)
-    lo[~chain.any(axis=1)] = -np.inf
     return lo
 
 
@@ -170,12 +159,16 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     concave in s, and the lower end, convex in s.  Its maximum therefore
     sits at a kink of the upper end or at a shadow end, and both are
     vertices of the top chain (an edge at the vertex has n_i . omega above
-    PARALLEL_TOL) unless the direction has no top chain at all.  Only
-    those vertices are evaluated.  Their lower ends come from one chain search
-    (:func:`_lower_ends`); their upper end is the smaller of the vertex's
-    own top-chain edges' lines over it, which is where a search would
-    land, so it needs none.  Every other vertex gets -inf.  A non-finite
-    or inverted chord falls back to the vertex's own coordinate.
+    PARALLEL_TOL), which every direction has, since ConvexPolygon rejects
+    needle tips.  Only those vertices are evaluated.  Their lower ends come
+    from one chain search (:func:`_lower_ends`); their upper end is the
+    smaller of the vertex's own top-chain edges' lines over it, which is
+    where a search would land, so it needs none.  Every other vertex gets
+    -inf.  A non-finite or inverted chord falls back to the vertex's own
+    coordinate.  All of it runs in the frame at vertex 0: s, the vertex
+    coordinates and the edge offsets come from v - v_0, and omega . v_0 is
+    added back to the values and support values, so that their rounding
+    scales with the diameter, not with the distance from the origin.
 
     The directions are evaluated in blocks, each in one set of array
     operations: one stable sort of each row's vertex projections, which
@@ -187,15 +180,16 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     """
     w = check_directions(directions)
     values = np.empty(len(w))
-    witness_s = np.empty(len(w))
     witness_vertex = np.empty(len(w), dtype=np.intp)
     support = np.empty(len(w))
-    block = max(1, _BLOCK_CELLS // len(poly.vertices))
+    v0 = poly.vertices[0]
+    frame = poly.vertices - v0
+    block = max(1, _BLOCK_CELLS // len(frame))
     for k in range(0, len(w), block):
         wb = w[k:k + block]
         u = np.column_stack([-wb[:, 1], wb[:, 0]])  # perp of every row
-        s = u @ poly.vertices.T
-        own = wb @ poly.vertices.T
+        s = u @ frame.T
+        own = wb @ frame.T
         a, du, c = _edge_lines(poly, wb, u)
         lo = _lower_ends(s, a, du, c)
         # the top-chain edges' lines; NaN on the others drops them from fmin
@@ -203,16 +197,13 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
         hi = np.fmin((c[:-1] - du[:, :-1] * s) / top[:, :-1], (c[1:] - du[:, 1:] * s) / top[:, 1:])
         f = 0.5 * (lo + hi)
         f = np.where(np.isfinite(f) & (lo <= hi), f, own)
-        off = np.isnan(hi)  # no top-chain edge at the vertex
-        off[off.all(axis=1)] = False  # a row without a top chain keeps every vertex
-        f[off] = -np.inf
+        f[np.isnan(hi)] = -np.inf  # no top-chain edge at the vertex
         j = np.argmax(f, axis=1)
-        rows = np.arange(len(j))
-        values[k:k + block] = f[rows, j]
-        witness_s[k:k + block] = s[rows, j]
+        shift = wb @ v0
+        values[k:k + block] = f[np.arange(len(j)), j] + shift
         witness_vertex[k:k + block] = j
-        support[k:k + block] = own.max(axis=1)
-    return FoldingProfile(w, values, witness_s, witness_vertex, support)
+        support[k:k + block] = own.max(axis=1) + shift
+    return FoldingProfile(w, values, witness_vertex, support)
 
 
 def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
@@ -358,91 +349,3 @@ def heart_ball_radius(poly: ConvexPolygon, heart: Region) -> float:
     one of its points and the radius is that point's distance.
     """
     return float(np.hypot(*(heart.points - poly.centroid).T).max())
-
-
-# --- necessary optimality condition at the witness ------------------------
-
-# A normal cone is the pair (a, b) of its first and last outward edge
-# normals, counterclockwise, or this value at a point near every edge.
-_ALL_DIRECTIONS = "all directions"
-
-
-def _cross(p: np.ndarray, q: np.ndarray) -> float:
-    return float(p[0] * q[1] - p[1] * q[0])
-
-
-def _normal_cone(poly: ConvexPolygon, x: np.ndarray, tol: float):
-    """Normal cone at a boundary point, None off the boundary."""
-    on = _edge_distances(poly.vertices, poly.edges, x) <= tol
-    if not on.any():
-        return None
-    if on.all():
-        return _ALL_DIRECTIONS
-    # edges are listed counterclockwise: the run of incident edges starts
-    # at the first one whose predecessor is not incident
-    start = int(np.argmax(on & ~np.roll(on, 1)))
-    end = (start + int(np.argmin(np.roll(on, -start))) - 1) % len(on)
-    return poly.edge_normals[start], poly.edge_normals[end]
-
-
-def _in_cone(v: np.ndarray, cone) -> bool:
-    """Direction v lies in the cone (a, b).  The last test keeps out the
-    antipode of a zero-width cone; unlike v . (a + b) > 0 it also holds at
-    a needle tip, where a is nearly -b."""
-    a, b = cone
-    return _cross(a, v) >= -_ANGLE_TOL and _cross(v, b) >= -_ANGLE_TOL and max(v @ a, v @ b) > 0.0
-
-
-def _reflection_within(inner, outer, w: np.ndarray) -> bool:
-    """The image of cone inner under v -> v - 2 (v . w) w lies in cone
-    outer; the reflection reverses orientation, so the ends of inner swap."""
-    if outer is _ALL_DIRECTIONS or inner is _ALL_DIRECTIONS:
-        return outer is _ALL_DIRECTIONS
-    p, q = (v - 2.0 * (v @ w) * w for v in inner[::-1])
-    return _in_cone(p, outer) and _in_cone(q, outer) and _cross(p, q) >= -_ANGLE_TOL
-
-
-def _half_cone(cone, w: np.ndarray):
-    """The directions v of the cone with v . w >= 0, clipped at -perp(w)
-    and perp(w); None when there are none."""
-    u = perp(w)
-    if cone is _ALL_DIRECTIONS:
-        return -u, u
-    a, b = cone
-    if a @ w < 0.0 and b @ w < 0.0:
-        return None
-    return (a if a @ w >= 0.0 else -u), (b if b @ w >= 0.0 else u)
-
-
-def normal_cone_check(poly: ConvexPolygon, omega, value: float, witness_s: float) -> bool:
-    """Necessary optimality condition at a folding witness: one row of a
-    :class:`FoldingProfile`, its direction, offset and witness coordinate.
-
-    Reflecting the normal cone at the lower chord contact across the
-    folding line must land inside the normal cone at the upper contact;
-    when the two contacts coincide the condition applies to the half-cones
-    split by the sign of xi . omega.  Fails (returns False) for any witness
-    whose reflected contact is off the boundary, e.g. a perturbed offset.
-    """
-    w = check_direction(omega)
-    iv = chord(poly, witness_s, w)
-    if iv is None:
-        raise WitnessInvalid(f"witness coordinate {witness_s} misses the body")
-    u = perp(w)
-    x_top = witness_s * u + iv[1] * w
-    x_bot = witness_s * u + (2.0 * value - iv[1]) * w
-    tol = _CONTACT_TOL * poly.eps
-    if float(np.hypot(*(x_top - x_bot))) <= tol:
-        cone = _normal_cone(poly, x_top, tol)
-        if cone is None:
-            return False
-        lower = _half_cone(cone, -w)
-        if lower is None:
-            return True  # nothing to fold
-        upper = _half_cone(cone, w)
-        return upper is not None and _reflection_within(lower, upper, w)
-    cone_bot = _normal_cone(poly, x_bot, tol)
-    if cone_bot is None:
-        return False
-    cone_top = _normal_cone(poly, x_top, tol)
-    return cone_top is not None and _reflection_within(cone_bot, cone_top, w)

@@ -25,11 +25,11 @@ midpoint phase, the half-edge phase whose parts are sin and cos of D_j/2,
 and the swing e^{i s y}).  On uniform Gauss panels each one factors into
 phases per panel and per node offset, so the line costs a few dozen
 exponentials per rate and products, not one per node (_line_transform).
-indicator_transform and indicator_transform_deriv evaluate arbitrary
-frequencies directly.  These reconstructions are deliberately crude
-(truncated oscillatory integrals, a few percent accuracy): they exist to
-cross-check the geometric pipeline through an entirely different route,
-not to compete with it.
+indicator_transform evaluates T at arbitrary frequencies directly.
+These reconstructions are deliberately crude (truncated oscillatory
+integrals, a few percent accuracy): they exist to cross-check the
+geometric pipeline through an entirely different route, not to compete
+with it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import math
 
 import numpy as np
 
-from .errors import DenominatorTooSmall, FrequencyNotOrthogonal
-from .geometry import PARALLEL_TOL, ConvexPolygon, check_direction, perp, shadow_interval
+from .errors import DenominatorTooSmall
+from .geometry import ConvexPolygon, check_direction, perp, shadow_interval
 
 # sinc' switches to its series below this |x| (_series_filled): cos x -
 # sin x / x cancels there, losing digits that the series keeps.
@@ -63,13 +63,6 @@ _MIN_CHORD = 0.05
 def _sinc(x: np.ndarray) -> np.ndarray:
     """sin(x)/x, with the value 1 at x = 0 (numpy's sinc is sin(pi x)/(pi x))."""
     return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
-def _sinc_prime(x: np.ndarray) -> np.ndarray:
-    """Derivative of sin(x)/x, series-filled near zero."""
-    x = np.asarray(x, dtype=float)
-    safe = np.where(np.abs(x) < _SERIES_CUT, 1.0, x)
-    return _series_filled(x, np.cos(safe) / safe - np.sin(safe) / (safe * safe))
 
 
 def _series_filled(x: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -105,18 +98,6 @@ def _transform(poly: ConvexPolygon, pre) -> np.ndarray:
     return np.where(zero, limit + 0.0j, vals)
 
 
-def _transform_deriv(poly: ConvexPolygon, w: np.ndarray, pre) -> np.ndarray:
-    """T' along w at the nonzero frequencies of a _prelude, all orthogonal to w."""
-    safe2, _, mids, half_d, sinc_d, phase, proj = pre
-    edges = poly.edges
-    bracket = (
-        ((poly.edge_normals * poly.edge_lengths[:, None]) @ w)[None, :] * sinc_d
-        + proj * _sinc_prime(half_d) * (0.5 * (edges @ w))[None, :]
-        - 1j * proj * sinc_d * (mids @ w)[None, :]
-    )
-    return 1j / safe2 * np.sum(bracket * phase, axis=1)
-
-
 def indicator_transform(poly: ConvexPolygon, xi) -> complex | np.ndarray:
     """Transform of the polygon indicator at one or many frequencies.
 
@@ -126,33 +107,6 @@ def indicator_transform(poly: ConvexPolygon, xi) -> complex | np.ndarray:
     xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
     vals = _transform(poly, _prelude(poly, xi_arr))
     if np.ndim(xi) == 1:
-        return complex(vals[0])
-    return vals
-
-
-def indicator_transform_deriv(poly: ConvexPolygon, eta, omega) -> complex | np.ndarray:
-    """Directional derivative of the transform along omega, on omega-perp.
-
-    Differentiating the sinc form of the transform at xi = eta + tau*omega
-    in tau (the 1/|xi|^2 prefactor is flat there since eta . omega = 0):
-
-      (i/|eta|^2) sum_j |e_j| [ (nu_j . w) sinc(D_j/2)
-                               + (nu_j . eta) sinc'(D_j/2) (e_j . w)/2
-                               - i (nu_j . eta) sinc(D_j/2) (m_j . w) ] e^{-i m_j . eta}
-
-    At eta = 0 the limit is -i * area * (centroid . omega), the first
-    moment of the body along omega.
-    """
-    w = check_direction(omega)
-    eta_arr = np.atleast_2d(np.asarray(eta, dtype=float))
-    dots = eta_arr @ w
-    scale = np.linalg.norm(eta_arr, axis=1)
-    if np.any(np.abs(dots) > PARALLEL_TOL * np.maximum(scale, 1.0)):
-        raise FrequencyNotOrthogonal("eta must be orthogonal to omega")
-    pre = _prelude(poly, eta_arr)
-    moment = -1j * poly.area * float(poly.centroid @ w)
-    vals = np.where(pre[1], moment, _transform_deriv(poly, w, pre))
-    if np.ndim(eta) == 1:
         return complex(vals[0])
     return vals
 

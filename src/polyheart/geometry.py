@@ -193,6 +193,14 @@ class ConvexPolygon:
     sin(theta) >= -delta (1 / L_i + 1 / L_{i+1}); a sharper right turn
     is rejected at any edge length.  Edges must be longer than eps, and
     the ring must wind once.
+
+    No vertex may be a needle tip.  A direction omega in the middle of
+    the normal cone at a vertex of interior angle alpha has
+    n . omega <= sin(alpha / 2) on every edge, so where that is at most
+    PARALLEL_TOL, omega has no edge facing it and no chord bounded from
+    above.  A vertex is rejected when sin(alpha / 2), which is
+    cos(theta / 2), is at most twice PARALLEL_TOL: the margin covers the
+    rounding of n . omega, a few units of 1e-16.
     """
 
     def __init__(self, vertices):
@@ -226,6 +234,11 @@ class ConvexPolygon:
         turn = float(theta.sum())
         if turn > 3.0 * np.pi:
             raise InvalidPolygon(f"ring winds more than once: its exterior angles sum to {turn:.6g}, above 3 pi")
+        needle = np.cos(0.5 * theta) <= 2.0 * PARALLEL_TOL
+        if np.any(needle):
+            i = int(np.argmax(needle))
+            raise InvalidPolygon(f"polygon has a needle tip at vertex {(i + 1) % len(v)}: its interior angle "
+                                 f"{np.pi - abs(theta[i]):.3g} rad leaves a direction with no edge facing it")
         for arr in (v, edges, lengths):
             arr.setflags(write=False)
         self.vertices = v
@@ -284,14 +297,6 @@ def support(poly: ConvexPolygon, omega) -> float:
     """Support value h(omega) = max over the body of x . omega."""
     w = check_direction(omega)
     return float((poly.vertices @ w).max())
-
-
-def point_in(poly: ConvexPolygon, x, eps: float | None = None) -> bool:
-    """Membership test with tolerance (boundary points count as inside)."""
-    if eps is None:
-        eps = poly.eps
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(poly.edge_normals @ x <= poly.edge_offsets + eps))
 
 
 def boundary_distance(poly: ConvexPolygon, x) -> float:

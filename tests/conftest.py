@@ -16,7 +16,7 @@ def rect21():
 
 @pytest.fixture(scope="session")
 def right_tri():
-    return bodies.right_triangle()
+    return bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,11 @@ def disc256():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def point_in(poly, x, eps):
+    """x lies in poly or at most eps beyond each of its edge lines."""
+    return bool(np.all(poly.edge_normals @ np.asarray(x, dtype=float) <= poly.edge_offsets + eps))
 
 
 def random_bodies(seed: int, count: int, lo: int = 5, hi: int = 12):

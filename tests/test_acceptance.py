@@ -32,7 +32,6 @@ from polyheart.folding import (
     heart_ball_radius,
     heart_region,
     heart_width_bound,
-    normal_cone_check,
 )
 from polyheart.fourier import indicator_transform, midpoint_via_transform
 from polyheart.geometry import (
@@ -53,6 +52,7 @@ from polyheart.polar import (
 )
 
 from conftest import random_bodies
+from normal_cone import normal_cone_check
 from test_fourier import transform_area_quadrature
 
 RECORDED_FOLDS: list = []
@@ -69,7 +69,7 @@ def record_all_folding_calls():
 
     def recording(poly, directions):
         profile = orig(poly, directions)
-        RECORDED_FOLDS.extend((poly, row) for row in zip(profile.directions, profile.values, profile.witness_s))
+        RECORDED_FOLDS.extend((poly, row) for row in zip(profile.directions, profile.values, profile.witness_vertex))
         return profile
 
     folding.folding_profile = recording
@@ -83,7 +83,7 @@ def pde_bodies():
     return {
         "square": bodies.square(),
         "rect21": bodies.rectangle(2.0, 1.0),
-        "right_tri": bodies.right_triangle(),
+        "right_tri": bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]),
         "halfdisc": bodies.halfdisc(1.0, 0.0, 64),
         "hept": bodies.random_convex_polygon(gen, 7),
     }
@@ -314,7 +314,7 @@ def test_10_normal_cone_at_witnesses():
             bad += 1
     assert bad == 0, f"{bad}/{len(RECORDED_FOLDS)} witnesses violate the optimality condition"
 
-    tri = bodies.right_triangle()
+    tri = bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
     w = unit(0.3)
     profile = folding.folding_profile(tri, [w])
-    assert not normal_cone_check(tri, w, profile.values[0] - 0.07 * tri.diameter, profile.witness_s[0])
+    assert not normal_cone_check(tri, w, profile.values[0] - 0.07 * tri.diameter, profile.witness_vertex[0])

@@ -2,6 +2,7 @@ import ast
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ import polyheart.polar as polar
 from polyheart.bodies import halfdisc
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
+
+from conftest import point_in
 
 
 def run(args, capsys):
@@ -160,9 +163,7 @@ def test_heart_direction_monotonicity_cli(tmp_path, capsys):
     coarse = np.array(hearts[96]["vertices"])
     fine = np.array(hearts[192]["vertices"])
     # every vertex of the finer heart lies inside the coarser hull
-    from polyheart.geometry import ConvexPolygon, point_in
-
-    hull = ConvexPolygon(coarse)
+    hull = geometry.ConvexPolygon(coarse)
     for v in fine:
         assert point_in(hull, v, eps=1e-7 * hull.diameter)
 
@@ -296,6 +297,17 @@ def test_short_edge_right_turn_exits_1(tmp_path, capsys):
     assert code == 1 and out == ""
     msg = json.loads(err)["error"]
     assert msg["type"] == "InvalidPolygon" and "turns right by 1.57 rad at vertex 1" in msg["message"]
+
+
+def test_needle_tip_exits_1(capsys):
+    # interior angles of 2e-14 rad: the folding kernel divided by zero at
+    # the directions with no edge facing them; any warning raises here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["heart", "--body", "triangle:0,0,1,0,0.5,1e-14"], capsys)
+    assert code == 1 and out == ""
+    msg = json.loads(err)["error"]
+    assert msg["type"] == "InvalidPolygon" and "needle tip at vertex 1" in msg["message"]
 
 
 def test_star_ring_exits_1(tmp_path, capsys):

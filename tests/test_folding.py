@@ -28,7 +28,6 @@ from polyheart.folding import (
     heart_directions,
     heart_region,
     heart_width_bound,
-    normal_cone_check,
 )
 from polyheart.geometry import (
     PARALLEL_TOL,
@@ -36,64 +35,74 @@ from polyheart.geometry import (
     check_direction,
     halfplane_intersection,
     perp,
-    point_in,
     region_point_distance,
     support,
     unit,
 )
 
-from conftest import random_bodies
+from conftest import point_in, random_bodies
+from normal_cone import normal_cone_check
 
 ORACLE_TOL = 1e-8
 TANGENTIAL_TOL = 5e-5  # sqrt(eps * curvature scale), see module docstring
 
 
 def tableau_chord_midpoints(poly, w):
-    """Reference (s, f) from the full edges x vertices tableau, O(n^2), for
-    one direction w, or one row each for a (k, 2) array of directions.
+    """Reference chord midpoints f over every vertex projection from the
+    full edges x vertices tableau, O(n^2), for one direction w, or one row
+    each for a (k, 2) array of directions.
 
     Every edge with n_i . w above 1e-13 bounds the chord over each vertex
     projection from above, every edge with n_i . w below -1e-13 from
     below; a non-finite or inverted pair falls back to the vertex's own
-    coordinate.
+    coordinate.  The ends are taken in the kernel's frame at vertex 0.
+    Within about 1e-6 rad of an edge direction that edge's line is
+    evaluated ill-conditioned, about 1e-10 diam off the exact end, so
+    only the same arithmetic agrees to the tolerances used here.
     """
     w = np.asarray(w, dtype=float)
     ws = np.atleast_2d(w)
+    v0 = poly.vertices[0]
+    frame = poly.vertices - v0
+    offsets = np.sum(poly.edge_normals * frame, axis=1)
     block = max(1, (1 << 18) // len(poly) ** 2)  # directions x edges x vertices cells
     rows = []
     for k in range(0, len(ws), block):
         wb = ws[k:k + block]
         u = np.column_stack([-wb[:, 1], wb[:, 0]])
-        s = u @ poly.vertices.T
-        own = wb @ poly.vertices.T
+        s = u @ frame.T
+        own = wb @ frame.T
         a = (wb @ poly.edge_normals.T)[:, :, None]
-        b = poly.edge_offsets[None, :, None] - (u @ poly.edge_normals.T)[:, :, None] * s[:, None, :]
+        b = offsets[None, :, None] - (u @ poly.edge_normals.T)[:, :, None] * s[:, None, :]
         hi = np.divide(b, a, out=np.full(b.shape, np.inf), where=a > 1e-13).min(axis=1)
         lo = np.divide(b, a, out=np.full(b.shape, -np.inf), where=a < -1e-13).max(axis=1)
         f = 0.5 * (lo + hi)
         bad = ~np.isfinite(f) | (lo > hi)
         f[bad] = own[bad]
-        rows.append((s, f))
-    s, f = (np.concatenate(part) for part in zip(*rows))
-    return (s[0], f[0]) if w.ndim == 1 else (s, f)
+        rows.append(f + (wb @ v0)[:, None])
+    f = np.concatenate(rows)
+    return f[0] if w.ndim == 1 else f
 
 
 def vertex_chord_midpoints(poly, omega):
-    """(s, f) over every vertex projection from the kernel's one chain
-    search, run at omega for the lower chord ends and at -omega for the
-    upper ones: top(omega) = -bottom(-omega).  Degenerate chords at
-    shadow-extreme vertices contribute the vertex's own omega-coordinate."""
+    """Chord midpoints f over every vertex projection from the kernel's
+    one chain search, run at omega for the lower chord ends and at -omega
+    for the upper ones: top(omega) = -bottom(-omega), in the kernel's
+    frame at vertex 0.  Degenerate chords at shadow-extreme vertices
+    contribute the vertex's own omega-coordinate."""
     w = check_direction(omega)[None, :]
     u = perp(w[0])[None, :]
-    s = u @ poly.vertices.T
+    v0 = poly.vertices[0]
+    frame = poly.vertices - v0
+    s = u @ frame.T
     a, du, c = folding._edge_lines(poly, w, u)
     lo = folding._lower_ends(s, a, du, c)
     hi = -folding._lower_ends(-s, -a, -du, c)
-    own = w @ poly.vertices.T
+    own = w @ frame.T
     f = 0.5 * (lo + hi)
     bad = ~np.isfinite(f) | (lo > hi)
     f[bad] = own[bad]
-    return s[0], f[0]
+    return f[0] + w[0] @ v0
 
 
 def ellipse_folding(a: float, b: float, theta: float) -> float:
@@ -321,8 +330,8 @@ def test_normal_cone_holds_at_witness():
     theta = np.linspace(0.1, 2.0 * np.pi, 9)
     for poly in random_bodies(seed=31, count=8):
         profile = folding_profile(poly, np.column_stack([np.cos(theta), np.sin(theta)]))
-        for w, value, s in zip(profile.directions, profile.values, profile.witness_s):
-            assert normal_cone_check(poly, w, value, s)
+        for row in zip(profile.directions, profile.values, profile.witness_vertex):
+            assert normal_cone_check(poly, *row)
 
 
 @pytest.mark.parametrize("delta", [1e-3, -1e-3, 0.07, -0.07])
@@ -332,13 +341,13 @@ def test_normal_cone_negative_control(request, body, delta):
     poly = request.getfixturevalue(body)
     w = unit(0.3)
     profile = folding_profile(poly, [w])
-    assert not normal_cone_check(poly, w, profile.values[0] + delta * poly.diameter, profile.witness_s[0])
+    assert not normal_cone_check(poly, w, profile.values[0] + delta * poly.diameter, profile.witness_vertex[0])
 
 
-def _similar_row(w, value, witness_s, rot, scale, t):
-    """(omega, value, witness_s) of a profile row's image under x -> scale * rot x + t."""
+def _similar_row(w, value, vertex, rot, scale, t):
+    """(omega, value, vertex) of a profile row's image under x -> scale * rot x + t."""
     w = rot @ w
-    return w, scale * value + w @ t, scale * witness_s + perp(w) @ t
+    return w, scale * value + w @ t, vertex
 
 
 @settings(max_examples=30, deadline=None)
@@ -356,11 +365,11 @@ def test_normal_cone_similarity_invariant(seed, n, rotation, scale, shift):
     t = np.array(shift)
     moved = ConvexPolygon(scale * poly.vertices @ rot.T + t)
     profile = folding_profile(poly, heart_directions(poly, 16))
-    for w, offset, s in zip(profile.directions, profile.values, profile.witness_s):
+    for w, offset, j in zip(profile.directions, profile.values, profile.witness_vertex):
         for delta in (0.0, 1e-3, -1e-3, 0.07, -0.07):
             value = offset + delta * poly.diameter
-            want = normal_cone_check(poly, w, value, s)
-            assert normal_cone_check(moved, *_similar_row(w, value, s, rot, scale, t)) == want
+            want = normal_cone_check(poly, w, value, j)
+            assert normal_cone_check(moved, *_similar_row(w, value, j, rot, scale, t)) == want
             if delta == 0.0:
                 assert want
 
@@ -378,7 +387,7 @@ def test_normal_cone_sliver_rotation_invariant(a, h):
     poly = ConvexPolygon(pts)
     theta = 2.0 * np.pi * np.delete(np.arange(64), [0, 32]) / 64
     profile = folding_profile(poly, np.column_stack([np.cos(theta), np.sin(theta)]))
-    rows = list(zip(profile.directions, profile.values, profile.witness_s))
+    rows = list(zip(profile.directions, profile.values, profile.witness_vertex))
     want = [normal_cone_check(poly, *row) for row in rows]
     for phi in (0.7, 2.1, 3.5, 5.0):
         c, s = np.cos(phi), np.sin(phi)
@@ -400,7 +409,7 @@ def test_profile_matches_tableau():
     suite = [
         bodies.rectangle(2.0, 1.0),
         ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
-        bodies.right_triangle(),
+        bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]),
         bodies.regular_ngon(512),
     ] + [bodies.random_convex_polygon(gen, n) for n in (3, 7, 40, 200)]
     for poly in suite:
@@ -410,24 +419,21 @@ def test_profile_matches_tableau():
         assert len(profile.values) == len(dirs)
         assert np.array_equal(profile.directions, dirs)
         for k, w in enumerate(dirs):
-            s, f = tableau_chord_midpoints(poly, w)
+            f = tableau_chord_midpoints(poly, w)
             assert abs(profile.values[k] - f.max()) <= tol, (len(poly), w)
-            j = profile.witness_vertex[k]
-            assert abs(f[j] - f.max()) <= tol and abs(profile.witness_s[k] - s[j]) <= tol
+            assert abs(f[profile.witness_vertex[k]] - f.max()) <= tol
         for w in dirs[::37]:
-            s, f = vertex_chord_midpoints(poly, w)
-            assert np.abs(f - tableau_chord_midpoints(poly, w)[1]).max() <= tol
+            assert np.abs(vertex_chord_midpoints(poly, w) - tableau_chord_midpoints(poly, w)).max() <= tol
 
 
 def _assert_profile_matches_tableau(poly, dirs):
     tol = 1e-11 * poly.diameter
     profile = folding_profile(poly, dirs)
     for k, w in enumerate(dirs):
-        s, f = tableau_chord_midpoints(poly, w)
+        f = tableau_chord_midpoints(poly, w)
         assert abs(profile.values[k] - f.max()) <= tol, (len(poly), w)
-        j = profile.witness_vertex[k]
-        assert abs(f[j] - f.max()) <= tol and abs(profile.witness_s[k] - s[j]) <= tol
-        assert np.abs(vertex_chord_midpoints(poly, w)[1] - f).max() <= tol, (len(poly), w)
+        assert abs(f[profile.witness_vertex[k]] - f.max()) <= tol
+        assert np.abs(vertex_chord_midpoints(poly, w) - f).max() <= tol, (len(poly), w)
 
 
 def _turned(poly, theta):
@@ -464,8 +470,8 @@ def test_chord_ends_near_edge_directions():
         e = poly.edges / poly.edge_lengths[:, None]
         for w in np.concatenate([sign * e @ turn.T for turn in turns for sign in (1.0, -1.0)]):
             w = w / np.linalg.norm(w)
-            f = tableau_chord_midpoints(poly, w)[1]
-            assert np.abs(vertex_chord_midpoints(poly, w)[1] - f).max() <= tol, (len(poly), w)
+            f = tableau_chord_midpoints(poly, w)
+            assert np.abs(vertex_chord_midpoints(poly, w) - f).max() <= tol, (len(poly), w)
             assert abs(folding_offset(poly, w) - f.max()) <= tol, (len(poly), w)
 
 
@@ -493,7 +499,7 @@ def test_profile_is_top_chain_maximum(seed, n, rotation, scale, shift):
     dirs = np.concatenate(dirs)
     dirs /= np.hypot(dirs[:, 0], dirs[:, 1])[:, None]
     profile = folding_profile(poly, dirs)
-    assert np.abs(profile.values - tableau_chord_midpoints(poly, dirs)[1].max(axis=1)).max() <= 1e-11 * poly.diameter
+    assert np.abs(profile.values - tableau_chord_midpoints(poly, dirs).max(axis=1)).max() <= 1e-11 * poly.diameter
     j = profile.witness_vertex
     a = np.einsum("ij,ij->i", poly.edge_normals[j], dirs)
     a_before = np.einsum("ij,ij->i", poly.edge_normals[j - 1], dirs)
@@ -514,7 +520,7 @@ def test_profile_independent_of_block_split(monkeypatch, cells):
         for k, w in enumerate(dirs):
             one = folding_offset(poly, w)
             assert abs(profile.values[k] - one) <= 1e-12 * poly.diameter, (len(poly), w)
-            f = tableau_chord_midpoints(poly, w)[1]
+            f = tableau_chord_midpoints(poly, w)
             assert abs(f[profile.witness_vertex[k]] - f.max()) <= 1e-11 * poly.diameter
 
 

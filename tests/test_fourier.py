@@ -3,7 +3,10 @@
 The boundary vertex-sum formula is cross-checked against a plain area
 quadrature: fan-triangulate the body and integrate exp(-i x . xi) with a
 tensor Gauss-Legendre rule per triangle.  Different discretization,
-different error mechanism, same analytic object.
+different error mechanism, same analytic object.  The derivative
+transform T' along a direction is evaluated directly at arbitrary
+frequencies by indicator_transform_deriv below, the reference for the
+T' that fourier._line_transform factors on its nodes.
 """
 
 import math
@@ -12,24 +15,74 @@ import numpy as np
 import pytest
 
 from polyheart import bodies, fourier
-from polyheart.errors import DenominatorTooSmall, FrequencyNotOrthogonal
+from polyheart.errors import DenominatorTooSmall, PolyheartError
 from polyheart.folding import chord_midpoint
 from polyheart.fourier import (
     _SERIES_CUT,
     _inversion_nodes,
     _line_transform,
     _prelude,
+    _series_filled,
     _sinc,
     _transform,
-    _transform_deriv,
     chord_via_transform,
     indicator_transform,
-    indicator_transform_deriv,
     midpoint_via_transform,
 )
-from polyheart.geometry import ConvexPolygon, chord, perp, shadow_interval, unit
+from polyheart.geometry import PARALLEL_TOL, ConvexPolygon, check_direction, chord, perp, shadow_interval, unit
 
 from conftest import random_bodies
+
+
+class FrequencyNotOrthogonal(PolyheartError):
+    """Directional-derivative frequency must be orthogonal to the direction."""
+
+
+def _sinc_prime(x: np.ndarray) -> np.ndarray:
+    """Derivative of sin(x)/x, series-filled near zero."""
+    x = np.asarray(x, dtype=float)
+    safe = np.where(np.abs(x) < _SERIES_CUT, 1.0, x)
+    return _series_filled(x, np.cos(safe) / safe - np.sin(safe) / (safe * safe))
+
+
+def _transform_deriv(poly: ConvexPolygon, w: np.ndarray, pre) -> np.ndarray:
+    """T' along w at the nonzero frequencies of a _prelude, all orthogonal to w."""
+    safe2, _, mids, half_d, sinc_d, phase, proj = pre
+    edges = poly.edges
+    bracket = (
+        ((poly.edge_normals * poly.edge_lengths[:, None]) @ w)[None, :] * sinc_d
+        + proj * _sinc_prime(half_d) * (0.5 * (edges @ w))[None, :]
+        - 1j * proj * sinc_d * (mids @ w)[None, :]
+    )
+    return 1j / safe2 * np.sum(bracket * phase, axis=1)
+
+
+def indicator_transform_deriv(poly: ConvexPolygon, eta, omega) -> complex | np.ndarray:
+    """Directional derivative of the transform along omega, on omega-perp.
+
+    Differentiating the sinc form of the transform at xi = eta + tau*omega
+    in tau (the 1/|xi|^2 prefactor is flat there since eta . omega = 0):
+
+      (i/|eta|^2) sum_j |e_j| [ (nu_j . w) sinc(D_j/2)
+                               + (nu_j . eta) sinc'(D_j/2) (e_j . w)/2
+                               - i (nu_j . eta) sinc(D_j/2) (m_j . w) ] e^{-i m_j . eta}
+
+    At eta = 0 the limit is -i * area * (centroid . omega), the first
+    moment of the body along omega.
+    """
+    w = check_direction(omega)
+    eta_arr = np.atleast_2d(np.asarray(eta, dtype=float))
+    dots = eta_arr @ w
+    scale = np.linalg.norm(eta_arr, axis=1)
+    if np.any(np.abs(dots) > PARALLEL_TOL * np.maximum(scale, 1.0)):
+        raise FrequencyNotOrthogonal("eta must be orthogonal to omega")
+    pre = _prelude(poly, eta_arr)
+    moment = -1j * poly.area * float(poly.centroid @ w)
+    vals = np.where(pre[1], moment, _transform_deriv(poly, w, pre))
+    if np.ndim(eta) == 1:
+        return complex(vals[0])
+    return vals
+
 
 _GL_NODES, _GL_WTS = np.polynomial.legendre.leggauss(48)
 _T = 0.5 * (_GL_NODES + 1.0)  # [0, 1]

@@ -25,14 +25,13 @@ from polyheart.geometry import (
     halfplane_intersection,
     line_interval,
     perp,
-    point_in,
     region_point_distance,
     shadow_interval,
     support,
     unit,
 )
 
-from conftest import random_bodies
+from conftest import point_in, random_bodies
 
 EPS = 1e-12
 
@@ -161,6 +160,15 @@ def test_rejects_short_edge_right_turn(ring, theta):
     c, s = np.cos(theta), np.sin(theta)
     with pytest.raises(InvalidPolygon, match=r"not convex: it turns right by (0\.002|1\.57) rad at vertex 1,"):
         ConvexPolygon(np.asarray(ring, dtype=float) @ np.array([[c, s], [-s, c]]))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.1])
+def test_rejects_needle_tips(theta):
+    # interior angles of 2e-14 rad at (0, 0) and (1, 0): a direction in
+    # the middle of such a tip's normal cone has no edge facing it
+    c, s = np.cos(theta), np.sin(theta)
+    with pytest.raises(InvalidPolygon, match=r"needle tip at vertex 1: its interior angle 2(\.\d+)?e-14 rad"):
+        ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-14]]) @ np.array([[c, s], [-s, c]]))
 
 
 def star_ring(n: int, step: int) -> np.ndarray:
@@ -497,9 +505,9 @@ def test_boundary_distance(square):
 def test_random_polygon_sanity(seed, n):
     poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
     assert poly.area > 0.0
-    assert point_in(poly, poly.centroid)
+    assert point_in(poly, poly.centroid, poly.eps)
     assert boundary_distance(poly, poly.centroid) > 0.0
-    assert all(point_in(poly, v) for v in poly.vertices)
+    assert all(point_in(poly, v, poly.eps) for v in poly.vertices)
     # support is subadditive over vertex directions
     for k in range(len(poly)):
         v = poly.vertices[k]
@@ -521,4 +529,4 @@ def test_clip_area_never_grows(seed, theta, frac):
     r = _classify(_clip_ring(poly.vertices, w, c), poly.eps)
     assert r.area <= poly.area + poly.eps
     if r.kind == "polygon":
-        assert all(point_in(poly, v) for v in ConvexPolygon(r.points).vertices)
+        assert all(point_in(poly, v, poly.eps) for v in ConvexPolygon(r.points).vertices)

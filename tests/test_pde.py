@@ -87,8 +87,8 @@ def test_rasterize_matches_all_edges_at_once():
     # rasterize tests one edge at a time; the reference builds the gaps of
     # every node to every edge in one (nx, ny, m) array
     gen = np.random.default_rng([7, 19])
-    suite = [bodies.square(), bodies.right_triangle(), bodies.halfdisc(1.0, 0.0, 64),
-             bodies.regular_ngon(7), bodies.ellipse_approx(2.0, 1.0, 64)]
+    suite = [bodies.square(), bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]),
+             bodies.halfdisc(1.0, 0.0, 64), bodies.regular_ngon(7), bodies.ellipse_approx(2.0, 1.0, 64)]
     suite += [bodies.random_convex_polygon(gen, n) for n in (5, 12, 40) for _ in range(4)]
     for poly in suite:
         g = rasterize(poly, chebyshev_center(poly).radius / 50.0)

@@ -4,8 +4,8 @@ import pytest
 from polyheart import bodies
 from polyheart.bounds import minimal_reciprocal_support_integral
 from polyheart.errors import CenterTooCloseToBoundary
-from polyheart.folding import heart_region
-from polyheart.geometry import ConvexPolygon, boundary_distance, chebyshev_center, point_in
+from polyheart.folding import folding_profile, heart_region
+from polyheart.geometry import ConvexPolygon, boundary_distance, chebyshev_center
 from polyheart.polar import (
     polar_area,
     polar_area_eigen_check,
@@ -14,7 +14,7 @@ from polyheart.polar import (
     santalo_point,
 )
 
-from conftest import random_bodies
+from conftest import point_in, random_bodies
 
 
 def hausdorff(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -121,12 +121,22 @@ def test_bodies_far_from_the_origin():
     # seeded 3-300-gons scaled by 1e-4 to 1e4 and shifted by up to 1e3:
     # where areas, centroids or Newton's gaps are taken in absolute
     # coordinates, the heart check, the minimizers or the Santalo
-    # condition fail on about one body in seven
+    # condition fail on about one body in seven.  The folding profile
+    # must not change when the body is moved to its first vertex: in
+    # absolute coordinates it moved by up to 4.5e4 units of
+    # spacing(max |v|) + 1e-12 diam here.  In the frame at vertex 0 it
+    # moves by at most 2 units, but 139 on one body at a direction 4.9e-7
+    # rad from an edge direction, where that edge's line is evaluated
+    # ill-conditioned (about 1e-10 diam, as in test_folding).
     gen = np.random.default_rng(20260419)
     for _ in range(120):
         base = bodies.random_convex_polygon(gen, int(gen.integers(3, 301)))
         poly = ConvexPolygon(base.vertices * 10.0 ** gen.uniform(-4.0, 4.0) + gen.uniform(-1e3, 1e3, size=2))
-        heart_region(poly, 720)
+        _, profile = heart_region(poly, 720)
+        v0 = poly.vertices[0]
+        moved = folding_profile(ConvexPolygon(poly.vertices - v0), profile.directions)
+        unit = np.spacing(np.abs(poly.vertices).max()) + 1e-12 * poly.diameter
+        assert np.abs(profile.values - moved.values - profile.directions @ v0).max() <= 256.0 * unit
         minimal_reciprocal_support_integral(poly)
         s = santalo_point(poly)
         polar = polar_polygon(poly, s)

@@ -1,5 +1,6 @@
 """Pins of the package's settable surface: a new parameter default, CLI
-option or numeric constant must edit a count here, in plain sight."""
+option or numeric constant must edit a count here, in plain sight.  And
+the package ships only what something outside the tests calls."""
 
 import argparse
 import ast
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import polyheart.cli as cli
 
+from test_layertrace_names import WRAPPED
+
 PACKAGE = Path(cli.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_setting_counts_pinned():
@@ -19,7 +23,7 @@ def test_setting_counts_pinned():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defaulted += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-    assert defaulted == 10
+    assert defaulted == 9
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
                for name, p in sub.choices.items()}
@@ -46,4 +50,22 @@ def test_numeric_constants_pinned():
                     value = getattr(module, target.id)
                     if isinstance(value, (int, float)) and not isinstance(value, bool):
                         names.append(f"{path.stem}.{target.id}")
-    assert len(names) == 46, names
+    assert len(names) == 44, names
+
+
+def test_every_public_name_has_a_caller():
+    # a top-level def or class without an underscore must be named in
+    # package code other than its own definition, in perfbench or a demo,
+    # or be wrapped by the benchmark's tracer; test-only code lives in tests/
+    public = {(path.stem, node.name) for path in PACKAGE.glob("*.py") for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    named = {name for _, name in WRAPPED}
+    for path in [*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py"), *(REPO / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert sorted(f"{module}.{name}" for module, name in public if name not in named) == []
