@@ -8,11 +8,11 @@ projection runs between the two boundary chains, the edges facing along
 omega (the top chain) and those facing against it (the bottom chain).
 Along the shadow the upper end is concave and the lower end convex, so
 their midpoint peaks at a top-chain vertex: only those are evaluated.
-Each one's upper end lies on its own top-chain edges.  Its lower end
-takes one chain search per direction: the projections fall along the
-bottom chain, so one stable sort of them, which merges the boundary's
-rising and falling runs in linear time, and a running count of the
-chain's vertices in sorted order name the one edge that bounds the chord.
+Each one is its own chord's upper end.  Its lower end takes one chain
+search per direction: the projections fall along the bottom chain, so
+one stable sort of them, which merges the boundary's rising and falling
+runs in linear time, and a running count of the chain's vertices in
+sorted order name the one edge that bounds the chord.
 :func:`folding_profile` does this for many directions at once, in blocks
 of array operations, and :func:`folding_offset` is its one-direction case.
 :func:`folding_offset_bisection` instead bisects directly on the
@@ -90,35 +90,39 @@ def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
     return 0.5 * (iv[0] + iv[1])
 
 
-def _edge_lines(poly: ConvexPolygon, w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(a, du, c): n_i . w_b, n_i . u_b and c_i = n_i . (v_i - v_0), the
-    offset in the frame at vertex 0, over the edges for a block of
-    directions, the last edge first.  Column i + 1 holds edge i, so
+def _edge_lines(poly: ConvexPolygon, frame: np.ndarray, w: np.ndarray,
+                u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(a, du, c): n_i . w_b, n_i . u_b and c_i = n_i . frame[i], the
+    offset in the frame the vertex coordinates frame are given in, over
+    the edges for a block of directions, the last edge first.  Column i + 1 holds edge i, so
     vertex k's own edges k - 1 and k are columns k and k + 1, and edge
     indices wrap without doubled arrays."""
     normals = np.concatenate([poly.edge_normals[-1:], poly.edge_normals])
-    c = np.sum(poly.edge_normals * (poly.vertices - poly.vertices[0]), axis=1)
+    c = np.sum(poly.edge_normals * frame, axis=1)
     return w @ normals.T, u @ normals.T, np.concatenate([c[-1:], c])
 
 
-def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _lower_ends(s: np.ndarray, own: np.ndarray, a: np.ndarray, du: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
     """Lower chord end along w_b over every vertex projection s[b, k], for
-    a block of directions with the edge data of :func:`_edge_lines`.
+    a block of directions with the vertex coordinates own[b, k] along w_b
+    and the edge data of :func:`_edge_lines`.
 
     The lower end is the maximum over the edges i with n_i . w_b below
     -PARALLEL_TOL, the bottom chain, of (c_i - (n_i . u_b) s[b, k]) /
-    (n_i . w_b).  The chain is one run of the counterclockwise boundary,
-    along which s falls, and the maximum sits on the chain edge whose
-    s-range brackets s[b, k].  With edge i starting at vertex i, that
-    edge's place in the chain is the count of the chain's vertices up to
-    the vertex in one stable descending sort of the row.  Where
-    projections tie, the count may stop on either side of a chain vertex,
-    at which the edges on both sides meet.  The expression is evaluated on
-    the bracketing edge and on the one before it: at a chain vertex both
-    give the vertex, and the larger of the two is the better conditioned
-    value when either edge is nearly parallel to w_b.  Every direction has
-    a bottom chain, since ConvexPolygon rejects needle tips.  At -w_b, -s
-    and -a, -du the same search gives minus the upper end.
+    (n_i . w_b).  At a vertex of the chain it is the vertex's own
+    coordinate, which is taken as it is: an edge nearly parallel to w_b
+    puts its line's value there off by about eps * diam / |n_i . w_b|.
+    The chain is one run of the counterclockwise boundary, along which s
+    falls, and the maximum sits on the chain edge whose s-range brackets
+    s[b, k].  With edge i starting at vertex i, that edge's place in the
+    chain is the count of the chain's vertices up to the vertex in one
+    stable descending sort of the row.  Where projections tie, the count
+    may stop on either side of a chain vertex, at which the edges on both
+    sides meet, so the expression is evaluated on the bracketing edge and
+    on the one before it, and the larger value is kept.  Every direction
+    has a bottom chain, since ConvexPolygon rejects needle tips.  At -w_b,
+    -s, -own and -a, -du the same search gives minus the upper end.
     """
     m, n = s.shape
     rows = np.arange(m)[:, None]
@@ -127,7 +131,8 @@ def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> 
     chain = a[:, 1:] < -PARALLEL_TOL
     count = np.empty_like(order)
     np.put(count, order, np.cumsum(np.take(chain, order), axis=1))
-    start = np.argmax(chain & ~(a[:, :-1] < -PARALLEL_TOL), axis=1)[:, None]
+    before = a[:, :-1] < -PARALLEL_TOL
+    start = np.argmax(chain & ~before, axis=1)[:, None]
     # the bracketing edge's column, wrapped past the last edge
     col = start + np.maximum(count, 1)
     np.subtract(col, n, out=col, where=col > n)
@@ -137,7 +142,7 @@ def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray) -> 
     col -= step
     flat -= step
     np.maximum(lo, (np.take(c, col) - np.take(du, flat) * s) / np.take(a, flat), out=lo)
-    return lo
+    return np.where(chain | before, own, lo)
 
 
 def folding_offset(poly: ConvexPolygon, omega) -> float:
@@ -160,15 +165,15 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     sits at a kink of the upper end or at a shadow end, and both are
     vertices of the top chain (an edge at the vertex has n_i . omega above
     PARALLEL_TOL), which every direction has, since ConvexPolygon rejects
-    needle tips.  Only those vertices are evaluated.  Their lower ends come
-    from one chain search (:func:`_lower_ends`); their upper end is the
-    smaller of the vertex's own top-chain edges' lines over it, which is
-    where a search would land, so it needs none.  Every other vertex gets
-    -inf.  A non-finite or inverted chord falls back to the vertex's own
-    coordinate.  All of it runs in the frame at vertex 0: s, the vertex
-    coordinates and the edge offsets come from v - v_0, and omega . v_0 is
-    added back to the values and support values, so that their rounding
-    scales with the diameter, not with the distance from the origin.
+    needle tips.  Only those vertices are evaluated, and every other one
+    gets -inf.  A top-chain vertex is its own chord's upper end, so that
+    end is its own coordinate and needs no search; the lower end comes
+    from one chain search (:func:`_lower_ends`), and one that rounds above
+    the vertex falls back to the vertex's own coordinate.  All of it runs
+    in the frame at vertex 0: s, the vertex coordinates and the edge
+    offsets come from v - v_0, and omega . v_0 is added back to the values
+    and support values, so that their rounding scales with the diameter,
+    not with the distance from the origin.
 
     The directions are evaluated in blocks, each in one set of array
     operations: one stable sort of each row's vertex projections, which
@@ -190,14 +195,10 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
         u = np.column_stack([-wb[:, 1], wb[:, 0]])  # perp of every row
         s = u @ frame.T
         own = wb @ frame.T
-        a, du, c = _edge_lines(poly, wb, u)
-        lo = _lower_ends(s, a, du, c)
-        # the top-chain edges' lines; NaN on the others drops them from fmin
-        top = np.where(a > PARALLEL_TOL, a, np.nan)
-        hi = np.fmin((c[:-1] - du[:, :-1] * s) / top[:, :-1], (c[1:] - du[:, 1:] * s) / top[:, 1:])
-        f = 0.5 * (lo + hi)
-        f = np.where(np.isfinite(f) & (lo <= hi), f, own)
-        f[np.isnan(hi)] = -np.inf  # no top-chain edge at the vertex
+        a, du, c = _edge_lines(poly, frame, wb, u)
+        lo = _lower_ends(s, own, a, du, c)
+        f = 0.5 * (np.minimum(lo, own) + own)
+        f[(a[:, :-1] <= PARALLEL_TOL) & (a[:, 1:] <= PARALLEL_TOL)] = -np.inf  # off the top chain
         j = np.argmax(f, axis=1)
         shift = wb @ v0
         values[k:k + block] = f[np.arange(len(j)), j] + shift

@@ -8,7 +8,9 @@ tangential contact at a shadow extreme, where the oracle itself only
 resolves the offset to about sqrt(eps), hence the looser bound there.
 """
 
+import bisect
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,31 +57,31 @@ def tableau_chord_midpoints(poly, w):
     Every edge with n_i . w above 1e-13 bounds the chord over each vertex
     projection from above, every edge with n_i . w below -1e-13 from
     below; a non-finite or inverted pair falls back to the vertex's own
-    coordinate.  The ends are taken in the kernel's frame at vertex 0.
-    Within about 1e-6 rad of an edge direction that edge's line is
-    evaluated ill-conditioned, about 1e-10 diam off the exact end, so
-    only the same arithmetic agrees to the tolerances used here.
+    coordinate.  An edge's line meets its own endpoints at their own
+    coordinates, which are taken as they are: an edge nearly parallel to
+    w puts its line's value there off by about eps * |v| / |n_i . w|.
     """
     w = np.asarray(w, dtype=float)
     ws = np.atleast_2d(w)
-    v0 = poly.vertices[0]
-    frame = poly.vertices - v0
-    offsets = np.sum(poly.edge_normals * frame, axis=1)
-    block = max(1, (1 << 18) // len(poly) ** 2)  # directions x edges x vertices cells
+    n = len(poly)
+    incident = np.eye(n, dtype=bool) | np.roll(np.eye(n, dtype=bool), 1, axis=1)  # edge i, vertices i, i + 1
+    block = max(1, (1 << 18) // n ** 2)  # directions x edges x vertices cells
     rows = []
     for k in range(0, len(ws), block):
         wb = ws[k:k + block]
         u = np.column_stack([-wb[:, 1], wb[:, 0]])
-        s = u @ frame.T
-        own = wb @ frame.T
+        s = u @ poly.vertices.T
+        own = wb @ poly.vertices.T
         a = (wb @ poly.edge_normals.T)[:, :, None]
-        b = offsets[None, :, None] - (u @ poly.edge_normals.T)[:, :, None] * s[:, None, :]
-        hi = np.divide(b, a, out=np.full(b.shape, np.inf), where=a > 1e-13).min(axis=1)
-        lo = np.divide(b, a, out=np.full(b.shape, -np.inf), where=a < -1e-13).max(axis=1)
+        b = poly.edge_offsets[None, :, None] - (u @ poly.edge_normals.T)[:, :, None] * s[:, None, :]
+        line = np.repeat(own[:, None, :], n, axis=1)
+        np.divide(b, a, out=line, where=~incident & (np.abs(a) > 1e-13))
+        hi = np.where(a > 1e-13, line, np.inf).min(axis=1)
+        lo = np.where(a < -1e-13, line, -np.inf).max(axis=1)
         f = 0.5 * (lo + hi)
         bad = ~np.isfinite(f) | (lo > hi)
         f[bad] = own[bad]
-        rows.append(f + (wb @ v0)[:, None])
+        rows.append(f)
     f = np.concatenate(rows)
     return f[0] if w.ndim == 1 else f
 
@@ -87,22 +89,19 @@ def tableau_chord_midpoints(poly, w):
 def vertex_chord_midpoints(poly, omega):
     """Chord midpoints f over every vertex projection from the kernel's
     one chain search, run at omega for the lower chord ends and at -omega
-    for the upper ones: top(omega) = -bottom(-omega), in the kernel's
-    frame at vertex 0.  Degenerate chords at shadow-extreme vertices
+    for the upper ones: top(omega) = -bottom(-omega), here in the frame
+    at the origin.  Degenerate chords at shadow-extreme vertices
     contribute the vertex's own omega-coordinate."""
     w = check_direction(omega)[None, :]
     u = perp(w[0])[None, :]
-    v0 = poly.vertices[0]
-    frame = poly.vertices - v0
-    s = u @ frame.T
-    a, du, c = folding._edge_lines(poly, w, u)
-    lo = folding._lower_ends(s, a, du, c)
-    hi = -folding._lower_ends(-s, -a, -du, c)
-    own = w @ frame.T
+    s = u @ poly.vertices.T
+    own = w @ poly.vertices.T
+    a, du, c = folding._edge_lines(poly, poly.vertices, w, u)
+    lo = folding._lower_ends(s, own, a, du, c)
+    hi = -folding._lower_ends(-s, -own, -a, -du, c)
     f = 0.5 * (lo + hi)
-    bad = ~np.isfinite(f) | (lo > hi)
-    f[bad] = own[bad]
-    return f[0] + w[0] @ v0
+    f[lo > hi] = own[lo > hi]
+    return f[0]
 
 
 def ellipse_folding(a: float, b: float, theta: float) -> float:
@@ -458,20 +457,43 @@ def test_profile_matches_tableau_on_ties(body, theta):
     _assert_profile_matches_tableau(poly, np.concatenate([heart_directions(poly, 720), e, -e]))
 
 
+def exact_chord_midpoints(poly, w):
+    """Chord midpoints over every vertex projection in rational arithmetic
+    on the float vertices and w: each edge whose s-range holds a vertex
+    projection gives a chord end there by linear interpolation, and the
+    midpoint is half the sum of the largest and smallest end."""
+    v = [(Fraction(x), Fraction(y)) for x, y in poly.vertices.tolist()]
+    wx, wy = Fraction(w[0]), Fraction(w[1])
+    s = [wx * y - wy * x for x, y in v]
+    h = [wx * x + wy * y for x, y in v]
+    order = sorted(range(len(v)), key=s.__getitem__)
+    keys = [s[k] for k in order]
+    ends = [[] for _ in v]
+    for p in range(len(v)):
+        q = (p + 1) % len(v)
+        lo, hi = sorted((s[p], s[q]))
+        for k in order[bisect.bisect_left(keys, lo):bisect.bisect_right(keys, hi)]:
+            if s[p] == s[q]:
+                ends[k] += [h[p], h[q]]
+            else:
+                ends[k].append(h[p] + (s[k] - s[p]) * (h[q] - h[p]) / (s[q] - s[p]))
+    return np.array([float((max(e) + min(e)) / 2) for e in ends])
+
+
 def test_chord_ends_near_edge_directions():
     # 1e-6 rad off an edge direction that edge is nearly parallel to omega,
-    # and where it brackets a vertex its line puts the chord end there off
-    # by up to 1e-10 diam; the chain edge before it meets the same vertex
-    # well conditioned, and the kernel keeps the better of the two, as the
-    # tableau's extremum over all edges does
+    # and its line's value at its own endpoints is off by up to 1e-10 diam;
+    # the kernel and the tableau take a vertex's own coordinate there, and
+    # both must agree with rational arithmetic to rounding
     turns = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in (1e-6, -1e-6)]
     for poly in random_bodies(1906, 6, 12, 36):
         tol = 1e-12 * poly.diameter
         e = poly.edges / poly.edge_lengths[:, None]
         for w in np.concatenate([sign * e @ turn.T for turn in turns for sign in (1.0, -1.0)]):
             w = w / np.linalg.norm(w)
-            f = tableau_chord_midpoints(poly, w)
+            f = exact_chord_midpoints(poly, w)
             assert np.abs(vertex_chord_midpoints(poly, w) - f).max() <= tol, (len(poly), w)
+            assert np.abs(tableau_chord_midpoints(poly, w) - f).max() <= tol, (len(poly), w)
             assert abs(folding_offset(poly, w) - f.max()) <= tol, (len(poly), w)
 
 

@@ -53,19 +53,56 @@ def test_numeric_constants_pinned():
     assert len(names) == 44, names
 
 
+def _references(path, submodules, reexports):
+    """(module, name) pairs a file refers to: names imported from a
+    polyheart module, attributes of a polyheart module imported whole, and
+    in a package module its own top-level names outside their own
+    definitions.  A name imported from the package itself counts for the
+    module that polyheart/__init__.py imports it from."""
+    tree = ast.parse(path.read_text())
+    this = path.stem if path.parent == PACKAGE else None
+    modules, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            stem = source.removeprefix("polyheart").lstrip(".")
+            if not (source.startswith(("polyheart", ".")) and stem in submodules | {""}):
+                continue
+            for alias in node.names:
+                if stem:
+                    refs.add((stem, alias.name))
+                elif alias.name in submodules:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name in reexports:
+                    refs.add(reexports[alias.name])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                stem = alias.name.removeprefix("polyheart.")
+                if alias.asname and stem in submodules:
+                    modules[alias.asname] = stem
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            refs.add((modules[node.value.id], node.attr))
+    if this:
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            refs |= {(this, node.id) for node in ast.walk(stmt) if isinstance(node, ast.Name) and node.id != own}
+    return refs
+
+
 def test_every_public_name_has_a_caller():
     # a top-level def or class without an underscore must be named in
-    # package code other than its own definition, in perfbench or a demo,
-    # or be wrapped by the benchmark's tracer; test-only code lives in tests/
+    # package code other than its own definition or polyheart/__init__.py's
+    # re-exports, in perfbench or a demo, or be wrapped by the benchmark's
+    # tracer; test-only code lives in tests/
     public = {(path.stem, node.name) for path in PACKAGE.glob("*.py") for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
-    named = {name for _, name in WRAPPED}
+    submodules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    reexports = {alias.asname or alias.name: (node.module, alias.name)
+                 for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named = set(WRAPPED)
     for path in [*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py"), *(REPO / "demos").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    assert sorted(f"{module}.{name}" for module, name in public if name not in named) == []
+        if path != PACKAGE / "__init__.py":
+            named |= _references(path, submodules, reexports)
+    assert sorted(f"{module}.{name}" for module, name in public - named) == []
