@@ -48,7 +48,7 @@ def main():
 
     OUT.mkdir(exist_ok=True)
     path = OUT / "halfdisc_eigen.csv"
-    write_csv(eig.field, path)
+    write_csv(rep.grid, eig.values, path)
     print(f"\neigenfunction written to {path}")
 
 

@@ -3,6 +3,7 @@
 Subcommands cover the individual capabilities (heart, bounds, polar,
 santalo, pde-verify, fourier-check) plus a combined report.  Each takes
 --body, --json, --svg, --seed and the options it reads (_COMMANDS).
+The Fourier inversion runs at the fixed cutoff _FOURIER_CUTOFF.
 Output is a versioned JSON document and optionally an SVG figure
 rendered purely from that document, so a report re-renders byte for byte.
 
@@ -47,6 +48,8 @@ from .polar import polar_area, polar_area_eigen_check, polar_area_lower_check, p
 from .svgout import render_report_svg
 
 _INCONSISTENCY = (InconsistentHeart, NoConvergence, QuadratureUnstable, DenominatorTooSmall)
+# frequency cutoff of the transform inversion, in units of 2 pi / diameter
+_FOURIER_CUTOFF = 400.0
 
 
 def _body_section(poly, spec) -> dict:
@@ -132,7 +135,7 @@ def _pde_section(poly, heart, args) -> dict:
     }
 
 
-def _fourier_section(poly, cutoff: float, seed: int) -> dict:
+def _fourier_section(poly, seed: int) -> dict:
     area = poly.area
     t0 = complex(indicator_transform(poly, np.zeros(2)))
     rng = np.random.default_rng(seed)
@@ -143,7 +146,7 @@ def _fourier_section(poly, cutoff: float, seed: int) -> dict:
     for w in dirs:
         lo, hi = shadow_interval(poly, w)
         ys = [lo + frac * (hi - lo) for frac in (0.35, 0.5, 0.65)]
-        recons = midpoint_via_transform(poly, w, np.array(ys), cutoff=cutoff)
+        recons = midpoint_via_transform(poly, w, np.array(ys), cutoff=_FOURIER_CUTOFF)
         for y, recon in zip(ys, recons.tolist()):
             direct = chord_midpoint(poly, w, y)
             checks.append(
@@ -156,7 +159,7 @@ def _fourier_section(poly, cutoff: float, seed: int) -> dict:
                 }
             )
     return {
-        "cutoff": cutoff,
+        "cutoff": _FOURIER_CUTOFF,
         "area_check": {"transform": t0.real, "area": area, "abs_err": abs(t0 - area)},
         "midpoint_checks": checks,
         "max_abs_err": max(c["abs_err"] for c in checks),
@@ -231,7 +234,7 @@ def _cmd_pde_verify(poly, args):
 
 
 def _cmd_fourier_check(poly, args):
-    sec = _fourier_section(poly, args.fourier_cutoff, args.seed)
+    sec = _fourier_section(poly, args.seed)
     # the transform at zero is the limit of its edge sum, a closed form: a
     # gap beyond rounding means edge data that do not describe the body
     ok = sec["area_check"]["abs_err"] <= EPS_REL * poly.area
@@ -250,7 +253,7 @@ def _cmd_report(poly, args):
         "bounds": _bounds_section(poly, lam1_numeric=pde["eigenvalue"]),
         "polar": _polar_section(poly, pde=pde),
         "pde": pde,
-        "fourier": _fourier_section(poly, args.fourier_cutoff, args.seed),
+        "fourier": _fourier_section(poly, args.seed),
     }
     checks_ok = (
         pde["ok"]
@@ -271,15 +274,13 @@ _COMMANDS = {
     "polar": (_cmd_polar, ()),
     "santalo": (_cmd_santalo, ()),
     "pde-verify": (_cmd_pde_verify, ("--dirs", "--h")),
-    "fourier-check": (_cmd_fourier_check, ("--fourier-cutoff",)),
-    "report": (_cmd_report, ("--dirs", "--h", "--fourier-cutoff")),
+    "fourier-check": (_cmd_fourier_check, ()),
+    "report": (_cmd_report, ("--dirs", "--h")),
 }
 
 _OPTIONS = {
     "--dirs": {"type": int, "default": 720, "help": "direction count for the heart sweep"},
     "--h": {"type": float, "default": None, "help": "grid spacing (default inradius/50)"},
-    "--fourier-cutoff": {"type": float, "default": 400.0,
-                         "help": "frequency cutoff for transform inversion"},
 }
 
 

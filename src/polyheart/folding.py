@@ -27,8 +27,9 @@ confines the hot spot of the heat flow for all times.
 :func:`heart_region` returns it as a :class:`geometry.Region`, with the
 :class:`FoldingProfile` whose rows are its planes.  The direction set
 holds every edge normal, normalized and never merged into a nearby
-uniform angle, and no offset exceeds the support value, so the body's
-own edges are implied and are not cut again.
+uniform angle, and no offset exceeds the support value (each is the
+midpoint of a chord whose upper end is a vertex), so the body's own
+edges are implied and are not cut again.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .geometry import (
     check_directions,
     halfplane_intersection,
     region_point_distance,
-    support,
 )
 
 # Directions are folded in blocks of about this many direction x vertex
@@ -59,7 +59,6 @@ _BLOCK_CELLS = 1 << 14
 # heart_region's tolerances, in units of poly.eps.  The intersection gives
 # every cut one eps of slack, so a heart vertex may sit that far beyond a
 # folding plane or a body edge; the checks allow a few times more.
-_SUPPORT_TOL = 5.0       # folding offset above the body's support value
 _CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge or a folding plane
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
 
@@ -79,7 +78,6 @@ class FoldingProfile:
     directions: np.ndarray      # (k, 2) unit directions
     values: np.ndarray          # (k,) folding offsets
     witness_vertex: np.ndarray  # (k,) index of the vertex under the maximal chord midpoint
-    support: np.ndarray         # (k,) support value h(omega), the largest vertex projection
 
 
 def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
@@ -90,23 +88,21 @@ def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
     return 0.5 * (iv[0] + iv[1])
 
 
-def _edge_lines(poly: ConvexPolygon, frame: np.ndarray, w: np.ndarray,
-                u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(a, du, c): n_i . w_b, n_i . u_b and c_i = n_i . frame[i], the
-    offset in the frame the vertex coordinates frame are given in, over
-    the edges for a block of directions, the last edge first.  Column i + 1 holds edge i, so
-    vertex k's own edges k - 1 and k are columns k and k + 1, and edge
-    indices wrap without doubled arrays."""
-    normals = np.concatenate([poly.edge_normals[-1:], poly.edge_normals])
+def _wrapped_edges(poly: ConvexPolygon, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(normals, c): the edge normals and offsets c_i = n_i . frame[i] in
+    the frame of the vertex coordinates frame, the last edge first: column
+    i + 1 holds edge i, so vertex k's own edges k - 1 and k are columns k
+    and k + 1, and edge indices wrap without doubled arrays."""
     c = np.sum(poly.edge_normals * frame, axis=1)
-    return w @ normals.T, u @ normals.T, np.concatenate([c[-1:], c])
+    return np.concatenate([poly.edge_normals[-1:], poly.edge_normals]), np.concatenate([c[-1:], c])
 
 
 def _lower_ends(s: np.ndarray, own: np.ndarray, a: np.ndarray, du: np.ndarray,
                 c: np.ndarray) -> np.ndarray:
     """Lower chord end along w_b over every vertex projection s[b, k], for
-    a block of directions with the vertex coordinates own[b, k] along w_b
-    and the edge data of :func:`_edge_lines`.
+    a block of directions with the vertex coordinates own[b, k] along w_b,
+    the offsets c of :func:`_wrapped_edges` and their normals' products
+    a = n_i . w_b and du = n_i . u_b.
 
     The lower end is the maximum over the edges i with n_i . w_b below
     -PARALLEL_TOL, the bottom chain, of (c_i - (n_i . u_b) s[b, k]) /
@@ -171,40 +167,38 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     from one chain search (:func:`_lower_ends`), and one that rounds above
     the vertex falls back to the vertex's own coordinate.  All of it runs
     in the frame at vertex 0: s, the vertex coordinates and the edge
-    offsets come from v - v_0, and omega . v_0 is added back to the values
-    and support values, so that their rounding scales with the diameter,
-    not with the distance from the origin.
+    offsets come from v - v_0, and omega . v_0 is added back to the
+    values, so that their rounding scales with the diameter, not with the
+    distance from the origin.
 
     The directions are evaluated in blocks, each in one set of array
     operations: one stable sort of each row's vertex projections, which
     form a rising and a falling run that the sort merges in linear time,
-    and otherwise steps linear in the vertex count.  Each block's vertex
-    projections also give the support values, so no matrix product spans
-    all directions at once: one that large would run on OpenBLAS's worker
-    threads.
+    and otherwise steps linear in the vertex count.  No matrix product
+    spans all directions at once: one that large would run on OpenBLAS's
+    worker threads.  The edge data that do not depend on the direction
+    are built once.
     """
     w = check_directions(directions)
     values = np.empty(len(w))
     witness_vertex = np.empty(len(w), dtype=np.intp)
-    support = np.empty(len(w))
     v0 = poly.vertices[0]
     frame = poly.vertices - v0
+    normals, c = _wrapped_edges(poly, frame)
     block = max(1, _BLOCK_CELLS // len(frame))
     for k in range(0, len(w), block):
         wb = w[k:k + block]
         u = np.column_stack([-wb[:, 1], wb[:, 0]])  # perp of every row
         s = u @ frame.T
         own = wb @ frame.T
-        a, du, c = _edge_lines(poly, frame, wb, u)
-        lo = _lower_ends(s, own, a, du, c)
+        a = wb @ normals.T
+        lo = _lower_ends(s, own, a, u @ normals.T, c)
         f = 0.5 * (np.minimum(lo, own) + own)
         f[(a[:, :-1] <= PARALLEL_TOL) & (a[:, 1:] <= PARALLEL_TOL)] = -np.inf  # off the top chain
         j = np.argmax(f, axis=1)
-        shift = wb @ v0
-        values[k:k + block] = f[np.arange(len(j)), j] + shift
+        values[k:k + block] = f[np.arange(len(j)), j] + wb @ v0
         witness_vertex[k:k + block] = j
-        support[k:k + block] = own.max(axis=1) + shift
-    return FoldingProfile(w, values, witness_vertex, support)
+    return FoldingProfile(w, values, witness_vertex)
 
 
 def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
@@ -214,15 +208,18 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
     "the reflected upper cap fits inside the body".  Feasibility is
     monotone in lambda (smaller caps are easier to fold), which the
     endpoints assert.  The result is the smallest feasible lambda to
-    within max(tol, 10 * eps).
+    within max(tol, 10 * eps).  The clip and the reflection run in the
+    frame at vertex 0, on v - v_0 against the offsets n_i . (v_i - v_0),
+    and omega . v_0 is added back to the result.
     """
     w = check_direction(omega)
     if tol < poly.eps:
         raise ToleranceTooSmall(f"tol {tol} below geometric floor {poly.eps}")
     tol = max(tol, _ORACLE_TOL_FLOOR * poly.eps)
-    v = poly.vertices
+    v0 = poly.vertices[0]
+    v = poly.vertices - v0
     nrm = poly.edge_normals
-    off = poly.edge_offsets
+    off = np.sum(nrm * v, axis=1)
     feas = _ORACLE_FEAS_REL * poly.diameter
 
     def excess(lam: float) -> float:
@@ -236,22 +233,23 @@ def folding_offset_bisection(poly: ConvexPolygon, omega, tol: float) -> float:
     def feasible(lam: float) -> bool:
         return excess(lam) <= feas
 
-    hi = support(poly, w)
-    lo = -support(poly, -w)
+    proj = v @ w
+    hi, lo = float(proj.max()), float(proj.min())
+    shift = float(w @ v0)
     if not feasible(hi):
         raise InconsistentHeart(
             f"folding infeasible at the support level: the reflected cap reaches "
             f"{excess(hi):.3e} beyond the body (tolerance {feas:.3e})"
         )
     if feasible(lo):
-        return lo
+        return lo + shift
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi + shift
 
 
 def heart_directions(poly: ConvexPolygon, n_dirs: int) -> np.ndarray:
@@ -271,10 +269,10 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Region, FoldingProfi
     profile's directions and values, and that profile.
 
     Raises InconsistentHeart when the construction contradicts itself
-    (empty intersection, centroid excluded, or an offset exceeding the
-    support value): those are hard failures, never warnings.  Each
-    message gives the measured excess and the tolerance it broke, or for
-    an empty intersection the slack each cut had.
+    (empty intersection, centroid excluded, or the heart beyond a body
+    edge or a folding plane): those are hard failures, never warnings.
+    Each message gives the measured excess and the tolerance it broke, or
+    for an empty intersection the slack each cut had.
     """
     if n_dirs < 4:
         raise ValueError("need at least 4 directions")
@@ -282,20 +280,12 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Region, FoldingProfi
     profile = folding_profile(poly, dirs)
     eps = poly.eps
     vals = profile.values
-    over = vals - profile.support
-    if over.max() > _SUPPORT_TOL * eps:
-        i = int(np.argmax(over))
-        raise InconsistentHeart(
-            f"folding offset exceeds the support value by {over[i]:.3e} at direction "
-            f"{dirs[i].tolist()} (tolerance {_SUPPORT_TOL * eps:.3e})"
-        )
     # The body's edges need no cut of their own.  Every edge normal is among
     # the directions, moved by normalizing at most, and the sweep keeps the
-    # innermost of the planes within PARALLEL_TOL of it.  The check above
-    # keeps each offset within _SUPPORT_TOL eps of the support value, which
-    # at an edge normal is that edge's offset: the folding plane there is
-    # the edge line or lies inside it.  The containment check below still
-    # guards the result.
+    # innermost of the planes within PARALLEL_TOL of it.  No offset exceeds
+    # the support value beyond rounding, which at an edge normal is that
+    # edge's offset: the folding plane there is the edge line or lies
+    # inside it.  The containment check below still guards the result.
     planes = np.column_stack([dirs, vals])
     region = halfplane_intersection(planes, poly.bbox, eps)
     if region.is_empty:

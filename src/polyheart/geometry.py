@@ -172,12 +172,6 @@ class Region:
     def is_empty(self) -> bool:
         return self.kind == "empty"
 
-    @property
-    def area(self) -> float:
-        if self.kind != "polygon":
-            return 0.0
-        return _polygon_area(self.points)
-
 
 EMPTY_REGION = Region("empty", np.zeros((0, 2)))
 

@@ -94,19 +94,19 @@ _TILE_GROUP = 16
 
 @dataclass(frozen=True)
 class GridField:
-    """Scalar field on the lattice h*Z^2 restricted to the body.
+    """The lattice h*Z^2 restricted to the body.
 
-    values[i, j] lives at ((k0x + i) * h, (k0y + j) * h); mask marks the
-    interior unknowns, everything else is identically zero.  The array
-    carries one ring of exterior padding so stencils never touch the
-    array edge.
+    Node [i, j] lives at ((k0x + i) * h, (k0y + j) * h); mask marks the
+    interior unknowns, and a field on the grid is an array of mask's
+    shape that is zero everywhere else.  The array carries one ring of
+    exterior padding, outside the body's bounding box, so stencils never
+    touch the array edge.
     """
 
     spacing: float
     k0x: int
     k0y: int
     mask: np.ndarray
-    values: np.ndarray
 
     @property
     def interior_count(self) -> int:
@@ -118,16 +118,14 @@ class GridField:
     def node_y(self) -> np.ndarray:
         return (self.k0y + np.arange(self.mask.shape[1])) * self.spacing
 
-    def with_values(self, values: np.ndarray) -> "GridField":
-        return GridField(self.spacing, self.k0x, self.k0y, self.mask, values)
-
 
 def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     """Clip the global lattice to the body interior.
 
     Nodes within poly.eps of the boundary count as outside; they would be
     Dirichlet-zero anyway and keeping them out makes the interior count
-    reproducible.
+    reproducible.  The padding lies outside the bounding box, so the edge
+    tests reject it too.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
@@ -147,9 +145,7 @@ def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     mask = np.ones(gx.shape, dtype=bool)
     for normal, offset in zip(poly.edge_normals, poly.edge_offsets):
         mask &= offset - pts @ normal > poly.eps
-    mask[0, :] = mask[-1, :] = False
-    mask[:, 0] = mask[:, -1] = False
-    return GridField(h, k0x, k0y, mask, np.zeros_like(gx))
+    return GridField(h, k0x, k0y, mask)
 
 
 def _fit_peak(f: np.ndarray) -> tuple[float, float, float] | None:
@@ -378,7 +374,7 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
         steps.append(max(steps[-1] + 1 if steps else 1, int(round(t / dt))))
     mask_f = grid.mask.astype(float)
     ii, jj = np.nonzero(grid.mask)
-    phi = eigen.field.values[ii, jj]
+    phi = eigen.values[ii, jj]
     scale = _norm(phi)
     v = phi / scale
     samples = []
@@ -412,7 +408,7 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
 @dataclass(frozen=True)
 class EigenResult:
     eigenvalue: float
-    field: GridField
+    values: np.ndarray  # the eigenfunction on the grid, peak 1
     location: np.ndarray
     peak: float
     residual: float
@@ -520,12 +516,11 @@ def eigen_solve(grid: GridField) -> EigenResult:
         raise NoConvergence(f"eigen residual {residual:.3e} above tol {tol:.3e}")
     if v.sum() < 0.0:
         v = -v
-    values = np.zeros_like(grid.values)
+    values = np.zeros(grid.mask.shape)
     values[grid.mask] = v
     values /= values.max()
-    field = grid.with_values(values)
-    loc, peak = _locate_peak(field, values)
-    return EigenResult(lam, field, loc, peak, residual)
+    loc, peak = _locate_peak(grid, values)
+    return EigenResult(lam, values, loc, peak, residual)
 
 
 @dataclass(frozen=True)
@@ -597,15 +592,15 @@ def decay_check(samples, eigenvalue: float) -> DecayReport:
     return DecayReport(rel <= _DECAY_REL_TOL, rate, eigenvalue, rel)
 
 
-def write_csv(field: GridField, path) -> None:
-    """Dump interior nodes as x,y,value rows."""
-    xs = field.node_x()
-    ys = field.node_y()
-    ii, jj = np.nonzero(field.mask)
+def write_csv(grid: GridField, values: np.ndarray, path) -> None:
+    """Dump a field's values at the interior nodes as x,y,value rows."""
+    xs = grid.node_x()
+    ys = grid.node_y()
+    ii, jj = np.nonzero(grid.mask)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
         for i, j in zip(ii, jj):
-            fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{field.values[i, j]:.17g}\n")
+            fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{values[i, j]:.17g}\n")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from polyheart import bodies
+from polyheart.geometry import ConvexPolygon
+
+pytest_plugins = ("pytester",)
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,11 @@ def random_bodies(seed: int, count: int, lo: int = 5, hi: int = 12):
         bodies.random_convex_polygon(gen, int(gen.integers(lo, hi + 1)))
         for _ in range(count)
     ]
+
+
+def far_bodies(count: int):
+    """Seeded 3-300-gons scaled by 1e-4 to 1e4 and shifted by up to 1e3."""
+    gen = np.random.default_rng(20260419)
+    for _ in range(count):
+        base = bodies.random_convex_polygon(gen, int(gen.integers(3, 301)))
+        yield ConvexPolygon(base.vertices * 10.0 ** gen.uniform(-4.0, 4.0) + gen.uniform(-1e3, 1e3, size=2))

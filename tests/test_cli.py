@@ -331,8 +331,6 @@ def test_grid_too_coarse_exits_1(capsys):
     ("pde-verify", "--h", "0"),
     ("pde-verify", "--h", "-0.01"),
     ("pde-verify", "--h", "nan"),
-    ("fourier-check", "--fourier-cutoff", "inf"),
-    ("fourier-check", "--fourier-cutoff", "nan"),
 ])
 def test_bad_numeric_option_exits_1(capsys, command, option, value):
     code, out, err = run([command, "--body", "square", option, value], capsys)
@@ -455,15 +453,16 @@ def test_parser_built_once(capsys):
 
 
 # The options each subcommand reads besides --body, --json, --svg and
-# --seed, which all of them take, and a value for each option.
+# --seed, which all of them take, and a value for each option and for
+# --fourier-cutoff, which none of them takes: the cutoff is fixed.
 READS = {
     "heart": ("--dirs",),
     "bounds": (),
     "polar": (),
     "santalo": (),
     "pde-verify": ("--dirs", "--h"),
-    "fourier-check": ("--fourier-cutoff",),
-    "report": ("--dirs", "--h", "--fourier-cutoff"),
+    "fourier-check": (),
+    "report": ("--dirs", "--h"),
 }
 VALUES = {"--dirs": ("90", 90), "--h": ("0.05", 0.05), "--fourier-cutoff": ("200", 200.0)}
 

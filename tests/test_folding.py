@@ -42,7 +42,7 @@ from polyheart.geometry import (
     unit,
 )
 
-from conftest import point_in, random_bodies
+from conftest import far_bodies, point_in, random_bodies
 from normal_cone import normal_cone_check
 
 ORACLE_TOL = 1e-8
@@ -96,7 +96,8 @@ def vertex_chord_midpoints(poly, omega):
     u = perp(w[0])[None, :]
     s = u @ poly.vertices.T
     own = w @ poly.vertices.T
-    a, du, c = folding._edge_lines(poly, poly.vertices, w, u)
+    normals, c = folding._wrapped_edges(poly, poly.vertices)
+    a, du = w @ normals.T, u @ normals.T
     lo = folding._lower_ends(s, own, a, du, c)
     hi = -folding._lower_ends(-s, -own, -a, -du, c)
     f = 0.5 * (lo + hi)
@@ -132,6 +133,25 @@ def test_offset_below_support(square, hexagon, right_tri):
             assert folding_offset(poly, w) <= support(poly, w) + poly.eps
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 199),
+    theta=st.floats(0.0, 2.0 * np.pi),
+    log_scale=st.floats(-4.0, 4.0),
+    shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_profile_at_most_support(seed, n, theta, log_scale, shift):
+    # each folding offset is the midpoint of a chord whose upper end is a
+    # vertex, so it exceeds the support value by rounding at most: that of
+    # the frame at vertex 0 and that of support's own product
+    base = _turned(bodies.random_convex_polygon(np.random.default_rng(seed), n), theta)
+    poly = ConvexPolygon(10.0 ** log_scale * base.vertices + np.array(shift))
+    dirs = heart_directions(poly, 720)
+    over = folding_profile(poly, dirs).values - [support(poly, w) for w in dirs]
+    assert over.max() <= 4.0 * np.spacing(np.abs(poly.vertices).max())
+
+
 def test_bisection_tolerance_floor(square):
     with pytest.raises(ToleranceTooSmall):
         folding_offset_bisection(square, [1.0, 0.0], 1e-15)
@@ -145,6 +165,21 @@ def test_oracle_agreement_random():
             fast = folding_offset(poly, w)
             slow = folding_offset_bisection(poly, w, ORACLE_TOL)
             assert abs(fast - slow) <= max(ORACLE_TOL, 1e-7 * poly.diameter)
+
+
+def test_oracle_agreement_far_from_the_origin():
+    # bodies scaled by 1e-4 to 1e4 and shifted by up to 1e3: with its clip
+    # and reflection in absolute coordinates the oracle raised
+    # InconsistentHeart on 17 of these 120 calls, its feasibility slack of
+    # 1e-13 diam being below their rounding, and missed the folding offset
+    # by up to 0.44 diam where it returned
+    gen = np.random.default_rng(5)
+    for poly in far_bodies(40):
+        tol = 1e-8 * poly.diameter
+        for _ in range(3):
+            w = unit(gen.uniform(0.0, 2.0 * np.pi))
+            slow = folding_offset_bisection(poly, w, tol)
+            assert abs(slow - folding_offset(poly, w)) <= tol + 1e-11 * poly.diameter
 
 
 def test_oracle_agreement_tangential():

@@ -281,7 +281,7 @@ def test_clip_square():
     sq = bodies.square()
     r = _classify(_clip_ring(sq.vertices, np.array([1.0, 0.0]), 0.5), sq.eps)
     assert r.kind == "polygon"
-    assert r.area == pytest.approx(0.5, abs=EPS)
+    assert geometry._polygon_area(r.points) == pytest.approx(0.5, abs=EPS)
     # clip down to the boundary edge: degenerates to a segment
     r = _classify(_clip_ring(sq.vertices, np.array([1.0, 0.0]), 0.0), sq.eps)
     assert r.kind == "segment"
@@ -299,7 +299,7 @@ def test_halfplane_intersection_box():
     # every cut is moved out by eps
     r = halfplane_intersection(planes, (-2, 2, -2, 2), 1e-9)
     assert r.kind == "polygon"
-    assert r.area == pytest.approx((1.0 + 2e-9) ** 2, rel=1e-12)
+    assert geometry._polygon_area(r.points) == pytest.approx((1.0 + 2e-9) ** 2, rel=1e-12)
 
 
 def test_chebyshev_square(square):
@@ -527,6 +527,6 @@ def test_clip_area_never_grows(seed, theta, frac):
     lo, hi = (support(poly, -w) * -1.0, support(poly, w))
     c = lo + frac * (hi - lo)
     r = _classify(_clip_ring(poly.vertices, w, c), poly.eps)
-    assert r.area <= poly.area + poly.eps
     if r.kind == "polygon":
+        assert geometry._polygon_area(r.points) <= poly.area + poly.eps
         assert all(point_in(poly, v, poly.eps) for v in ConvexPolygon(r.points).vertices)

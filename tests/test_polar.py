@@ -14,7 +14,7 @@ from polyheart.polar import (
     santalo_point,
 )
 
-from conftest import point_in, random_bodies
+from conftest import far_bodies, point_in, random_bodies
 
 
 def hausdorff(a: ConvexPolygon, b: ConvexPolygon) -> float:
@@ -126,10 +126,7 @@ def test_bodies_far_from_the_origin():
     # absolute coordinates it moved by up to 4.5e4 units of
     # spacing(max |v|) + 1e-12 diam here, and in the frame at vertex 0 it
     # moves by at most 0.1 unit.
-    gen = np.random.default_rng(20260419)
-    for _ in range(120):
-        base = bodies.random_convex_polygon(gen, int(gen.integers(3, 301)))
-        poly = ConvexPolygon(base.vertices * 10.0 ** gen.uniform(-4.0, 4.0) + gen.uniform(-1e3, 1e3, size=2))
+    for poly in far_bodies(120):
         _, profile = heart_region(poly, 720)
         v0 = poly.vertices[0]
         moved = folding_profile(ConvexPolygon(poly.vertices - v0), profile.directions)

@@ -29,7 +29,7 @@ def test_setting_counts_pinned():
                for name, p in sub.choices.items()}
     # --body, --json, --svg and --seed, and the options each command reads
     assert options == {"heart": 5, "bounds": 4, "polar": 4, "santalo": 4,
-                       "pde-verify": 6, "fourier-check": 5, "report": 7}
+                       "pde-verify": 6, "fourier-check": 4, "report": 6}
 
 
 def test_numeric_constants_pinned():
@@ -106,3 +106,26 @@ def test_every_public_name_has_a_caller():
         if path != PACKAGE / "__init__.py":
             named |= _references(path, submodules, reexports)
     assert sorted(f"{module}.{name}" for module, name in public - named) == []
+
+
+def test_failing_given_test_reports_its_example(pytester, pytestconfig):
+    # under the repo's warning filters a failing @given test prints its
+    # falsifying example; when hypothesis's report imported libcst, whose
+    # DeprecationWarning the filters made an error, the session ended in
+    # INTERNALERROR instead and the tests after it did not run
+    filters = pytestconfig.getini("filterwarnings")
+    pytester.makeini("[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))
+    pytester.makepyfile("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_after():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    out = result.stdout.str() + result.stderr.str()
+    assert "Falsifying example" in out and "INTERNALERROR" not in out
+    result.assert_outcomes(failed=1, passed=1)
