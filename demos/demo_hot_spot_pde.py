@@ -4,8 +4,8 @@ Solves the heat equation with unit initial data on a 64-gon half-disc,
 follows the maximum of the solution, and verifies that the whole
 trajectory (and the eigenfunction peak it converges to) stays inside
 the computed heart.  For this body the heart degenerates to a vertical
-segment on the symmetry axis.  Writes the tracked field's final frame
-to demos/out/halfdisc_eigen.csv.
+segment on the symmetry axis.  Writes the lowest eigenfunction of the
+grid Laplacian to demos/out/halfdisc_eigen.csv.
 
     python3 demos/demo_hot_spot_pde.py
 """

@@ -57,9 +57,9 @@ from .geometry import (
 _BLOCK_CELLS = 1 << 14
 
 # heart_region's tolerances, in units of poly.eps.  The intersection gives
-# every cut one eps of slack, so a heart vertex may sit that far beyond a
-# folding plane or a body edge; the checks allow a few times more.
-_CONTAINMENT_TOL = 10.0  # heart vertex beyond a body edge or a folding plane
+# every cut one eps of slack, so a heart point may sit that far beyond a
+# folding plane; the check allows a few times more.
+_CONTAINMENT_TOL = 10.0  # heart point beyond a folding plane
 _CENTROID_TOL = 100.0    # centroid's distance from the heart
 
 # The bisection oracle stops no finer than this many eps (bisection below
@@ -269,10 +269,11 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Region, FoldingProfi
     profile's directions and values, and that profile.
 
     Raises InconsistentHeart when the construction contradicts itself
-    (empty intersection, centroid excluded, or the heart beyond a body
-    edge or a folding plane): those are hard failures, never warnings.
-    Each message gives the measured excess and the tolerance it broke, or
-    for an empty intersection the slack each cut had.
+    (empty intersection, centroid excluded, or a point of a polygon,
+    segment or point heart beyond a folding plane): those are hard
+    failures, never warnings.  Each message gives the measured excess and
+    the tolerance it broke, or for an empty intersection the slack each
+    cut had.
     """
     if n_dirs < 4:
         raise ValueError("need at least 4 directions")
@@ -285,7 +286,7 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Region, FoldingProfi
     # innermost of the planes within PARALLEL_TOL of it.  No offset exceeds
     # the support value beyond rounding, which at an edge normal is that
     # edge's offset: the folding plane there is the edge line or lies
-    # inside it.  The containment check below still guards the result.
+    # inside it.  The plane check below guards the result, and so the edges.
     planes = np.column_stack([dirs, vals])
     region = halfplane_intersection(planes, poly.bbox, eps)
     if region.is_empty:
@@ -299,22 +300,16 @@ def heart_region(poly: ConvexPolygon, n_dirs: int) -> tuple[Region, FoldingProfi
             f"centroid lies {gap:.3e} outside the heart (tolerance {_CENTROID_TOL * eps:.3e}); "
             f"folding values inconsistent"
         )
-    out = (region.points @ poly.edge_normals.T - poly.edge_offsets).max()
-    if out > _CONTAINMENT_TOL * eps:
+    # in direction blocks, as in folding_profile: one product over
+    # all directions would run on OpenBLAS's worker threads
+    block = max(1, _BLOCK_CELLS // len(region.points))
+    above = max(((region.points @ dirs[k:k + block].T).max(axis=0) - vals[k:k + block]).max()
+                for k in range(0, len(dirs), block))
+    if above > _CONTAINMENT_TOL * eps:
         raise InconsistentHeart(
-            f"heart left the body by {out:.3e} (tolerance {_CONTAINMENT_TOL * eps:.3e})"
+            f"heart support exceeds a folding offset by {above:.3e} "
+            f"(tolerance {_CONTAINMENT_TOL * eps:.3e})"
         )
-    if region.kind == "polygon":
-        # in direction blocks, as in folding_profile: one product over
-        # all directions would run on OpenBLAS's worker threads
-        block = max(1, _BLOCK_CELLS // len(region.points))
-        above = max(((region.points @ dirs[k:k + block].T).max(axis=0) - vals[k:k + block]).max()
-                    for k in range(0, len(dirs), block))
-        if above > _CONTAINMENT_TOL * eps:
-            raise InconsistentHeart(
-                f"heart support exceeds a folding offset by {above:.3e} "
-                f"(tolerance {_CONTAINMENT_TOL * eps:.3e})"
-            )
     return region, profile
 
 

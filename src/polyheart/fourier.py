@@ -54,10 +54,10 @@ _INVERSION_POINTS = 4096
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 # midpoint_via_transform rejects shadow points this close to the shadow
-# ends, as a share of the shadow's width, and reconstructed chords below
-# this share of the diameter.
+# ends, as a share of the shadow's width, and reconstructed chords shorter
+# than this many resolution lengths diameter / cutoff.
 _SHADOW_MARGIN = 0.05
-_MIN_CHORD = 0.05
+_MIN_CHORD = 3.0
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -272,13 +272,13 @@ def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> floa
             f" [{lo}, {hi}], inside the {_SHADOW_MARGIN:.0%} margin {margin}"
         )
     denom, numer = _line_sums(poly, w, ys, cutoff)
-    bound = _MIN_CHORD * poly.diameter * 2.0 * np.pi
+    bound = _MIN_CHORD * poly.diameter / cutoff * 2.0 * np.pi
     short = ~(np.abs(denom) >= bound)
     if np.any(short):
         k = int(np.argmax(short))
         raise DenominatorTooSmall(
             f"reconstructed 2*pi*chord {denom[k]} at shadow coordinate {ys[k]} is below"
-            f" {_MIN_CHORD}*2*pi*diameter = {bound}"
+            f" {_MIN_CHORD}*2*pi*diameter/cutoff = {bound}"
         )
     mids = numer / denom + float(poly.centroid @ w)
     return float(mids[0]) if y_arr.ndim == 0 else mids

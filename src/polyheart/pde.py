@@ -148,22 +148,25 @@ def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     return GridField(h, k0x, k0y, mask)
 
 
-def _fit_peak(f: np.ndarray) -> tuple[float, float, float] | None:
-    """Quadratic least-squares peak on a 3x3 patch, offsets in [-1, 1].
+@np.errstate(all="ignore")  # fits off the ok mask may divide by a zero det
+def _fit_peak(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Quadratic least-squares peaks on a stack of 3x3 patches f[k],
+    offsets in [-1, 1].
 
     Every aggregate is assembled from mirror-commutative pairs so that
-    flipping the patch flips the fitted offset exactly.  Returns None when
-    the fit is not a proper interior maximum of the patch.
+    flipping a patch flips its fitted offset exactly.  Returns (ox, oy,
+    peak, ok), where ok marks the fits that are a proper interior maximum
+    of their patch.
     """
-    s0 = f[1, 1]
-    sx = f[2, 1] + f[0, 1]
-    sy = f[1, 2] + f[1, 0]
-    sd = (f[2, 2] + f[0, 0]) + (f[2, 0] + f[0, 2])
-    dx = f[2, 1] - f[0, 1]
-    dy = f[1, 2] - f[1, 0]
-    dxt = (f[2, 2] - f[0, 2]) + (f[2, 0] - f[0, 0])
-    dyt = (f[2, 2] - f[2, 0]) + (f[0, 2] - f[0, 0])
-    dxy = (f[2, 2] + f[0, 0]) - (f[2, 0] + f[0, 2])
+    s0 = f[:, 1, 1]
+    sx = f[:, 2, 1] + f[:, 0, 1]
+    sy = f[:, 1, 2] + f[:, 1, 0]
+    sd = (f[:, 2, 2] + f[:, 0, 0]) + (f[:, 2, 0] + f[:, 0, 2])
+    dx = f[:, 2, 1] - f[:, 0, 1]
+    dy = f[:, 1, 2] - f[:, 1, 0]
+    dxt = (f[:, 2, 2] - f[:, 0, 2]) + (f[:, 2, 0] - f[:, 0, 0])
+    dyt = (f[:, 2, 2] - f[:, 2, 0]) + (f[:, 0, 2] - f[:, 0, 0])
+    dxy = (f[:, 2, 2] + f[:, 0, 0]) - (f[:, 2, 0] + f[:, 0, 2])
     total = ((s0 + sx) + sy) + sd
     qx = (sx + sd) - 2.0 * (s0 + sy)
     qy = (sy + sd) - 2.0 * (s0 + sx)
@@ -174,14 +177,11 @@ def _fit_peak(f: np.ndarray) -> tuple[float, float, float] | None:
     c5 = dxy / 4.0
     c0 = (5.0 * total - 3.0 * (2.0 * sd + (sx + sy))) / 9.0
     det = 4.0 * c3 * c4 - c5 * c5
-    if not (det > 0.0 and c3 < 0.0):
-        return None
     ox = (-2.0 * c4 * c1 + c5 * c2) / det
     oy = (-2.0 * c3 * c2 + c5 * c1) / det
-    if max(abs(ox), abs(oy)) > 1.0:
-        return None
+    ok = (det > 0.0) & (c3 < 0.0) & (np.maximum(abs(ox), abs(oy)) <= 1.0)
     peak = (c0 + (c1 * ox + c2 * oy)) + ((c3 * ox * ox + c4 * oy * oy) + c5 * ox * oy)
-    return ox, oy, peak
+    return ox, oy, peak, ok
 
 
 def _locate_peak(grid: GridField, values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -189,33 +189,21 @@ def _locate_peak(grid: GridField, values: np.ndarray) -> tuple[np.ndarray, float
 
     A symmetric field can attain its grid maximum at several nodes with
     identical bits; depending on array orientation, plain argmax would
-    pick different members of that orbit.  Averaging the per-node refined
-    estimates gives an orientation-independent answer.  Large tie sets
-    (flat plateaus at early times) skip the per-node fit and use the tie
-    centroid directly.
+    pick different members of that orbit.  Averaging the refined
+    estimates of every tie gives an orientation-independent answer.  A
+    tie whose 3x3 neighborhood leaves the mask, or whose fit is no
+    interior maximum, counts with its own node and the grid maximum.
     """
     vmax = float(values.max())
     ties = np.argwhere(values == vmax)
-    h = grid.spacing
-    if len(ties) > 64:
-        loc = (ties.mean(axis=0) + np.array([grid.k0x, grid.k0y])) * h
-        return loc, vmax
-    locs = []
-    peaks = []
-    for i, j in ties:
-        x0 = (grid.k0x + i) * h
-        y0 = (grid.k0y + j) * h
-        fit = None
-        if grid.mask[i - 1 : i + 2, j - 1 : j + 2].all():
-            fit = _fit_peak(values[i - 1 : i + 2, j - 1 : j + 2])
-        if fit is None:
-            locs.append(np.array([x0, y0]))
-            peaks.append(vmax)
-        else:
-            ox, oy, peak = fit
-            locs.append(np.array([x0 + ox * h, y0 + oy * h]))
-            peaks.append(peak)
-    return np.mean(locs, axis=0), float(np.mean(peaks))
+    near = np.arange(-1, 2)
+    # index arrays of each tie's 3x3 patch, shaped (ties, 3, 1) and (ties, 1, 3)
+    rows, cols = ties[:, :1, None] + near[:, None], ties[:, 1:, None] + near
+    ox, oy, peak, ok = _fit_peak(values[rows, cols])
+    ok &= grid.mask[rows, cols].all(axis=(1, 2))
+    nodes = (ties + [grid.k0x, grid.k0y]) * grid.spacing
+    locs = np.where(ok[:, None], nodes + np.column_stack([ox, oy]) * grid.spacing, nodes)
+    return locs.mean(axis=0), float(np.where(ok, peak, vmax).mean())
 
 
 @dataclass(frozen=True)
@@ -365,8 +353,9 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
     grid's lowest eigenpair, as eigen_solve(grid) returns it.
     """
     times = sorted(float(t) for t in sample_times)
-    if not times or times[0] <= 0.0:
-        raise ValueError("sample times must be positive")
+    bad = [t for t in times if not 0.0 < t < math.inf]
+    if bad or not times:
+        raise ValueError(f"sample times must be finite and positive, got {bad or 'none'}")
     h = grid.spacing
     dt = h * h / _DT_FACTOR
     steps = []

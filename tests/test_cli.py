@@ -410,6 +410,27 @@ def test_fourier_check(tmp_path, capsys):
         assert check["abs_err"] <= 1e-12 * max(1.0, check["area"])
 
 
+@pytest.mark.parametrize("body, want", [
+    ("rectangle:100,1", 0),
+    ("rectangle:30,1", 0),
+    ("ellipse_approx:50,1,256", 0),
+    ("triangle:0,0,1,0,0.5,0.03", 0),
+    ("triangle:0,0,1,0,0.3,0.01", 2),
+])
+def test_fourier_check_thin_bodies(tmp_path, capsys, body, want):
+    # chords of 3 resolution lengths diameter / cutoff and more invert to
+    # 2e-5 of the diameter; the 0.01-tall triangle's 0.005 chord, 2 of
+    # them, is rejected
+    jpath = tmp_path / "r.json"
+    code, _, err = run(["fourier-check", "--body", body, "--json", str(jpath)], capsys)
+    assert code == want
+    if want:
+        assert json.loads(err)["error"]["type"] == "DenominatorTooSmall"
+    else:
+        max_err = json.loads(jpath.read_text())["fourier"]["max_abs_err"]
+        assert max_err <= 2e-5 * cli.parse_body_arg(body)[0].diameter
+
+
 @pytest.mark.parametrize("body", ["regular_ngon:7", "square", "rectangle:1e-3,1e-3", "rectangle:1e3,1e3"])
 def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys, body):
     # the transform at zero is the limit of its edge sum, so edge lengths

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyheart import bodies, folding
-from polyheart.errors import OutsideShadow, ToleranceTooSmall
+from polyheart.errors import InconsistentHeart, OutsideShadow, ToleranceTooSmall
 from polyheart.folding import (
     _CENTROID_TOL,
     _CONTAINMENT_TOL,
@@ -32,8 +32,10 @@ from polyheart.folding import (
     heart_width_bound,
 )
 from polyheart.geometry import (
+    EMPTY_REGION,
     PARALLEL_TOL,
     ConvexPolygon,
+    Region,
     check_direction,
     halfplane_intersection,
     perp,
@@ -248,6 +250,22 @@ def test_heart_inside_body():
         for v in heart.points:
             assert point_in(poly, v, eps=1e-7 * poly.diameter)
         assert region_point_distance(heart, poly.centroid) <= 1e-7 * poly.diameter
+
+
+@pytest.mark.parametrize("region, message", [
+    (EMPTY_REGION, r"came out empty \(slack {eps} per cut\)"),
+    (Region("point", np.array([[3.5, 4.5]])), r"centroid lies 5.000e\+00 outside the heart \(tolerance {centroid}\)"),
+    # inside the body and through the centroid, but 0.2 beyond the plane x <= 0.5
+    (Region("segment", np.array([[0.5, 0.5], [0.7, 0.5]])),
+     r"exceeds a folding offset by 2.000e-01 \(tolerance {containment}\)"),
+], ids=["empty", "far", "beyond_plane"])
+def test_heart_failures_state_gap_and_tolerance(monkeypatch, square, region, message):
+    monkeypatch.setattr(folding, "halfplane_intersection", lambda *args: region)
+    eps = square.eps
+    want = message.format(eps=f"{eps:.3e}", centroid=f"{_CENTROID_TOL * eps:.3e}",
+                          containment=f"{_CONTAINMENT_TOL * eps:.3e}")
+    with pytest.raises(InconsistentHeart, match=want):
+        heart_region(square, 720)
 
 
 def heart_workload_bodies():

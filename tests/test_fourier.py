@@ -441,15 +441,16 @@ def test_margin_error_names_first_bad_point(monkeypatch, square):
 
 
 def test_short_chord_error_states_value_and_bound():
-    thin = bodies.rectangle(10.0, 0.1)
+    # a chord of 2 resolution lengths diameter / cutoff, below the 3 allowed
+    thin = bodies.rectangle(10.0, 0.05)
     w = np.array([0.0, 1.0])
     lo, hi = shadow_interval(thin, w)
     ys = lo + np.array([0.5, 0.6]) * (hi - lo)
     with pytest.raises(DenominatorTooSmall) as info:
         midpoint_via_transform(thin, w, ys, 400.0)
     msg = str(info.value)
-    bound = 0.05 * thin.diameter * 2.0 * np.pi
+    bound = 3.0 * thin.diameter / 400.0 * 2.0 * np.pi
     assert f"shadow coordinate {ys[0]} " in msg
     assert f"= {bound}" in msg
     value = float(msg.split("2*pi*chord ")[1].split()[0])
-    assert abs(value) == pytest.approx(2.0 * np.pi * 0.1, rel=0.05)
+    assert abs(value) == pytest.approx(2.0 * np.pi * 0.05, rel=0.05)

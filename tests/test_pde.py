@@ -125,6 +125,31 @@ def test_heat_rejects_bad_times(square):
         heat_solve(g, [], eigen)
     with pytest.raises(ValueError):
         heat_solve(g, [-1.0, 0.5], eigen)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"finite and positive, got \\[{bad}\\]"):
+            heat_solve(g, [0.01, bad], eigen)
+
+
+def test_peak_of_exact_quadratic(square):
+    # the 3x3 least-squares fit reproduces a quadratic, so its off-lattice
+    # maximum comes back to rounding
+    g = rasterize(square, 0.05)
+    x = (g.k0x + np.arange(g.mask.shape[0]))[:, None] * g.spacing
+    y = (g.k0y + np.arange(g.mask.shape[1])) * g.spacing
+    top = np.array([0.5 + 0.3 * g.spacing, 0.5 - 0.4 * g.spacing])
+    dx, dy = x - top[0], y - top[1]
+    loc, peak = _locate_peak(g, 2.0 - (3.0 * dx * dx + 2.0 * dy * dy + dx * dy))
+    assert np.abs(loc - top).max() <= 1e-12 * g.spacing
+    assert peak == pytest.approx(2.0, abs=1e-14)
+
+
+def test_peak_of_plateau(square):
+    # every interior node ties, flat patches fit no maximum: the tie centroid
+    g = rasterize(square, 0.05)
+    assert g.mask.sum() > 64
+    loc, peak = _locate_peak(g, g.mask.astype(float))
+    assert np.abs(loc - 0.5).max() <= 1e-12
+    assert peak == 1.0
 
 
 def test_eigen_square(square):
