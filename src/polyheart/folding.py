@@ -8,11 +8,13 @@ projection runs between the two boundary chains, the edges facing along
 omega (the top chain) and those facing against it (the bottom chain).
 Along the shadow the upper end is concave and the lower end convex, so
 their midpoint peaks at a top-chain vertex: only those are evaluated.
-Each one is its own chord's upper end.  Its lower end takes one chain
-search per direction: the projections fall along the bottom chain, so
-one stable sort of them, which merges the boundary's rising and falling
-runs in linear time, and a running count of the chain's vertices in
-sorted order name the one edge that bounds the chord.
+Each one is its own chord's upper end, and one with an edge on the bottom
+chain as well, at a shadow end, is its lower end too.  The others' lower
+ends take one chain search per direction: the projections fall along the
+bottom chain, so one stable sort of them, which merges the boundary's
+rising and falling runs in linear time, and a running count of the
+chain's vertices in sorted order name the one edge that bounds each
+chord, which is evaluated at those vertices only.
 :func:`folding_profile` does this for many directions at once, in blocks
 of array operations, and :func:`folding_offset` is its one-direction case.
 :func:`folding_offset_bisection` instead bisects directly on the
@@ -97,48 +99,73 @@ def _wrapped_edges(poly: ConvexPolygon, frame: np.ndarray) -> tuple[np.ndarray, 
     return np.concatenate([poly.edge_normals[-1:], poly.edge_normals]), np.concatenate([c[-1:], c])
 
 
-def _lower_ends(s: np.ndarray, own: np.ndarray, a: np.ndarray, du: np.ndarray,
-                c: np.ndarray) -> np.ndarray:
-    """Lower chord end along w_b over every vertex projection s[b, k], for
-    a block of directions with the vertex coordinates own[b, k] along w_b,
-    the offsets c of :func:`_wrapped_edges` and their normals' products
-    a = n_i . w_b and du = n_i . u_b.
+def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray,
+                cells: np.ndarray) -> np.ndarray:
+    """Lower chord ends along w_b over the vertex projections s[b, k] at
+    the flat cells b * n + k of a block of directions, given the offsets c
+    of :func:`_wrapped_edges` and their normals' products a = n_i . w_b
+    and du = n_i . u_b.  A vertex of the bottom chain is its own lower
+    end; the count below leaves it out, so its value is no chord end.
 
     The lower end is the maximum over the edges i with n_i . w_b below
     -PARALLEL_TOL, the bottom chain, of (c_i - (n_i . u_b) s[b, k]) /
-    (n_i . w_b).  At a vertex of the chain it is the vertex's own
-    coordinate, which is taken as it is: an edge nearly parallel to w_b
-    puts its line's value there off by about eps * diam / |n_i . w_b|.
-    The chain is one run of the counterclockwise boundary, along which s
-    falls, and the maximum sits on the chain edge whose s-range brackets
-    s[b, k].  With edge i starting at vertex i, that edge's place in the
-    chain is the count of the chain's vertices up to the vertex in one
-    stable descending sort of the row.  Where projections tie, the count
-    may stop on either side of a chain vertex, at which the edges on both
-    sides meet, so the expression is evaluated on the bracketing edge and
-    on the one before it, and the larger value is kept.  Every direction
-    has a bottom chain, since ConvexPolygon rejects needle tips.  At -w_b,
-    -s, -own and -a, -du the same search gives minus the upper end.
+    (n_i . w_b).  The chain is one run of the counterclockwise boundary,
+    along which s falls, and the maximum sits on the chain edge whose
+    s-range brackets s[b, k].  With edge i starting at vertex i, that
+    edge's place in the chain is the count of the chain's vertices up to
+    the vertex in one stable descending sort of the row.  That sort is the
+    stable ascending one reversed, so the count is that of the chain's
+    vertices after the vertex in the ascending sort, the vertex itself not
+    being one of them.  Where projections tie, the count may stop on
+    either side of a chain vertex, at which the edges on both sides meet,
+    so the expression is evaluated on the bracketing edge and on the one
+    before it, and the larger value is kept.  The sort and the count span
+    the whole block, the edges are evaluated at the given cells only, and
+    each block-sized temporary is dropped once spent.  Every direction has
+    a bottom chain, since ConvexPolygon rejects needle tips.  At -w_b,
+    with -s, -a and -du, the same search gives minus the upper end.
     """
     m, n = s.shape
-    rows = np.arange(m)[:, None]
-    # flat cell indices, descending s along each row
-    order = np.argsort(s, axis=1, kind="stable")[:, ::-1] + n * rows
-    chain = a[:, 1:] < -PARALLEL_TOL
-    count = np.empty_like(order)
-    np.put(count, order, np.cumsum(np.take(chain, order), axis=1))
-    before = a[:, :-1] < -PARALLEL_TOL
-    start = np.argmax(chain & ~before, axis=1)[:, None]
-    # the bracketing edge's column, wrapped past the last edge
-    col = start + np.maximum(count, 1)
+    bottom = a < -PARALLEL_TOL
+    chain = bottom[:, 1:]
+    # flat cell indices, ascending s along each row
+    asc = np.argsort(s, axis=1, kind="stable")
+    asc += n * np.arange(m)[:, None]
+    sc = np.take(s, cells)
+    del s
+    # the chain's vertices after each place of the ascending sort
+    after = np.cumsum(np.take(chain, asc), axis=1)
+    np.subtract(after[:, -1:].copy(), after, out=after)
+    count = np.empty(m * n, dtype=after.dtype)
+    count[asc] = after
+    del asc, after
+    count = count[cells]
+    row = cells // n
+    start = np.argmax(chain & ~bottom[:, :-1], axis=1)
+    # the bracketing edge's column, wrapped past the last edge, and its
+    # flat index, written over the row's: the cell-sized arrays, whose
+    # length varies from block to block, are reused in place where they can be
+    col = start[row]
+    col += np.maximum(count, 1)
     np.subtract(col, n, out=col, where=col > n)
-    flat = col + (n + 1) * rows
-    lo = (np.take(c, col) - np.take(du, flat) * s) / np.take(a, flat)
+    flat = row
+    flat *= n + 1
+    flat += col
+
+    def line(col, flat):
+        # (c_i - (n_i . u_b) s) / (n_i . w_b) on the edges at col
+        value = np.take(du, flat)
+        value *= sc
+        np.subtract(np.take(c, col), value, out=value)
+        value /= np.take(a, flat)
+        return value
+
+    lo = line(col, flat)
     step = count > 1  # the edge before, unless the bracketing edge starts the chain
     col -= step
     flat -= step
-    np.maximum(lo, (np.take(c, col) - np.take(du, flat) * s) / np.take(a, flat), out=lo)
-    return np.where(chain | before, own, lo)
+    np.maximum(lo, line(col, flat), out=lo)
+    return lo
 
 
 def folding_offset(poly: ConvexPolygon, omega) -> float:
@@ -163,18 +190,22 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     PARALLEL_TOL), which every direction has, since ConvexPolygon rejects
     needle tips.  Only those vertices are evaluated, and every other one
     gets -inf.  A top-chain vertex is its own chord's upper end, so that
-    end is its own coordinate and needs no search; the lower end comes
-    from one chain search (:func:`_lower_ends`), and one that rounds above
-    the vertex falls back to the vertex's own coordinate.  All of it runs
-    in the frame at vertex 0: s, the vertex coordinates and the edge
-    offsets come from v - v_0, and omega . v_0 is added back to the
-    values, so that their rounding scales with the diameter, not with the
-    distance from the origin.
+    end is its own coordinate and needs no search.  One that also has an
+    edge on the bottom chain sits at a shadow end, where the chord is the
+    vertex alone and its midpoint is the vertex's coordinate.  The strict
+    top-chain vertices, with a top edge and no bottom edge, are gathered
+    once per block, and only their lower ends come from the chain search
+    (:func:`_lower_ends`); one that rounds above the vertex falls back to
+    the vertex's own coordinate.  All of it runs in the frame at vertex 0:
+    s, the vertex coordinates and the edge offsets come from v - v_0, and
+    omega . v_0 is added back to the values, so that their rounding scales
+    with the diameter, not with the distance from the origin.
 
     The directions are evaluated in blocks, each in one set of array
     operations: one stable sort of each row's vertex projections, which
     form a rising and a falling run that the sort merges in linear time,
-    and otherwise steps linear in the vertex count.  No matrix product
+    a running count over the sorted rows, and the chord ends at the
+    gathered vertices, about half the block.  No matrix product
     spans all directions at once: one that large would run on OpenBLAS's
     worker threads.  The edge data that do not depend on the direction
     are built once.
@@ -189,12 +220,18 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
     for k in range(0, len(w), block):
         wb = w[k:k + block]
         u = np.column_stack([-wb[:, 1], wb[:, 0]])  # perp of every row
-        s = u @ frame.T
-        own = wb @ frame.T
         a = wb @ normals.T
-        lo = _lower_ends(s, own, a, u @ normals.T, c)
-        f = 0.5 * (np.minimum(lo, own) + own)
-        f[(a[:, :-1] <= PARALLEL_TOL) & (a[:, 1:] <= PARALLEL_TOL)] = -np.inf  # off the top chain
+        top = a > PARALLEL_TOL
+        top = top[:, :-1] | top[:, 1:]
+        bottom = a < -PARALLEL_TOL
+        # the strict top-chain vertices: a top edge and no bottom edge
+        cells = np.flatnonzero(top & ~(bottom[:, :-1] | bottom[:, 1:]))
+        f = wb @ frame.T  # own coordinates, the midpoints at the shadow ends
+        f[~top] = -np.inf  # off the top chain
+        f_cells = f.reshape(-1)  # a view of f
+        own = f_cells[cells]
+        lo = _lower_ends(u @ frame.T, a, u @ normals.T, c, cells)
+        f_cells[cells] = 0.5 * (np.minimum(lo, own) + own)
         j = np.argmax(f, axis=1)
         values[k:k + block] = f[np.arange(len(j)), j] + wb @ v0
         witness_vertex[k:k + block] = j
@@ -322,7 +359,7 @@ class WidthBound:
 def heart_width_bound(poly: ConvexPolygon, omega, heart: Region) -> WidthBound:
     """Two-sided folding bound on the width along omega, and heart's width there."""
     w = check_direction(omega)
-    bound = folding_offset(poly, w) + folding_offset(poly, -w)
+    bound = folding_profile(poly, [w, -w]).values.sum()
     vals = heart.points @ w
     return WidthBound(float(bound), float(vals.max() - vals.min()))
 

@@ -10,6 +10,7 @@ resolves the offset to about sqrt(eps), hence the looser bound there.
 
 import bisect
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -88,23 +89,55 @@ def tableau_chord_midpoints(poly, w):
     return f[0] if w.ndim == 1 else f
 
 
+def every_cell_lower_ends(s, own, a, du, c):
+    """The kernel's chain search (folding._lower_ends) at every cell of a
+    block, and the vertex's own coordinate at a vertex with an edge on the
+    bottom chain, where folding_profile runs no search."""
+    bottom = a < -PARALLEL_TOL
+    lo = folding._lower_ends(s, a, du, c, np.arange(s.size)).reshape(s.shape)
+    return np.where(bottom[:, :-1] | bottom[:, 1:], own, lo)
+
+
 def vertex_chord_midpoints(poly, omega):
     """Chord midpoints f over every vertex projection from the kernel's
-    one chain search, run at omega for the lower chord ends and at -omega
-    for the upper ones: top(omega) = -bottom(-omega), here in the frame
-    at the origin.  Degenerate chords at shadow-extreme vertices
-    contribute the vertex's own omega-coordinate."""
+    one chain search, run at every vertex, at omega for the lower chord
+    ends and at -omega for the upper ones: top(omega) = -bottom(-omega),
+    here in the frame at the origin.  Degenerate chords at shadow-extreme
+    vertices contribute the vertex's own omega-coordinate."""
     w = check_direction(omega)[None, :]
     u = perp(w[0])[None, :]
     s = u @ poly.vertices.T
     own = w @ poly.vertices.T
     normals, c = folding._wrapped_edges(poly, poly.vertices)
     a, du = w @ normals.T, u @ normals.T
-    lo = folding._lower_ends(s, own, a, du, c)
-    hi = -folding._lower_ends(-s, -own, -a, -du, c)
+    lo = every_cell_lower_ends(s, own, a, du, c)
+    hi = -every_cell_lower_ends(-s, -own, -a, -du, c)
     f = 0.5 * (lo + hi)
     f[lo > hi] = own[lo > hi]
     return f[0]
+
+
+def every_cell_profile(poly, dirs):
+    """(values, witness_vertex) as folding_profile computes them, in its
+    frame and on its blocks, but with the lower chord end searched at every
+    vertex and the maximum taken over the top-chain vertices."""
+    v0 = poly.vertices[0]
+    frame = poly.vertices - v0
+    normals, c = folding._wrapped_edges(poly, frame)
+    block = max(1, folding._BLOCK_CELLS // len(frame))
+    values, witness = [], []
+    for k in range(0, len(dirs), block):
+        wb = dirs[k:k + block]
+        u = np.column_stack([-wb[:, 1], wb[:, 0]])
+        own = wb @ frame.T
+        a = wb @ normals.T
+        lo = every_cell_lower_ends(u @ frame.T, own, a, u @ normals.T, c)
+        f = 0.5 * (np.minimum(lo, own) + own)
+        f[(a[:, :-1] <= PARALLEL_TOL) & (a[:, 1:] <= PARALLEL_TOL)] = -np.inf
+        j = np.argmax(f, axis=1)
+        values.append(f[np.arange(len(j)), j] + wb @ v0)
+        witness.append(j)
+    return np.concatenate(values), np.concatenate(witness)
 
 
 def ellipse_folding(a: float, b: float, theta: float) -> float:
@@ -493,21 +526,48 @@ def _turned(poly, theta):
     return ConvexPolygon(poly.vertices @ np.array([[c, s], [-s, c]]))
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5 * np.pi, 0.7])
-@pytest.mark.parametrize("body", [
-    bodies.square(),
-    bodies.rectangle(2.0, 1.0),
-    *(bodies.regular_ngon(n) for n in (4, 6, 8, 12)),
-    ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
-    ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0], [0.0, 1.0]]),
-], ids=["square", "rect21", "ngon4", "ngon6", "ngon8", "ngon12", "straight_bottom", "straight_top"])
+TIE_BODIES = {
+    "square": bodies.square(),
+    "rect21": bodies.rectangle(2.0, 1.0),
+    **{f"ngon{n}": bodies.regular_ngon(n) for n in (4, 6, 8, 12)},
+    "straight_bottom": ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
+    "straight_top": ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0], [0.0, 1.0]]),
+}
+TIE_TURNS = [0.0, 0.5 * np.pi, 0.7]
+
+
+def _edge_directions(poly):
+    """The edge directions +-e_i/|e_i|: along each, an edge is parallel to omega."""
+    e = poly.edges / poly.edge_lengths[:, None]
+    return np.concatenate([e, -e])
+
+
+@pytest.mark.parametrize("theta", TIE_TURNS)
+@pytest.mark.parametrize("body", TIE_BODIES.values(), ids=TIE_BODIES.keys())
 def test_profile_matches_tableau_on_ties(body, theta):
     # many projections tie exactly here, so the shared sort's tie order
     # decides which chain edge brackets a vertex; along the edge
-    # directions +-e_i/|e_i| an edge is parallel to omega and leaves its chain
+    # directions an edge is parallel to omega and leaves its chain
     poly = _turned(body, theta)
-    e = poly.edges / poly.edge_lengths[:, None]
-    _assert_profile_matches_tableau(poly, np.concatenate([heart_directions(poly, 720), e, -e]))
+    _assert_profile_matches_tableau(poly, np.concatenate([heart_directions(poly, 720), _edge_directions(poly)]))
+
+
+@pytest.mark.parametrize("suite", ["heart", "ties", "tie_edges"])
+def test_profile_is_every_cell_maximum(suite):
+    # folding_profile searches lower chord ends at the strict top-chain
+    # vertices only; its rows must be, bit for bit, the maximum over the
+    # top-chain vertices of the search run at every vertex in its frame
+    if suite == "heart":
+        cases = [(poly, heart_directions(poly, 720)) for poly in heart_workload_bodies()]
+    else:
+        polys = [_turned(body, theta) for body in TIE_BODIES.values() for theta in TIE_TURNS]
+        pick = heart_directions if suite == "ties" else lambda poly, _: _edge_directions(poly)
+        cases = [(poly, pick(poly, 720)) for poly in polys]
+    for poly, dirs in cases:
+        profile = folding_profile(poly, dirs)
+        values, witness = every_cell_profile(poly, dirs)
+        assert np.array_equal(profile.values, values), len(poly)
+        assert np.array_equal(profile.witness_vertex, witness), len(poly)
 
 
 def exact_chord_midpoints(poly, w):
@@ -584,12 +644,14 @@ def test_profile_is_top_chain_maximum(seed, n, rotation, scale, shift):
 @pytest.mark.parametrize("cells", [lambda n: 7 * n + 3, lambda n: 1], ids=["7n+3", "one_row"])
 def test_profile_independent_of_block_split(monkeypatch, cells):
     # blocks of 7 rows and a ragged last block, or one row each: every row
-    # must come out as the single direction does, whatever block it is in
+    # must come out as the single direction does, whatever block it is in.
+    # On the triangle 366 of the 736 rows have no strict top-chain vertex,
+    # so one-row blocks search no lower chord end at all
     gen = np.random.default_rng(907)
-    suite = [bodies.regular_ngon(12), bodies.halfdisc(1.0, 0.0, 64)] + [
-        bodies.random_convex_polygon(gen, n) for n in (5, 40, 150)]
+    suite = [bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.3, 0.8]), bodies.regular_ngon(12),
+             bodies.halfdisc(1.0, 0.0, 64)] + [bodies.random_convex_polygon(gen, n) for n in (5, 40, 150)]
     for poly in suite:
-        dirs = heart_directions(poly, 720)
+        dirs = np.concatenate([heart_directions(poly, 720), _edge_directions(poly), poly.edge_normals])
         monkeypatch.setattr(folding, "_BLOCK_CELLS", cells(len(poly)))
         profile = folding_profile(poly, dirs)
         for k, w in enumerate(dirs):
@@ -597,6 +659,23 @@ def test_profile_independent_of_block_split(monkeypatch, cells):
             assert abs(profile.values[k] - one) <= 1e-12 * poly.diameter, (len(poly), w)
             f = tableau_chord_midpoints(poly, w)
             assert abs(f[profile.witness_vertex[k]] - f.max()) <= 1e-11 * poly.diameter
+
+
+def test_profile_peak_memory():
+    # folding_profile drops each block-sized temporary once spent; the
+    # kernel that searched a lower chord end at every vertex peaked at
+    # 1885 kB (tracemalloc) on this call, with numpy 2.4.6 on x86_64, and
+    # the compacted one must stay at or below that
+    poly = bodies.regular_ngon(512)
+    dirs = heart_directions(poly, 720)
+    folding_profile(poly, dirs)
+    tracemalloc.start()
+    try:
+        folding_profile(poly, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1885 * 1024
 
 
 @settings(max_examples=60, deadline=None)
