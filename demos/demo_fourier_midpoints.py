@@ -2,9 +2,13 @@
 
 The transform of a polygon's indicator function, restricted to a line
 of frequencies, encodes every chord along the matching direction.  The
-demo evaluates the closed-form transform, inverts it numerically for
-chord lengths and midpoints, compares against direct geometry, and
-shows the truncation error halving as the frequency cutoff doubles.
+demo evaluates the closed-form transform, inverts it for chord lengths
+and midpoints, compares against direct geometry, and shows the
+truncation error falling about fourfold as the frequency cutoff doubles.
+For a polygon the inversion integral truncated at the cutoff is itself
+a closed form, a sum over the edges of sine integrals at their end
+projections, so the errors printed are the truncation's alone: the sums
+are evaluated to within about 1e-15 of the diameter.
 
     python3 demos/demo_fourier_midpoints.py
 """

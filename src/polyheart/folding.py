@@ -99,13 +99,14 @@ def _wrapped_edges(poly: ConvexPolygon, frame: np.ndarray) -> tuple[np.ndarray, 
     return np.concatenate([poly.edge_normals[-1:], poly.edge_normals]), np.concatenate([c[-1:], c])
 
 
-def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray,
+def _lower_ends(s: np.ndarray, a: np.ndarray, bottom: np.ndarray, du: np.ndarray, c: np.ndarray,
                 cells: np.ndarray) -> np.ndarray:
     """Lower chord ends along w_b over the vertex projections s[b, k] at
     the flat cells b * n + k of a block of directions, given the offsets c
-    of :func:`_wrapped_edges` and their normals' products a = n_i . w_b
-    and du = n_i . u_b.  A vertex of the bottom chain is its own lower
-    end; the count below leaves it out, so its value is no chord end.
+    of :func:`_wrapped_edges`, their normals' products a = n_i . w_b and
+    du = n_i . u_b, and the bottom chain's mask bottom = a < -PARALLEL_TOL.
+    A vertex of the bottom chain is its own lower end; the count below
+    leaves it out, so its value is no chord end.
 
     The lower end is the maximum over the edges i with n_i . w_b below
     -PARALLEL_TOL, the bottom chain, of (c_i - (n_i . u_b) s[b, k]) /
@@ -126,7 +127,6 @@ def _lower_ends(s: np.ndarray, a: np.ndarray, du: np.ndarray, c: np.ndarray,
     with -s, -a and -du, the same search gives minus the upper end.
     """
     m, n = s.shape
-    bottom = a < -PARALLEL_TOL
     chain = bottom[:, 1:]
     # flat cell indices, ascending s along each row
     asc = np.argsort(s, axis=1, kind="stable")
@@ -230,7 +230,7 @@ def folding_profile(poly: ConvexPolygon, directions) -> FoldingProfile:
         f[~top] = -np.inf  # off the top chain
         f_cells = f.reshape(-1)  # a view of f
         own = f_cells[cells]
-        lo = _lower_ends(u @ frame.T, a, u @ normals.T, c, cells)
+        lo = _lower_ends(u @ frame.T, a, bottom, u @ normals.T, c, cells)
         f_cells[cells] = 0.5 * (np.minimum(lo, own) + own)
         j = np.argmax(f, axis=1)
         values[k:k + block] = f[np.arange(len(j)), j] + wb @ v0

@@ -14,17 +14,19 @@ remains special, where the value is the sum's limit, the area.
 Restricting to the line orthogonal to a direction omega and inverting the
 one-dimensional transform reconstructs the chord length above each shadow
 point, and the ratio with the derivative transform reconstructs the chord
-midpoint.  The inversions run in a frame centred on the body's centroid,
-so their cost does not grow with the body's distance from the origin.
-The indicator is real, so T(-xi) = conj T(xi) and T'(-eta) = -conj T'(eta):
-the inversion integrals over [-S, S] are twice the real part of those over
-[0, S], and only the half-line is evaluated.  One evaluation of T and T'
-on the half-line serves every shadow point of a direction.  On that line
-xi = s u every transcendental is exp(i s r) for a fixed rate r (the edge
-midpoint phase, the half-edge phase whose parts are sin and cos of D_j/2,
-and the swing e^{i s y}).  On uniform Gauss panels each one factors into
-phases per panel and per node offset, so the line costs a few dozen
-exponentials per rate and products, not one per node (_line_transform).
+midpoint.  The inversion integrals are truncated to |s| <= S, and for a
+polygon the truncated integrals are finite sums: on the line xi = s u
+each edge contributes sinc(beta_j s) e^{i d_j s} over a power of s, whose
+integral over [-S, S] is a combination of the sine integral Si, cos and
+sin at the two end projections d_j +- beta_j of the edge (_line_sums).
+They are taken in a frame centred on the body's centroid, and each edge's
+part is split into its S -> infinity limit, exact arithmetic on d_j and
+beta_j, and a remainder of order 1/S, so no two parts of the size of the
+diameter cancel.  Si is computed here, by its power series near 0 and by
+a continued fraction of E1(ix) beyond (_si_tail), within 1.4e-15 of a
+reference.  The midpoints so obtained agree with a 50-digit evaluation of
+the same sums to 4.2e-16 diameters, and with a fine Gauss quadrature of
+the truncated integrals to 1.6e-13 diameters, the quadrature's own error.
 indicator_transform evaluates T at arbitrary frequencies directly.
 These reconstructions are deliberately crude (truncated oscillatory
 integrals, a few percent accuracy): they exist to cross-check the
@@ -41,17 +43,24 @@ import numpy as np
 from .errors import DenominatorTooSmall
 from .geometry import ConvexPolygon, check_direction, perp, shadow_interval
 
-# sinc' switches to its series below this |x| (_series_filled): cos x -
-# sin x / x cancels there, losing digits that the series keeps.
-_SERIES_CUT = 0.1
+# Si's power series serves below this |x| (_si_tail), the continued
+# fraction of E1(ix) at and beyond it: at 4 the series' largest term is
+# 3.6, so it keeps Si within 1.1e-15.
+_SI_SERIES_CUT = 4.0
 
-# The inversions use at least this many Gauss nodes over [-S, S] (512
-# panels of 8), enough for the few-percent accuracy these cross-checks
-# aim at; the half-line rule takes the half of them over [0, S].
-_INVERSION_POINTS = 4096
+# The Taylor coefficients of Si(x)/x in x^2 that |x| < 4 needs: the next
+# term is below 1e-19.
+_SI_SERIES = np.array([(-1.0) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(17)])
 
-# The Gauss-Legendre rule on each inversion panel.
-_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The continued fraction runs 2 + ceil(_FRACTION_REACH / min |x|) steps
+# backward: measured against a 400-step fraction, that keeps the tail of
+# Si within 1e-15 / |x| on 4 <= |x| <= 3000.
+_FRACTION_REACH = 170.0
+
+# Edges with |beta| S at most this take the Gauss rule over the edge's
+# projection (_gauss_terms): their end differences would cancel.
+_SHORT_EDGE = 1.0
+_EDGE_NODES, _EDGE_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 # midpoint_via_transform rejects shadow points this close to the shadow
 # ends, as a share of the shadow's width, and reconstructed chords shorter
@@ -63,14 +72,6 @@ _MIN_CHORD = 3.0
 def _sinc(x: np.ndarray) -> np.ndarray:
     """sin(x)/x, with the value 1 at x = 0 (numpy's sinc is sin(pi x)/(pi x))."""
     return np.sinc(np.asarray(x, dtype=float) / np.pi)
-
-
-def _series_filled(x: np.ndarray, closed: np.ndarray) -> np.ndarray:
-    """closed, the closed form of sinc' at x, with the series of sinc' in
-    its place where |x| < _SERIES_CUT."""
-    x2 = x * x
-    series = -(x / 3.0) * (1.0 - x2 / 10.0 * (1.0 - 3.0 * x2 / 84.0))
-    return np.where(np.abs(x) < _SERIES_CUT, series, closed)
 
 
 def _prelude(poly: ConvexPolygon, xi: np.ndarray):
@@ -111,125 +112,149 @@ def indicator_transform(poly: ConvexPolygon, xi) -> complex | np.ndarray:
     return vals
 
 
-def _inversion_nodes(poly: ConvexPolygon, u: np.ndarray, y: np.ndarray, cutoff: float):
-    """Gauss panels over the frequency half-line [0, S] on omega-perp: their
-    count P and common half-width h.  Panel p is centred at (2p + 1) h, so
-    its nodes are (2p + 1 + x_q) h for the _PANEL_NODES x_q.
+def _si_tail(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray) -> np.ndarray:
+    """Si(x) - sign(x) pi/2, the sine integral less its limit, at x, given
+    cos x and sin x.
 
-    y are the shadow coordinates along u in the frame centred on the
-    centroid.  cutoff is in units of 2*pi/diameter.  The node budget over
-    [-S, S] is at least _INVERSION_POINTS, grown if needed to keep at least
-    8 points per oscillation of the integrand at the largest |y|.  That
-    oscillation is e^{i s y} times T's phases, which run to the vertices,
-    so it is sized by max |y| + max_k |(v_k - centroid) . u|.  The
-    half-line gets half of the full rule's panels of 8 points, rounded up:
-    for an even count this is the full rule folded in half, for an odd one
-    (whose middle panel straddles 0) its panels are slightly narrower.
+    Below |x| = _SI_SERIES_CUT it is Si's power series less the limit,
+    beyond it the continued fraction of _fraction_tail, which computes the
+    tail itself rather than Si minus pi/2, so the tail keeps its relative
+    accuracy as it decays like cos(x)/x.
     """
-    if not 0.0 < cutoff < np.inf:
-        raise ValueError(f"fourier cutoff must be finite and positive, got {cutoff!r}")
-    s_max = cutoff * 2.0 * np.pi / poly.diameter
-    reach = float(np.abs((poly.vertices - poly.centroid) @ u).max())
-    freq = float(np.abs(y).max()) + reach
-    needed = int(np.ceil(8.0 * s_max * freq / np.pi))
-    panels = max(4, int(np.ceil(max(_INVERSION_POINTS, needed) / 16.0)))
-    return panels, 0.5 * s_max / panels
-
-
-def _panel_exp(panels: int, half: float, rates: np.ndarray) -> np.ndarray:
-    """exp(i s r) for every rate r (rows) at every node s of the panels of
-    _inversion_nodes (columns, panel by panel).
-
-    With B = ceil(sqrt(P)) and panel p = a B + b, the node (2p + 1 + x_q) h
-    is 2 B h a + (2 b + 1) h + h x_q, so exp(i s r) is the product of three
-    factors taken from (P / B + B + 8) x rates complex exponentials, not
-    8 P x rates.  Each factor is rounded once, so the product is within a
-    few ulp of the direct exponential.
-    """
-    block = math.isqrt(panels - 1) + 1
-    far = _cis(np.multiply.outer(rates, 2.0 * block * half * np.arange((panels + block - 1) // block)))
-    near = _cis(np.multiply.outer(rates, half * (2.0 * np.arange(block) + 1.0)))
-    centre = (far[:, :, None] * near[:, None, :]).reshape(len(rates), -1)[:, :panels]
-    inner = _cis(np.multiply.outer(rates, half * _PANEL_NODES))
-    return (centre[:, :, None] * inner[:, None, :]).reshape(len(rates), -1)
-
-
-def _cis(angle: np.ndarray) -> np.ndarray:
-    """exp(i angle) from one cos and one sin, cheaper than a complex exp."""
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
+    near = np.abs(x) < _SI_SERIES_CUT
+    if not near.any():
+        return _fraction_tail(x, cos_x, sin_x)
+    out = np.empty_like(x)
+    xn = x[near]
+    x2 = xn * xn
+    acc = np.full_like(xn, _SI_SERIES[-1])
+    for coef in _SI_SERIES[-2::-1]:
+        acc *= x2
+        acc += coef
+    out[near] = acc * xn - np.sign(xn) * (0.5 * np.pi)
+    far = ~near
+    if far.any():
+        out[far] = _fraction_tail(x[far], cos_x[far], sin_x[far])
     return out
 
 
-def _weighted(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights_j terms_j over the rows of the complex (m, N) terms for
-    real weights, as one real einsum over their interleaved parts."""
-    return np.einsum("jn,j->n", terms.view(float), weights).view(complex)
+def _fraction_tail(x: np.ndarray, cos_x: np.ndarray, sin_x: np.ndarray) -> np.ndarray:
+    """Si(x) - sign(x) pi/2 for |x| >= _SI_SERIES_CUT: the imaginary part of
+    E1(ix) = e^{-ix} h, with h = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) at
+    z = ix, evaluated backward from a depth that the smallest |x| sets
+    (the fraction converges faster for larger |x|)."""
+    depth = 2 + math.ceil(_FRACTION_REACH / float(np.abs(x).min()))
+    steps = np.add.outer(2.0 * np.arange(depth + 1) + 1.0, 1j * x)  # z + 2k + 1
+    h = np.zeros_like(steps[0])
+    for k in range(depth, 0, -1):
+        h += steps[k]
+        np.divide(-(k * k), h, out=h)
+    h += steps[0]
+    np.divide(1.0, h, out=h)
+    return h.imag * cos_x - h.real * sin_x
 
 
-def _line_transform(poly: ConvexPolygon, w: np.ndarray, yc: np.ndarray, cutoff: float):
-    """T(s u) and T'(s u) along w, u = perp(w), in the frame centred on the
-    centroid c, at the nodes s of one panel set over the half-line [0, S]
-    (_inversion_nodes) fine enough for the shadow coordinates yc, given in
-    that frame.  Returns the nodes, their weights (doubled for the
-    half-line), T, T' and the swings e^{i s y} (one row per y of yc).
+def _vertex_terms(a: np.ndarray, s_max: float) -> np.ndarray:
+    """cos(a S), sin(a S), a tail(a S), F(a) - pi |a|/2 and a (F(a) - pi |a|/2)
+    at the end projections a, stacked on a new first axis: tail is
+    _si_tail, and F(a) = a Si(a S) - (1 - cos a S)/S as in _line_sums."""
+    x = a * s_max
+    out = np.empty((5, *a.shape))
+    cos_x, sin_x, a_tail, rest, a_rest = out
+    np.cos(x, out=cos_x)
+    np.sin(x, out=sin_x)
+    np.multiply(a, _si_tail(x, cos_x, sin_x), out=a_tail)
+    np.subtract(cos_x, 1.0, out=rest)
+    rest /= s_max
+    rest += a_tail
+    np.multiply(a, rest, out=a_rest)
+    return out
 
-    On this line every transcendental of T and T' is exp(i s r) for a
-    fixed rate r: the midpoint phases M_j (r = -(m_j - c) . u), the
-    half-edge phases (r = e_j . u / 2, whose imaginary and real parts are
-    sin and cos of x = D_j/2), and the swings, so one _panel_exp gives them
-    all.  sinc(x) is sin/x (1 at x = 0) and sinc'(x) is (cos - sinc)/x, or
-    the series of _series_filled for |x| < _SERIES_CUT.  T and T' are then
-    per-edge weighted sums of sinc M and sinc' M.  The sums are einsum's,
-    not BLAS calls, which would spread over threads.
-    """
-    u = perp(w)
-    c = poly.centroid
-    panels, half = _inversion_nodes(poly, u, yc, cutoff)
-    s = ((2.0 * np.arange(panels) + 1.0)[:, None] + _PANEL_NODES[None, :]).ravel() * half
-    wts = np.tile(2.0 * half * _PANEL_WEIGHTS, panels)
-    mids = poly.vertices + 0.5 * poly.edges - c
-    beta = 0.5 * (poly.edges @ u)
-    m = len(beta)
-    phases = _panel_exp(panels, half, np.concatenate([-(mids @ u), beta, yc]))
-    mid_phase, half_phase, swing = phases[:m], phases[m : 2 * m], phases[2 * m :]
-    flat = beta == 0.0
-    inv_beta = np.divide(1.0, beta, out=np.zeros(m), where=~flat)[:, None]
-    inv_s = 1.0 / s
-    # in place where the operands allow: fresh pages cost as much as the arithmetic
-    sinc_d = half_phase.imag * inv_beta
-    sinc_d *= inv_s
-    sinc_d[flat] = 1.0
-    dsinc = half_phase.real - sinc_d
-    dsinc *= inv_beta
-    dsinc *= inv_s
-    # |x| < _SERIES_CUT on a prefix of each edge's nodes, as s ascends
-    count = np.searchsorted(s, _SERIES_CUT * np.abs(inv_beta[:, 0]))
-    rows = np.repeat(np.arange(m), count)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
-    dsinc[rows, cols] = _series_filled(beta[rows] * s[cols], dsinc[rows, cols])
-    scaled = poly.edge_normals * poly.edge_lengths[:, None]
-    g = scaled @ u
-    sinc_m = np.multiply(mid_phase, sinc_d, out=half_phase)
-    dsinc_m = np.multiply(mid_phase, dsinc, out=mid_phase)
-    t_val = _weighted(sinc_m, g)
-    d_val = _weighted(sinc_m, scaled @ w) + s * (
-        -1j * _weighted(sinc_m, g * (mids @ w)) + _weighted(dsinc_m, 0.5 * g * (poly.edges @ w))
-    )
-    return s, wts, 1j * t_val / s, 1j * d_val / (s * s), swing
+
+def _end_terms(d: np.ndarray, beta: np.ndarray, plus: np.ndarray, minus: np.ndarray, s_max: float):
+    """P, Q and dQ of _line_sums at the (k, m) offsets d of edges with
+    half-projections beta, from the _vertex_terms at their end projections
+    d + beta (plus) and d - beta (minus).
+
+    Each is its S -> infinity limit, exact arithmetic on d and beta, plus
+    a remainder of order 1/S that the tails of Si carry, so the parts of
+    order diameter never cancel in floating point."""
+    cos_sum, _, a_tail_sum, _, _ = plus + minus
+    _, sin_diff, _, rest_diff, a_rest_diff = plus - minus
+    inv = 1.0 / beta
+    r = np.maximum(np.abs(d), np.abs(beta))
+    t = d / r  # clip(d / |beta|, -1, 1)
+    dt = d * t
+    p = np.pi * t + rest_diff * inv
+    q_rest = (sin_diff / (s_max * s_max) + a_rest_diff) * (-0.5 * inv) - 1.0 / s_max
+    q = q_rest - 0.5 * np.pi * (dt + r)
+    dq = (0.5 * np.pi * (dt - r) - a_tail_sum - cos_sum / s_max - q_rest) * inv
+    return p, q, dq
+
+
+def _gauss_terms(d: np.ndarray, beta: np.ndarray, s_max: float):
+    """P, Q and dQ of _line_sums at the (k, m) offsets d of edges with
+    |beta| S <= _SHORT_EDGE, as integrals over t = d + beta x, x in [-1, 1],
+    on the Gauss rule _EDGE_NODES: no division by beta."""
+    t = d[..., None] + beta[:, None] * _EDGE_NODES
+    x = t * s_max
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    si = _si_tail(x, cos_x, sin_x) + np.sign(x) * (0.5 * np.pi)
+    p = si @ _EDGE_WEIGHTS
+    q = -((t * si + cos_x / s_max) @ _EDGE_WEIGHTS)
+    dq = 0.5 * s_max * beta * ((_sinc(x) * (_EDGE_NODES * _EDGE_NODES - 1.0)) @ _EDGE_WEIGHTS)
+    return p, q, dq
 
 
 def _line_sums(poly: ConvexPolygon, w: np.ndarray, ys: np.ndarray, cutoff: float):
     """The inversion integrals Re Int_{-S}^{S} T(s u) e^{i s y'} ds and
     Re Int_{-S}^{S} i T'(s u) e^{i s y'} ds for each shadow coordinate y of
-    ys, with y' = y - c . u in the frame centred on the centroid c: twice
-    the real parts of the half-line rule of _line_transform."""
-    yc = ys - float(poly.centroid @ perp(w))
-    _, wts, t, dt, swing = _line_transform(poly, w, yc, cutoff)
-    denom = np.einsum("kn,n->k", swing, wts * t).real
-    numer = np.einsum("kn,n->k", swing, wts * (1j * dt)).real
-    return denom, numer
+    ys, u = perp(w), S = cutoff 2 pi / diameter, y' = y - c . u in the
+    frame centred on the centroid c, in closed form.
+
+    On xi = s u in that frame T(s u) = (i/s) sum_j g_j sinc(beta_j s)
+    e^{-i mu_j s}, with g_j = |e_j| nu_j . u, beta_j = e_j . u / 2 and
+    mu_j = (m_j - c) . u; T' brings g'_j = |e_j| nu_j . w,
+    beta'_j = e_j . w / 2 and mu'_j = (m_j - c) . w.  With d_j = y' - mu_j
+    the integrals are denom = -sum_j g_j P_j and
+    numer = -sum_j (g'_j Q_j + g_j beta'_j dQ_j + g_j mu'_j P_j), where
+    P = Int sinc(beta s) sin(d s)/s ds, Q is the finite part of
+    Int sinc(beta s) cos(d s)/s^2 ds (its pole cancels in the sum, since
+    sum_j g'_j = 0) and dQ = dQ/dbeta.  With F(a) = a Si(a S) - (1 - cos a S)/S,
+    H(a) = -sin(a S)/S^2 - a/S - a F(a) and H'(a) = -2 (a Si(a S) + cos(a S)/S),
+    P = (F(d + beta) - F(d - beta))/beta, Q = (H(d + beta) - H(d - beta))/(2 beta)
+    and dQ = (H'(d + beta) + H'(d - beta))/(2 beta) - Q/beta (_end_terms).
+    The end projections d + beta and d - beta of edge j are y' less the
+    projections of vertices j and j + 1, so Si, cos and sin are evaluated
+    once per vertex (_vertex_terms).  Where |beta| S <= _SHORT_EDGE the
+    differences cancel, and the same integrals are taken as
+    P = Int Si(t S) dx, Q = (1/2) Int H'(t) dx and
+    dQ = (beta S/2) Int (x^2 - 1) sinc(t S) dx over t = d + beta x,
+    x in [-1, 1] (_gauss_terms).
+    """
+    if not 0.0 < cutoff < np.inf:
+        raise ValueError(f"fourier cutoff must be finite and positive, got {cutoff!r}")
+    s_max = cutoff * 2.0 * np.pi / poly.diameter
+    frame = np.array((perp(w), w)).T
+    c = poly.centroid
+    ring = (np.concatenate((poly.vertices, poly.vertices[:1])) - c) @ frame
+    (beta, beta_w), (mu, mu_w) = 0.5 * (ring[1:] - ring[:-1]).T, 0.5 * (ring[1:] + ring[:-1]).T
+    g, g_w = ((poly.edge_normals * poly.edge_lengths[:, None]) @ frame).T
+    y = (ys - float(c @ frame[:, 0]))[:, None]
+    d = y - mu
+    vals = _vertex_terms(y - ring[:, 0], s_max)
+    plus, minus = vals[..., :-1], vals[..., 1:]
+    long = np.abs(beta) * s_max > _SHORT_EDGE
+    if long.all():
+        p, q, dq = _end_terms(d, beta, plus, minus, s_max)
+    else:
+        p, q, dq = np.empty((3, *d.shape))
+        p[:, long], q[:, long], dq[:, long] = _end_terms(
+            d[:, long], beta[long], plus[..., long], minus[..., long], s_max
+        )
+        short = ~long
+        p[:, short], q[:, short], dq[:, short] = _gauss_terms(d[:, short], beta[short], s_max)
+    return -(p @ g), -(q @ g_w + dq @ (g * beta_w) + p @ (g * mu_w))
 
 
 def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float) -> float:
@@ -237,8 +262,8 @@ def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float) -> 
 
     (1/(2 pi)) Int_{-S}^{S} T(s u) e^{i y s} ds equals the chord length
     inside the shadow and 0 outside, up to truncation error.  It is
-    evaluated as twice the real part of the integral over [0, S], with T
-    and y taken in the frame centred on the centroid.
+    evaluated in closed form (_line_sums), with T and y taken in the frame
+    centred on the centroid.
     """
     denom, _ = _line_sums(poly, check_direction(omega), np.array([float(y)]), cutoff)
     return float(denom[0]) / (2.0 * np.pi)
@@ -250,12 +275,11 @@ def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> floa
     y is one shadow coordinate (the result is a float) or a 1-D array of
     them (the result is an array).  Numerator inverts the derivative
     transform (giving (b^2 - a^2)/2), denominator the plain transform
-    (giving b - a); their ratio is the midpoint.  Both are inverted in the
-    frame centred on the centroid and over the half-line [0, S] only, from
-    one _line_transform on one node set, fine enough for the largest |y|;
-    only the factor exp(i y s) differs between the points.  Points within 5
-    percent of the shadow ends are rejected before any transform work: the
-    denominator degenerates with the chord there.
+    (giving b - a); their ratio is the midpoint.  Both are inverted in
+    closed form, in the frame centred on the centroid, by one _line_sums
+    for all the points.  Points within 5 percent of the shadow ends are
+    rejected before any transform work: the denominator degenerates with
+    the chord there.
     """
     w = check_direction(omega)
     y_arr = np.asarray(y, dtype=float)
@@ -265,7 +289,7 @@ def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> floa
     lo, hi = shadow_interval(poly, w)
     margin = _SHADOW_MARGIN * (hi - lo)
     bad = ~((lo + margin <= ys) & (ys <= hi - margin))
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         raise DenominatorTooSmall(
             f"shadow coordinate {ys[k]} lies {min(ys[k] - lo, hi - ys[k])} from the shadow ends"
@@ -274,7 +298,7 @@ def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> floa
     denom, numer = _line_sums(poly, w, ys, cutoff)
     bound = _MIN_CHORD * poly.diameter / cutoff * 2.0 * np.pi
     short = ~(np.abs(denom) >= bound)
-    if np.any(short):
+    if short.any():
         k = int(np.argmax(short))
         raise DenominatorTooSmall(
             f"reconstructed 2*pi*chord {denom[k]} at shadow coordinate {ys[k]} is below"

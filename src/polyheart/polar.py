@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CenterTooCloseToBoundary
-from .geometry import EPS_REL, ConvexPolygon, _dedupe_ring, edge_gaps, newton_minimize
+from .geometry import EPS_REL, ConvexPolygon, _dedupe_ring, _next_rows, edge_gaps, newton_minimize
 
 # the polar rejects a center within this many eps of an edge line: the
 # polar vertex n_i / d_i grows like 1/d_i, so there the polar is unbounded
@@ -41,9 +41,9 @@ def _area_terms(normals: np.ndarray, gaps: np.ndarray) -> np.ndarray:
 
     Edges that share a normal (a straight-angle vertex) give q_i = 0.
     """
-    n_next = np.roll(normals, -1, axis=0)
+    n_next = _next_rows(normals)
     cross = normals[:, 0] * n_next[:, 1] - normals[:, 1] * n_next[:, 0]
-    return 0.5 * cross / (gaps * np.roll(gaps, -1))
+    return 0.5 * cross / (gaps * _next_rows(gaps))
 
 
 def polar_area(poly: ConvexPolygon, center) -> float:
@@ -79,7 +79,7 @@ def santalo_point(poly: ConvexPolygon) -> np.ndarray:
 
     def area_with_derivatives(gaps):
         u = n / gaps[:, None]
-        u_next = np.roll(u, -1, axis=0)
+        u_next = _next_rows(u)
         q = _area_terms(n, gaps)
         a = u + u_next
         hess = (a.T * q) @ a + (u.T * q) @ u + (u_next.T * q) @ u_next

@@ -451,12 +451,12 @@ def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys, body):
 
 
 def test_fourier_check_one_prelude_per_direction(monkeypatch, capsys):
-    # one direct evaluation for the area check, then one line evaluation per
-    # direction for its three points
+    # one direct evaluation for the area check, then one closed-form line
+    # evaluation per direction for its three points
     direct = count_calls(monkeypatch, fourier._prelude)
-    lines = count_calls(monkeypatch, fourier._line_transform)
+    lines = count_calls(monkeypatch, fourier._line_sums)
     assert run(["fourier-check", "--body", "regular_ngon:7"], capsys)[0] == 0
-    assert (len(direct), len(lines)) == (1, 3)
+    assert (len(direct), [len(call[2]) for call in lines]) == (1, [3, 3, 3])
 
 
 def test_polar_subcommand(capsys):

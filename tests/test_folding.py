@@ -94,7 +94,7 @@ def every_cell_lower_ends(s, own, a, du, c):
     block, and the vertex's own coordinate at a vertex with an edge on the
     bottom chain, where folding_profile runs no search."""
     bottom = a < -PARALLEL_TOL
-    lo = folding._lower_ends(s, a, du, c, np.arange(s.size)).reshape(s.shape)
+    lo = folding._lower_ends(s, a, bottom, du, c, np.arange(s.size)).reshape(s.shape)
     return np.where(bottom[:, :-1] | bottom[:, 1:], own, lo)
 
 

@@ -5,24 +5,26 @@ quadrature: fan-triangulate the body and integrate exp(-i x . xi) with a
 tensor Gauss-Legendre rule per triangle.  Different discretization,
 different error mechanism, same analytic object.  The derivative
 transform T' along a direction is evaluated directly at arbitrary
-frequencies by indicator_transform_deriv below, the reference for the
-T' that fourier._line_transform factors on its nodes.
+frequencies by indicator_transform_deriv below; full_line_midpoint
+inverts T and T' by Gauss quadrature on a node set of its own, the
+reference for the closed-form inversion of fourier._line_sums.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import sici
 
 from polyheart import bodies, fourier
 from polyheart.errors import DenominatorTooSmall, PolyheartError
 from polyheart.folding import chord_midpoint
 from polyheart.fourier import (
-    _SERIES_CUT,
-    _inversion_nodes,
-    _line_transform,
+    _SHORT_EDGE,
+    _SI_SERIES_CUT,
     _prelude,
-    _series_filled,
+    _si_tail,
     _sinc,
     _transform,
     chord_via_transform,
@@ -36,6 +38,19 @@ from conftest import random_bodies
 
 class FrequencyNotOrthogonal(PolyheartError):
     """Directional-derivative frequency must be orthogonal to the direction."""
+
+
+# sinc' switches to its series below this |x| (_series_filled): cos x -
+# sin x / x cancels there, losing digits that the series keeps.
+_SERIES_CUT = 0.1
+
+
+def _series_filled(x: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """closed, the closed form of sinc' at x, with the series of sinc' in
+    its place where |x| < _SERIES_CUT."""
+    x2 = x * x
+    series = -(x / 3.0) * (1.0 - x2 / 10.0 * (1.0 - 3.0 * x2 / 84.0))
+    return np.where(np.abs(x) < _SERIES_CUT, series, closed)
 
 
 def _sinc_prime(x: np.ndarray) -> np.ndarray:
@@ -252,18 +267,17 @@ def full_line_midpoint(poly: ConvexPolygon, w: np.ndarray, y: float, cutoff: flo
     return float(numer / denom), panels
 
 
-def node_counts(monkeypatch) -> list:
-    """Record the number of nodes of every fourier._line_transform call."""
-    sizes = []
-    orig = fourier._line_transform
+def line_calls(monkeypatch) -> list:
+    """Record the shadow coordinates of every fourier._line_sums call."""
+    calls = []
+    orig = fourier._line_sums
 
-    def spy(poly, w, yc, cutoff):
-        out = orig(poly, w, yc, cutoff)
-        sizes.append(len(out[0]))
-        return out
+    def spy(poly, w, ys, cutoff):
+        calls.append(ys)
+        return orig(poly, w, ys, cutoff)
 
-    monkeypatch.setattr(fourier, "_line_transform", spy)
-    return sizes
+    monkeypatch.setattr(fourier, "_line_sums", spy)
+    return calls
 
 
 def centred(poly: ConvexPolygon) -> ConvexPolygon:
@@ -293,29 +307,11 @@ def test_half_line_rule_is_full_rule_folded():
     assert grown >= 5
 
 
-def line_gap(poly: ConvexPolygon, w: np.ndarray, yc: np.ndarray) -> tuple:
-    """Largest gaps between _line_transform and T, T' and e^{i s y}
-    evaluated directly on its nodes, in units of area, area*diameter and 1."""
-    u = perp(w)
-    s, _, t, dt, swing = _line_transform(poly, w, yc, 400.0)
-    centred = ConvexPolygon(poly.vertices - poly.centroid)
-    pre = _prelude(centred, s[:, None] * u[None, :])
-    return (
-        np.max(np.abs(t - _transform(centred, pre))) / poly.area,
-        np.max(np.abs(dt - _transform_deriv(centred, w, pre))) / (poly.area * poly.diameter),
-        np.max(np.abs(swing - np.exp(1j * np.outer(yc, s)))),
-    )
-
-
-# Both sides round phase angles of up to S*diam = 2*pi*400 rad and more,
-# so they may part by about 1e-13 in each unit-modulus phase; measured,
-# the gaps stay below 2e-13.
-_LINE_TOL = 1e-12
-
-
-def test_line_transform_matches_direct(halfdisc64):
-    # test_fourier's panels, the square along its edges (D_j = 0 exactly
-    # on two of them) and one random body of each `analyses` size
+def test_midpoints_match_full_line(halfdisc64):
+    # test_fourier's panel, the square along its edges (beta_j = 0 exactly
+    # on two of them) and one random body of each `analyses` size; the
+    # closed form sits within 4.2e-16 diam of a 50-digit evaluation of the
+    # same sums here, so the gap is the quadrature's, at most 1.6e-13 diam
     polys = [bodies.square(), bodies.regular_ngon(7), halfdisc64, *random_bodies(seed=5, count=3)]
     polys += [bodies.random_convex_polygon(np.random.default_rng(n), n) for n in (5, 6, 8, 10, 12, 48)]
     flat = 0
@@ -324,32 +320,79 @@ def test_line_transform_matches_direct(halfdisc64):
             w = unit(theta)
             flat += int(np.any(poly.edges @ perp(w) == 0.0))
             lo, hi = shadow_interval(poly, w)
-            yc = lo + np.array([0.35, 0.5, 0.65]) * (hi - lo) - float(poly.centroid @ perp(w))
-            assert max(line_gap(poly, w, yc)) <= _LINE_TOL
+            ys = lo + np.array([0.35, 0.5, 0.65]) * (hi - lo)
+            got = midpoint_via_transform(poly, w, ys, 400.0)
+            want = [full_line_midpoint(poly, w, y)[0] for y in ys]
+            assert np.max(np.abs(got - want)) <= 1e-12 * poly.diameter
     assert flat >= 2
 
 
 @pytest.mark.parametrize("excess", [-1e-9, 1e-9, None])
-def test_line_transform_at_the_series_cut(excess):
-    # turn omega so that |s_k D_0 / 2| on edge 0 sits just below or just
-    # above _SERIES_CUT at node k = 100, or (None) so that edge 0 is 1e-9
-    # rad from parallel and every node of it takes the series
+def test_midpoints_at_the_short_edge_cut(excess):
+    # turn omega so that |beta_0| S on edge 0 of the 7-gon sits just below
+    # or just above _SHORT_EDGE, or (None) so that edge 0 is 1e-9 rad from
+    # omega: the Gauss rule and the end differences both hold the midpoint
     poly = bodies.regular_ngon(7)
-    yc = np.zeros(1)
-    panels = _inversion_nodes(poly, perp(unit(0.0)), yc, 400.0)
-    s_k = _line_transform(poly, unit(0.0), yc, 400.0)[0][100]
+    s_max = 400.0 * 2.0 * np.pi / poly.diameter
     edge = poly.edges[0] / poly.edge_lengths[0]
     if excess is None:
         turn = 1e-9
     else:
-        turn = math.asin(2.0 * _SERIES_CUT * (1.0 + excess) / (s_k * poly.edge_lengths[0]))
+        turn = math.asin(2.0 * _SHORT_EDGE * (1.0 + excess) / (s_max * poly.edge_lengths[0]))
     w = np.array([edge[0] * math.cos(turn) - edge[1] * math.sin(turn),
                   edge[0] * math.sin(turn) + edge[1] * math.cos(turn)])
-    x = abs(0.5 * float(poly.edges[0] @ perp(w))) * s_k
-    assert _inversion_nodes(poly, perp(w), yc, 400.0) == panels
+    x = abs(0.5 * float(poly.edges[0] @ perp(w))) * s_max
     if excess is not None:
-        assert (x < _SERIES_CUT) == (excess < 0.0) and abs(x / _SERIES_CUT - 1.0) < 1e-8
-    assert max(line_gap(poly, w, yc)) <= _LINE_TOL
+        assert (x <= _SHORT_EDGE) == (excess < 0.0) and abs(x / _SHORT_EDGE - 1.0) < 1e-8
+    lo, hi = shadow_interval(poly, w)
+    ys = lo + np.array([0.1, 0.35, 0.5, 0.65, 0.9]) * (hi - lo)
+    got = midpoint_via_transform(poly, w, ys, 400.0)
+    want = [full_line_midpoint(poly, w, y)[0] for y in ys]
+    assert np.max(np.abs(got - want)) <= 1e-12 * poly.diameter
+
+
+def test_sine_integral():
+    # both sides of the series cut, 0, and |x| up to 3000, past the
+    # largest S * diameter of a cutoff of 400
+    cut = _SI_SERIES_CUT
+    x = np.concatenate([
+        np.linspace(-3000.0, 3000.0, 200001),
+        np.linspace(-2.0 * cut, 2.0 * cut, 20001),
+        [0.0, cut, -cut, np.nextafter(cut, 0.0), -np.nextafter(cut, 0.0), 1e-300, -1e-300],
+    ])
+    got = _si_tail(x, np.cos(x), np.sin(x)) + np.sign(x) * (0.5 * np.pi)
+    assert np.max(np.abs(got - sici(x)[0])) <= 2e-15
+    assert _si_tail(np.zeros(1), np.ones(1), np.zeros(1))[0] == 0.0
+
+
+_MOVES = st.tuples(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(-20, 20), st.floats(0.0, 2.0 * np.pi)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 48), theta=st.floats(0.0, 2.0 * np.pi),
+       fracs=st.lists(st.floats(0.3, 0.7), min_size=1, max_size=4), move=_MOVES)
+def test_midpoints_equivariant(seed, n, theta, fracs, move):
+    # translating the body by up to 1e3 diameters, scaling it by a power
+    # of two, or turning body and omega together moves the midpoints with it
+    poly = bodies.random_convex_polygon(np.random.default_rng(seed), n)
+    w = unit(theta)
+    lo, hi = shadow_interval(poly, w)
+    ys = lo + np.array(fracs) * (hi - lo)
+    base = midpoint_via_transform(poly, w, ys, 400.0)
+    tx, ty, power, phi = move
+    shift = np.array([tx, ty]) * poly.diameter
+    c, s = math.cos(phi), math.sin(phi)
+    rot = np.array([[c, -s], [s, c]])
+    cases = [
+        (ConvexPolygon(poly.vertices + shift), w, ys + shift @ perp(w), base + shift @ w),
+        (ConvexPolygon(poly.vertices * 2.0**power), w, ys * 2.0**power, base * 2.0**power),
+        (ConvexPolygon(poly.vertices @ rot.T), rot @ w, ys, base),
+    ]
+    for moved, w_moved, ys_moved, want in cases:
+        got = midpoint_via_transform(moved, w_moved, ys_moved, 400.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * moved.diameter
 
 
 def test_node_budget_reaches_the_vertices():
@@ -375,27 +418,27 @@ def test_node_budget_reaches_the_vertices():
 
 
 def test_midpoint_batch_matches_scalar(monkeypatch, halfdisc64):
-    # Points whose own node set is the batch's one: then batching changes
-    # only the order of the sums.  A point that needs fewer nodes than the
-    # batch's largest |y| gets the batch's finer rule instead.
-    sizes = node_counts(monkeypatch)
+    # every point's sums are the same closed form: batching changes only
+    # the order of the sums over the edges
+    calls = line_calls(monkeypatch)
     for poly in (bodies.square(), bodies.regular_ngon(7), halfdisc64, *random_bodies(seed=5, count=3)):
         for theta in (0.0, 1.0, 2.2):
             w = unit(theta)
             lo, hi = shadow_interval(poly, w)
             mid = float(poly.centroid @ perp(w))
             ys = mid + np.array([-0.1, 0.0, 0.05, 0.1]) * (hi - lo)
-            sizes.clear()
+            calls.clear()
             got = midpoint_via_transform(poly, w, ys, 400.0)
             singles = [midpoint_via_transform(poly, w, y, 400.0) for y in ys]
-            assert len(set(sizes)) == 1 and len(sizes) == 1 + len(ys)
+            assert [len(c) for c in calls] == [len(ys)] + [1] * len(ys)
             assert isinstance(got, np.ndarray) and got.shape == ys.shape
             assert all(isinstance(v, float) for v in singles)
             assert np.max(np.abs(got - singles)) <= 1e-13 * poly.diameter
 
 
-def test_node_budget_ignores_translation(monkeypatch, square):
-    sizes = node_counts(monkeypatch)
+def test_node_budget_ignores_translation(square):
+    # the inversion takes the same closed form in the centroid's frame
+    # wherever the body lies; so do its errors
     far = ConvexPolygon(square.vertices + 1000.0)
     for theta in (0.0, 1.0, 2.2):
         w = unit(theta)
@@ -405,30 +448,14 @@ def test_node_budget_ignores_translation(monkeypatch, square):
             ys = lo + np.array([0.3, 0.5, 0.7]) * (hi - lo)
             got = midpoint_via_transform(poly, w, ys, 400.0)
             errs.append(got - np.array([chord_midpoint(poly, w, y) for y in ys]))
-        assert sizes[0] == sizes[1]
         assert np.max(np.abs(errs[0] - errs[1])) <= 1e-12
-        sizes.clear()
     at_origin = chord_via_transform(square, unit(1.0), 0.2, 400.0)
     shifted = chord_via_transform(far, unit(1.0), 0.2 + 1000.0 * float(perp(unit(1.0)).sum()), 400.0)
-    assert sizes[0] == sizes[1]
     assert abs(at_origin - shifted) <= 1e-12
 
 
-def test_node_budget_ignores_scale():
-    # the oscillation is sized by lengths of the body alone; an absolute
-    # 1e-9 added to them gave the square scaled by 1e-12 283027 panels
-    def panels(s):
-        poly = bodies.rectangle(s, s)
-        u = perp(unit(1.0))
-        lo, hi = shadow_interval(poly, unit(1.0))
-        yc = lo + np.array([0.35, 0.5, 0.65]) * (hi - lo) - float(poly.centroid @ u)
-        return _inversion_nodes(poly, u, yc, 400.0)[0]
-
-    assert [panels(s) for s in (1e-12, 1.0, 1e6)] == [panels(1.0)] * 3
-
-
 def test_margin_error_names_first_bad_point(monkeypatch, square):
-    sizes = node_counts(monkeypatch)
+    calls = line_calls(monkeypatch)
     w = np.array([0.0, 1.0])
     lo, hi = shadow_interval(square, w)
     ys = np.array([lo + 0.5, hi - 0.01, lo + 0.02])
@@ -437,7 +464,7 @@ def test_margin_error_names_first_bad_point(monkeypatch, square):
     msg = str(info.value)
     assert f"shadow coordinate {ys[1]} " in msg
     assert "0.01" in msg and "margin 0.05" in msg
-    assert sizes == []
+    assert calls == []
 
 
 def test_short_chord_error_states_value_and_bound():
