@@ -129,8 +129,7 @@ def _pde_section(poly, heart, args) -> dict:
             for s in rep.samples
         ],
         "membership": asdict(rep.membership),
-        "varadhan": asdict(rep.varadhan),
-        "decay": asdict(rep.decay),
+        "short_time": asdict(rep.short_time),
         "ok": rep.ok,
     }
 
@@ -225,10 +224,9 @@ def _cmd_pde_verify(poly, args):
         f"hot spot limit: {pde['hot_spot_limit']}",
         f"membership: {'ok' if pde['membership']['ok'] else 'FAILED'} "
         f"(worst gap {pde['membership']['worst_gap']:.3g}, slack {pde['membership']['slack']:.3g})",
-        f"varadhan: {'ok' if pde['varadhan']['ok'] else 'FAILED'} "
-        f"(early rel err {pde['varadhan']['early_rel_err']:.3g}, late gap {pde['varadhan']['late_gap']:.3g})",
-        f"decay: {'ok' if pde['decay']['ok'] else 'FAILED'} "
-        f"(rate {pde['decay']['fitted_rate']:.6g} vs {pde['decay']['eigenvalue']:.6g})",
+        f"short-time: {'ok' if pde['short_time']['ok'] else 'FAILED'} "
+        f"(least margin {pde['short_time']['least_margin']:.3g}, slack {pde['short_time']['slack']:.3g}, "
+        f"bound above 0 at {pde['short_time']['n_positive']} of {len(pde['track'])} samples)",
     ]
     return {"heart": hsec, "pde": pde}, lines, pde["ok"]
 
@@ -332,7 +330,7 @@ def main(argv=None) -> int:
         return _fail(2, type(exc).__name__, str(exc))
     except (PolyheartError, ValueError) as exc:
         return _fail(1, type(exc).__name__, str(exc))
-    report = {"schema": 1, "tool": {"name": "polyheart", "version": __version__},
+    report = {"schema": 2, "tool": {"name": "polyheart", "version": __version__},
               "command": args.command, **report}
     try:
         if args.json:

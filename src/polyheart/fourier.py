@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import DenominatorTooSmall
-from .geometry import ConvexPolygon, check_direction, perp, shadow_interval
+from .geometry import ConvexPolygon, check_direction, perp
 
 # Si's power series serves below this |x| (_si_tail), the continued
 # fraction of E1(ix) at and beyond it: at 4 the series' largest term is
@@ -286,7 +286,8 @@ def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> floa
     if y_arr.ndim > 1 or y_arr.size == 0:
         raise ValueError(f"y must be a scalar or a non-empty 1-D array, got shape {y_arr.shape}")
     ys = np.atleast_1d(y_arr)
-    lo, hi = shadow_interval(poly, w)
+    shadow = poly.vertices @ perp(w)  # shadow_interval, with omega checked once
+    lo, hi = float(shadow.min()), float(shadow.max())
     margin = _SHADOW_MARGIN * (hi - lo)
     bad = ~((lo + margin <= ys) & (ys <= hi - margin))
     if bad.any():

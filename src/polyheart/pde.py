@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, NoConvergence
-from .geometry import ConvexPolygon, Region, boundary_distance, region_point_distance
+from .geometry import ConvexPolygon, Region, region_point_distance
 
 _DT_FACTOR = 5.0
 # full_verify's grid spacing at h=None is the inradius over this, so the
@@ -56,18 +56,10 @@ _LU_PANEL = 4
 _EIGEN_BACKWARD_TOL = 1e-12
 # full_verify samples the heat track this many times over two decades.
 _N_SAMPLES = 25
-# full_verify's membership slack, in grid spacings: the grid places the
-# hot spot only to the order of h (staircase boundary, peak fit).
+# full_verify's slack for membership and the short-time bound, in grid
+# spacings: the grid places the hot spot only to the order of h (staircase
+# boundary, peak fit).
 _MEMBERSHIP_SLACK = 2.0
-# varadhan_check's bounds: the first sample's boundary distance within
-# this fraction of the inradius, the last sample within this fraction of
-# the diameter from the eigenfunction peak.  decay_check fits the last
-# _DECAY_TAIL samples and accepts a rate within _DECAY_REL_TOL of lam1.
-# All four are few-percent cross-checks of a first-order grid.
-_EARLY_REL_TOL = 0.10
-_LATE_SLACK_REL = 0.02
-_DECAY_TAIL = 6
-_DECAY_REL_TOL = 0.02
 # The heat track hands over to the lowest eigenpair once the part of u
 # outside it has 2-norm at most this fraction of max|u|.
 _SWITCH_TOL = 1e-10
@@ -320,11 +312,12 @@ def _norm(x: np.ndarray) -> float:
 def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
     """Heat-march step counts at which to sample, spanning two decades.
 
-    The first count is the step nearest t_end/100 (at least one), the last
-    is the step nearest t_end, raised until its time is at least 100 times
-    the first sample's in floating point, which varadhan_check requires;
-    the counts between are geometric.  Rounding each requested time to a
-    step on its own could leave the span just short of two decades.
+    The first count is the step nearest t_end/100 (at least one), where
+    short_time_bound still holds the hot spot near the deepest points; the
+    last is the step nearest t_end, raised until its time is at least 100
+    times the first sample's in floating point; the counts between are
+    geometric.  Rounding each requested time to a step on its own could
+    leave the span just short of two decades.
     """
     first = max(1, round(t_end / 100.0 / dt))
     last = max(round(t_end / dt), 100 * first)
@@ -528,57 +521,60 @@ def verify_heart(samples, hot_spot_limit, heart: Region, slack: float) -> Member
 
 
 @dataclass(frozen=True)
-class VaradhanReport:
+class ShortTimeReport:
     ok: bool
-    early_distance: float
-    inradius: float
-    early_rel_err: float
-    late_gap: float
-    late_slack: float
+    least_margin: float
+    slack: float
+    n_positive: int
 
 
-def varadhan_check(samples, poly: ConvexPolygon, hot_spot_limit) -> VaradhanReport:
-    """Short-time and long-time behavior of the trajectory.
+def short_time_bound(poly: ConvexPolygon, t: float) -> float:
+    """The depth delta(t) below which no hot spot x(t) can lie.
 
-    Early: the first sampled hot spot should sit at boundary distance
-    within _EARLY_REL_TOL of the inradius (the deepest point wins for
-    small times).  Late: the last sample should lie within
-    _LATE_SLACK_REL * diameter of the eigenfunction maximizer.
+    The half-plane solutions bound the heat flow from unit initial data
+    on both sides: 1 - sum_i erfc(d_i(x)/2 sqrt t) <= u(x, t) <=
+    erf(d(x)/2 sqrt t), with d_i the distance to edge line i and d the
+    least of them (by the maximum principle: the left side is <= 0 on
+    the boundary, the right side >= 0).  The hot spot beats the incenter
+    c, so erf(d(x(t))/2 sqrt t) >= 1 - S with S = sum_i erfc(d_i(c)/2
+    sqrt t), and d(x(t)) >= delta(t) = 2 sqrt t erfc^-1(S).  delta is 0
+    once S >= 1, where the bound says nothing, and at most the inradius
+    r = min_i d_i(c), since S holds the nearest edge's term; it is r
+    where S underflows.  erfc^-1 is Newton's method on log erfc, which is
+    concave: from z = r/2 sqrt t, right of the root, it falls to the
+    root monotonically, and stops once a step no longer lowers z in
+    floating point.
     """
-    if len(samples) < 2:
-        raise ValueError(f"need samples spanning at least two decades of time, got {len(samples)} sample(s)")
-    if samples[-1].time < 100.0 * samples[0].time:
-        raise ValueError(
-            f"need samples spanning at least two decades of time: last/first time "
-            f"ratio {samples[-1].time / samples[0].time!r} < 100"
-        )
-    late_slack = _LATE_SLACK_REL * poly.diameter
-    inradius = poly.incircle.radius
-    early = boundary_distance(poly, samples[0].location)
-    rel = abs(early - inradius) / inradius
-    late = float(np.linalg.norm(samples[-1].location - np.asarray(hot_spot_limit, dtype=float)))
-    return VaradhanReport(rel <= _EARLY_REL_TOL and late <= late_slack, early, inradius, rel, late, late_slack)
+    dist = poly.edge_offsets - poly.edge_normals @ poly.incircle.center
+    scale = 2.0 * math.sqrt(t)
+    total = sum(math.erfc(d / scale) for d in dist.tolist())
+    if total >= 1.0:
+        return 0.0
+    if total == 0.0:
+        return float(dist.min())
+    z = float(dist.min()) / scale
+    target = math.log(total)
+    while True:
+        log_erfc = math.log(math.erfc(z))
+        lower = z - (target - log_erfc) * (0.5 * math.sqrt(math.pi)) * math.exp(z * z + log_erfc)
+        if not lower < z:
+            return scale * z
+        z = lower
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    ok: bool
-    fitted_rate: float
-    eigenvalue: float
-    rel_err: float
+def short_time_check(samples, poly: ConvexPolygon, slack: float) -> ShortTimeReport:
+    """Check every tracked hot spot's depth against short_time_bound.
 
-
-def decay_check(samples, eigenvalue: float) -> DecayReport:
-    """Fit the decay rate of the last _DECAY_TAIL peaks against lam1."""
-    tail_samples = samples[-_DECAY_TAIL:]
-    ts = np.array([s.time for s in tail_samples])
-    ms = np.array([s.peak for s in tail_samples])
-    if np.any(ms <= 0.0):
-        raise ValueError("peak values must stay positive for a decay fit")
-    slope = np.polyfit(ts, np.log(ms), 1)[0]
-    rate = -float(slope)
-    rel = abs(rate - eigenvalue) / eigenvalue
-    return DecayReport(rel <= _DECAY_REL_TOL, rate, eigenvalue, rel)
+    The margin of a sample is its signed distance to the nearest edge
+    line less delta at its time; each must be at least -slack.  This is
+    Varadhan's short-time limit (the hot spot tends to the deepest
+    points) in a quantitative form, with no grid quantity in the bound.
+    """
+    locs = np.array([s.location for s in samples])
+    depth = (poly.edge_offsets - locs @ poly.edge_normals.T).min(axis=1)
+    delta = np.array([short_time_bound(poly, s.time) for s in samples])
+    least = float((depth - delta).min())
+    return ShortTimeReport(least >= -slack, least, slack, int(np.count_nonzero(delta > 0.0)))
 
 
 def write_csv(grid: GridField, values: np.ndarray, path) -> None:
@@ -598,12 +594,11 @@ class VerificationReport:
     eigen: EigenResult
     samples: tuple[TrackSample, ...]
     membership: MembershipReport
-    varadhan: VaradhanReport
-    decay: DecayReport
+    short_time: ShortTimeReport
 
     @property
     def ok(self) -> bool:
-        return self.membership.ok and self.varadhan.ok and self.decay.ok
+        return self.membership.ok and self.short_time.ok
 
     @property
     def switch_step(self) -> int | None:
@@ -631,8 +626,8 @@ def full_verify(poly: ConvexPolygon, heart: Region, h: float | None) -> Verifica
     when None.  The horizon is max(10/lam1, 2500 h^2): long enough for
     the eigenmode to dominate, and never shorter than the time scale the
     grid itself can resolve.  _N_SAMPLES samples are geometric in whole
-    steps from about t_end/100 (see sample_steps), giving the two decades
-    the short-time check needs, and each must lie within 2h of the heart.
+    steps from about t_end/100 (see sample_steps).  Each must lie within
+    2h of the heart and no more than 2h shallower than short_time_bound.
     """
     if h is None:
         h = poly.incircle.radius / _H_PER_INRADIUS
@@ -641,7 +636,7 @@ def full_verify(poly: ConvexPolygon, heart: Region, h: float | None) -> Verifica
     t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
     dt = h * h / _DT_FACTOR
     samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, eigen=eigen)
-    membership = verify_heart(samples, eigen.location, heart, _MEMBERSHIP_SLACK * h)
-    varadhan = varadhan_check(samples, poly, eigen.location)
-    decay = decay_check(samples, eigen.eigenvalue)
-    return VerificationReport(grid, eigen, samples, membership, varadhan, decay)
+    slack = _MEMBERSHIP_SLACK * h
+    membership = verify_heart(samples, eigen.location, heart, slack)
+    short_time = short_time_check(samples, poly, slack)
+    return VerificationReport(grid, eigen, samples, membership, short_time)

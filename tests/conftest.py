@@ -61,3 +61,14 @@ def far_bodies(count: int):
     for _ in range(count):
         base = bodies.random_convex_polygon(gen, int(gen.integers(3, 301)))
         yield ConvexPolygon(base.vertices * 10.0 ** gen.uniform(-4.0, 4.0) + gen.uniform(-1e3, 1e3, size=2))
+
+
+def decay_rel_err(samples, eigenvalue: float) -> float:
+    """Relative gap between lam1 and the decay rate of the last 6 sampled
+    peaks, fitted as a line through log peak against time: the heat track
+    checked against its own grid eigenpair."""
+    ts = np.array([s.time for s in samples[-6:]])
+    ms = np.array([s.peak for s in samples[-6:]])
+    assert np.all(ms > 0.0)
+    rate = -float(np.polyfit(ts, np.log(ms), 1)[0])
+    return abs(rate - eigenvalue) / eigenvalue

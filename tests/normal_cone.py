@@ -8,10 +8,10 @@ normal and compares cones by cross and dot products, not angles.
 import numpy as np
 
 from polyheart.errors import PolyheartError
-from polyheart.geometry import ConvexPolygon, _edge_distances, check_direction, chord, perp
+from polyheart.geometry import PARALLEL_TOL, ConvexPolygon, check_direction, line_interval, perp
 
-# normal_cone_check's contact points count as on the boundary, and as one
-# point, within this many eps; a direction lies in a cone when its cross
+# normal_cone_check counts an edge at a chord end when its line passes
+# within this many eps of the end; a direction lies in a cone when its cross
 # product with either end is on the wrong side by at most _ANGLE_TOL.
 _CONTACT_TOL = 10.0
 _ANGLE_TOL = 1e-9
@@ -30,9 +30,9 @@ def _cross(p: np.ndarray, q: np.ndarray) -> float:
     return float(p[0] * q[1] - p[1] * q[0])
 
 
-def _normal_cone(poly: ConvexPolygon, x: np.ndarray, tol: float):
-    """Normal cone at a boundary point, None off the boundary."""
-    on = _edge_distances(poly.vertices, poly.edges, x) <= tol
+def _normal_cone(poly: ConvexPolygon, on: np.ndarray):
+    """Normal cone spanned by the incident edges `on` (a mask over the
+    edges), None when there are none."""
     if not on.any():
         return None
     if on.all():
@@ -82,28 +82,37 @@ def normal_cone_check(poly: ConvexPolygon, omega, value: float, vertex: int) -> 
     folding line must land inside the normal cone at the upper contact;
     when the two contacts coincide the condition applies to the half-cones
     split by the sign of xi . omega.  Fails (returns False) for any witness
-    whose reflected contact is off the boundary, e.g. a perturbed offset.
+    whose reflected upper end is off the lower one, e.g. a perturbed offset.
+
+    Each contact is found from the edges that bound the chord there: the
+    lines within tol of that end, of the edges facing its way along omega
+    or parallel to it.  The contacts coincide when the upper end also lies
+    on the line of an edge facing against omega.  Rounding moves a chord
+    end along the chord, by about 1e-16/h where an edge h radians off
+    omega bounds it (a sliver), but moves it off that edge's line only by
+    rounding; a point's distance to the edge segments lost such contacts.
     """
     w = check_direction(omega)
     u = perp(w)
-    witness_s = float(u @ poly.vertices[vertex])
-    iv = chord(poly, witness_s, w)
+    foot = float(u @ poly.vertices[vertex]) * u
+    iv = line_interval(poly, foot, w)
     if iv is None:
-        raise WitnessInvalid(f"witness coordinate {witness_s} misses the body")
-    x_top = witness_s * u + iv[1] * w
-    x_bot = witness_s * u + (2.0 * value - iv[1]) * w
+        raise WitnessInvalid(f"witness coordinate {float(u @ foot)} misses the body")
+    lo, hi = iv
     tol = _CONTACT_TOL * poly.eps
-    if float(np.hypot(*(x_top - x_bot))) <= tol:
-        cone = _normal_cone(poly, x_top, tol)
-        if cone is None:
-            return False
+    slope = poly.edge_normals @ w
+    gap = poly.edge_offsets - poly.edge_normals @ foot
+    bot = gap - slope * (2.0 * value - hi)
+    if bot.min() < -tol:
+        return False  # the reflected contact is outside the body
+    at_top, at_bot = np.abs(gap - slope * hi) <= tol, np.abs(bot) <= tol
+    if np.any(at_top & (slope < -PARALLEL_TOL)):
+        cone = _normal_cone(poly, at_top)
         lower = _half_cone(cone, -w)
         if lower is None:
             return True  # nothing to fold
         upper = _half_cone(cone, w)
         return upper is not None and _reflection_within(lower, upper, w)
-    cone_bot = _normal_cone(poly, x_bot, tol)
-    if cone_bot is None:
-        return False
-    cone_top = _normal_cone(poly, x_top, tol)
-    return cone_top is not None and _reflection_within(cone_bot, cone_top, w)
+    cone_bot = _normal_cone(poly, at_bot & (slope < PARALLEL_TOL))
+    cone_top = _normal_cone(poly, at_top & (slope > -PARALLEL_TOL))
+    return cone_bot is not None and cone_top is not None and _reflection_within(cone_bot, cone_top, w)

@@ -19,6 +19,7 @@ from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
 
 from conftest import point_in
+from test_pde import plant_sample
 
 
 def run(args, capsys):
@@ -54,7 +55,7 @@ def test_heart_square(tmp_path, capsys):
     assert code == 0 and err == ""
     assert "point" in out
     rep = json.loads(jpath.read_text())
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["heart"]["kind"] == "point"
     assert np.allclose(rep["heart"]["vertices"][0], [0.5, 0.5], atol=1e-9)
     # SVG re-rendered from the stored report is byte-identical
@@ -378,8 +379,81 @@ def test_pde_verify_thin_triangle(tmp_path, capsys):
     code, _, err = run(["pde-verify", "--body", "triangle:0,0,1,0,0.5,0.05", "--json", str(jpath)], capsys)
     assert code == 0, err
     pde = json.loads(jpath.read_text())["pde"]
-    assert pde["membership"]["ok"] and pde["varadhan"]["ok"] and pde["decay"]["ok"]
+    assert pde["membership"]["ok"] and pde["short_time"]["ok"]
     assert 1e-8 < pde["residual"] <= 1e-15 * 8.0 / pde["h"] ** 2
+
+
+REPORT_KEYS = {
+    "": ["body", "bounds", "command", "fourier", "heart", "pde", "polar", "schema", "tool"],
+    "tool": ["name", "version"],
+    "body": ["area", "centroid", "diameter", "incenter", "inradius", "perimeter", "spec", "vertices"],
+    "body.spec": ["generator"],
+    "body.spec.generator": ["args", "name"],
+    "heart": ["ball_center", "ball_radius", "kind", "n_dirs", "offset_max", "offset_min", "vertices"],
+    "bounds": ["distance_convex", "distance_general", "distance_star", "eigenvalue_upper", "lam1_used",
+               "reciprocal_support", "stats"],
+    "bounds.stats": ["area", "diameter", "inradius", "perimeter"],
+    "bounds.eigenvalue_upper": ["ball", "best", "monotone", "numeric", "perimeter_over_inradius"],
+    "bounds.distance_general": ["coarse", "precise"],
+    "bounds.distance_convex": ["coarse", "precise"],
+    "bounds.reciprocal_support": ["min_value", "minimizer"],
+    "polar": ["eigen_check", "lower_check", "polar_area_at_centroid", "polar_area_at_santalo", "santalo"],
+    "polar.lower_check": ["lhs", "ok", "rhs"],
+    "polar.eigen_check": ["lhs", "ok", "rhs"],
+    "pde": ["chebyshev_degree", "eigenvalue", "h", "hot_spot_limit", "membership", "n_nodes", "ok", "residual",
+            "short_time", "switch_step", "track"],
+    "pde.track[]": ["bound", "location", "peak", "time"],
+    "pde.membership": ["n_checked", "ok", "slack", "worst_gap"],
+    "pde.short_time": ["least_margin", "n_positive", "ok", "slack"],
+    "fourier": ["area_check", "cutoff", "max_abs_err", "midpoint_checks"],
+    "fourier.area_check": ["abs_err", "area", "transform"],
+    "fourier.midpoint_checks[]": ["abs_err", "direct", "fourier", "omega", "y"],
+}
+
+
+def key_sets(obj, path="") -> dict:
+    """Sorted keys of obj and of every object in it, by dotted path; the
+    objects in a list share the path with [] appended and must share keys."""
+    if isinstance(obj, list):
+        shapes = [key_sets(item, path + "[]") for item in obj]
+        assert all(shape == shapes[0] for shape in shapes), path
+        return shapes[0] if shapes else {}
+    if not isinstance(obj, dict):
+        return {}
+    found = {path: sorted(obj)}
+    for key, value in obj.items():
+        found.update(key_sets(value, f"{path}.{key}" if path else key))
+    return found
+
+
+def test_report_keys_pinned(tmp_path, capsys):
+    # the report's format, section by section, with its schema number: a
+    # change to either edits this pin in plain sight
+    jpath = tmp_path / "r.json"
+    code, _, err = run(["report", "--body", "square", "--h", "0.02", "--json", str(jpath)], capsys)
+    assert code == 0, err
+    rep = json.loads(jpath.read_text())
+    assert rep["schema"] == 2
+    assert key_sets(rep) == REPORT_KEYS
+
+
+def test_report_fails_on_a_planted_shallow_sample(tmp_path, capsys, monkeypatch, square):
+    # the first hot spot moved 2.1 h shallower than the short-time bound:
+    # report writes its JSON, prints the failed verdict and exits 2
+    heat_solve = pde_module.heat_solve
+
+    def planted(grid, times, eigen):
+        samples = heat_solve(grid, times, eigen)
+        return (plant_sample(square, samples[0], 2.1 * grid.spacing),) + samples[1:]
+
+    monkeypatch.setattr(pde_module, "heat_solve", planted)
+    jpath = tmp_path / "r.json"
+    code, out, err = run(["report", "--body", "square", "--h", "0.02", "--json", str(jpath)], capsys)
+    assert code == 2 and "verification: FAILED" in out
+    assert json.loads(err)["error"]["type"] == "VerificationFailed"
+    short_time = json.loads(jpath.read_text())["pde"]["short_time"]
+    assert not short_time["ok"]
+    assert short_time["least_margin"] == pytest.approx(-2.1 * 0.02, rel=1e-9)
 
 
 def test_halfdisc_far_from_the_origin(tmp_path, capsys):

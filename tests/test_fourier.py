@@ -284,11 +284,12 @@ def centred(poly: ConvexPolygon) -> ConvexPolygon:
     return ConvexPolygon(poly.vertices - poly.centroid)
 
 
-def test_half_line_rule_is_full_rule_folded():
-    # The half-line keeps the full rule's panels over [0, S] when their
-    # count is even, so on a body centred at the origin it is the full
-    # rule folded in half.  The points near the shadow ends need more than
-    # the 4096-node floor.
+def test_closed_form_matches_full_line_near_shadow_ends():
+    # The closed-form midpoints against full_line_midpoint's quadrature at
+    # points from 6% to 94% of the shadow, on a 7-gon and on a half-disc
+    # centred at the origin.  The reference's panel count is even at every
+    # point here, and at 5 or more of them, near the shadow ends, its 8
+    # nodes per oscillation need more than its 4096-node floor.
     cases = [
         (bodies.regular_ngon(7), 1.0, (0.3, 0.5, 0.7, 0.8)),
         (centred(bodies.halfdisc(1.0, 0.0, 64)), 2.2, (0.06, 0.3, 0.8, 0.94)),
@@ -395,13 +396,12 @@ def test_midpoints_equivariant(seed, n, theta, fracs, move):
         assert np.max(np.abs(got - want)) <= 1e-12 * moved.diameter
 
 
-def test_node_budget_reaches_the_vertices():
-    # T's phases run to the vertices, so 8 nodes per oscillation must count
-    # them.  Sized by the edge midpoints, the half-line rule sat 2.1e-12 to
-    # 4.2e-12 diam from the full rule here, and the batch up to 3.7e-12
-    # diam from its scalar calls; sized by the vertices, both gaps are at
-    # most 2e-13 diam.  From 88% on, the full rule has an odd panel count,
-    # so its middle panel straddles 0 and the two rules differ.
+def test_closed_form_matches_full_line_at_one_shadow_end():
+    # From 80% to 94% of the 7-gon's shadow, each point's closed-form
+    # midpoint on its own and in the batch of all 15 holds
+    # full_line_midpoint within 1e-12 diam.  From 88% on the reference has
+    # an odd panel count, so its middle panel straddles s = 0; the closed
+    # form has no panels, and agrees with the reference at either parity.
     poly = bodies.regular_ngon(7)
     w = unit(1.0)
     lo, hi = shadow_interval(poly, w)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.special import erfcinv
 
 from polyheart import bodies, pde
 from polyheart.errors import GridTooCoarse, NoConvergence
@@ -14,16 +15,18 @@ from polyheart.pde import (
     GridField,
     TrackSample,
     _locate_peak,
-    decay_check,
     eigen_solve,
     full_verify,
     heat_solve,
     rasterize,
     sample_steps,
-    varadhan_check,
+    short_time_bound,
+    short_time_check,
     verify_heart,
     write_csv,
 )
+
+from conftest import decay_rel_err
 
 
 def mirrored_x(poly: ConvexPolygon) -> ConvexPolygon:
@@ -478,16 +481,75 @@ def test_decay_matches_eigenvalue(square):
     res = eigen_solve(g)
     t_end = 10.0 / res.eigenvalue
     samples = heat_solve(g, np.geomspace(t_end / 100.0, t_end, 20), res)
-    rep = decay_check(samples, res.eigenvalue)
-    assert rep.ok
-    assert rep.rel_err <= 0.01
+    assert decay_rel_err(samples, res.eigenvalue) <= 0.01
 
 
-def test_varadhan_needs_two_decades(square):
-    g = rasterize(square, 0.05)
-    samples = heat_solve(g, [0.01, 0.02], eigen_solve(g))
-    with pytest.raises(ValueError, match=r"ratio 2\.0 < 100"):
-        varadhan_check(samples, square, [0.5, 0.5])
+@pytest.fixture(scope="module")
+def default_runs() -> dict:
+    """full_verify at the default spacing on the report panel and on the
+    thin triangle, whose third mode still shows at the horizon."""
+    polys = {**report_panel(), "thin_triangle": EIGEN_BODIES["thin_triangle"]}
+    return {name: (poly, full_verify(poly, heart_region(poly, 720)[0], h=None)) for name, poly in polys.items()}
+
+
+@pytest.mark.parametrize("name", [*report_panel(), "thin_triangle"])
+def test_track_tends_to_its_eigenpair(default_runs, name):
+    # the heat track against its own eigenpair: the last 6 peaks decay at
+    # lam1 within 2%, and the last sample lies within 2% of the diameter of
+    # the eigenfunction peak.  They guard heat_solve but test the grid, not
+    # the paper, so full_verify's verdict leaves them out; the thin
+    # triangle's third mode still shows in its decay fit (7.3e-3)
+    poly, rep = default_runs[name]
+    assert decay_rel_err(rep.samples, rep.eigen.eigenvalue) <= 0.02
+    assert np.linalg.norm(rep.samples[-1].location - rep.eigen.location) <= 0.02 * poly.diameter
+    # and every sample clears the short-time bound by 2 h or more
+    assert rep.short_time.ok and rep.short_time.least_margin >= 2.0 * rep.grid.spacing
+    assert rep.short_time.n_positive >= 8
+
+
+def test_short_time_bound_matches_erfcinv():
+    # against scipy's erfcinv wherever the sum of erfc terms is a normal
+    # float; 0 once the sum reaches 1, the inradius where it underflows
+    for poly in (bodies.square(), bodies.rectangle(8.0, 1.0), EIGEN_BODIES["thin_triangle"], bodies.regular_ngon(64)):
+        r = poly.incircle.radius
+        dist = poly.edge_offsets - poly.edge_normals @ poly.incircle.center
+        got = [short_time_bound(poly, float(t)) for t in np.geomspace(1e-6, 10.0, 400) * r * r]
+        assert all(a >= b for a, b in zip(got, got[1:])) and got[-1] == 0.0
+        for t, delta in zip(np.geomspace(1e-6, 10.0, 400) * r * r, got):
+            scale = 2.0 * math.sqrt(t)
+            total = sum(math.erfc(d / scale) for d in dist)
+            if total >= 1.0:
+                assert delta == 0.0
+            elif total == 0.0:
+                assert delta == float(dist.min())
+            elif total > 1e-300:
+                assert abs(delta - scale * float(erfcinv(total))) <= 1e-14 * r, t
+
+
+def test_short_time_check_rejects_a_planted_sample(halfdisc64):
+    # a hot spot 2.1 h shallower than delta at the first sample fails, one
+    # 1.9 h shallower passes: the slack is 2 h
+    poly = halfdisc64
+    h = poly.incircle.radius / pde._H_PER_INRADIUS
+    grid = rasterize(poly, h)
+    eigen = eigen_solve(grid)
+    dt = h * h / 5.0
+    samples = heat_solve(grid, sample_steps(10.0 / eigen.eigenvalue, dt, 25) * dt, eigen)
+    for short, ok in ((2.1, False), (1.9, True)):
+        planted = (plant_sample(poly, samples[0], short * h),) + samples[1:]
+        rep = short_time_check(planted, poly, 2.0 * h)
+        assert rep.ok is ok
+        assert rep.least_margin == pytest.approx(-short * h, rel=1e-9)
+
+
+def plant_sample(poly: ConvexPolygon, sample: TrackSample, short: float) -> TrackSample:
+    """sample moved to boundary distance delta(t) - short, from the
+    incenter towards the nearest edge line: no other edge line comes nearer."""
+    center = poly.incircle.center
+    dist = poly.edge_offsets - poly.edge_normals @ center
+    i = int(np.argmin(dist))
+    step = dist[i] - short_time_bound(poly, sample.time) + short
+    return TrackSample(sample.time, center + step * poly.edge_normals[i], sample.peak)
 
 
 def test_sample_steps_span_two_decades():
@@ -538,4 +600,4 @@ def test_full_verify_square_coarse(square):
     assert rep.ok
     assert rep.eigen.eigenvalue == pytest.approx(2.0 * np.pi**2, rel=2e-3)
     assert rep.membership.worst_gap <= 1e-9
-    assert rep.varadhan.early_rel_err <= 0.05
+    assert rep.short_time.least_margin >= 0.0
