@@ -1,11 +1,10 @@
 """Lower bounds on the distance from the hot-spot limit to the boundary.
 
 Everything here is computable from elementary geometry of the body: area,
-perimeter, diameter, inradius, plus the first Dirichlet eigenvalue of the
-unit disc.  Eigenvalues of the body itself only ever enter through UPPER
-bounds, which keeps the distance estimates valid lower bounds without
-solving any eigenproblem.  The finite-difference module can supply a
-numeric eigenvalue for cross-checks but is never required.
+perimeter, diameter, inradius and the minimal reciprocal support integral,
+plus the first Dirichlet eigenvalue of the unit disc.  Eigenvalues of the
+body itself only ever enter through UPPER bounds, which keeps the distance
+estimates valid lower bounds without solving any eigenproblem.
 
 The paper states each estimate for a convex body in R^N; the formulas
 below are their planar (N = 2) closed forms.
@@ -46,25 +45,30 @@ class BodyStats:
 
 @dataclass(frozen=True)
 class EigenvalueBounds:
-    """Upper bounds for the body's first Dirichlet eigenvalue."""
+    """Upper bounds for the body's first Dirichlet eigenvalue.
+
+    support_integral is always best, up to rounding.  At the incenter c
+    every support distance d_i is at least r, so the minimized integral
+    W <= sum |e_i| / d_i(c) <= |bd| / r, and r^2 sum |e_i| / d_i(c) <=
+    sum |e_i| d_i(c) = 2 |body| gives W <= 2 |body| / r^2.  With |bd| / r
+    or 2 |body| / r^2 in place of W it reads as each of the other two.
+    """
 
     perimeter_over_inradius: float  # lambda1(B1)/2 * |bd|/(r |body|)
     monotone: float                 # lambda1(B1)/r^2, disc inside body
-    ball: float                     # lambda1(B1) itself, for reference
-    numeric: float | None = None    # optional finite-difference value
+    support_integral: float         # lambda1(B1)/2 * W/|body|
 
     @property
     def best(self) -> float:
-        cands = [self.perimeter_over_inradius, self.monotone]
-        if self.numeric is not None:
-            cands.append(self.numeric)
-        return min(cands)
+        return min(self.perimeter_over_inradius, self.monotone, self.support_integral)
 
 
-def eigenvalue_upper_bounds(stats: BodyStats, numeric: float | None) -> EigenvalueBounds:
+def eigenvalue_upper_bounds(stats: BodyStats, w_val: float) -> EigenvalueBounds:
+    """The three upper bounds, W = w_val being the minimized reciprocal
+    support integral (:func:`minimal_reciprocal_support_integral`)."""
     fk = DISC_EIGENVALUE / 2.0 * stats.perimeter / (stats.inradius * stats.area)
     mono = DISC_EIGENVALUE / stats.inradius**2
-    return EigenvalueBounds(fk, mono, DISC_EIGENVALUE, numeric)
+    return EigenvalueBounds(fk, mono, DISC_EIGENVALUE / 2.0 * w_val / stats.area)
 
 
 @dataclass(frozen=True)
@@ -131,23 +135,3 @@ def minimal_reciprocal_support_integral(poly: ConvexPolygon) -> tuple[float, np.
         return float(lengths @ (1.0 / gaps)), w @ n, (n.T * (2.0 * w / gaps)) @ n
 
     return newton_minimize(poly, support_integral)
-
-
-def eigenvalue_upper_starshaped(stats: BodyStats, w_val: float) -> float:
-    """Eigenvalue upper bound lam1(B1)/2 * W/|body|.
-
-    W is the minimized reciprocal support integral
-    (:func:`minimal_reciprocal_support_integral`).
-    """
-    return DISC_EIGENVALUE / 2.0 * w_val / stats.area
-
-
-def distance_bound_starshaped(stats: BodyStats, w_val: float) -> float:
-    """Distance lower bound driven by the reciprocal support integral W.
-
-    The precise general estimate at the support-integral eigenvalue bound.
-    Sharper than the convex precise bound: the minimized integral never
-    exceeds perimeter/inradius, with equality when the incircle touches
-    every edge.
-    """
-    return distance_bounds_general(stats, eigenvalue_upper_starshaped(stats, w_val)).precise

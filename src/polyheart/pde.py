@@ -54,7 +54,7 @@ _LU_PANEL = 4
 # |A v - lam v|_inf <= _EIGEN_BACKWARD_TOL |A|_inf |v|_inf, |A|_inf = 8/h^2.
 # A converged solve leaves about 5e-16, so this only catches a failed one.
 _EIGEN_BACKWARD_TOL = 1e-12
-# full_verify samples the heat track this many times over two decades.
+# full_verify samples the heat track this many times over about two decades.
 _N_SAMPLES = 25
 # full_verify's slack for membership and the short-time bound, in grid
 # spacings: the grid places the hot spot only to the order of h (staircase
@@ -310,20 +310,11 @@ def _norm(x: np.ndarray) -> float:
 
 
 def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
-    """Heat-march step counts at which to sample, spanning two decades.
-
-    The first count is the step nearest t_end/100 (at least one), where
-    short_time_bound still holds the hot spot near the deepest points; the
-    last is the step nearest t_end, raised until its time is at least 100
-    times the first sample's in floating point; the counts between are
-    geometric.  Rounding each requested time to a step on its own could
-    leave the span just short of two decades.
-    """
+    """Heat-march step counts at which to sample, geometric from the step
+    nearest t_end/100 (at least one), where short_time_bound still holds
+    the hot spot near the deepest points, to the step nearest t_end."""
     first = max(1, round(t_end / 100.0 / dt))
-    last = max(round(t_end / dt), 100 * first)
-    while last * dt < 100.0 * (first * dt):
-        last += 1
-    return np.round(np.geomspace(first, last, n_samples)).astype(np.int64)
+    return np.round(np.geomspace(first, round(t_end / dt), n_samples)).astype(np.int64)
 
 
 def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[TrackSample, ...]:
@@ -623,17 +614,16 @@ def full_verify(poly: ConvexPolygon, heart: Region, h: float | None) -> Verifica
 
     heart is the Region the trajectory is checked against, the first of
     the pair folding.heart_region returns.  The spacing h is inradius/50
-    when None.  The horizon is max(10/lam1, 2500 h^2): long enough for
-    the eigenmode to dominate, and never shorter than the time scale the
-    grid itself can resolve.  _N_SAMPLES samples are geometric in whole
-    steps from about t_end/100 (see sample_steps).  Each must lie within
-    2h of the heart and no more than 2h shallower than short_time_bound.
+    when None.  The horizon is 10/lam1, long enough for the eigenmode to
+    dominate.  _N_SAMPLES samples are geometric in whole steps from about
+    t_end/100 (see sample_steps).  Each must lie within 2h of the heart
+    and no more than 2h shallower than short_time_bound.
     """
     if h is None:
         h = poly.incircle.radius / _H_PER_INRADIUS
     grid = rasterize(poly, h)
     eigen = eigen_solve(grid)
-    t_end = max(10.0 / eigen.eigenvalue, 2500.0 * h * h)
+    t_end = 10.0 / eigen.eigenvalue
     dt = h * h / _DT_FACTOR
     samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, eigen=eigen)
     slack = _MEMBERSHIP_SLACK * h

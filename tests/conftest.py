@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyheart import bodies
+from polyheart.bounds import BodyStats, eigenvalue_upper_bounds, minimal_reciprocal_support_integral
 from polyheart.geometry import ConvexPolygon
 
 pytest_plugins = ("pytester",)
@@ -45,6 +46,16 @@ def rng():
 def point_in(poly, x, eps):
     """x lies in poly or at most eps beyond each of its edge lines."""
     return bool(np.all(poly.edge_normals @ np.asarray(x, dtype=float) <= poly.edge_offsets + eps))
+
+
+def rotated(vertices, theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return ConvexPolygon(np.asarray(vertices, dtype=float) @ np.array([[c, s], [-s, c]]))
+
+
+def geometric_upper_bounds(poly: ConvexPolygon):
+    """The package's upper bounds for the body's lam1, from geometry alone."""
+    return eigenvalue_upper_bounds(BodyStats.from_polygon(poly), minimal_reciprocal_support_integral(poly)[0])
 
 
 def random_bodies(seed: int, count: int, lo: int = 5, hi: int = 12):

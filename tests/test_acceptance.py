@@ -21,11 +21,8 @@ import polyheart.folding as folding
 from polyheart import bodies
 from polyheart.bounds import (
     BodyStats,
-    distance_bound_starshaped,
     distance_bounds_convex,
     distance_bounds_general,
-    eigenvalue_upper_bounds,
-    minimal_reciprocal_support_integral,
 )
 from polyheart.folding import (
     chord_midpoint,
@@ -51,7 +48,7 @@ from polyheart.polar import (
     santalo_point,
 )
 
-from conftest import decay_rel_err, random_bodies
+from conftest import decay_rel_err, geometric_upper_bounds, random_bodies
 from normal_cone import normal_cone_check
 from test_fourier import transform_area_quadrature
 
@@ -214,15 +211,13 @@ def test_07_distance_bounds_consistency(pde_bodies, pde_runs, disc_eigen):
     for poly, eig in cases:
         dist = boundary_distance(poly, eig.location)
         stats = BodyStats.from_polygon(poly)
-        general = distance_bounds_general(stats, eig.eigenvalue)
+        general = distance_bounds_general(stats, geometric_upper_bounds(poly).best)
         convex = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly)[0])
         for label, bound in (
             ("general-precise", general.precise),
             ("general-coarse", general.coarse),
             ("convex-precise", convex.precise),
             ("convex-coarse", convex.coarse),
-            ("star", star),
         ):
             assert dist >= bound, f"{label}: measured {dist} < bound {bound}"
     square_coarse = distance_bounds_convex(BodyStats.from_polygon(bodies.square())).coarse
@@ -258,14 +253,13 @@ def test_08_polar_suite(pde_bodies, pde_runs, disc_eigen):
 
     s = santalo_point(sq)
     assert np.allclose(s, [0.5, 0.5], atol=1e-6)
-    for poly, eig in cases:
+    for poly, _ in cases:
         sp = santalo_point(poly)
         depth = boundary_distance(poly, sp)
         stats = BodyStats.from_polygon(poly)
-        general = distance_bounds_general(stats, eig.eigenvalue)
+        general = distance_bounds_general(stats, geometric_upper_bounds(poly).best)
         convex = distance_bounds_convex(stats)
-        star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(poly)[0])
-        for bound in (general.precise, general.coarse, convex.precise, convex.coarse, star):
+        for bound in (general.precise, general.coarse, convex.precise, convex.coarse):
             assert depth >= bound
 
 

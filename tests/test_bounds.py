@@ -5,18 +5,16 @@ from scipy.special import jn_zeros
 from polyheart.bounds import (
     DISC_EIGENVALUE,
     BodyStats,
-    distance_bound_starshaped,
     distance_bounds_convex,
     distance_bounds_general,
     eigenvalue_upper_bounds,
-    eigenvalue_upper_starshaped,
     minimal_reciprocal_support_integral,
     reciprocal_support_integral,
 )
 from polyheart.errors import QuadratureUnstable
 from polyheart.geometry import ConvexPolygon, chebyshev_center
 
-from conftest import random_bodies
+from conftest import geometric_upper_bounds, random_bodies
 
 DISC_LAM = 5.783185962946785  # square of the first positive zero of J0
 
@@ -38,27 +36,21 @@ def test_disc_eigenvalue_golden():
 
 
 def test_eigen_upper_square(square):
-    stats = BodyStats.from_polygon(square)
-    ub = eigenvalue_upper_bounds(stats, None)
-    # both routes coincide on the square: lam(B1)/N * 4/(1/2) = lam(B1)/(1/2)^2
+    ub = geometric_upper_bounds(square)
+    # all three routes coincide on the square: lam(B1)/N * 4/(1/2) = lam(B1)/(1/2)^2
+    # = lam(B1)/N * W/|body| with W = 8
     assert ub.perimeter_over_inradius == pytest.approx(23.13274385, abs=1e-6)
     assert ub.monotone == pytest.approx(23.13274385, abs=1e-6)
+    assert ub.support_integral == pytest.approx(23.13274385, abs=1e-6)
     assert ub.best == pytest.approx(23.13274385, abs=1e-6)
     assert ub.best >= 2.0 * np.pi**2  # upper bound really is above the true value
 
 
-def test_eigen_upper_prefers_numeric(square):
-    stats = BodyStats.from_polygon(square)
-    ub = eigenvalue_upper_bounds(stats, numeric=19.74)
-    assert ub.best == pytest.approx(19.74)
-
-
 def test_starshaped_upper_disc_tight(disc256):
-    ub = eigenvalue_upper_starshaped(
-        BodyStats.from_polygon(disc256), minimal_reciprocal_support_integral(disc256)[0]
-    )
-    assert ub >= DISC_LAM
-    assert ub == pytest.approx(DISC_LAM, rel=1e-3)
+    ub = geometric_upper_bounds(disc256)
+    assert ub.best == ub.support_integral
+    assert ub.support_integral >= DISC_LAM
+    assert ub.support_integral == pytest.approx(DISC_LAM, rel=1e-3)
 
 
 def test_reciprocal_support_square(square):
@@ -110,11 +102,11 @@ def test_distance_goldens_square(square):
     stats = BodyStats.from_polygon(square)
     conv = distance_bounds_convex(stats)
     assert conv.coarse == pytest.approx(0.00336489, abs=1e-7)
-    star = distance_bound_starshaped(stats, minimal_reciprocal_support_integral(square)[0])
-    # every square support line touches the incircle, so the star route
-    # reproduces the convex one exactly
-    assert star == pytest.approx(conv.precise, rel=1e-5)
-    assert star == pytest.approx(0.0052855562, abs=1e-8)
+    general = distance_bounds_general(stats, geometric_upper_bounds(square).best)
+    # every square support line touches the incircle, so the support-integral
+    # route reproduces the convex one exactly
+    assert general.precise == pytest.approx(conv.precise, rel=1e-5)
+    assert general.precise == pytest.approx(0.0052855562, abs=1e-8)
 
 
 def test_disc_coarse_golden(disc256):
@@ -133,30 +125,29 @@ def test_general_bounds_monotone_in_lambda(square):
 def test_bound_hierarchy_random():
     for poly in random_bodies(seed=17, count=10):
         stats = BodyStats.from_polygon(poly)
-        ub = eigenvalue_upper_bounds(stats, None)
+        w_val = minimal_reciprocal_support_integral(poly)[0]
+        ub = eigenvalue_upper_bounds(stats, w_val)
+        # the support-integral form is always best: W <= |bd|/r and W <= 2|body|/r^2
+        assert ub.best == ub.support_integral
+        assert ub.support_integral <= ub.perimeter_over_inradius * (1.0 + 1e-12)
+        assert ub.support_integral <= ub.monotone * (1.0 + 1e-12)
         gen = distance_bounds_general(stats, ub.best)
         conv = distance_bounds_convex(stats)
-        w_val = minimal_reciprocal_support_integral(poly)[0]
-        star = distance_bound_starshaped(stats, w_val)
-        # the star bound is the precise general one at lam_W = lam(B1)/2 * W/|body|,
-        # i.e. 16 |body| / (lam(B1)^2 d W^2)
-        lam_w = eigenvalue_upper_starshaped(stats, w_val)
-        assert star == pytest.approx(distance_bounds_general(stats, lam_w).precise, rel=1e-15)
+        # at lam_W = lam(B1)/2 * W/|body| the precise general bound is
+        # 16 |body| / (lam(B1)^2 d W^2)
         expanded = 16.0 * stats.area / (DISC_EIGENVALUE**2 * stats.diameter * w_val**2)
-        assert star == pytest.approx(expanded, rel=1e-14)
-        vals = [gen.precise, gen.coarse, conv.precise, conv.coarse, star]
+        assert gen.precise == pytest.approx(expanded, rel=1e-14)
+        vals = [gen.precise, gen.coarse, conv.precise, conv.coarse]
         assert all(v > 0.0 for v in vals)
         assert all(v <= stats.inradius + 1e-12 for v in vals)
         # substituting the perimeter eigenvalue bound can only lose ground
         assert gen.precise >= conv.precise - 1e-12
-        # the boundary-integral route is at least as sharp as the convex one
-        assert star >= conv.precise - 1e-12
 
 
 def test_bounds_scale_linearly(right_tri):
     doubled = ConvexPolygon(2.0 * right_tri.vertices)
     s1, s2 = (
-        distance_bound_starshaped(BodyStats.from_polygon(p), minimal_reciprocal_support_integral(p)[0])
+        distance_bounds_general(BodyStats.from_polygon(p), geometric_upper_bounds(p).best).precise
         for p in (right_tri, doubled)
     )
     assert s2 == pytest.approx(2.0 * s1, rel=1e-6)

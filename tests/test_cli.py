@@ -18,7 +18,7 @@ from polyheart.bodies import halfdisc
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
 
-from conftest import point_in
+from conftest import point_in, rotated
 from test_pde import plant_sample
 
 
@@ -393,7 +393,7 @@ REPORT_KEYS = {
     "bounds": ["distance_convex", "distance_general", "distance_star", "eigenvalue_upper", "lam1_used",
                "reciprocal_support", "stats"],
     "bounds.stats": ["area", "diameter", "inradius", "perimeter"],
-    "bounds.eigenvalue_upper": ["ball", "best", "monotone", "numeric", "perimeter_over_inradius"],
+    "bounds.eigenvalue_upper": ["best", "monotone", "perimeter_over_inradius", "support_integral"],
     "bounds.distance_general": ["coarse", "precise"],
     "bounds.distance_convex": ["coarse", "precise"],
     "bounds.reciprocal_support": ["min_value", "minimizer"],
@@ -435,6 +435,47 @@ def test_report_keys_pinned(tmp_path, capsys):
     rep = json.loads(jpath.read_text())
     assert rep["schema"] == 2
     assert key_sets(rep) == REPORT_KEYS
+
+
+CLOSED_FORM_EIGEN_BODIES = {
+    # each body with its closed-form first Dirichlet eigenvalue
+    "rectangle_1x0.7": (rotated([[0, 0], [1, 0], [1, 0.7], [0, 0.7]], 0.37), np.pi**2 * (1.0 + 1.0 / 0.49)),
+    "equilateral": (rotated([[0, 0], [1, 0], [0.5, np.sqrt(3.0) / 2.0]], 0.21), 16.0 * np.pi**2 / 3.0),
+    "square": (geometry.ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 2.0 * np.pi**2),
+}
+
+
+@pytest.mark.parametrize("per_inradius", [25, 50])
+@pytest.mark.parametrize("name", CLOSED_FORM_EIGEN_BODIES)
+def test_report_lam1_used_is_an_upper_bound(tmp_path, capsys, name, per_inradius):
+    # every distance bound falls as lam1 grows, so the one it is fed must
+    # not lie below lam1; the staircase grid's eigenvalue lies 0.01-2.9%
+    # below it on these bodies.  The verdict is not at issue here: on the
+    # turned rectangle the early hot spot slides along a flat ridge, more
+    # than the 2h membership slack, and report exits 2 after writing its JSON
+    poly, lam1 = CLOSED_FORM_EIGEN_BODIES[name]
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"vertices": poly.vertices.tolist()}))
+    h = poly.incircle.radius / per_inradius
+    jpath = tmp_path / "r.json"
+    code, _, err = run(["report", "--body", str(body), "--h", repr(h), "--json", str(jpath)], capsys)
+    assert code == 0 or json.loads(err)["error"]["type"] == "VerificationFailed", err
+    rep = json.loads(jpath.read_text())
+    assert rep["pde"]["eigenvalue"] < lam1
+    assert rep["bounds"]["lam1_used"] >= lam1
+
+
+def test_bounds_and_report_write_one_bounds_section(tmp_path, capsys):
+    sections = []
+    for argv in (["bounds"], ["report", "--h", "0.0625"]):
+        jpath = tmp_path / "r.json"
+        code, _, err = run([*argv, "--body", "square", "--json", str(jpath)], capsys)
+        assert code == 0, err
+        # the section's own lines in the file, at the report's indent of 2
+        text = jpath.read_text()
+        start = text.index('\n  "bounds": {')
+        sections.append(text[start:text.index("\n  }", start)])
+    assert sections[0] == sections[1]
 
 
 def test_report_fails_on_a_planted_shallow_sample(tmp_path, capsys, monkeypatch, square):

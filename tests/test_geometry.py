@@ -31,7 +31,7 @@ from polyheart.geometry import (
     unit,
 )
 
-from conftest import point_in, random_bodies
+from conftest import point_in, random_bodies, rotated
 
 EPS = 1e-12
 
@@ -69,11 +69,6 @@ def lp_inradius(poly):
                   bounds=[(None, None), (None, None), (0.0, None)], method="highs")
     assert res.success, res.message
     return float(res.x[2])
-
-
-def rotated(vertices, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    return ConvexPolygon(np.asarray(vertices, dtype=float) @ np.array([[c, s], [-s, c]]))
 
 
 # two edges on one line (a straight angle): as given, their normals are

