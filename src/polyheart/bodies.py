@@ -132,7 +132,9 @@ def parse_body_arg(text: str) -> tuple[ConvexPolygon, dict]:
     """Parse a --body argument: generator shorthand 'name:a,b,...',
     a bare generator name, or a path to a JSON body file.
 
-    Returns the body plus the canonical spec dict it came from.
+    Returns the body plus its spec for a report: the generator form of
+    a shorthand, or {"file": path} for a body file, whose vertices the
+    report holds anyway.
     """
     text = text.strip()
     if text.endswith(".json") or text.startswith("@"):
@@ -144,7 +146,7 @@ def parse_body_arg(text: str) -> tuple[ConvexPolygon, dict]:
             raise InvalidPolygon(f"cannot read body file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidPolygon(f"body file {path!r} is not valid JSON: {exc}") from exc
-        return from_spec(spec), spec
+        return from_spec(spec), {"file": path}
     name, _, argstr = text.partition(":")
     args = [float(tok) for tok in argstr.split(",") if tok] if argstr else []
     spec = {"generator": {"name": name, "args": args}}

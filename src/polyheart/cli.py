@@ -4,11 +4,13 @@ Subcommands cover the individual capabilities (heart, bounds, polar,
 santalo, pde-verify, fourier-check) plus a combined report.  Each takes
 --body, --json, --svg, --seed and the options it reads (_COMMANDS).
 The Fourier inversion runs at the fixed cutoff _FOURIER_CUTOFF.
-Output is a versioned JSON document and optionally an SVG figure
-rendered purely from that document, so a report re-renders byte for byte.
+Output is a versioned JSON document on one line and optionally an SVG
+figure rendered purely from that document, so a report re-renders byte
+for byte.
 
 Exit codes: 0 success, 1 invalid input or a usage error, 2 internal
-inconsistency (including verification checks that come back false).
+inconsistency (including verification checks that come back false, and
+a report value that is NaN or infinite, which JSON cannot hold).
 Errors go to stderr as one JSON object per failure.
 """
 
@@ -18,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -49,6 +50,12 @@ from .svgout import render_report_svg
 _INCONSISTENCY = (InconsistentHeart, NoConvergence, QuadratureUnstable, DenominatorTooSmall)
 # frequency cutoff of the transform inversion, in units of 2 pi / diameter
 _FOURIER_CUTOFF = 400.0
+
+
+def _fields(obj) -> dict:
+    """A flat dataclass's fields as a dict: dataclasses.asdict would
+    deep-copy each of these floats and flags, at several times the cost."""
+    return dict(vars(obj))
 
 
 def _body_section(poly, spec) -> dict:
@@ -85,11 +92,11 @@ def _bounds_section(poly) -> dict:
     upper = eigenvalue_upper_bounds(stats, w_val)
     general = distance_bounds_general(stats, upper.best)
     return {
-        "stats": asdict(stats),
-        "eigenvalue_upper": {**asdict(upper), "best": upper.best},
+        "stats": _fields(stats),
+        "eigenvalue_upper": {**_fields(upper), "best": upper.best},
         "lam1_used": upper.best,
-        "distance_general": asdict(general),
-        "distance_convex": asdict(distance_bounds_convex(stats)),
+        "distance_general": _fields(general),
+        "distance_convex": _fields(distance_bounds_convex(stats)),
         # perfbench's check_analysis reads this key
         "distance_star": general.precise,
         "reciprocal_support": {"min_value": w_val, "minimizer": w_center.tolist()},
@@ -103,11 +110,11 @@ def _polar_section(poly, pde: dict | None = None) -> dict:
         "santalo": sant.tolist(),
         "polar_area_at_santalo": polar_area(poly, sant),
         "polar_area_at_centroid": lower.lhs,
-        "lower_check": asdict(lower),
+        "lower_check": _fields(lower),
     }
     if pde is not None:
         eig = polar_area_eigen_check(poly, pde["hot_spot_limit"], pde["eigenvalue"])
-        section["eigen_check"] = asdict(eig)
+        section["eigen_check"] = _fields(eig)
     return section
 
 
@@ -125,8 +132,8 @@ def _pde_section(poly, heart, args) -> dict:
             {"time": s.time, "location": s.location.tolist(), "peak": s.peak, "bound": s.bound}
             for s in rep.samples
         ],
-        "membership": asdict(rep.membership),
-        "short_time": asdict(rep.short_time),
+        "membership": _fields(rep.membership),
+        "short_time": _fields(rep.short_time),
         "ok": rep.ok,
     }
 
@@ -135,30 +142,23 @@ def _fourier_section(poly, seed: int) -> dict:
     area = poly.area
     t0 = complex(indicator_transform(poly, np.zeros(2)))
     rng = np.random.default_rng(seed)
-    dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     ang = rng.uniform(0.0, 2.0 * np.pi)
-    dirs.append(np.array([np.cos(ang), np.sin(ang)]))
-    checks = []
-    for w in dirs:
-        lo, hi = shadow_interval(poly, w)
-        ys = [lo + frac * (hi - lo) for frac in (0.35, 0.5, 0.65)]
-        recons = midpoint_via_transform(poly, w, np.array(ys), cutoff=_FOURIER_CUTOFF)
-        for y, recon in zip(ys, recons.tolist()):
-            direct = chord_midpoint(poly, w, y)
-            checks.append(
-                {
-                    "omega": w.tolist(),
-                    "y": y,
-                    "fourier": recon,
-                    "direct": direct,
-                    "abs_err": abs(recon - direct),
-                }
-            )
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [np.cos(ang), np.sin(ang)]])
+    lo, hi = shadow_interval(poly, dirs)
+    ys = lo[:, None] + np.array([0.35, 0.5, 0.65]) * (hi - lo)[:, None]
+    recons = midpoint_via_transform(poly, dirs, ys, cutoff=_FOURIER_CUTOFF)
+    directs = chord_midpoint(poly, dirs, ys)
+    errs = np.abs(recons - directs)
+    checks = [
+        {"omega": w, "y": y, "fourier": recon, "direct": direct, "abs_err": err}
+        for w, *rows in zip(dirs.tolist(), ys.tolist(), recons.tolist(), directs.tolist(), errs.tolist())
+        for y, recon, direct, err in zip(*rows)
+    ]
     return {
         "cutoff": _FOURIER_CUTOFF,
         "area_check": {"transform": t0.real, "area": area, "abs_err": abs(t0 - area)},
         "midpoint_checks": checks,
-        "max_abs_err": max(c["abs_err"] for c in checks),
+        "max_abs_err": float(errs.max()),
     }
 
 
@@ -192,7 +192,7 @@ def _cmd_polar(poly, args):
             "center": center.tolist(),
             "polar_vertices": polar_polygon(poly, center).vertices.tolist(),
             "polar_area": lower.lhs,
-            "lower_check": asdict(lower),
+            "lower_check": _fields(lower),
         },
     }
     lines = [
@@ -326,12 +326,16 @@ def main(argv=None) -> int:
         return _fail(2, type(exc).__name__, str(exc))
     except (PolyheartError, ValueError) as exc:
         return _fail(1, type(exc).__name__, str(exc))
-    report = {"schema": 2, "tool": {"name": "polyheart", "version": __version__},
+    report = {"schema": 3, "tool": {"name": "polyheart", "version": __version__},
               "command": args.command, **report}
+    try:  # one line from the C encoder; NaN and infinity are not JSON
+        text = json.dumps(report, allow_nan=False) + "\n"
+    except ValueError as exc:
+        return _fail(2, type(exc).__name__, str(exc))
     try:
         if args.json:
             with open(args.json, "w") as fh:
-                fh.write(json.dumps(report, indent=2) + "\n")
+                fh.write(text)
         if args.svg:
             with open(args.svg, "w") as fh:
                 fh.write(render_report_svg(report))

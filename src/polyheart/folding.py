@@ -46,10 +46,11 @@ from .geometry import (
     ConvexPolygon,
     Region,
     _clip_ring,
-    chord,
+    _line_ranges,
     check_direction,
     check_directions,
     halfplane_intersection,
+    perp,
     region_point_distance,
 )
 
@@ -82,12 +83,32 @@ class FoldingProfile:
     witness_vertex: np.ndarray  # (k,) index of the vertex under the maximal chord midpoint
 
 
-def chord_midpoint(poly: ConvexPolygon, omega, s: float) -> float:
-    """Midpoint coordinate (along omega) of the chord over shadow point s."""
-    iv = chord(poly, s, omega)
-    if iv is None:
-        raise OutsideShadow(f"shadow coordinate {s} misses the body")
-    return 0.5 * (iv[0] + iv[1])
+def chord_midpoint(poly: ConvexPolygon, omega, s):
+    """Midpoint coordinate (along omega) of the chord over shadow point s.
+
+    omega is one direction with s one shadow coordinate (the result is a
+    float), or (k, 2) directions with s of shape (k, p), p shadow
+    coordinates per direction (the result is a (k, p) array); each value
+    is the one the single call gives.  Raises OutsideShadow for the first
+    coordinate whose line misses the body.
+    """
+    if np.ndim(omega) == 1:
+        w = check_direction(omega)
+        s_arr = np.asarray(float(s))
+        points, directions = s_arr * perp(w), w
+    else:
+        w = check_directions(omega)
+        s_arr = np.asarray(s, dtype=float)
+        if s_arr.ndim != 2 or len(s_arr) != len(w):
+            raise ValueError(f"s must have shape ({len(w)}, p) for {len(w)} directions, got shape {s_arr.shape}")
+        points, directions = s_arr[..., None] * perp(w)[:, None, :], w[:, None, :]
+    lo, hi = _line_ranges(poly, points, directions)
+    mids = 0.5 * (lo + hi)
+    miss = np.isnan(mids)
+    if miss.any():
+        first = s_arr[np.unravel_index(np.argmax(miss), miss.shape)]
+        raise OutsideShadow(f"shadow coordinate {first} misses the body")
+    return float(mids) if np.ndim(omega) == 1 else mids
 
 
 def _wrapped_edges(poly: ConvexPolygon, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

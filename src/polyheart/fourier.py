@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import DenominatorTooSmall
-from .geometry import ConvexPolygon, check_direction, perp
+from .geometry import ConvexPolygon, check_direction, check_directions, dots, perp
 
 # Si's power series serves below this |x| (_si_tail), the continued
 # fraction of E1(ix) at and beyond it: at 4 the series' largest term is
@@ -172,9 +172,9 @@ def _vertex_terms(a: np.ndarray, s_max: float) -> np.ndarray:
 
 
 def _end_terms(d: np.ndarray, beta: np.ndarray, plus: np.ndarray, minus: np.ndarray, s_max: float):
-    """P, Q and dQ of _line_sums at the (k, m) offsets d of edges with
-    half-projections beta, from the _vertex_terms at their end projections
-    d + beta (plus) and d - beta (minus).
+    """P, Q and dQ of _line_sums at the offsets d of edges with
+    half-projections beta (broadcast against d), from the _vertex_terms at
+    their end projections d + beta (plus) and d - beta (minus).
 
     Each is its S -> infinity limit, exact arithmetic on d and beta, plus
     a remainder of order 1/S that the tails of Si carry, so the parts of
@@ -193,10 +193,11 @@ def _end_terms(d: np.ndarray, beta: np.ndarray, plus: np.ndarray, minus: np.ndar
 
 
 def _gauss_terms(d: np.ndarray, beta: np.ndarray, s_max: float):
-    """P, Q and dQ of _line_sums at the (k, m) offsets d of edges with
-    |beta| S <= _SHORT_EDGE, as integrals over t = d + beta x, x in [-1, 1],
-    on the Gauss rule _EDGE_NODES: no division by beta."""
-    t = d[..., None] + beta[:, None] * _EDGE_NODES
+    """P, Q and dQ of _line_sums at the offsets d of edges with
+    |beta| S <= _SHORT_EDGE (beta broadcast against d), as integrals over
+    t = d + beta x, x in [-1, 1], on the Gauss rule _EDGE_NODES: no
+    division by beta."""
+    t = d[..., None] + beta[..., None] * _EDGE_NODES
     x = t * s_max
     cos_x, sin_x = np.cos(x), np.sin(x)
     si = _si_tail(x, cos_x, sin_x) + np.sign(x) * (0.5 * np.pi)
@@ -209,8 +210,10 @@ def _gauss_terms(d: np.ndarray, beta: np.ndarray, s_max: float):
 def _line_sums(poly: ConvexPolygon, w: np.ndarray, ys: np.ndarray, cutoff: float):
     """The inversion integrals Re Int_{-S}^{S} T(s u) e^{i s y'} ds and
     Re Int_{-S}^{S} i T'(s u) e^{i s y'} ds for each shadow coordinate y of
-    ys, u = perp(w), S = cutoff 2 pi / diameter, y' = y - c . u in the
-    frame centred on the centroid c, in closed form.
+    row i of ys (k, p) along direction w[i] of w (k, 2), u = perp(w[i]),
+    S = cutoff 2 pi / diameter, y' = y - c . u in the frame centred on the
+    centroid c, in closed form; both are (k, p) arrays.  Every
+    (direction, edge) pair's terms are taken in one pass.
 
     On xi = s u in that frame T(s u) = (i/s) sum_j g_j sinc(beta_j s)
     e^{-i mu_j s}, with g_j = |e_j| nu_j . u, beta_j = e_j . u / 2 and
@@ -235,26 +238,31 @@ def _line_sums(poly: ConvexPolygon, w: np.ndarray, ys: np.ndarray, cutoff: float
     if not 0.0 < cutoff < np.inf:
         raise ValueError(f"fourier cutoff must be finite and positive, got {cutoff!r}")
     s_max = cutoff * 2.0 * np.pi / poly.diameter
-    frame = np.array((perp(w), w)).T
     c = poly.centroid
-    ring = (np.concatenate((poly.vertices, poly.vertices[:1])) - c) @ frame
-    (beta, beta_w), (mu, mu_w) = 0.5 * (ring[1:] - ring[:-1]).T, 0.5 * (ring[1:] + ring[:-1]).T
-    g, g_w = ((poly.edge_normals * poly.edge_lengths[:, None]) @ frame).T
-    y = (ys - float(c @ frame[:, 0]))[:, None]
-    d = y - mu
-    vals = _vertex_terms(y - ring[:, 0], s_max)
-    plus, minus = vals[..., :-1], vals[..., 1:]
+    u = perp(w)
+    ring = np.concatenate((poly.vertices, poly.vertices[:1])) - c
+    # (k, n + 1) projections of the closed ring on u and on w
+    ring_u, ring_w = u @ ring.T, w @ ring.T
+    beta, beta_w = 0.5 * (ring_u[:, 1:] - ring_u[:, :-1]), 0.5 * (ring_w[:, 1:] - ring_w[:, :-1])
+    mu, mu_w = 0.5 * (ring_u[:, 1:] + ring_u[:, :-1]), 0.5 * (ring_w[:, 1:] + ring_w[:, :-1])
+    normals = poly.edge_normals * poly.edge_lengths[:, None]
+    g, g_w = u @ normals.T, w @ normals.T
+    # (k, n, p) layout: a (k, n) edge mask picks (direction, edge) pairs
+    y = (ys - (u @ c)[:, None])[:, None, :]
+    d = y - mu[..., None]
+    vals = _vertex_terms(y - ring_u[..., None], s_max)
+    plus, minus = vals[:, :, :-1], vals[:, :, 1:]
     long = np.abs(beta) * s_max > _SHORT_EDGE
     if long.all():
-        p, q, dq = _end_terms(d, beta, plus, minus, s_max)
+        p, q, dq = _end_terms(d, beta[..., None], plus, minus, s_max)
     else:
         p, q, dq = np.empty((3, *d.shape))
-        p[:, long], q[:, long], dq[:, long] = _end_terms(
-            d[:, long], beta[long], plus[..., long], minus[..., long], s_max
-        )
+        p[long], q[long], dq[long] = _end_terms(d[long], beta[long][:, None], plus[:, long], minus[:, long], s_max)
         short = ~long
-        p[:, short], q[:, short], dq[:, short] = _gauss_terms(d[:, short], beta[short], s_max)
-    return -(p @ g), -(q @ g_w + dq @ (g * beta_w) + p @ (g * mu_w))
+        p[short], q[short], dq[short] = _gauss_terms(d[short], beta[short][:, None], s_max)
+    denom = -(g[:, None, :] @ p)
+    numer = -(g_w[:, None, :] @ q + (g * beta_w)[:, None, :] @ dq + (g * mu_w)[:, None, :] @ p)
+    return denom[:, 0], numer[:, 0]
 
 
 def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float) -> float:
@@ -262,48 +270,57 @@ def chord_via_transform(poly: ConvexPolygon, omega, y: float, cutoff: float) -> 
 
     (1/(2 pi)) Int_{-S}^{S} T(s u) e^{i y s} ds equals the chord length
     inside the shadow and 0 outside, up to truncation error.  It is
-    evaluated in closed form (_line_sums), with T and y taken in the frame
-    centred on the centroid.
+    evaluated in closed form (_line_sums, one direction and one point),
+    with T and y taken in the frame centred on the centroid.
     """
-    denom, _ = _line_sums(poly, check_direction(omega), np.array([float(y)]), cutoff)
-    return float(denom[0]) / (2.0 * np.pi)
+    denom, _ = _line_sums(poly, check_direction(omega)[None], np.array([[float(y)]]), cutoff)
+    return float(denom[0, 0]) / (2.0 * np.pi)
 
 
 def midpoint_via_transform(poly: ConvexPolygon, omega, y, cutoff: float) -> float | np.ndarray:
     """Chord midpoints above shadow coordinates y, via the transform ratio.
 
-    y is one shadow coordinate (the result is a float) or a 1-D array of
-    them (the result is an array).  Numerator inverts the derivative
+    omega is one direction (2,) with y one shadow coordinate (the result
+    is a float) or a 1-D array of them (the result is an array), or omega
+    is (k, 2) directions with y of shape (k, p), p coordinates per
+    direction (the result is (k, p)).  Numerator inverts the derivative
     transform (giving (b^2 - a^2)/2), denominator the plain transform
     (giving b - a); their ratio is the midpoint.  Both are inverted in
     closed form, in the frame centred on the centroid, by one _line_sums
-    for all the points.  Points within 5 percent of the shadow ends are
-    rejected before any transform work: the denominator degenerates with
-    the chord there.
+    for all the directions and points.  Points within 5 percent of the
+    shadow ends are rejected before any transform work: the denominator
+    degenerates with the chord there.  Either rejection names the first
+    bad point in row order.
     """
-    w = check_direction(omega)
+    one = np.ndim(omega) == 1
+    w = check_direction(omega)[None] if one else check_directions(omega)
     y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim > 1 or y_arr.size == 0:
+    if one and (y_arr.ndim > 1 or y_arr.size == 0):
         raise ValueError(f"y must be a scalar or a non-empty 1-D array, got shape {y_arr.shape}")
-    ys = np.atleast_1d(y_arr)
-    shadow = poly.vertices @ perp(w)  # shadow_interval, with omega checked once
-    lo, hi = float(shadow.min()), float(shadow.max())
+    if not one and (y_arr.ndim != 2 or len(y_arr) != len(w) or y_arr.size == 0):
+        raise ValueError(f"y must have shape ({len(w)}, p), p > 0, for {len(w)} directions, got shape {y_arr.shape}")
+    ys = y_arr.reshape(len(w), -1)
+    shadow = dots(poly.vertices, perp(w))  # shadow_interval, with omega checked once
+    lo, hi = shadow.min(axis=1, keepdims=True), shadow.max(axis=1, keepdims=True)
     margin = _SHADOW_MARGIN * (hi - lo)
     bad = ~((lo + margin <= ys) & (ys <= hi - margin))
     if bad.any():
-        k = int(np.argmax(bad))
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        yb, lob, hib = float(ys[i, j]), float(lo[i, 0]), float(hi[i, 0])
         raise DenominatorTooSmall(
-            f"shadow coordinate {ys[k]} lies {min(ys[k] - lo, hi - ys[k])} from the shadow ends"
-            f" [{lo}, {hi}], inside the {_SHADOW_MARGIN:.0%} margin {margin}"
+            f"shadow coordinate {yb} lies {min(yb - lob, hib - yb)} from the shadow ends"
+            f" [{lob}, {hib}], inside the {_SHADOW_MARGIN:.0%} margin {float(margin[i, 0])}"
         )
     denom, numer = _line_sums(poly, w, ys, cutoff)
     bound = _MIN_CHORD * poly.diameter / cutoff * 2.0 * np.pi
     short = ~(np.abs(denom) >= bound)
     if short.any():
-        k = int(np.argmax(short))
+        i, j = np.unravel_index(np.argmax(short), short.shape)
         raise DenominatorTooSmall(
-            f"reconstructed 2*pi*chord {denom[k]} at shadow coordinate {ys[k]} is below"
+            f"reconstructed 2*pi*chord {denom[i, j]} at shadow coordinate {ys[i, j]} is below"
             f" {_MIN_CHORD}*2*pi*diameter/cutoff = {bound}"
         )
-    mids = numer / denom + float(poly.centroid @ w)
-    return float(mids[0]) if y_arr.ndim == 0 else mids
+    mids = numer / denom + (w @ poly.centroid)[:, None]
+    if not one:
+        return mids
+    return float(mids[0, 0]) if y_arr.ndim == 0 else mids[0]

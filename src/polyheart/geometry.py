@@ -69,19 +69,27 @@ def unit(theta: float) -> np.ndarray:
 
 
 def perp(omega: np.ndarray) -> np.ndarray:
-    """Rotate a vector by +90 degrees: (x, y) -> (-y, x)."""
-    return np.array([-omega[1], omega[0]])
+    """Rotate vectors by +90 degrees along the last axis: (x, y) -> (-y, x)."""
+    return np.asarray(omega)[..., ::-1] * (-1.0, 1.0)
+
+
+def dots(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for each vector of v along its last axis, shape v.shape[:-1] + (len(m),):
+    each row by numpy's matrix-vector product, so every value is bit for bit
+    that of m @ v with v one vector (m @ v.T runs another BLAS kernel)."""
+    return np.matmul(m, v[..., None])[..., 0]
 
 
 def _check_unit_rows(w: np.ndarray, shape_ok: bool, given) -> np.ndarray:
     """Raise ValueError unless shape_ok and every row of w is a finite unit vector."""
-    if not shape_ok or not np.all(np.isfinite(w)):
+    if shape_ok:
+        norms = np.hypot(w[..., 0], w[..., 1])
+        off = ~(np.abs(norms - 1.0) <= 1e-12)  # a NaN or infinite row is off too
+        if not off.any():
+            return w
+    if not shape_ok or not np.isfinite(w).all():
         raise ValueError(f"direction must be a finite 2-vector, got {given!r}")
-    norms = np.hypot(w[..., 0], w[..., 1])
-    off = np.abs(norms - 1.0) > 1e-12
-    if np.any(off):
-        raise ValueError(f"direction must be unit length, got norm {norms[off][0]!r}")
-    return w
+    raise ValueError(f"direction must be unit length, got norm {norms[off][0]!r}")
 
 
 def check_direction(omega) -> np.ndarray:
@@ -207,13 +215,13 @@ class ConvexPolygon:
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise InvalidPolygon(f"need at least 3 planar vertices, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidPolygon("vertices must be finite")
         diameter = _farthest_pair(v)[2]
         scale = max(diameter, 1e-300)
         edges = _next_rows(v) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(lengths <= EPS_REL * scale):
+        if (lengths <= EPS_REL * scale).any():
             raise InvalidPolygon("duplicate or near-duplicate consecutive vertices")
         nxt = _next_rows(edges)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
@@ -225,7 +233,7 @@ class ConvexPolygon:
             # L_i L_{i+1} sin(theta) against the slack of the two directions
             delta = _VERTEX_ULPS * np.finfo(float).eps * float(np.abs(v).max())
             right = cross < -delta * (lengths + _next_rows(lengths))
-            if np.any(right):
+            if right.any():
                 i = int(np.argmax(right))
                 raise InvalidPolygon(f"polygon is not convex: it turns right by {-theta[i]:.3g} rad at vertex "
                                      f"{(i + 1) % len(v)}, beyond the rounding of its edge directions")
@@ -235,7 +243,7 @@ class ConvexPolygon:
         if turn > 3.0 * np.pi:
             raise InvalidPolygon(f"ring winds more than once: its exterior angles sum to {turn:.6g}, above 3 pi")
         needle = np.cos(0.5 * theta) <= 2.0 * PARALLEL_TOL
-        if np.any(needle):
+        if needle.any():
             i = int(np.argmax(needle))
             raise InvalidPolygon(f"polygon has a needle tip at vertex {(i + 1) % len(v)}: its interior angle "
                                  f"{np.pi - abs(theta[i]):.3g} rad leaves a direction with no edge facing it")
@@ -478,15 +486,34 @@ def region_point_distance(region: Region, x) -> float:
     return float(_edge_distances(pts, e, x).min())
 
 
-def _edge_range(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Bounds (lo, hi) of {t : a_e t <= b_e} over the edges not parallel to
-    a line, where a_e = n_e . direction and b_e is edge e's gap from the
-    line's point; lo > hi when those edges leave no t."""
+def _edge_range(a: np.ndarray, b: np.ndarray):
+    """Bounds (lo, hi) of {t : a_e t <= b_e} over the edges e, on the last
+    axis, not parallel to a line, where a_e = n_e . direction and b_e is
+    edge e's gap from the line's point; lo > hi when those edges leave no
+    t, and lo = -inf or hi = inf when none bounds that side."""
     pos = a > PARALLEL_TOL
     neg = a < -PARALLEL_TOL
-    hi = float((b[pos] / a[pos]).min()) if np.any(pos) else np.inf
-    lo = float((b[neg] / a[neg]).max()) if np.any(neg) else -np.inf
+    ratio = b / np.where(pos | neg, a, 1.0)
+    hi = np.min(ratio, axis=-1, where=pos, initial=np.inf)
+    lo = np.max(ratio, axis=-1, where=neg, initial=-np.inf)
     return lo, hi
+
+
+def _line_ranges(poly: ConvexPolygon, points: np.ndarray, directions: np.ndarray):
+    """(lo, hi) of line_interval for the lines points + t directions, as
+    arrays over the broadcast leading axes of points (..., 2) and
+    directions (..., 2), with lo = hi = NaN where a line misses the body."""
+    a = dots(poly.edge_normals, directions)
+    b = poly.edge_offsets - dots(poly.edge_normals, points)
+    lo, hi = _edge_range(a, b)
+    # a polygon bounds every line along a nonzero direction on both sides
+    miss = np.any((np.abs(a) <= PARALLEL_TOL) & (b < -poly.eps), axis=-1)
+    miss |= ~(np.isfinite(lo) & np.isfinite(hi))
+    lo, hi = np.where(miss, np.nan, lo), np.where(miss, np.nan, hi)
+    # an empty range short by rounding is a line grazing a vertex
+    empty = lo > hi
+    mid = np.where(lo - hi <= _GRAZE_REL * poly.diameter, 0.5 * (lo + hi), np.nan)
+    return np.where(empty, mid, lo), np.where(empty, mid, hi)
 
 
 def line_interval(poly: ConvexPolygon, point, direction):
@@ -495,28 +522,18 @@ def line_interval(poly: ConvexPolygon, point, direction):
     ``direction`` need not be unit; t is in units of |direction|.  Lines
     grazing a vertex return a collapsed interval (t0, t0).
     """
-    p = np.asarray(point, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    a = poly.edge_normals @ d
-    b = poly.edge_offsets - poly.edge_normals @ p
-    if np.any(b[np.abs(a) <= PARALLEL_TOL] < -poly.eps):
-        return None
-    lo, hi = _edge_range(a, b)
-    if not np.isfinite(lo) or not np.isfinite(hi):
-        return None  # unbounded direction cannot happen for a polygon
-    if lo > hi:
-        if lo - hi <= _GRAZE_REL * poly.diameter:
-            mid = 0.5 * (lo + hi)
-            return (mid, mid)
-        return None
-    return (lo, hi)
+    lo, hi = _line_ranges(poly, np.asarray(point, dtype=float), np.asarray(direction, dtype=float))
+    return None if np.isnan(lo) else (float(lo), float(hi))
 
 
-def shadow_interval(poly: ConvexPolygon, omega) -> tuple[float, float]:
-    """Range of the projection of the body onto the axis perp(omega)."""
-    w = check_direction(omega)
-    s = poly.vertices @ perp(w)
-    return float(s.min()), float(s.max())
+def shadow_interval(poly: ConvexPolygon, omega):
+    """Range of the projection of the body onto the axis perp(omega): two
+    floats for one direction, two (k,) arrays for (k, 2) directions."""
+    if np.ndim(omega) == 1:
+        s = poly.vertices @ perp(check_direction(omega))
+        return float(s.min()), float(s.max())
+    s = dots(poly.vertices, perp(check_directions(omega)))
+    return s.min(axis=1), s.max(axis=1)
 
 
 def chord(poly: ConvexPolygon, s: float, omega):
@@ -559,18 +576,18 @@ def chebyshev_center(poly: ConvexPolygon) -> ChebyshevResult:
     range that rounding leaves empty at such edges still has a midpoint.
     """
     shifted = poly.edge_offsets - poly.edge_normals @ poly.centroid
-    normals, offsets = poly.edge_normals.tolist(), shifted.tolist()
-
-    def cross(p, q):
-        return normals[p][0] * normals[q][1] - normals[p][1] * normals[q][0]
-
+    (nx, ny), offsets = poly.edge_normals.T.tolist(), shifted.tolist()
     ring = _by_normal_angle(poly.edge_normals, shifted).tolist()
     prev = dict(zip(ring, ring[-1:] + ring[:-1]))
     succ = dict(zip(ring, ring[1:] + ring[:1]))
 
     def vanish(i):
         a, b = prev[i], succ[i]
-        xai, xib, xba = cross(a, i), cross(i, b), cross(b, a)
+        # the cross products X_ai, X_ib and X_ba, written out: this runs
+        # about 3n times per body
+        xai = nx[a] * ny[i] - ny[a] * nx[i]
+        xib = nx[i] * ny[b] - ny[i] * nx[b]
+        xba = nx[b] * ny[a] - ny[b] * nx[a]
         det = xai + xib + xba
         return (offsets[a] * xib + offsets[i] * xba + offsets[b] * xai) / det if det > 0.0 else np.inf
 

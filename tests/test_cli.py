@@ -10,10 +10,12 @@ import pytest
 
 import polyheart.bounds as bounds
 import polyheart.cli as cli
+import polyheart.folding as folding
 import polyheart.fourier as fourier
 import polyheart.geometry as geometry
 import polyheart.pde as pde_module
 import polyheart.polar as polar
+from polyheart import bodies
 from polyheart.bodies import halfdisc
 from polyheart.errors import NoConvergence
 from polyheart.svgout import render_report_svg
@@ -55,7 +57,7 @@ def test_heart_square(tmp_path, capsys):
     assert code == 0 and err == ""
     assert "point" in out
     rep = json.loads(jpath.read_text())
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert rep["heart"]["kind"] == "point"
     assert np.allclose(rep["heart"]["vertices"][0], [0.5, 0.5], atol=1e-9)
     # SVG re-rendered from the stored report is byte-identical
@@ -70,8 +72,8 @@ def test_heart_square(tmp_path, capsys):
 ])
 def test_report_json_rerenders_svg(tmp_path, capsys, command, body, heart_element):
     # json.dumps fails on a numpy integer, bool or array left in a section;
-    # the file is the report at indent 2 with one newline at the end.  The
-    # square's heart is a point; the half-disc's is a segment and this
+    # the file is the report's one-line dump with one newline at the end.
+    # The square's heart is a point; the half-disc's is a segment and this
     # triangle's a 6-gon, each drawn as its own element.
     jpath, spath = tmp_path / "r.json", tmp_path / "r.svg"
     grid = ["--h", "0.02"] if command == "report" else []
@@ -80,7 +82,8 @@ def test_report_json_rerenders_svg(tmp_path, capsys, command, body, heart_elemen
     assert code == 0, err
     text = jpath.read_text()
     rep = json.loads(text)
-    assert text == json.dumps(rep, indent=2) + "\n"
+    assert text == json.dumps(rep, allow_nan=False) + "\n"
+    assert text.count("\n") == 1
     assert rep["command"] == command
     svg = spath.read_text()
     assert svg == render_report_svg(rep)
@@ -176,6 +179,37 @@ def test_body_file_input(tmp_path, capsys):
     code, out, _ = run(["bounds", "--body", str(p)], capsys)
     assert code == 0
     assert "lambda1 upper" in out
+
+
+def test_body_file_spec_names_the_file(tmp_path, capsys):
+    # the report names a body file instead of copying it: its vertices
+    # are in body.vertices already
+    vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    p = tmp_path / "body.json"
+    p.write_text(json.dumps({"vertices": vertices}))
+    jpath = tmp_path / "r.json"
+    code, _, err = run(["bounds", "--body", str(p), "--json", str(jpath)], capsys)
+    assert code == 0, err
+    body = json.loads(jpath.read_text())["body"]
+    assert body["spec"] == {"file": str(p)}
+    assert body["vertices"] == vertices
+
+
+def test_non_finite_report_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # NaN and infinity are not JSON (RFC 8259): a report holding one exits
+    # 2 with one error line, and neither output file is written
+    bounds_section = cli._bounds_section
+
+    def planted(poly):
+        return {**bounds_section(poly), "lam1_used": float("nan")}
+
+    monkeypatch.setattr(cli, "_bounds_section", planted)
+    jpath, spath = tmp_path / "r.json", tmp_path / "r.svg"
+    code, out, err = run(["bounds", "--body", "square", "--json", str(jpath), "--svg", str(spath)], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert err.count("\n") == 1
+    assert not jpath.exists() and not spath.exists()
 
 
 def test_bounds_minimizes_support_integral_once(monkeypatch, capsys):
@@ -433,7 +467,7 @@ def test_report_keys_pinned(tmp_path, capsys):
     code, _, err = run(["report", "--body", "square", "--h", "0.02", "--json", str(jpath)], capsys)
     assert code == 0, err
     rep = json.loads(jpath.read_text())
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert key_sets(rep) == REPORT_KEYS
 
 
@@ -471,10 +505,7 @@ def test_bounds_and_report_write_one_bounds_section(tmp_path, capsys):
         jpath = tmp_path / "r.json"
         code, _, err = run([*argv, "--body", "square", "--json", str(jpath)], capsys)
         assert code == 0, err
-        # the section's own lines in the file, at the report's indent of 2
-        text = jpath.read_text()
-        start = text.index('\n  "bounds": {')
-        sections.append(text[start:text.index("\n  }", start)])
+        sections.append(json.loads(jpath.read_text())["bounds"])
     assert sections[0] == sections[1]
 
 
@@ -546,6 +577,36 @@ def test_fourier_check_thin_bodies(tmp_path, capsys, body, want):
         assert max_err <= 2e-5 * cli.parse_body_arg(body)[0].diameter
 
 
+@pytest.mark.parametrize("n", [5, 6, 8, 10, 12, 48])
+def test_fourier_check_midpoints_on_analyses_bodies(tmp_path, capsys, n):
+    # the benchmark's own fourier-check output check reads only the area
+    # check.  These are its `analyses` bodies of seed 1, pass 0 (its
+    # spacings_polygon draws the same vertices from the same stream): each
+    # reconstructed midpoint holds the direct one to 1e-4 diam (the worst
+    # of the 54 reads 5.2e-5 diam, the 8-gon's middle point along the y
+    # axis), each direct one is the scalar chord_midpoint, and each
+    # reconstruction is a one-direction midpoint_via_transform of the same
+    # points
+    j = [5, 6, 8, 10, 12, 48].index(n)
+    poly = geometry.ConvexPolygon(bodies.random_convex_polygon(np.random.default_rng([3, 1, 0, j]), n).vertices)
+    body, jpath = tmp_path / "body.json", tmp_path / "r.json"
+    body.write_text(json.dumps({"vertices": poly.vertices.tolist()}))
+    code, _, err = run(["fourier-check", "--body", str(body), "--seed", "1", "--json", str(jpath)], capsys)
+    assert code == 0, err
+    checks = json.loads(jpath.read_text())["fourier"]["midpoint_checks"]
+    assert len(checks) == 9
+    for i in range(0, 9, 3):
+        row = checks[i:i + 3]
+        w = np.array(row[0]["omega"])
+        assert all(c["omega"] == row[0]["omega"] for c in row)
+        ys = np.array([c["y"] for c in row])
+        alone = fourier.midpoint_via_transform(poly, w, ys, cli._FOURIER_CUTOFF)
+        for c, want in zip(row, alone):
+            assert c["abs_err"] <= 1e-4 * poly.diameter
+            assert c["direct"] == folding.chord_midpoint(poly, w, c["y"])
+            assert abs(c["fourier"] - want) <= 1e-15 * poly.diameter
+
+
 @pytest.mark.parametrize("body", ["regular_ngon:7", "square", "rectangle:1e-3,1e-3", "rectangle:1e3,1e3"])
 def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys, body):
     # the transform at zero is the limit of its edge sum, so edge lengths
@@ -565,13 +626,13 @@ def test_fourier_check_area_reads_the_edge_data(monkeypatch, capsys, body):
     assert json.loads(err)["error"]["type"] == "VerificationFailed"
 
 
-def test_fourier_check_one_prelude_per_direction(monkeypatch, capsys):
+def test_fourier_check_one_prelude_one_line_sum(monkeypatch, capsys):
     # one direct evaluation for the area check, then one closed-form line
-    # evaluation per direction for its three points
+    # evaluation for all three directions and their three points each
     direct = count_calls(monkeypatch, fourier._prelude)
     lines = count_calls(monkeypatch, fourier._line_sums)
     assert run(["fourier-check", "--body", "regular_ngon:7"], capsys)[0] == 0
-    assert (len(direct), [len(call[2]) for call in lines]) == (1, [3, 3, 3])
+    assert (len(direct), [(call[1].shape, call[2].shape) for call in lines]) == (1, [((3, 2), (3, 3))])
 
 
 def test_polar_subcommand(capsys):

@@ -41,6 +41,7 @@ from polyheart.geometry import (
     halfplane_intersection,
     perp,
     region_point_distance,
+    shadow_interval,
     support,
     unit,
 )
@@ -152,6 +153,25 @@ def test_chord_midpoint_square(square):
         assert chord_midpoint(square, [0.0, 1.0], s) == pytest.approx(0.5)
     with pytest.raises(OutsideShadow):
         chord_midpoint(square, [0.0, 1.0], 0.5)
+
+
+def test_chord_midpoint_array_matches_scalar():
+    # the array form gives each scalar call's value bit for bit, grazing
+    # lines at the shadow ends included, and names the first line that
+    # misses the body
+    gen = np.random.default_rng(38)
+    for n in (3, 5, 12, 48):
+        poly = bodies.random_convex_polygon(gen, n)
+        dirs = np.array([[1.0, 0.0], [0.0, 1.0], *(unit(a) for a in gen.uniform(0.0, 2.0 * np.pi, 3))])
+        dirs = np.concatenate([dirs, poly.edges[:2] / poly.edge_lengths[:2, None]])
+        lo, hi = shadow_interval(poly, dirs)
+        ys = lo[:, None] + np.array([0.0, 0.1, 0.35, 0.5, 0.65, 1.0]) * (hi - lo)[:, None]
+        got = chord_midpoint(poly, dirs, ys)
+        want = [[chord_midpoint(poly, w, y) for y in row] for w, row in zip(dirs, ys)]
+        assert got.shape == ys.shape and got.tolist() == want
+    ys[1, 2] = hi[1] + 1e-3 * poly.diameter
+    with pytest.raises(OutsideShadow, match=f"shadow coordinate {ys[1, 2]} misses"):
+        chord_midpoint(poly, dirs, ys)
 
 
 def test_square_offsets(square):

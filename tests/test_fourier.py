@@ -328,6 +328,36 @@ def test_midpoints_match_full_line(halfdisc64):
     assert flat >= 2
 
 
+def test_k_directions_match_one_direction_calls(monkeypatch, halfdisc64):
+    # the bodies and directions of test_midpoints_match_full_line in one
+    # call per body: one _line_sums over the 4 directions x 3 points, each
+    # row within 1e-15 diam of that direction's own call
+    polys = [bodies.square(), bodies.regular_ngon(7), halfdisc64, *random_bodies(seed=5, count=3)]
+    polys += [bodies.random_convex_polygon(np.random.default_rng(n), n) for n in (5, 6, 8, 10, 12, 48)]
+    dirs = np.array([unit(theta) for theta in (0.0, 1.0, 2.2, 0.5 * np.pi)])
+    calls = line_calls(monkeypatch)
+    for poly in polys:
+        lo, hi = shadow_interval(poly, dirs)
+        ys = lo[:, None] + np.array([0.35, 0.5, 0.65]) * (hi - lo)[:, None]
+        calls.clear()
+        got = midpoint_via_transform(poly, dirs, ys, 400.0)
+        assert [c.shape for c in calls] == [(4, 3)] and got.shape == (4, 3)
+        for w, y_row, got_row in zip(dirs, ys, got):
+            assert np.max(np.abs(got_row - midpoint_via_transform(poly, w, y_row, 400.0))) <= 1e-15 * poly.diameter
+
+
+def test_k_direction_errors_name_the_first_bad_point(square):
+    # rows in order: the margin error names row 1's point; y must be one
+    # row of points per direction
+    dirs = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lo, hi = shadow_interval(square, dirs)
+    ys = lo[:, None] + np.array([[0.5, 0.5], [0.5, 0.99]]) * (hi - lo)[:, None]
+    with pytest.raises(DenominatorTooSmall, match=f"shadow coordinate {ys[1, 1]} "):
+        midpoint_via_transform(square, dirs, ys, 400.0)
+    with pytest.raises(ValueError, match=r"shape \(2, p\)"):
+        midpoint_via_transform(square, dirs, ys[0], 400.0)
+
+
 @pytest.mark.parametrize("excess", [-1e-9, 1e-9, None])
 def test_midpoints_at_the_short_edge_cut(excess):
     # turn omega so that |beta_0| S on edge 0 of the 7-gon sits just below
@@ -430,7 +460,7 @@ def test_midpoint_batch_matches_scalar(monkeypatch, halfdisc64):
             calls.clear()
             got = midpoint_via_transform(poly, w, ys, 400.0)
             singles = [midpoint_via_transform(poly, w, y, 400.0) for y in ys]
-            assert [len(c) for c in calls] == [len(ys)] + [1] * len(ys)
+            assert [c.shape for c in calls] == [(1, len(ys))] + [(1, 1)] * len(ys)
             assert isinstance(got, np.ndarray) and got.shape == ys.shape
             assert all(isinstance(v, float) for v in singles)
             assert np.max(np.abs(got - singles)) <= 1e-13 * poly.diameter
