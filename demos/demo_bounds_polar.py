@@ -12,7 +12,6 @@ import numpy as np
 
 from polyheart import bodies
 from polyheart.bounds import (
-    BodyStats,
     distance_bounds_convex,
     distance_bounds_general,
     eigenvalue_upper_bounds,
@@ -25,25 +24,25 @@ from polyheart.polar import polar_area, polar_area_eigen_check, santalo_point
 
 def main():
     poly = bodies.random_convex_polygon(np.random.default_rng(7), 7)
-    stats = BodyStats.from_polygon(poly)
-    print(f"random heptagon: area {stats.area:.5f}, perimeter {stats.perimeter:.5f},"
-          f" diameter {stats.diameter:.5f}, inradius {stats.inradius:.5f}")
+    inradius = poly.incircle.radius
+    print(f"random heptagon: area {poly.area:.5f}, perimeter {poly.perimeter:.5f},"
+          f" diameter {poly.diameter:.5f}, inradius {inradius:.5f}")
 
-    h = stats.inradius / 50.0
+    h = inradius / 50.0
     eig = eigen_solve(rasterize(poly, h))
     depth = boundary_distance(poly, eig.location)
     print(f"\nnumeric eigenvalue {eig.eigenvalue:.5f}, hot spot limit"
           f" ({eig.location[0]:.5f}, {eig.location[1]:.5f}), depth {depth:.5f}")
 
-    ub = eigenvalue_upper_bounds(stats, minimal_reciprocal_support_integral(poly)[0])
+    ub = eigenvalue_upper_bounds(poly, minimal_reciprocal_support_integral(poly)[0])
     print("\neigenvalue upper bounds")
     print(f"  perimeter/inradius form  {ub.perimeter_over_inradius:.5f}")
     print(f"  inscribed-ball form      {ub.monotone:.5f}")
     print(f"  support-integral form    {ub.support_integral:.5f}")
     print(f"  best available           {ub.best:.5f}")
 
-    gen = distance_bounds_general(stats, ub.best)
-    conv = distance_bounds_convex(stats)
+    gen = distance_bounds_general(poly, ub.best)
+    conv = distance_bounds_convex(poly)
     print("\nboundary-distance lower bounds vs measured depth"
           f" {depth:.5f}")
     for label, b in (

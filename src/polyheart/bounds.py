@@ -25,25 +25,6 @@ DISC_EIGENVALUE = 5.783185962946783
 
 
 @dataclass(frozen=True)
-class BodyStats:
-    """Scalar geometry of a body, enough to evaluate every bound here."""
-
-    area: float
-    perimeter: float
-    diameter: float
-    inradius: float
-
-    def __post_init__(self):
-        for name in ("area", "perimeter", "diameter", "inradius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def from_polygon(cls, poly: ConvexPolygon) -> "BodyStats":
-        return cls(poly.area, poly.perimeter, poly.diameter, poly.incircle.radius)
-
-
-@dataclass(frozen=True)
 class EigenvalueBounds:
     """Upper bounds for the body's first Dirichlet eigenvalue.
 
@@ -63,12 +44,13 @@ class EigenvalueBounds:
         return min(self.perimeter_over_inradius, self.monotone, self.support_integral)
 
 
-def eigenvalue_upper_bounds(stats: BodyStats, w_val: float) -> EigenvalueBounds:
+def eigenvalue_upper_bounds(poly: ConvexPolygon, w_val: float) -> EigenvalueBounds:
     """The three upper bounds, W = w_val being the minimized reciprocal
     support integral (:func:`minimal_reciprocal_support_integral`)."""
-    fk = DISC_EIGENVALUE / 2.0 * stats.perimeter / (stats.inradius * stats.area)
-    mono = DISC_EIGENVALUE / stats.inradius**2
-    return EigenvalueBounds(fk, mono, DISC_EIGENVALUE / 2.0 * w_val / stats.area)
+    r = poly.incircle.radius
+    fk = DISC_EIGENVALUE / 2.0 * poly.perimeter / (r * poly.area)
+    mono = DISC_EIGENVALUE / r**2
+    return EigenvalueBounds(fk, mono, DISC_EIGENVALUE / 2.0 * w_val / poly.area)
 
 
 @dataclass(frozen=True)
@@ -77,7 +59,7 @@ class DistanceBounds:
     coarse: float
 
 
-def distance_bounds_general(stats: BodyStats, lam1: float) -> DistanceBounds:
+def distance_bounds_general(poly: ConvexPolygon, lam1: float) -> DistanceBounds:
     """Distance lower bounds needing only area, diameter, and an eigenvalue.
 
     precise: 4 / (|body| d lam1^2)
@@ -90,21 +72,21 @@ def distance_bounds_general(stats: BodyStats, lam1: float) -> DistanceBounds:
     """
     if not lam1 > 0.0:
         raise ValueError("lam1 must be positive")
-    d = stats.diameter
-    precise = 4.0 / (stats.area * d * lam1**2)
+    d = poly.diameter
+    precise = 4.0 / (poly.area * d * lam1**2)
     coarse = 16.0 / (np.pi * d**3 * lam1**2)
     return DistanceBounds(precise, coarse)
 
 
-def distance_bounds_convex(stats: BodyStats) -> DistanceBounds:
+def distance_bounds_convex(poly: ConvexPolygon) -> DistanceBounds:
     """Fully geometric distance lower bounds for convex bodies.
 
     precise: 16 r^2 |body| / (lam1(B1)^2 |bd|^2 d)
     coarse:  16 r^4 / (pi lam1(B1)^2 d^3)
     """
-    r, d = stats.inradius, stats.diameter
+    r, d = poly.incircle.radius, poly.diameter
     lam_sq = DISC_EIGENVALUE**2
-    precise = 16.0 * r**2 * stats.area / (lam_sq * stats.perimeter**2 * d)
+    precise = 16.0 * r**2 * poly.area / (lam_sq * poly.perimeter**2 * d)
     coarse = 16.0 * r**4 / (np.pi * lam_sq * d**3)
     return DistanceBounds(precise, coarse)
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .bodies import parse_body_arg
 from .bounds import (
-    BodyStats,
     distance_bounds_convex,
     distance_bounds_general,
     eigenvalue_upper_bounds,
@@ -87,35 +86,32 @@ def _heart_section(poly, n_dirs: int):
 
 
 def _bounds_section(poly) -> dict:
-    stats = BodyStats.from_polygon(poly)
     w_val, w_center = minimal_reciprocal_support_integral(poly)
-    upper = eigenvalue_upper_bounds(stats, w_val)
-    general = distance_bounds_general(stats, upper.best)
+    upper = eigenvalue_upper_bounds(poly, w_val)
+    general = distance_bounds_general(poly, upper.best)
     return {
-        "stats": _fields(stats),
+        # perfbench's check_analysis reads inradius and perimeter
+        "stats": {"area": poly.area, "perimeter": poly.perimeter, "diameter": poly.diameter,
+                  "inradius": poly.incircle.radius},
         "eigenvalue_upper": {**_fields(upper), "best": upper.best},
         "lam1_used": upper.best,
         "distance_general": _fields(general),
-        "distance_convex": _fields(distance_bounds_convex(stats)),
+        "distance_convex": _fields(distance_bounds_convex(poly)),
         # perfbench's check_analysis reads this key
         "distance_star": general.precise,
         "reciprocal_support": {"min_value": w_val, "minimizer": w_center.tolist()},
     }
 
 
-def _polar_section(poly, pde: dict | None = None) -> dict:
+def _polar_section(poly) -> dict:
     sant = santalo_point(poly)
     lower = polar_area_lower_check(poly, poly.centroid)
-    section = {
+    return {
         "santalo": sant.tolist(),
         "polar_area_at_santalo": polar_area(poly, sant),
         "polar_area_at_centroid": lower.lhs,
         "lower_check": _fields(lower),
     }
-    if pde is not None:
-        eig = polar_area_eigen_check(poly, pde["hot_spot_limit"], pde["eigenvalue"])
-        section["eigen_check"] = _fields(eig)
-    return section
 
 
 def _pde_section(poly, heart, args) -> dict:
@@ -245,15 +241,13 @@ def _cmd_report(poly, args):
     report = {
         "heart": hsec,
         "bounds": _bounds_section(poly),
-        "polar": _polar_section(poly, pde=pde),
+        "polar": _polar_section(poly),
         "pde": pde,
         "fourier": _fourier_section(poly, args.seed),
     }
-    checks_ok = (
-        pde["ok"]
-        and report["polar"]["lower_check"]["ok"]
-        and report["polar"]["eigen_check"]["ok"]
-    )
+    eig = polar_area_eigen_check(poly, pde["hot_spot_limit"], pde["eigenvalue"])
+    report["polar"]["eigen_check"] = _fields(eig)
+    checks_ok = pde["ok"] and report["polar"]["lower_check"]["ok"] and eig.ok
     lines = [
         f"heart kind: {hsec['kind']}, ball radius {hsec['ball_radius']:.9g}",
         f"lambda1 numeric: {pde['eigenvalue']:.9g}",

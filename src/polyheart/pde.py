@@ -309,12 +309,12 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(x * x, axis=None)))
 
 
-def sample_steps(t_end: float, dt: float, n_samples: int) -> np.ndarray:
-    """Heat-march step counts at which to sample, geometric from the step
+def sample_steps(t_end: float, dt: float) -> np.ndarray:
+    """_N_SAMPLES heat-march step counts, geometric from the step
     nearest t_end/100 (at least one), where short_time_bound still holds
     the hot spot near the deepest points, to the step nearest t_end."""
     first = max(1, round(t_end / 100.0 / dt))
-    return np.round(np.geomspace(first, round(t_end / dt), n_samples)).astype(np.int64)
+    return np.round(np.geomspace(first, round(t_end / dt), _N_SAMPLES)).astype(np.int64)
 
 
 def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[TrackSample, ...]:
@@ -346,8 +346,7 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
     for t in times:
         steps.append(max(steps[-1] + 1 if steps else 1, int(round(t / dt))))
     mask_f = grid.mask.astype(float)
-    ii, jj = np.nonzero(grid.mask)
-    phi = eigen.values[ii, jj]
+    phi = eigen.values[grid.mask]
     scale = _norm(phi)
     v = phi / scale
     samples = []
@@ -361,7 +360,7 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
             bound = carried + tail * norm
             loc, peak = _locate_peak(grid, field)
             samples.append(TrackSample(n * dt, loc, peak, bound=bound, degree=degree))
-            x = field[ii, jj]
+            x = field[grid.mask]
             lead = float(np.add.reduce(v * x))
             dropped = _norm(x - lead * v)
             if dropped <= _SWITCH_TOL * float(np.abs(x).max()):
@@ -388,24 +387,18 @@ class EigenResult:
 
 
 def _interior_laplacian(grid: GridField):
+    """The five-point Dirichlet Laplacian on the interior nodes, in C order.
+
+    On the flattened padded grid node i's neighbours are i +- 1 and i +- ny,
+    as in _chebyshev_fields; only padding nodes wrap across a row, and
+    restricting rows and columns to the interior drops them.
+    """
     import scipy.sparse  # here, not at module level: only a PDE solve loads scipy
-    idx = -np.ones(grid.mask.shape, dtype=np.int64)
-    ii, jj = np.nonzero(grid.mask)
-    n = len(ii)
-    idx[ii, jj] = np.arange(n)
-    h2 = grid.spacing * grid.spacing
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0 / h2)]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nbr = idx[ii + di, jj + dj]
-        ok = nbr >= 0
-        rows.append(np.arange(n)[ok])
-        cols.append(nbr[ok])
-        vals.append(np.full(int(ok.sum()), -1.0 / h2))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    ny, size = grid.mask.shape[1], grid.mask.size
+    grid_mat = scipy.sparse.diags([4.0, -1.0, -1.0, -1.0, -1.0], [0, 1, -1, ny, -ny],
+                                  shape=(size, size), format="csr")
+    inside = np.flatnonzero(grid.mask)
+    return grid_mat[inside][:, inside] / (grid.spacing * grid.spacing)
 
 
 def _lanczos(solve, n: int) -> np.ndarray:
@@ -570,13 +563,9 @@ def short_time_check(samples, poly: ConvexPolygon, slack: float) -> ShortTimeRep
 
 def write_csv(grid: GridField, values: np.ndarray, path) -> None:
     """Dump a field's values at the interior nodes as x,y,value rows."""
-    xs = grid.node_x()
-    ys = grid.node_y()
     ii, jj = np.nonzero(grid.mask)
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for i, j in zip(ii, jj):
-            fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{values[i, j]:.17g}\n")
+    rows = np.column_stack([grid.node_x()[ii], grid.node_y()[jj], values[grid.mask]])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header="x,y,value", comments="")
 
 
 @dataclass(frozen=True)
@@ -625,7 +614,7 @@ def full_verify(poly: ConvexPolygon, heart: Region, h: float | None) -> Verifica
     eigen = eigen_solve(grid)
     t_end = 10.0 / eigen.eigenvalue
     dt = h * h / _DT_FACTOR
-    samples = heat_solve(grid, sample_steps(t_end, dt, _N_SAMPLES) * dt, eigen=eigen)
+    samples = heat_solve(grid, sample_steps(t_end, dt) * dt, eigen=eigen)
     slack = _MEMBERSHIP_SLACK * h
     membership = verify_heart(samples, eigen.location, heart, slack)
     short_time = short_time_check(samples, poly, slack)

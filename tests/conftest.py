@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polyheart import bodies
-from polyheart.bounds import BodyStats, eigenvalue_upper_bounds, minimal_reciprocal_support_integral
+from polyheart.bounds import eigenvalue_upper_bounds, minimal_reciprocal_support_integral
 from polyheart.geometry import ConvexPolygon
 
 pytest_plugins = ("pytester",)
@@ -55,7 +55,7 @@ def rotated(vertices, theta):
 
 def geometric_upper_bounds(poly: ConvexPolygon):
     """The package's upper bounds for the body's lam1, from geometry alone."""
-    return eigenvalue_upper_bounds(BodyStats.from_polygon(poly), minimal_reciprocal_support_integral(poly)[0])
+    return eigenvalue_upper_bounds(poly, minimal_reciprocal_support_integral(poly)[0])
 
 
 def random_bodies(seed: int, count: int, lo: int = 5, hi: int = 12):

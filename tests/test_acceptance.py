@@ -20,7 +20,6 @@ import pytest
 import polyheart.folding as folding
 from polyheart import bodies
 from polyheart.bounds import (
-    BodyStats,
     distance_bounds_convex,
     distance_bounds_general,
 )
@@ -210,9 +209,8 @@ def test_07_distance_bounds_consistency(pde_bodies, pde_runs, disc_eigen):
     cases.append(disc_eigen)
     for poly, eig in cases:
         dist = boundary_distance(poly, eig.location)
-        stats = BodyStats.from_polygon(poly)
-        general = distance_bounds_general(stats, geometric_upper_bounds(poly).best)
-        convex = distance_bounds_convex(stats)
+        general = distance_bounds_general(poly, geometric_upper_bounds(poly).best)
+        convex = distance_bounds_convex(poly)
         for label, bound in (
             ("general-precise", general.precise),
             ("general-coarse", general.coarse),
@@ -220,7 +218,7 @@ def test_07_distance_bounds_consistency(pde_bodies, pde_runs, disc_eigen):
             ("convex-coarse", convex.coarse),
         ):
             assert dist >= bound, f"{label}: measured {dist} < bound {bound}"
-    square_coarse = distance_bounds_convex(BodyStats.from_polygon(bodies.square())).coarse
+    square_coarse = distance_bounds_convex(bodies.square()).coarse
     assert abs(square_coarse - 0.00336) <= 1e-5
 
 
@@ -256,9 +254,8 @@ def test_08_polar_suite(pde_bodies, pde_runs, disc_eigen):
     for poly, _ in cases:
         sp = santalo_point(poly)
         depth = boundary_distance(poly, sp)
-        stats = BodyStats.from_polygon(poly)
-        general = distance_bounds_general(stats, geometric_upper_bounds(poly).best)
-        convex = distance_bounds_convex(stats)
+        general = distance_bounds_general(poly, geometric_upper_bounds(poly).best)
+        convex = distance_bounds_convex(poly)
         for bound in (general.precise, general.coarse, convex.precise, convex.coarse):
             assert depth >= bound
 

@@ -4,7 +4,6 @@ from scipy.special import jn_zeros
 
 from polyheart.bounds import (
     DISC_EIGENVALUE,
-    BodyStats,
     distance_bounds_convex,
     distance_bounds_general,
     eigenvalue_upper_bounds,
@@ -99,10 +98,9 @@ def test_minimal_reciprocal_support_is_stationary(halfdisc64):
 
 
 def test_distance_goldens_square(square):
-    stats = BodyStats.from_polygon(square)
-    conv = distance_bounds_convex(stats)
+    conv = distance_bounds_convex(square)
     assert conv.coarse == pytest.approx(0.00336489, abs=1e-7)
-    general = distance_bounds_general(stats, geometric_upper_bounds(square).best)
+    general = distance_bounds_general(square, geometric_upper_bounds(square).best)
     # every square support line touches the incircle, so the support-integral
     # route reproduces the convex one exactly
     assert general.precise == pytest.approx(conv.precise, rel=1e-5)
@@ -110,36 +108,34 @@ def test_distance_goldens_square(square):
 
 
 def test_disc_coarse_golden(disc256):
-    conv = distance_bounds_convex(BodyStats.from_polygon(disc256))
+    conv = distance_bounds_convex(disc256)
     assert conv.coarse == pytest.approx(0.019029, abs=2e-5)
 
 
 def test_general_bounds_monotone_in_lambda(square):
-    stats = BodyStats.from_polygon(square)
-    g1 = distance_bounds_general(stats, 20.0)
-    g2 = distance_bounds_general(stats, 40.0)
+    g1 = distance_bounds_general(square, 20.0)
+    g2 = distance_bounds_general(square, 40.0)
     assert g1.precise > g2.precise
     assert g1.coarse > g2.coarse
 
 
 def test_bound_hierarchy_random():
     for poly in random_bodies(seed=17, count=10):
-        stats = BodyStats.from_polygon(poly)
         w_val = minimal_reciprocal_support_integral(poly)[0]
-        ub = eigenvalue_upper_bounds(stats, w_val)
+        ub = eigenvalue_upper_bounds(poly, w_val)
         # the support-integral form is always best: W <= |bd|/r and W <= 2|body|/r^2
         assert ub.best == ub.support_integral
         assert ub.support_integral <= ub.perimeter_over_inradius * (1.0 + 1e-12)
         assert ub.support_integral <= ub.monotone * (1.0 + 1e-12)
-        gen = distance_bounds_general(stats, ub.best)
-        conv = distance_bounds_convex(stats)
+        gen = distance_bounds_general(poly, ub.best)
+        conv = distance_bounds_convex(poly)
         # at lam_W = lam(B1)/2 * W/|body| the precise general bound is
         # 16 |body| / (lam(B1)^2 d W^2)
-        expanded = 16.0 * stats.area / (DISC_EIGENVALUE**2 * stats.diameter * w_val**2)
+        expanded = 16.0 * poly.area / (DISC_EIGENVALUE**2 * poly.diameter * w_val**2)
         assert gen.precise == pytest.approx(expanded, rel=1e-14)
         vals = [gen.precise, gen.coarse, conv.precise, conv.coarse]
         assert all(v > 0.0 for v in vals)
-        assert all(v <= stats.inradius + 1e-12 for v in vals)
+        assert all(v <= poly.incircle.radius + 1e-12 for v in vals)
         # substituting the perimeter eigenvalue bound can only lose ground
         assert gen.precise >= conv.precise - 1e-12
 
@@ -147,10 +143,10 @@ def test_bound_hierarchy_random():
 def test_bounds_scale_linearly(right_tri):
     doubled = ConvexPolygon(2.0 * right_tri.vertices)
     s1, s2 = (
-        distance_bounds_general(BodyStats.from_polygon(p), geometric_upper_bounds(p).best).precise
+        distance_bounds_general(p, geometric_upper_bounds(p).best).precise
         for p in (right_tri, doubled)
     )
     assert s2 == pytest.approx(2.0 * s1, rel=1e-6)
-    c1 = distance_bounds_convex(BodyStats.from_polygon(right_tri)).coarse
-    c2 = distance_bounds_convex(BodyStats.from_polygon(doubled)).coarse
+    c1 = distance_bounds_convex(right_tri).coarse
+    c2 = distance_bounds_convex(doubled).coarse
     assert c2 == pytest.approx(2.0 * c1, rel=1e-9)

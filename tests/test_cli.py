@@ -564,9 +564,11 @@ def test_fourier_check(tmp_path, capsys):
     ("triangle:0,0,1,0,0.3,0.01", 2),
 ])
 def test_fourier_check_thin_bodies(tmp_path, capsys, body, want):
-    # chords of 3 resolution lengths diameter / cutoff and more invert to
-    # 2e-5 of the diameter; the 0.01-tall triangle's 0.005 chord, 2 of
-    # them, is rejected
+    # on these thin bodies every chord is 3 resolution lengths diameter /
+    # cutoff or more, and each midpoint inverts to 2e-5 of the diameter
+    # (not a general bound: the analyses 8-gon reads 5.2e-5, see
+    # test_fourier_check_midpoints_on_analyses_bodies); the 0.01-tall
+    # triangle's 0.005 chord, 2 of them, is rejected
     jpath = tmp_path / "r.json"
     code, _, err = run(["fourier-check", "--body", body, "--json", str(jpath)], capsys)
     assert code == want

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.optimize import linprog
 
 import polyheart.geometry as geometry
 from polyheart import bodies
-from polyheart.errors import InvalidPolygon
+from polyheart.bounds import minimal_reciprocal_support_integral
+from polyheart.errors import InvalidPolygon, NoConvergence
 from polyheart.geometry import (
     EMPTY_REGION,
     _VERTEX_ULPS,
@@ -30,6 +32,7 @@ from polyheart.geometry import (
     support,
     unit,
 )
+from polyheart.polar import santalo_point
 
 from conftest import point_in, random_bodies, rotated
 
@@ -441,6 +444,33 @@ def test_seam_pair_is_one_line():
     square = halfplane_intersection(planes, (-2.0, 2.0, -2.0, 2.0), 1e-9)
     assert square.kind == "polygon" and len(square.points) == 4
     assert np.abs(np.abs(square.points) - 1.0).max() <= 2e-9
+
+
+def test_seam_run_keeps_its_inner_line():
+    # normals 0.5e-13 and 1.2e-13 rad below pi: the first is shifted to the
+    # -pi end of the sort, the second stays at the +pi end, and the two are
+    # one run across the seam, of which only the inner line (offset 0.2) stays
+    a = np.pi - np.array([0.5e-13, 1.2e-13])
+    planes = np.array([[np.cos(a[0]), np.sin(a[0]), 0.5], [np.cos(a[1]), np.sin(a[1]), 0.2],
+                       [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
+    assert sorted(geometry._by_normal_angle(planes[:, :2], planes[:, 2]).tolist()) == [1, 2, 3, 4]
+    eps = 1e-9
+    region = halfplane_intersection(planes, (-2.0, 2.0, -2.0, 2.0), eps)
+    assert region.kind == "polygon" and len(region.points) == 4
+    # each cut moves out by eps; the outer line would put x_min at -0.5
+    assert abs(region.points[:, 0].min() + 0.2) <= 2.0 * eps
+
+
+def test_newton_stop_states_decrement_and_tolerance(monkeypatch):
+    # one Newton step leaves the decrement above its tolerance on this
+    # 12-gon, for both objectives; the error names both numbers
+    monkeypatch.setattr(geometry, "_NEWTON_ITERATIONS", 1)
+    poly = bodies.random_convex_polygon(np.random.default_rng(3), 12)
+    for solve in (santalo_point, minimal_reciprocal_support_integral):
+        with pytest.raises(NoConvergence) as info:
+            solve(poly)
+        got = re.fullmatch(r"Newton decrement (\S+) above tolerance (\S+)", str(info.value))
+        assert got and float(got.group(1)) > float(got.group(2))
 
 
 def test_segment_ends_on_slab_axis():

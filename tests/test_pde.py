@@ -165,6 +165,25 @@ def test_eigen_square(square):
     assert res.peak == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("poly", [bodies.halfdisc(1.0, 0.0, 16), bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.3, 0.7])],
+                         ids=["halfdisc", "triangle"])
+def test_interior_laplacian_entries(poly):
+    # at the coarsest spacing the masks are irregular; each interior node
+    # carries 4/h^2 and -1/h^2 for each interior axis neighbour, and no
+    # neighbour wraps across the end of a row
+    grid = rasterize(poly, poly.incircle.radius / 8.0)
+    nodes = [tuple(ij) for ij in np.argwhere(grid.mask).tolist()]
+    index = {ij: k for k, ij in enumerate(nodes)}
+    h2 = grid.spacing * grid.spacing
+    want = np.zeros((len(nodes), len(nodes)))
+    for k, (i, j) in enumerate(nodes):
+        want[k, k] = 4.0 / h2
+        for nbr in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nbr in index:
+                want[k, index[nbr]] = -1.0 / h2
+    assert np.array_equal(pde._interior_laplacian(grid).toarray(), want)
+
+
 def test_eigen_no_convergence(square, monkeypatch):
     # the Lanczos needs about a dozen LU solves on this grid; a cap of 3
     # stops it short, and the message states the bound it reached
@@ -270,7 +289,7 @@ def test_heat_solve_matches_explicit_march(body, halfdisc64, square):
     grid = rasterize(poly, h)
     lam = eigen_solve(grid).eigenvalue
     dt = h * h / 5.0
-    steps = sample_steps(max(10.0 / lam, 2500.0 * h * h), dt, 25)
+    steps = sample_steps(max(10.0 / lam, 2500.0 * h * h), dt)
     got = assert_matches_march(grid, steps * dt)
     if body == "square":
         # the symmetric start leaves no mode below 5 lam_1 besides the
@@ -289,7 +308,7 @@ def test_heat_bound_covers_early_handover(square, monkeypatch):
     h = 0.02
     grid = rasterize(square, h)
     dt = h * h / 5.0
-    times = sample_steps(1.0, dt, 25) * dt
+    times = sample_steps(1.0, dt) * dt
     errors = []
     for a, b in zip(heat_solve(grid, times, eigen_solve(grid)), explicit_march(grid, times)):
         rounding = 4.0 * round(a.time / dt) * np.finfo(float).eps * b.peak
@@ -306,7 +325,7 @@ def test_heat_bound_covers_loose_chebyshev_cut(square, monkeypatch):
     h = 0.02
     grid = rasterize(square, h)
     dt = h * h / 5.0
-    times = sample_steps(1.0, dt, 25) * dt
+    times = sample_steps(1.0, dt) * dt
     got = heat_solve(grid, times, eigen_solve(grid))
     errors = []
     for a, b in zip(got, explicit_march(grid, times)):
@@ -534,7 +553,7 @@ def test_short_time_check_rejects_a_planted_sample(halfdisc64):
     grid = rasterize(poly, h)
     eigen = eigen_solve(grid)
     dt = h * h / 5.0
-    samples = heat_solve(grid, sample_steps(10.0 / eigen.eigenvalue, dt, 25) * dt, eigen)
+    samples = heat_solve(grid, sample_steps(10.0 / eigen.eigenvalue, dt) * dt, eigen)
     for short, ok in ((2.1, False), (1.9, True)):
         planted = (plant_sample(poly, samples[0], short * h),) + samples[1:]
         rep = short_time_check(planted, poly, 2.0 * h)
@@ -562,7 +581,7 @@ def test_sample_steps_pin_ends_and_round_trip():
                                                       gen.uniform(1e-3, 0.2, 3000))]
     for t_end, h in cases:
         dt = h * h / 5.0
-        steps = sample_steps(t_end, dt, 25)
+        steps = sample_steps(t_end, dt)
         assert len(steps) == 25
         assert steps[0] == max(1, round(t_end / 100.0 / dt))
         assert steps[-1] == round(t_end / dt)

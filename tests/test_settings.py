@@ -23,7 +23,7 @@ def test_setting_counts_pinned():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defaulted += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-    assert defaulted == 8
+    assert defaulted == 7
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
                for name, p in sub.choices.items()}
