@@ -18,7 +18,7 @@ from polyheart.bounds import (
     minimal_reciprocal_support_integral,
 )
 from polyheart.geometry import boundary_distance, chebyshev_center
-from polyheart.pde import eigen_solve, rasterize
+from polyheart.pde import default_spacing, eigen_solve, rasterize
 from polyheart.polar import polar_area, polar_area_eigen_check, santalo_point
 
 
@@ -28,8 +28,7 @@ def main():
     print(f"random heptagon: area {poly.area:.5f}, perimeter {poly.perimeter:.5f},"
           f" diameter {poly.diameter:.5f}, inradius {inradius:.5f}")
 
-    h = inradius / 50.0
-    eig = eigen_solve(rasterize(poly, h))
+    eig = eigen_solve(rasterize(poly, default_spacing(poly)))
     depth = boundary_distance(poly, eig.location)
     print(f"\nnumeric eigenvalue {eig.eigenvalue:.5f}, hot spot limit"
           f" ({eig.location[0]:.5f}, {eig.location[1]:.5f}), depth {depth:.5f}")

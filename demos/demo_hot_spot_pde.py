@@ -15,21 +15,19 @@ import pathlib
 
 from polyheart import bodies
 from polyheart.folding import heart_region
-from polyheart.geometry import chebyshev_center
-from polyheart.pde import full_verify, write_csv
+from polyheart.pde import default_spacing, full_verify, write_csv
 
 OUT = pathlib.Path(__file__).parent / "out"
 
 
 def main():
     hd = bodies.halfdisc(1.0, 0.0, 64)
-    h = chebyshev_center(hd).radius / 50.0
     heart, _ = heart_region(hd, 720)
-    print(f"half-disc of radius 1, grid spacing h = {h:.5f}")
+    print(f"half-disc of radius 1, grid spacing h = {default_spacing(hd):.5f}")
     print(f"heart: {heart.kind} from ({heart.points[0][0]:.4f}, {heart.points[0][1]:.4f})"
           f" to ({heart.points[-1][0]:.4f}, {heart.points[-1][1]:.4f})")
 
-    rep = full_verify(hd, h=h, heart=heart)
+    rep = full_verify(hd, h=None, heart=heart)
     eig = rep.eigen
     print(f"\nfirst eigenvalue {eig.eigenvalue:.6f} (residual {eig.residual:.2e})")
     print(f"eigenfunction peak at ({eig.location[0]:.5f}, {eig.location[1]:.5f})")

@@ -268,7 +268,7 @@ _COMMANDS = {
 
 _OPTIONS = {
     "--dirs": {"type": int, "default": 720, "help": "direction count for the heart sweep"},
-    "--h": {"type": float, "default": None, "help": "grid spacing (default inradius/50)"},
+    "--h": {"type": float, "default": None, "help": "grid spacing (default inradius/30)"},
 }
 
 

@@ -1,19 +1,24 @@
 """Finite-difference verifier for the hot-spot trajectory and eigenpair.
 
 The grid is the global lattice h*Z^2 clipped to the body: nodes strictly
-inside carry unknowns, everything else is clamped to zero (staircase
-Dirichlet, first order).  Anchoring to the global lattice instead of the
-body's bounding box makes mirrored bodies produce mirrored node sets, and
-the stencil and peak refinement below only combine values through
-commutative pairs, so a mirrored run reproduces the mirrored trajectory
-up to the summation order of one matrix product (far below 1e-10).
+inside carry unknowns, everything else is zero.  The Dirichlet boundary
+is the symmetric second-order one of Gibou, Fedkiw, Cheng and Kang (J.
+Comput. Phys. 176, 2002): an arm of the five-point stencil that ends
+outside the body weighs 1/(theta h^2) on the diagonal, theta h the
+distance along it to the boundary (rasterize).  Anchoring to the global
+lattice instead of the body's bounding box makes mirrored bodies produce
+mirrored node sets and diagonals, and the stencil and peak refinement
+below only combine values through commutative pairs, so a mirrored run
+reproduces the mirrored trajectory up to the summation order of one
+matrix product (far below 1e-10).
 
-The eigenpair is the lowest one of the five-point Dirichlet Laplacian A,
-from a shift-invert Lanczos on one sparse LU factorization (eigen_solve),
-whose dot products and basis sums stay off BLAS.  The heat flow is
-the explicit Euler march u <- p(B) u at dt = h^2/5, inside the h^2/4
-stability limit, with B = A h^2/4 - I and p(t) = (1 - 4t)/5; it is never
-run step by step.  n steps are the Chebyshev series of p^n in B, with
+The eigenpair is the lowest one of that Dirichlet Laplacian A, from a
+shift-invert Lanczos on one sparse LU factorization (eigen_solve), whose
+dot products and basis sums stay off BLAS.  The heat flow is the
+explicit Euler march u <- p(B) u = u - dt A u, with lam_G = |A|_inf the
+Gershgorin bound on A's spectrum, B = 2A/lam_G - I, p(t) = (1 - 4t)/5
+and so dt = 1.6/lam_G (h^2/5 on a staircase, where lam_G = 8/h^2); it
+is never run step by step.  n steps are the Chebyshev series of p^n in B, with
 coefficients from one backward banded solve (_power_series), summed from
 the recurrence T_{k+1}(B) u = 2B T_k(B) u - T_{k-1}(B) u into every
 pending sample at once; since |T_k(B)|_2 <= 1, the l1 norm of the
@@ -27,16 +32,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridTooCoarse, NoConvergence
 from .geometry import ConvexPolygon, Region, region_point_distance
 
+# dt lam_G = 8/_DT_FACTOR, the step at which u - dt A u is p(B) u
 _DT_FACTOR = 5.0
-# full_verify's grid spacing at h=None is the inradius over this, so the
-# membership slack of two spacings is 4% of the inradius.
-_H_PER_INRADIUS = 50.0
+# full_verify's grid spacing at h=None is the inradius over this.  The
+# short-time margin of an early sample converges from below at second
+# order: on the report panel's 12-gon it reads 1.97, 2.01, 2.02, 2.04 and
+# 2.06 r/50 at r/25, r/28, r/30, r/50 and r/100.  r/30 clears 2 r/50 by
+# 0.016 r/50, r/28 by 0.006.
+_H_PER_INRADIUS = 30.0
+# theta's floor: a node nearer the boundary than this many spacings along
+# an arm weighs it as if at this distance, which caps that arm's diagonal
+# at 10/h^2 and lam_G at 40/h^2 (24-32/h^2 on the bodies tried); a node
+# 1e-4 h from the boundary would otherwise weigh 1e4/h^2 and shorten dt =
+# 1.6/lam_G as much.
+_THETA_MIN = 0.1
 # eigen_solve's Lanczos: a basis of at most _LANCZOS_BASIS vectors
 # (ARPACK's default for one eigenpair), restarted from the Ritz vector when
 # full; it stops once the Ritz estimate of |A^-1 x - theta x| is at most
@@ -51,21 +67,22 @@ _EIGEN_MAX_ITER = 400
 _LU_RELAX = 4
 _LU_PANEL = 4
 # eigen_solve's bound on the backward error of the lowest mode:
-# |A v - lam v|_inf <= _EIGEN_BACKWARD_TOL |A|_inf |v|_inf, |A|_inf = 8/h^2.
-# A converged solve leaves about 5e-16, so this only catches a failed one.
+# |A v - lam v|_inf <= _EIGEN_BACKWARD_TOL |A|_inf |v|_inf, |A|_inf = lam_G.
+# A converged solve leaves about 1e-16, so this only catches a failed one.
 _EIGEN_BACKWARD_TOL = 1e-12
 # full_verify samples the heat track this many times over about two decades.
 _N_SAMPLES = 25
 # full_verify's slack for membership and the short-time bound, in grid
-# spacings: the grid places the hot spot only to the order of h (staircase
-# boundary, peak fit).
-_MEMBERSHIP_SLACK = 2.0
+# spacings: the grid places the hot spot only to the order of h (peak fit).
+# At the default spacing it is 4% of the inradius, 2 r/50.
+_MEMBERSHIP_SLACK = 1.2
 # The heat track hands over to the lowest eigenpair once the part of u
 # outside it has 2-norm at most this fraction of max|u|.
 _SWITCH_TOL = 1e-10
-# The recurrence restarts from a sample whose peak is below this fraction
-# of the max of the field it started from: the Chebyshev sum of p^n loses
-# about one digit of the field for each decade the field decays.
+# The recurrence restarts from a sample before the next one would decay
+# below this fraction of the max of the field it started from, at the
+# lowest mode's rate: the Chebyshev sum of p^n loses about one digit of
+# the field for each decade the field decays.
 _RESTART_DECAY = 1e-4
 # Each early sample's Chebyshev series is cut where the l1 norm of the
 # dropped coefficients is at most this.
@@ -92,13 +109,16 @@ class GridField:
     interior unknowns, and a field on the grid is an array of mask's
     shape that is zero everywhere else.  The array carries one ring of
     exterior padding, outside the body's bounding box, so stencils never
-    touch the array edge.
+    touch the array edge.  diagonal is h^2 times the Laplacian's diagonal
+    at each node, 0 off the mask: 4 inside, more next to the boundary
+    (rasterize); 4 * mask is the staircase boundary.
     """
 
     spacing: float
     k0x: int
     k0y: int
     mask: np.ndarray
+    diagonal: np.ndarray
 
     @property
     def interior_count(self) -> int:
@@ -110,14 +130,51 @@ class GridField:
     def node_y(self) -> np.ndarray:
         return (self.k0y + np.arange(self.mask.shape[1])) * self.spacing
 
+    @cached_property
+    def gershgorin(self) -> float:
+        """h^2 lam_G, where lam_G = |A|_inf, the largest row sum of |A|,
+        bounds A's spectrum: the diagonal plus 1 for each interior
+        neighbour, 8 on a staircase."""
+        m = self.mask.astype(float)
+        rows = self.diagonal.copy()
+        rows[1:-1, 1:-1] += (m[2:, 1:-1] + m[:-2, 1:-1]) + (m[1:-1, 2:] + m[1:-1, :-2])
+        return float((rows * m).max())
+
+
+def _heat_scale(grid: GridField) -> float:
+    """s = 4/(h^2 lam) for the march's B = 2A/lam - I, with lam = lam_G
+    raised by a few ulps so that s is a multiple of eps.  Then 2B = s (D -
+    N) - 2, D the grid's diagonal and N the neighbour sum, has exact
+    interior rows (4s - 2 on the diagonal, -s off it), as the staircase's
+    0 and -1/2 were.  A rounded row shifts B by a rounding error at every
+    interior node, and p(B)^n carries that shift n times: on the
+    half-disc at r/25 it left 2e-10 of the decayed peak, against 5e-12.
+    """
+    eps = np.finfo(float).eps
+    return math.floor(4.0 / grid.gershgorin / eps) * eps
+
+
+def _heat_step(grid: GridField) -> float:
+    """The march's dt = 8/(_DT_FACTOR lam) = 2 s h^2/_DT_FACTOR, h^2/5 on a staircase."""
+    return 2.0 * _heat_scale(grid) * grid.spacing * grid.spacing / _DT_FACTOR
+
 
 def rasterize(poly: ConvexPolygon, h: float) -> GridField:
-    """Clip the global lattice to the body interior.
+    """Clip the global lattice to the body interior, with the boundary's
+    weights on the diagonal.
 
     Nodes within poly.eps of the boundary count as outside; they would be
     Dirichlet-zero anyway and keeping them out makes the interior count
     reproducible.  The padding lies outside the bounding box, so the edge
     tests reject it too.
+
+    A node whose neighbour along an axis direction d is outside meets the
+    boundary theta h away along d, where the ray leaves the first edge
+    line (a, b) it crosses: theta h = cross(a - p, b - p) / cross(d, b -
+    a), clamped to [_THETA_MIN, 1].  That arm weighs 1/theta instead of 1
+    on h^2 times the diagonal.  Each value only negates and swaps under a
+    lattice symmetry of the body, and the four arms are summed in mirror
+    pairs, so the diagonal maps onto itself bit for bit.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"grid step h must be finite and positive, got {h!r}")
@@ -137,7 +194,21 @@ def rasterize(poly: ConvexPolygon, h: float) -> GridField:
     mask = np.ones(gx.shape, dtype=bool)
     for normal, offset in zip(poly.edge_normals, poly.edge_offsets):
         mask &= offset - pts @ normal > poly.eps
-    return GridField(h, k0x, k0y, mask)
+    a, b = poly.vertices, np.roll(poly.vertices, -1, axis=0)
+    arms = []
+    for axis in (0, 1):
+        # cross(d, b - a) for d = +e_axis; the ray along d leaves the edges where it is > 0
+        across = poly.edges[:, 1] if axis == 0 else -poly.edges[:, 0]
+        for sign in (1.0, -1.0):
+            weight = mask.astype(float)
+            i, j = np.nonzero(mask & ~np.roll(mask, -int(sign), axis))
+            leave = sign * across > 0.0
+            ax, ay = a[leave, 0] - xs[i, None], a[leave, 1] - ys[j, None]
+            bx, by = b[leave, 0] - xs[i, None], b[leave, 1] - ys[j, None]
+            theta = ((ax * by - ay * bx) / (sign * across[leave])).min(axis=1) / h
+            weight[i, j] = 1.0 / np.clip(theta, _THETA_MIN, 1.0)
+            arms.append(weight)
+    return GridField(h, k0x, k0y, mask, (arms[0] + arms[1]) + (arms[2] + arms[3]))
 
 
 @np.errstate(all="ignore")  # fits off the ok mask may divide by a zero det
@@ -147,8 +218,8 @@ def _fit_peak(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
     Every aggregate is assembled from mirror-commutative pairs so that
     flipping a patch flips its fitted offset exactly.  Returns (ox, oy,
-    peak, ok), where ok marks the fits that are a proper interior maximum
-    of their patch.
+    peak, proper), where proper marks the fits whose quadratic has a
+    maximum, wherever it lies.
     """
     s0 = f[:, 1, 1]
     sx = f[:, 2, 1] + f[:, 0, 1]
@@ -171,30 +242,44 @@ def _fit_peak(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     det = 4.0 * c3 * c4 - c5 * c5
     ox = (-2.0 * c4 * c1 + c5 * c2) / det
     oy = (-2.0 * c3 * c2 + c5 * c1) / det
-    ok = (det > 0.0) & (c3 < 0.0) & (np.maximum(abs(ox), abs(oy)) <= 1.0)
     peak = (c0 + (c1 * ox + c2 * oy)) + ((c3 * ox * ox + c4 * oy * oy) + c5 * ox * oy)
-    return ox, oy, peak, ok
+    return ox, oy, peak, (det > 0.0) & (c3 < 0.0)
 
 
-def _locate_peak(grid: GridField, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Refined argmax; averages over bit-equal ties to stay mirror-stable.
+def _locate_peak(grid: GridField, values: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Refined argmax; averages over the ties, the nodes within tol of the
+    maximum, to stay mirror-stable.
 
-    A symmetric field can attain its grid maximum at several nodes with
-    identical bits; depending on array orientation, plain argmax would
-    pick different members of that orbit.  Averaging the refined
+    A symmetric field can attain its grid maximum at several nodes, equal
+    up to the field's own error tol (0 where the field's arithmetic
+    mirrors with the body); depending on array orientation, plain argmax
+    would pick different members of that orbit.  Averaging the refined
     estimates of every tie gives an orientation-independent answer.  A
-    tie whose 3x3 neighborhood leaves the mask, or whose fit is no
-    interior maximum, counts with its own node and the grid maximum.
+    fit that peaks beyond its patch is redone once on the interior
+    neighbour it points to.  A tie whose 3x3 neighborhood leaves the
+    mask, or whose fit is then no interior maximum, counts with its own
+    node and the grid maximum.
     """
     vmax = float(values.max())
-    ties = np.argwhere(values == vmax)
+    ties = np.argwhere(values >= vmax - tol)
     near = np.arange(-1, 2)
-    # index arrays of each tie's 3x3 patch, shaped (ties, 3, 1) and (ties, 1, 3)
-    rows, cols = ties[:, :1, None] + near[:, None], ties[:, 1:, None] + near
-    ox, oy, peak, ok = _fit_peak(values[rows, cols])
-    ok &= grid.mask[rows, cols].all(axis=(1, 2))
-    nodes = (ties + [grid.k0x, grid.k0y]) * grid.spacing
-    locs = np.where(ok[:, None], nodes + np.column_stack([ox, oy]) * grid.spacing, nodes)
+
+    def fit(centres):
+        # index arrays of each centre's 3x3 patch, shaped (ties, 3, 1) and (ties, 1, 3)
+        rows, cols = centres[:, :1, None] + near[:, None], centres[:, 1:, None] + near
+        ox, oy, peak, proper = _fit_peak(values[rows, cols])
+        return np.column_stack([ox, oy]), peak, proper & grid.mask[rows, cols].all(axis=(1, 2))
+
+    offset, peak, proper = fit(ties)
+    # the sign of each offset beyond the patch; NaN and inner offsets give 0
+    step = np.where(proper[:, None] & (np.abs(offset) > 1.0), np.sign(offset), 0.0).astype(np.int64)
+    centres = ties + step
+    centres = np.where(grid.mask[centres[:, 0], centres[:, 1]][:, None], centres, ties)
+    offset, peak, proper = fit(centres)
+    ok = proper & (np.abs(offset).max(axis=1) <= 1.0)
+    corner = [grid.k0x, grid.k0y]
+    fitted = (centres + corner) * grid.spacing + offset * grid.spacing
+    locs = np.where(ok[:, None], fitted, (ties + corner) * grid.spacing)
     return locs.mean(axis=0), float(np.where(ok, peak, vmax).mean())
 
 
@@ -254,7 +339,7 @@ def _power_series(steps) -> list[tuple[np.ndarray, float]]:
     return series
 
 
-def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
+def _chebyshev_fields(grid: GridField, u: np.ndarray, steps):
     """Yield (p(B)^n u, degree, tail) for each n in steps, ascending.
 
     Each field is its series from _power_series, summed from one
@@ -265,6 +350,8 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     degree, so a caller that stops early saves the rest.  The stencil runs
     on the flattened padded grid, where node i's neighbours are i +- 1 and
     i +- ny; only padding nodes, which the mask zeroes, wrap across a row.
+    2B is -s on each interior neighbour and s D - 2 on the diagonal, D
+    the grid's diagonal and s from _heat_scale.
     """
     series = _power_series(steps)
     degrees = [len(c) - 1 for c, _ in series]
@@ -277,7 +364,10 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
     flat = ring.reshape(_CHEB_BLOCK, -1)
     ny = u.shape[1]
     lo, hi = ny + 1, u.size - ny - 1
-    half = -0.5 * mask_f.ravel()[lo:hi]
+    scale = _heat_scale(grid)
+    mask_f = grid.mask.ravel()[lo:hi].astype(float)
+    off = -scale * mask_f
+    own = (scale * grid.diagonal.ravel()[lo:hi] - 2.0) * mask_f
     pair = np.empty(hi - lo)
     done = 0
     for k0 in range(0, coeffs.shape[1], _CHEB_BLOCK):
@@ -291,7 +381,9 @@ def _chebyshev_fields(mask_f: np.ndarray, u: np.ndarray, steps):
             np.add(a[lo + ny : hi + ny], a[lo - ny : hi - ny], out=t)
             np.add(a[lo + 1 : hi + 1], a[lo - 1 : hi - 1], out=pair)
             t += pair
-            t *= half
+            t *= off
+            np.multiply(own, a[lo:hi], out=pair)
+            t += pair
             if k == 1:
                 t *= 0.5
             else:
@@ -320,19 +412,21 @@ def sample_steps(t_end: float, dt: float) -> np.ndarray:
 def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[TrackSample, ...]:
     """Heat flow from unit initial data, sampling the hot spot.
 
-    Requested times land on the nearest step multiple of dt = h^2/5; the
-    recorded times are the actual ones.  An early sample m steps after
+    Requested times land on the nearest step multiple of dt (_heat_step);
+    the recorded times are the actual ones.  An early sample m steps after
     the field u the recurrence started from is p(B)^m u as a Chebyshev
     series (see _chebyshev_fields); its bound is the series' tail times
     |u|_2 plus u's own bound, since |p(B)|_2 <= 1.  The recurrence
-    restarts from a sample whose peak is below _RESTART_DECAY of max u.
+    restarts from a sample whose peak, decayed at the lowest mode's rate
+    1 - dt lam_1 per step, would be below _RESTART_DECAY of max u at the
+    next sample.
 
     Once the part r = x - v_1 (v_1 . x) of a sampled field x outside the
     lowest unit eigenvector has |r|_2 <= _SWITCH_TOL max|x|, every sample
     m steps later is the march's closed form v_1 (v_1 . x) (1 - dt lam_1)^m,
     whose hot spot is the eigenpair's.  r evolves in the span of the other
-    eigenvectors, whose eigenvalues lie in [lam_1, 8/h^2), so it shrinks
-    by at least rho = max(1 - dt lam_1, 8 dt/h^2 - 1) per step; rho^m |r|_2
+    eigenvectors, whose eigenvalues lie in [lam_1, lam_G], so it shrinks
+    by at least rho = max(1 - dt lam_1, dt lam_G - 1) per step; rho^m |r|_2
     plus the hand-over sample's bound is the stated bound.  eigen is the
     grid's lowest eigenpair, as eigen_solve(grid) returns it.
     """
@@ -340,8 +434,7 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
     bad = [t for t in times if not 0.0 < t < math.inf]
     if bad or not times:
         raise ValueError(f"sample times must be finite and positive, got {bad or 'none'}")
-    h = grid.spacing
-    dt = h * h / _DT_FACTOR
+    dt = _heat_step(grid)
     steps = []
     for t in times:
         steps.append(max(steps[-1] + 1 if steps else 1, int(round(t / dt))))
@@ -349,29 +442,29 @@ def heat_solve(grid: GridField, sample_times, eigen: EigenResult) -> tuple[Track
     phi = eigen.values[grid.mask]
     scale = _norm(phi)
     v = phi / scale
+    decay = 1.0 - dt * eigen.eigenvalue
     samples = []
     # u is the field at step start, within carried of the march
     start, u, carried = 0, mask_f, 0.0
     while len(samples) < len(steps):
         norm, top = _norm(u), float(u.max())
         pending = steps[len(samples) :]
-        fields = _chebyshev_fields(mask_f, u, [n - start for n in pending])
-        for n, (field, degree, tail) in zip(pending, fields):
+        fields = _chebyshev_fields(grid, u, [n - start for n in pending])
+        for n, following, (field, degree, tail) in zip(pending, pending[1:] + [None], fields):
             bound = carried + tail * norm
-            loc, peak = _locate_peak(grid, field)
+            loc, peak = _locate_peak(grid, field, 0.0)
             samples.append(TrackSample(n * dt, loc, peak, bound=bound, degree=degree))
             x = field[grid.mask]
             lead = float(np.add.reduce(v * x))
             dropped = _norm(x - lead * v)
             if dropped <= _SWITCH_TOL * float(np.abs(x).max()):
-                decay = 1.0 - dt * eigen.eigenvalue
                 rho = max(decay, 8.0 / _DT_FACTOR - 1.0)
                 for m in steps[len(samples) :]:
                     peak = eigen.peak * lead / scale * decay ** (m - n)
                     later = rho ** (m - n) * dropped + bound
                     samples.append(TrackSample(m * dt, eigen.location, peak, bound=later, spectral=True))
                 return tuple(samples)
-            if peak < _RESTART_DECAY * top:
+            if following is not None and peak * decay ** (following - n) < _RESTART_DECAY * top:
                 break
         start, u, carried = n, field, bound
     return tuple(samples)
@@ -387,7 +480,8 @@ class EigenResult:
 
 
 def _interior_laplacian(grid: GridField):
-    """The five-point Dirichlet Laplacian on the interior nodes, in C order.
+    """The five-point Dirichlet Laplacian on the interior nodes, in C order,
+    with the grid's diagonal.
 
     On the flattened padded grid node i's neighbours are i +- 1 and i +- ny,
     as in _chebyshev_fields; only padding nodes wrap across a row, and
@@ -395,7 +489,7 @@ def _interior_laplacian(grid: GridField):
     """
     import scipy.sparse  # here, not at module level: only a PDE solve loads scipy
     ny, size = grid.mask.shape[1], grid.mask.size
-    grid_mat = scipy.sparse.diags([4.0, -1.0, -1.0, -1.0, -1.0], [0, 1, -1, ny, -ny],
+    grid_mat = scipy.sparse.diags([grid.diagonal.ravel(), -1.0, -1.0, -1.0, -1.0], [0, 1, -1, ny, -ny],
                                   shape=(size, size), format="csr")
     inside = np.flatnonzero(grid.mask)
     return grid_mat[inside][:, inside] / (grid.spacing * grid.spacing)
@@ -404,7 +498,7 @@ def _interior_laplacian(grid: GridField):
 def _lanczos(solve, n: int) -> np.ndarray:
     """Unit eigenvector for the largest eigenvalue theta of the symmetric
     positive definite operator solve on R^n, by Lanczos from the unit
-    vector along (1, ..., 1).
+    vector along (1, ..., 1), polished by one more solve.
 
     Each new vector loses its three-term part alpha_j v_j + beta_{j-1}
     v_{j-1} first and is then orthogonalized once against the whole basis
@@ -412,8 +506,11 @@ def _lanczos(solve, n: int) -> np.ndarray:
     Ritz pair (theta, x = V y) of the tridiagonal T_j has |solve(x) -
     theta x|_2 = beta_j |y_j| in exact arithmetic; the iteration stops once
     that is at most _LANCZOS_TOL theta, and a full basis of _LANCZOS_BASIS
-    vectors starts over from x.  Dot products and basis combinations are
-    numpy's pairwise sums, not BLAS calls, which would spread over threads.
+    vectors starts over from x.  The Ritz vector's basis sum spreads its
+    rounding over every mode, which A weighs by up to lam_G; the returned
+    vector is solve(x), normalized, where that part of it shrinks by
+    lam_1/lam_i.  Dot products and basis combinations are numpy's pairwise
+    sums, not BLAS calls, which would spread over threads.
     """
     basis = np.empty((_LANCZOS_BASIS, n))
     x = np.full(n, 1.0 / math.sqrt(n))
@@ -449,7 +546,8 @@ def _lanczos(solve, n: int) -> np.ndarray:
         x = np.add.reduce(v * y[:, None], axis=0)
         x /= _norm(x)
         if bound <= _LANCZOS_TOL * theta:
-            return x
+            x = solve(x)
+            return x / _norm(x)
 
 
 def eigen_solve(grid: GridField) -> EigenResult:
@@ -477,7 +575,7 @@ def eigen_solve(grid: GridField) -> EigenResult:
     av = mat.dot(v)
     lam = float(np.add.reduce(v * av))
     residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
-    tol = _EIGEN_BACKWARD_TOL * 8.0 / grid.spacing ** 2
+    tol = _EIGEN_BACKWARD_TOL * grid.gershgorin / grid.spacing ** 2
     if residual > tol:
         raise NoConvergence(f"eigen residual {residual:.3e} above tol {tol:.3e}")
     if v.sum() < 0.0:
@@ -485,7 +583,9 @@ def eigen_solve(grid: GridField) -> EigenResult:
     values = np.zeros(grid.mask.shape)
     values[grid.mask] = v
     values /= values.max()
-    loc, peak = _locate_peak(grid, values)
+    # the LU's rounding does not mirror with the body: nodes that a
+    # symmetry of the body swaps tie to about the residual over lam
+    loc, peak = _locate_peak(grid, values, residual / lam)
     return EigenResult(lam, values, loc, peak, residual)
 
 
@@ -585,7 +685,7 @@ class VerificationReport:
         """Hand-over step when later samples came from the eigenpair, else None."""
         if not self.samples[-1].spectral:
             return None
-        return round(self._last_early.time / (self.grid.spacing ** 2 / _DT_FACTOR))
+        return round(self._last_early.time / _heat_step(self.grid))
 
     @property
     def chebyshev_degree(self) -> int:
@@ -598,22 +698,29 @@ class VerificationReport:
         return [s for s in self.samples if not s.spectral][-1]
 
 
+def default_spacing(poly: ConvexPolygon) -> float:
+    """full_verify's grid spacing when given none: the inradius over
+    _H_PER_INRADIUS."""
+    return poly.incircle.radius / _H_PER_INRADIUS
+
+
 def full_verify(poly: ConvexPolygon, heart: Region, h: float | None) -> VerificationReport:
     """End-to-end run: grid, eigenpair, trajectory, membership in heart.
 
     heart is the Region the trajectory is checked against, the first of
-    the pair folding.heart_region returns.  The spacing h is inradius/50
-    when None.  The horizon is 10/lam1, long enough for the eigenmode to
-    dominate.  _N_SAMPLES samples are geometric in whole steps from about
-    t_end/100 (see sample_steps).  Each must lie within 2h of the heart
-    and no more than 2h shallower than short_time_bound.
+    the pair folding.heart_region returns.  The spacing h is
+    default_spacing(poly), inradius/30, when None.  The horizon is
+    10/lam1, long enough for the eigenmode to dominate.  _N_SAMPLES
+    samples are geometric in whole steps from about t_end/100 (see
+    sample_steps).  Each must lie within _MEMBERSHIP_SLACK h of the heart
+    and no more than that shallower than short_time_bound.
     """
     if h is None:
-        h = poly.incircle.radius / _H_PER_INRADIUS
+        h = default_spacing(poly)
     grid = rasterize(poly, h)
     eigen = eigen_solve(grid)
     t_end = 10.0 / eigen.eigenvalue
-    dt = h * h / _DT_FACTOR
+    dt = _heat_step(grid)
     samples = heat_solve(grid, sample_steps(t_end, dt) * dt, eigen=eigen)
     slack = _MEMBERSHIP_SLACK * h
     membership = verify_heart(samples, eigen.location, heart, slack)

@@ -395,7 +395,7 @@ def test_pde_verify_square(tmp_path, capsys):
     # early samples that have not decayed below _RESTART_DECAY state errors
     # below the march's own rounding; every sample states a bound below 1e-10
     bounds = [s["bound"] for s in pde["track"]]
-    dt = 0.02 ** 2 / 5.0
+    dt = pde_module._heat_step(pde_module.rasterize(bodies.square(), 0.02))
     steps = [round(s["time"] / dt) for s in pde["track"]]
     early = [n <= pde["switch_step"] for n in steps]
     rounding = [4.0 * n * np.finfo(float).eps * s["peak"] for n, s in zip(steps, pde["track"])]
@@ -406,15 +406,16 @@ def test_pde_verify_square(tmp_path, capsys):
 
 
 def test_pde_verify_thin_triangle(tmp_path, capsys):
-    # the eigen residual here is 1.4e-8 at h = r/50, a backward error of
-    # 4e-16 against |A|_inf = 8/h^2; a bound fixed at 1e-8 rejected this
-    # converged solve
+    # the eigen residual here is 3.4e-9 at h = r/30, a backward error of
+    # 1.5e-16 against |A|_inf = lam_G; a bound fixed at 1e-9 would reject
+    # this converged solve
     jpath = tmp_path / "r.json"
     code, _, err = run(["pde-verify", "--body", "triangle:0,0,1,0,0.5,0.05", "--json", str(jpath)], capsys)
     assert code == 0, err
     pde = json.loads(jpath.read_text())["pde"]
     assert pde["membership"]["ok"] and pde["short_time"]["ok"]
-    assert 1e-8 < pde["residual"] <= 1e-15 * 8.0 / pde["h"] ** 2
+    grid = pde_module.rasterize(bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.5, 0.05]), pde["h"])
+    assert 1e-9 < pde["residual"] <= 1e-15 * grid.gershgorin / pde["h"] ** 2
 
 
 REPORT_KEYS = {
@@ -479,14 +480,40 @@ CLOSED_FORM_EIGEN_BODIES = {
 }
 
 
+@pytest.mark.parametrize("name", ["rectangle_1x0.7", "equilateral"])
+def test_grid_eigenvalue_converges_at_second_order(name):
+    # the grid's lam1 against the closed form: within 1e-3 at h = r/25 and
+    # 5e-4 at r/50, the error falling 2.2 times or more between them (2.7
+    # and 3.0 measured); the eigenfunction's peak, at the centre by
+    # symmetry, within 0.05 r/50 of it at the default spacing
+    poly, lam1 = CLOSED_FORM_EIGEN_BODIES[name]
+    r = poly.incircle.radius
+    errors = []
+    for per_inradius in (25, 50):
+        eigen = pde_module.eigen_solve(pde_module.rasterize(poly, r / per_inradius))
+        errors.append(abs(eigen.eigenvalue / lam1 - 1.0))
+    assert errors[0] <= 1e-3 and errors[1] <= 5e-4
+    assert errors[0] >= 2.2 * errors[1]
+    eigen = pde_module.eigen_solve(pde_module.rasterize(poly, pde_module.default_spacing(poly)))
+    assert np.linalg.norm(eigen.location - poly.vertices.mean(axis=0)) <= 0.05 * r / 50.0
+
+
+def test_grid_eigenvalue_on_the_square():
+    # every node next to the boundary of the unit square at the default
+    # spacing lies one spacing from it: the five-point staircase, 2.3e-4 low
+    poly, lam1 = CLOSED_FORM_EIGEN_BODIES["square"]
+    eigen = pde_module.eigen_solve(pde_module.rasterize(poly, poly.incircle.radius / pde_module._H_PER_INRADIUS))
+    assert abs(eigen.eigenvalue / lam1 - 1.0) <= 5e-4
+
+
 @pytest.mark.parametrize("per_inradius", [25, 50])
 @pytest.mark.parametrize("name", CLOSED_FORM_EIGEN_BODIES)
 def test_report_lam1_used_is_an_upper_bound(tmp_path, capsys, name, per_inradius):
     # every distance bound falls as lam1 grows, so the one it is fed must
-    # not lie below lam1; the staircase grid's eigenvalue lies 0.01-2.9%
-    # below it on these bodies.  The verdict is not at issue here: on the
-    # turned rectangle the early hot spot slides along a flat ridge, more
-    # than the 2h membership slack, and report exits 2 after writing its JSON
+    # not lie below lam1; the grid's eigenvalue lies 0.008-0.08% below it
+    # on these bodies.  The verdict does not matter here: on the turned
+    # rectangle the early hot spot slides along a flat ridge, more than
+    # the membership slack, and report exits 2 after writing its JSON
     poly, lam1 = CLOSED_FORM_EIGEN_BODIES[name]
     body = tmp_path / "body.json"
     body.write_text(json.dumps({"vertices": poly.vertices.tolist()}))
@@ -510,13 +537,14 @@ def test_bounds_and_report_write_one_bounds_section(tmp_path, capsys):
 
 
 def test_report_fails_on_a_planted_shallow_sample(tmp_path, capsys, monkeypatch, square):
-    # the first hot spot moved 2.1 h shallower than the short-time bound:
-    # report writes its JSON, prints the failed verdict and exits 2
+    # the first hot spot moved 1.05 slacks shallower than the short-time
+    # bound: report writes its JSON, prints the failed verdict and exits 2
     heat_solve = pde_module.heat_solve
+    slack = pde_module._MEMBERSHIP_SLACK * 0.02
 
     def planted(grid, times, eigen):
         samples = heat_solve(grid, times, eigen)
-        return (plant_sample(square, samples[0], 2.1 * grid.spacing),) + samples[1:]
+        return (plant_sample(square, samples[0], 1.05 * slack),) + samples[1:]
 
     monkeypatch.setattr(pde_module, "heat_solve", planted)
     jpath = tmp_path / "r.json"
@@ -525,7 +553,8 @@ def test_report_fails_on_a_planted_shallow_sample(tmp_path, capsys, monkeypatch,
     assert json.loads(err)["error"]["type"] == "VerificationFailed"
     short_time = json.loads(jpath.read_text())["pde"]["short_time"]
     assert not short_time["ok"]
-    assert short_time["least_margin"] == pytest.approx(-2.1 * 0.02, rel=1e-9)
+    assert short_time["slack"] == slack
+    assert short_time["least_margin"] == pytest.approx(-1.05 * slack, rel=1e-9)
 
 
 def test_halfdisc_far_from_the_origin(tmp_path, capsys):

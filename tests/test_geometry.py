@@ -448,17 +448,32 @@ def test_seam_pair_is_one_line():
 
 def test_seam_run_keeps_its_inner_line():
     # normals 0.5e-13 and 1.2e-13 rad below pi: the first is shifted to the
-    # -pi end of the sort, the second stays at the +pi end, and the two are
-    # one run across the seam, of which only the inner line (offset 0.2) stays
+    # -pi end of the sort, the second stays at the +pi end, and both lines
+    # stay there; the sweep drops the outer one (offset 0.5) as it closes
+    # its ring, and only the inner line (offset 0.2) bounds the region
     a = np.pi - np.array([0.5e-13, 1.2e-13])
     planes = np.array([[np.cos(a[0]), np.sin(a[0]), 0.5], [np.cos(a[1]), np.sin(a[1]), 0.2],
                        [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]])
-    assert sorted(geometry._by_normal_angle(planes[:, :2], planes[:, 2]).tolist()) == [1, 2, 3, 4]
+    assert geometry._by_normal_angle(planes[:, :2], planes[:, 2]).tolist() == [0, 4, 2, 3, 1]
     eps = 1e-9
     region = halfplane_intersection(planes, (-2.0, 2.0, -2.0, 2.0), eps)
     assert region.kind == "polygon" and len(region.points) == 4
     # each cut moves out by eps; the outer line would put x_min at -0.5
     assert abs(region.points[:, 0].min() + 0.2) <= 2.0 * eps
+
+
+def test_point_lost_to_rounding_is_empty():
+    # three lines through one point: moved out by eps they keep the point;
+    # at eps = 0 rounding puts the last vertex beyond the first line, the
+    # sweep's closing pass pops the third line, and the two lines left
+    # bound no region
+    p = np.array([0.79, -0.68])
+    a = np.array([-2.973816839860484, 0.9475511127238638, -1.792741850886102])
+    n = np.column_stack([np.cos(a), np.sin(a)])
+    planes = np.column_stack([n, n @ p])
+    assert halfplane_intersection(planes, (-2.0, 2.0, -2.0, 2.0), 0.0).is_empty
+    point = halfplane_intersection(planes, (-2.0, 2.0, -2.0, 2.0), 1e-9)
+    assert point.kind == "point" and np.abs(point.points - p).max() <= 3e-9
 
 
 def test_newton_stop_states_decrement_and_tolerance(monkeypatch):

@@ -35,9 +35,12 @@ def mirrored_x(poly: ConvexPolygon) -> ConvexPolygon:
 
 
 def explicit_march(grid: GridField, sample_times) -> tuple[TrackSample, ...]:
-    """Reference: explicit Euler at dt = h^2/5 through every sample."""
-    dt = grid.spacing ** 2 / 5.0
+    """Reference: explicit Euler u <- u - dt A u through every sample, at
+    heat_solve's dt, with A from the grid's diagonal."""
+    dt = pde._heat_step(grid)
     mask_f = grid.mask.astype(float)
+    diag = grid.diagonal[1:-1, 1:-1]
+    rate = dt / grid.spacing ** 2
     u = mask_f.copy()
     samples = []
     step = 0
@@ -45,10 +48,10 @@ def explicit_march(grid: GridField, sample_times) -> tuple[TrackSample, ...]:
         target = max(step + 1, int(round(t / dt)))
         while step < target:
             lap = (u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
-            u[1:-1, 1:-1] += 0.2 * (lap - 4.0 * u[1:-1, 1:-1])
+            u[1:-1, 1:-1] += rate * (lap - diag * u[1:-1, 1:-1])
             u *= mask_f
             step += 1
-        loc, peak = _locate_peak(grid, u)
+        loc, peak = _locate_peak(grid, u, 0.0)
         samples.append(TrackSample(step * dt, loc, peak))
     return tuple(samples)
 
@@ -63,7 +66,7 @@ def assert_matches_march(grid: GridField, sample_times) -> tuple[TrackSample, ..
     most 1e-10, and an early sample that has not decayed below
     _RESTART_DECAY states an error below that allowance.
     """
-    dt = grid.spacing ** 2 / 5.0
+    dt = pde._heat_step(grid)
     got = heat_solve(grid, sample_times, eigen_solve(grid))
     ref = explicit_march(grid, sample_times)
     assert [s.time for s in got] == [s.time for s in ref]
@@ -141,16 +144,33 @@ def test_peak_of_exact_quadratic(square):
     y = (g.k0y + np.arange(g.mask.shape[1])) * g.spacing
     top = np.array([0.5 + 0.3 * g.spacing, 0.5 - 0.4 * g.spacing])
     dx, dy = x - top[0], y - top[1]
-    loc, peak = _locate_peak(g, 2.0 - (3.0 * dx * dx + 2.0 * dy * dy + dx * dy))
+    loc, peak = _locate_peak(g, 2.0 - (3.0 * dx * dx + 2.0 * dy * dy + dx * dy), 0.0)
     assert np.abs(loc - top).max() <= 1e-12 * g.spacing
     assert peak == pytest.approx(2.0, abs=1e-14)
+
+
+def test_peak_beyond_its_patch(square):
+    # a ridge across the lattice puts the quadratic's top 1.3 spacings
+    # above the grid maximum: the fit there points past its patch and is
+    # redone on the node above, which reproduces the top
+    g = rasterize(square, 0.05)
+    x = (g.k0x + np.arange(g.mask.shape[0]))[:, None] * g.spacing
+    y = (g.k0y + np.arange(g.mask.shape[1])) * g.spacing
+    top = np.array([0.5 + 0.2 * g.spacing, 0.5 + 1.3 * g.spacing])
+    dx, dy = (x - top[0]) / g.spacing, (y - top[1]) / g.spacing
+    across, along = (1.3 * dx - 0.2 * dy) / math.hypot(1.3, 0.2), (0.2 * dx + 1.3 * dy) / math.hypot(1.3, 0.2)
+    values = (2.0 - (100.0 * across * across + along * along)) * g.mask
+    assert np.unravel_index(np.argmax(values), values.shape) == (10 - g.k0x, 10 - g.k0y)
+    loc, peak = _locate_peak(g, values, 0.0)
+    assert np.abs(loc - top).max() <= 1e-12 * g.spacing
+    assert peak == pytest.approx(2.0, abs=1e-12)
 
 
 def test_peak_of_plateau(square):
     # every interior node ties, flat patches fit no maximum: the tie centroid
     g = rasterize(square, 0.05)
     assert g.mask.sum() > 64
-    loc, peak = _locate_peak(g, g.mask.astype(float))
+    loc, peak = _locate_peak(g, g.mask.astype(float), 0.0)
     assert np.abs(loc - 0.5).max() <= 1e-12
     assert peak == 1.0
 
@@ -165,23 +185,104 @@ def test_eigen_square(square):
     assert res.peak == pytest.approx(1.0, abs=1e-4)
 
 
-@pytest.mark.parametrize("poly", [bodies.halfdisc(1.0, 0.0, 16), bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.3, 0.7])],
-                         ids=["halfdisc", "triangle"])
+# the unit square moved by (0.95 h, 0.25 h) at h = 1/16, its inradius / 8:
+# the nodes next to its left, right, bottom and top sides lie 0.05 h,
+# 0.95 h, 0.75 h and 0.25 h from them, and the left side's 0.05 takes the
+# clamp to _THETA_MIN
+SHIFTED_SQUARE = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + [0.95 / 16.0, 0.25 / 16.0])
+ARM_THETAS = {(-1, 0): 0.05, (1, 0): 0.95, (0, -1): 0.75, (0, 1): 0.25}
+ARMS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def reference_diagonal(poly: ConvexPolygon, grid: GridField) -> np.ndarray:
+    """h^2 times the Laplacian's diagonal, by loops: 1 for each arm to an
+    interior neighbour, 1/theta for each other, theta h the distance along
+    the arm to the nearest edge line ahead, from the edge normals and
+    offsets, clamped to [_THETA_MIN, 1]."""
+    want = np.zeros(grid.mask.shape)
+    for i, j in np.argwhere(grid.mask).tolist():
+        p = np.array([grid.node_x()[i], grid.node_y()[j]])
+        for d in ARMS:
+            if grid.mask[i + d[0], j + d[1]]:
+                want[i, j] += 1.0
+                continue
+            rate, gap = poly.edge_normals @ d, poly.edge_offsets - poly.edge_normals @ p
+            theta = min(g / r for g, r in zip(gap, rate) if r > 0.0) / grid.spacing
+            want[i, j] += 1.0 / min(max(theta, pde._THETA_MIN), 1.0)
+    return want
+
+
+@pytest.mark.parametrize("poly", [bodies.halfdisc(1.0, 0.0, 16), bodies.triangle([0.0, 0.0], [1.0, 0.0], [0.3, 0.7]),
+                                  SHIFTED_SQUARE], ids=["halfdisc", "triangle", "shifted_square"])
 def test_interior_laplacian_entries(poly):
     # at the coarsest spacing the masks are irregular; each interior node
-    # carries 4/h^2 and -1/h^2 for each interior axis neighbour, and no
-    # neighbour wraps across the end of a row
+    # carries -1/h^2 for each interior axis neighbour, and no neighbour
+    # wraps across the end of a row; its diagonal is the loops' within
+    # rounding, 4/h^2 away from the boundary and more at some node next to
+    # it.  lam_G is the matrix's infinity norm.
     grid = rasterize(poly, poly.incircle.radius / 8.0)
     nodes = [tuple(ij) for ij in np.argwhere(grid.mask).tolist()]
     index = {ij: k for k, ij in enumerate(nodes)}
     h2 = grid.spacing * grid.spacing
+    diag = reference_diagonal(poly, grid)
     want = np.zeros((len(nodes), len(nodes)))
     for k, (i, j) in enumerate(nodes):
-        want[k, k] = 4.0 / h2
+        want[k, k] = diag[i, j] / h2
         for nbr in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
             if nbr in index:
                 want[k, index[nbr]] = -1.0 / h2
-    assert np.array_equal(pde._interior_laplacian(grid).toarray(), want)
+    got = pde._interior_laplacian(grid).toarray()
+    off = ~np.eye(len(nodes), dtype=bool)
+    assert np.array_equal(got[off], want[off])
+    assert np.abs(np.diag(got) - np.diag(want)).max() <= 1e-13 * np.diag(want).max()
+    edge = np.count_nonzero(want[off].reshape(len(nodes), -1), axis=1) < 4
+    assert np.any(np.diag(want)[edge] > 4.0 / h2) and np.all(np.diag(want)[~edge] == 4.0 / h2)
+    assert grid.gershgorin / h2 == pytest.approx(np.abs(got).sum(axis=1).max(), rel=1e-15)
+
+
+def test_boundary_diagonal_closed_form():
+    # each arm of the shifted square that ends outside weighs 1/theta of
+    # its side, the left side's clamped to 1/_THETA_MIN; the others 1
+    grid = rasterize(SHIFTED_SQUARE, 1.0 / 16.0)
+    want = np.zeros(grid.mask.shape)
+    for i, j in np.argwhere(grid.mask).tolist():
+        for d in ARMS:
+            theta = 1.0 if grid.mask[i + d[0], j + d[1]] else max(ARM_THETAS[d], pde._THETA_MIN)
+            want[i, j] += 1.0 / theta
+    assert grid.interior_count == 16 * 16
+    assert np.abs(grid.diagonal - want).max() <= 1e-12
+    # the top left corner: diagonal (10 + 1) + (1 + 4), two interior neighbours
+    assert want.max() == 16.0
+    assert grid.gershgorin == pytest.approx(18.0, rel=1e-14)
+
+
+def lattice_image(vertices: np.ndarray, k: int) -> np.ndarray:
+    """The k-th of the 8 symmetries of the square lattice, as perfbench's
+    lattice_symmetry applies it: swap the axes (bit 0), negate x (bit 1),
+    negate y (bit 2), and reverse the ring when that reflects it."""
+    v = vertices[:, ::-1] if k & 1 else vertices
+    v = v * [-1.0 if k & 2 else 1.0, -1.0 if k & 4 else 1.0]
+    return v[::-1] if bin(k).count("1") % 2 else v
+
+
+def lattice_preimage(field: np.ndarray, k: int) -> np.ndarray:
+    """A grid array of the k-th image, mapped back onto the body's grid."""
+    field = field[:, ::-1] if k & 4 else field
+    field = field[::-1] if k & 2 else field
+    return field.T if k & 1 else field
+
+
+def test_boundary_diagonal_is_lattice_symmetric():
+    # every lattice symmetry of a panel body maps its mask and diagonal
+    # onto the image's bit for bit, at the default spacing
+    for poly in report_panel().values():
+        h = poly.incircle.radius / pde._H_PER_INRADIUS
+        grid = rasterize(poly, h)
+        assert (grid.diagonal > 4.0).any()
+        for k in range(1, 8):
+            image = rasterize(ConvexPolygon(lattice_image(poly.vertices, k)), h)
+            assert np.array_equal(lattice_preimage(image.mask, k), grid.mask), k
+            assert np.array_equal(lattice_preimage(image.diagonal, k), grid.diagonal), k
 
 
 def test_eigen_no_convergence(square, monkeypatch):
@@ -193,7 +294,7 @@ def test_eigen_no_convergence(square, monkeypatch):
         eigen_solve(g)
     got = re.fullmatch(r"Lanczos bound (\S+) theta after 3 LU solves above tol 1\.0e-15 theta", str(info.value))
     assert got and float(got.group(1)) > pde._LANCZOS_TOL
-    empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask))
+    empty = GridField(g.spacing, g.k0x, g.k0y, np.zeros_like(g.mask), np.zeros(g.mask.shape))
     with pytest.raises(NoConvergence, match=r"0 interior nodes at spacing h = 2\.000e-02"):
         eigen_solve(empty)
 
@@ -224,8 +325,9 @@ def eigsh_eigen(grid: GridField) -> tuple[float, np.ndarray, float]:
     lam = float(v @ av)
     values = np.zeros(grid.mask.shape)
     values[grid.mask] = v
-    loc, _ = _locate_peak(grid, values / values.max())
-    return lam, loc, float(np.abs(av - lam * v).max() / np.abs(v).max())
+    residual = float(np.abs(av - lam * v).max() / np.abs(v).max())
+    loc, _ = _locate_peak(grid, values / values.max(), residual / lam)
+    return lam, loc, residual
 
 
 EIGEN_BODIES = {
@@ -288,7 +390,7 @@ def test_heat_solve_matches_explicit_march(body, halfdisc64, square):
     h = poly.incircle.radius / 25.0  # 0.02 on the square
     grid = rasterize(poly, h)
     lam = eigen_solve(grid).eigenvalue
-    dt = h * h / 5.0
+    dt = pde._heat_step(grid)
     steps = sample_steps(max(10.0 / lam, 2500.0 * h * h), dt)
     got = assert_matches_march(grid, steps * dt)
     if body == "square":
@@ -307,7 +409,7 @@ def test_heat_bound_covers_early_handover(square, monkeypatch):
     monkeypatch.setattr(pde, "_SWITCH_TOL", 1e-2)
     h = 0.02
     grid = rasterize(square, h)
-    dt = h * h / 5.0
+    dt = pde._heat_step(grid)
     times = sample_steps(1.0, dt) * dt
     errors = []
     for a, b in zip(heat_solve(grid, times, eigen_solve(grid)), explicit_march(grid, times)):
@@ -324,7 +426,7 @@ def test_heat_bound_covers_loose_chebyshev_cut(square, monkeypatch):
     monkeypatch.setattr(pde, "_CHEB_TOL", 1e-6)
     h = 0.02
     grid = rasterize(square, h)
-    dt = h * h / 5.0
+    dt = pde._heat_step(grid)
     times = sample_steps(1.0, dt) * dt
     got = heat_solve(grid, times, eigen_solve(grid))
     errors = []
@@ -383,17 +485,20 @@ def test_power_series_sums_to_one_at_minus_one():
     assert abs(math.fsum(c[::2]) - math.fsum(c[1::2]) - 1.0) <= 1e-15
 
 
-def plain_chebyshev_fields(mask_f, u, steps):
+def plain_chebyshev_fields(grid, u, steps):
     """Reference for _chebyshev_fields: the same series summed term by
-    term on the 2-D grid, T_{k+1} = 2 B T_k - T_{k-1} with B = -1/4 times
-    the four-neighbour sum, masked."""
+    term on the 2-D grid, T_{k+1} = 2 B T_k - T_{k-1} with B = (s/2)(D -
+    N) - 1, masked: D the grid's diagonal, N the four-neighbour sum and s
+    from _heat_scale."""
+    mask_f, half = grid.mask.astype(float), 0.5 * pde._heat_scale(grid)
     cut = [c for c, _ in pde._power_series(steps)]
     fields = [c[0] * u for c in cut]
     prev, t = None, u
     for k in range(1, max(len(c) for c in cut)):
         nbr = np.zeros_like(u)
         nbr[1:-1, 1:-1] = (t[2:, 1:-1] + t[:-2, 1:-1]) + (t[1:-1, 2:] + t[1:-1, :-2])
-        prev, t = t, mask_f * (-0.25 * nbr if k == 1 else -0.5 * nbr - prev)
+        bt = mask_f * (half * (grid.diagonal * t - nbr) - t)
+        prev, t = t, bt if k == 1 else 2.0 * bt - prev
         for field, c in zip(fields, cut):
             if k < len(c):
                 field += c[k] * t
@@ -405,16 +510,19 @@ def test_chebyshev_fields_match_plain_sum(right_tri):
     # tile; the 4 x 5 block of test_grid_too_small_for_eigsh, with its
     # ring of padding, is 42 nodes, less than one tile.  The coefficients
     # have l1 norm 1, so rounding scales with max|u|, not with the field.
+    # The triangle's hypotenuse gives its diagonal boundary weights.
     grid = rasterize(right_tri, chebyshev_center(right_tri).radius / 20.0)
+    assert grid.gershgorin > 8.0
     mask = np.zeros((6, 7), dtype=bool)
     mask[1:5, 1:6] = True
-    for mask_f in (grid.mask.astype(float), mask.astype(float)):
-        assert mask_f.size % pde._TILE != 0
-        u = mask_f * np.linspace(0.5, 1.5, mask_f.size).reshape(mask_f.shape)
+    block = GridField(grid.spacing, 0, 0, mask, 4.0 * mask)
+    for g in (grid, block):
+        assert g.mask.size % pde._TILE != 0
+        u = g.mask * np.linspace(0.5, 1.5, g.mask.size).reshape(g.mask.shape)
         steps = [1, 2, 5, 40, 41, 300, 2000]
         # the yielded views must stay as they were while the sum runs on
-        got = [field for field, _, _ in pde._chebyshev_fields(mask_f, u, steps)]
-        want = plain_chebyshev_fields(mask_f, u, steps)
+        got = [field for field, _, _ in pde._chebyshev_fields(g, u, steps)]
+        want = plain_chebyshev_fields(g, u, steps)
         assert len(got) == len(steps)
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-14 * np.abs(u).max()
@@ -426,7 +534,7 @@ def test_grid_too_small_for_eigsh(square):
     def block(p, q):
         mask = np.zeros_like(g.mask)
         mask[3 : 3 + p, 4 : 4 + q] = True
-        return GridField(g.spacing, g.k0x, g.k0y, mask)
+        return GridField(g.spacing, g.k0x, g.k0y, mask, 4.0 * mask)
 
     tiny = block(4, 5)  # 20 nodes, the size of the Lanczos basis
     assert tiny.interior_count == pde._LANCZOS_BASIS
@@ -521,8 +629,9 @@ def test_track_tends_to_its_eigenpair(default_runs, name):
     poly, rep = default_runs[name]
     assert decay_rel_err(rep.samples, rep.eigen.eigenvalue) <= 0.02
     assert np.linalg.norm(rep.samples[-1].location - rep.eigen.location) <= 0.02 * poly.diameter
-    # and every sample clears the short-time bound by 2 h or more
-    assert rep.short_time.ok and rep.short_time.least_margin >= 2.0 * rep.grid.spacing
+    # and every sample clears the short-time bound by 2 r/50 or more
+    # (panel2's first sample reads 2.02 r/50 at the default r/30)
+    assert rep.short_time.ok and rep.short_time.least_margin >= 2.0 * poly.incircle.radius / 50.0
     assert rep.short_time.n_positive >= 8
 
 
@@ -546,19 +655,22 @@ def test_short_time_bound_matches_erfcinv():
 
 
 def test_short_time_check_rejects_a_planted_sample(halfdisc64):
-    # a hot spot 2.1 h shallower than delta at the first sample fails, one
-    # 1.9 h shallower passes: the slack is 2 h
+    # a hot spot 2.1 r/50 shallower than delta at the first sample fails,
+    # one 1.9 r/50 shallower passes: full_verify's slack is 2 r/50
     poly = halfdisc64
     h = poly.incircle.radius / pde._H_PER_INRADIUS
+    unit = poly.incircle.radius / 50.0
+    slack = pde._MEMBERSHIP_SLACK * h
+    assert slack == pytest.approx(2.0 * unit, rel=1e-15)
     grid = rasterize(poly, h)
     eigen = eigen_solve(grid)
-    dt = h * h / 5.0
+    dt = pde._heat_step(grid)
     samples = heat_solve(grid, sample_steps(10.0 / eigen.eigenvalue, dt) * dt, eigen)
     for short, ok in ((2.1, False), (1.9, True)):
-        planted = (plant_sample(poly, samples[0], short * h),) + samples[1:]
-        rep = short_time_check(planted, poly, 2.0 * h)
+        planted = (plant_sample(poly, samples[0], short * unit),) + samples[1:]
+        rep = short_time_check(planted, poly, slack)
         assert rep.ok is ok
-        assert rep.least_margin == pytest.approx(-short * h, rel=1e-9)
+        assert rep.least_margin == pytest.approx(-short * unit, rel=1e-9)
 
 
 def plant_sample(poly: ConvexPolygon, sample: TrackSample, short: float) -> TrackSample:

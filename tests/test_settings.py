@@ -50,7 +50,7 @@ def test_numeric_constants_pinned():
                     value = getattr(module, target.id)
                     if isinstance(value, (int, float)) and not isinstance(value, bool):
                         names.append(f"{path.stem}.{target.id}")
-    assert len(names) == 41, names
+    assert len(names) == 42, names
 
 
 def _references(path, submodules, reexports):
